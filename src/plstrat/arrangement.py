@@ -21,7 +21,7 @@ from .errors import (DegeneracyError, GenericityError, InputError, InternalError
 from .geometry import (canon_key, cross2, dot, frac, on_segment,
                        proper_crossing, segments_share_line_overlap, vadd,
                        vscale, vsub)
-from .posets import Poset, StratifiedSpace, wedge_extend
+from .posets import Poset, StratifiedSpace, connected_classes, wedge_extend
 
 Point = tuple
 
@@ -98,6 +98,8 @@ class PlanarArrangement:
                     raise GenericityError("duplicate sub-segment between two points")
                 edges[key] = i
         self.edges: list[tuple[int, int]] = sorted(edges)
+        self.edge_index: dict[tuple[int, int], int] = {
+            e: i for i, e in enumerate(self.edges)}
         self.edge_source: list[int] = [edges[e] for e in self.edges]
         self._extract_faces()
         self._check_euler()
@@ -161,17 +163,9 @@ class PlanarArrangement:
 
         def strictly_inside(p, i) -> bool:
             walk = orbits[i]
-            for u, v in walk:
-                if on_segment(p, verts[u], verts[v]):
-                    return False
-            cnt = 0
-            for u, v in walk:
-                a, b = verts[u], verts[v]
-                if (a[1] > p[1]) != (b[1] > p[1]):
-                    x = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-                    if x > p[0]:
-                        cnt ^= 1
-            return cnt == 1
+            if any(on_segment(p, verts[u], verts[v]) for u, v in walk):
+                return False
+            return _ray_parity(p, verts, walk)
 
         parent: dict[int, int | None] = {}
         for i in outer:
@@ -205,15 +199,7 @@ class PlanarArrangement:
     # -- queries ------------------------------------------------------------
 
     def component_count(self) -> int:
-        parent = list(range(len(self.vertices)))
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        return len({find(i) for i in range(len(self.vertices))})
+        return len(connected_classes(range(len(self.vertices)), self.edges))
 
     def euler_lhs(self) -> int:
         """V - E + F, the unbounded face counted once."""
@@ -243,19 +229,9 @@ class PlanarArrangement:
                 return ("e", i)
         for face in sorted((f for f in self.faces if f.bounded),
                            key=lambda f: (f.area2, f.index)):
-            if self._inside_outer(p, face):
+            if _ray_parity(p, self.vertices, face.cycles[0]):
                 return ("f", face.index)
         return ("f", self.faces[-1].index)
-
-    def _inside_outer(self, p, face: Face) -> bool:
-        cnt = 0
-        for u, v in face.cycles[0]:
-            a, b = self.vertices[u], self.vertices[v]
-            if (a[1] > p[1]) != (b[1] > p[1]):
-                x = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-                if x > p[0]:
-                    cnt ^= 1
-        return cnt == 1
 
     def bounding_box(self):
         xs = [p[0] for p in self.vertices] or [Fraction(0)]
@@ -307,6 +283,24 @@ def _param(x, a, b) -> Fraction:
     return dot(vsub(x, a), d) / dot(d, d)
 
 
+def _ray_parity(p, verts, walk) -> bool:
+    """Even-odd test: whether a rightward ray from p crosses the closed walk
+    of directed edges (u, v) over `verts` an odd number of times."""
+    cnt = 0
+    for u, v in walk:
+        a, b = verts[u], verts[v]
+        if (a[1] > p[1]) != (b[1] > p[1]):
+            x = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
+            if x > p[0]:
+                cnt ^= 1
+    return cnt == 1
+
+
+def _face_label(face: Face) -> str:
+    """Stratum label of an arrangement face."""
+    return f"f{face.index}" if face.bounded else "f_out"
+
+
 # ---------------------------------------------------------------------------
 # refined image of a critical locus
 
@@ -315,17 +309,16 @@ class RefinedImage:
     """The image of the critical locus split into cells that meet only along
     shared sub-cells.
 
-    For k = 1 only `points` is populated.  For k = 2 the arrangement holds
-    the split segments; `vertex_sources` lists, per arrangement vertex, the
-    locus simplices whose closed image contains it, and multiplicity counts
-    the preimage points inside the locus (2 exactly at crossings).
+    `point_sources` lists, per point, the locus simplices whose closed image
+    contains it, and multiplicity counts the preimage points inside the
+    locus (2 exactly at crossings).  For k = 2 the points are the vertices
+    of the arrangement, which holds the split segments.
     """
     k: int
     points: tuple
     point_sources: tuple
     multiplicities: tuple
     arrangement: PlanarArrangement | None
-    vertex_sources: tuple
     edge_sourcesimplices: tuple
 
 
@@ -347,7 +340,7 @@ def refine_image(f, j) -> RefinedImage:
         mult = tuple(len(src) for src in sources)
         return RefinedImage(k=1, points=points, point_sources=sources,
                             multiplicities=mult, arrangement=None,
-                            vertex_sources=(), edge_sourcesimplices=())
+                            edge_sourcesimplices=())
     if k != 2:
         raise StructuralError("image refinement supports k in {1, 2}")
 
@@ -362,7 +355,7 @@ def refine_image(f, j) -> RefinedImage:
     jedges = jc.simplices_of_dim(1)
     segments = [(f.value(e[0]), f.value(e[1])) for e in jedges]
     arr = PlanarArrangement(segments)
-    vertex_sources = []
+    sources = []
     mult = []
     for p in arr.vertices:
         srcs: list = []
@@ -376,16 +369,15 @@ def refine_image(f, j) -> RefinedImage:
                 count += 1
             elif p in (a, b):
                 srcs.append(e)
-        vertex_sources.append(tuple(sorted(srcs, key=canon_key)))
+        sources.append(tuple(sorted(srcs, key=canon_key)))
         mult.append(count)
     for p, m in zip(arr.vertices, mult):
         if p in arr.crossing_points and m != 2:
             raise InternalError("crossing point without preimage multiplicity 2")
     edge_src = tuple(jedges[i] for i in arr.edge_source)
     return RefinedImage(k=2, points=tuple(arr.vertices),
-                        point_sources=tuple(vertex_sources),
+                        point_sources=tuple(sources),
                         multiplicities=tuple(mult), arrangement=arr,
-                        vertex_sources=tuple(vertex_sources),
                         edge_sourcesimplices=edge_src)
 
 
@@ -434,8 +426,8 @@ class CodomainStratification:
             lo = sum(1 for p in pts if p < y)
             return f"i{lo}"
         kind, idx = self.refined.arrangement.locate(y)
-        if kind == "f" and idx == len(self.refined.arrangement.faces) - 1:
-            return "f_out"
+        if kind == "f":
+            return _face_label(self.refined.arrangement.faces[idx])
         return f"{kind}{idx}"
 
 
@@ -483,9 +475,7 @@ def stratification_from_refined(refined: RefinedImage) -> CodomainStratification
     arr = refined.arrangement
     vcells = [f"v{i}" for i in range(len(arr.vertices))]
     ecells = [f"e{i}" for i in range(len(arr.edges))]
-    def fname(face: Face) -> str:
-        return f"f{face.index}" if face.bounded else "f_out"
-    fcells = [fname(face) for face in arr.faces]
+    fcells = [_face_label(face) for face in arr.faces]
 
     incidence = []
     for i, (u, v) in enumerate(arr.edges):
@@ -495,9 +485,9 @@ def stratification_from_refined(refined: RefinedImage) -> CodomainStratification
     for face in arr.faces:
         vs, es = arr.face_boundary(face.index)
         for u in sorted(vs):
-            wedge_pairs.append((f"v{u}", fname(face)))
+            wedge_pairs.append((f"v{u}", _face_label(face)))
         for ekey in sorted(es):
-            wedge_pairs.append((f"e{arr.edges.index(ekey)}", fname(face)))
+            wedge_pairs.append((f"e{arr.edge_index[ekey]}", _face_label(face)))
     base = Poset(vcells + ecells, incidence) if vcells or ecells else Poset([], [])
     poset = wedge_extend(base, fcells, wedge_pairs)
 
@@ -507,7 +497,7 @@ def stratification_from_refined(refined: RefinedImage) -> CodomainStratification
     for i, (u, v) in enumerate(arr.edges):
         geometry[ecells[i]] = (arr.vertices[u], arr.vertices[v])
     for face in arr.faces:
-        geometry[fname(face)] = face
+        geometry[_face_label(face)] = face
     cells = frozenset(vcells) | frozenset(ecells) | frozenset(fcells)
     closure = frozenset(incidence) | frozenset(wedge_pairs)
     space = StratifiedSpace(poset=poset, cells=cells, closure=closure,
@@ -627,29 +617,19 @@ def stratify_singular_locus(locus: SingularLocus,
     marks = {zid[p]: frozenset(special[p]) for p in zero_points}
 
     # chains: connected runs of arrangement edges avoiding the special points
-    parent = {}
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-    for i in range(len(arr.edges)):
-        parent[("e", i)] = ("e", i)
     incident: dict[int, list[int]] = {}
     for i, (u, v) in enumerate(arr.edges):
         incident.setdefault(u, []).append(i)
         incident.setdefault(v, []).append(i)
+    joins = []
     for u, eis in incident.items():
         if arr.vertices[u] in special:
             continue
         if len(eis) != 2:
             raise GenericityError(
                 f"unmarked point {arr.vertices[u]!r} has degree {len(eis)}")
-        parent[find(("e", eis[0]))] = find(("e", eis[1]))
-    groups: dict = {}
-    for i in range(len(arr.edges)):
-        groups.setdefault(find(("e", i)), []).append(i)
-    chain_lists = sorted(groups.values())
+        joins.append(eis)
+    chain_lists = sorted(connected_classes(range(len(arr.edges)), joins))
     cid_of_edge: dict[int, str] = {}
     chain_cells = []
     for n, eis in enumerate(chain_lists):
@@ -664,19 +644,17 @@ def stratify_singular_locus(locus: SingularLocus,
             p = arr.vertices[w]
             if p in special:
                 incidence.add((zid[p], cid_of_edge[i]))
-    def fname(face: Face) -> str:
-        return f"f{face.index}" if face.bounded else "f_out"
     wedge_pairs = set()
     fcells = []
     for face in arr.faces:
-        fcells.append(fname(face))
+        fcells.append(_face_label(face))
         vs, es = arr.face_boundary(face.index)
         for u in sorted(vs):
             p = arr.vertices[u]
             if p in special:
-                wedge_pairs.add((zid[p], fname(face)))
+                wedge_pairs.add((zid[p], _face_label(face)))
         for ekey in sorted(es):
-            wedge_pairs.add((cid_of_edge[arr.edges.index(ekey)], fname(face)))
+            wedge_pairs.add((cid_of_edge[arr.edge_index[ekey]], _face_label(face)))
 
     base = Poset(list(zid.values()) + chain_cells, sorted(incidence))
     poset = wedge_extend(base, fcells, sorted(wedge_pairs))
@@ -688,7 +666,7 @@ def stratify_singular_locus(locus: SingularLocus,
         geometry[f"c{n}"] = tuple((arr.vertices[arr.edges[i][0]],
                                    arr.vertices[arr.edges[i][1]]) for i in eis)
     for face in arr.faces:
-        geometry[fname(face)] = face
+        geometry[_face_label(face)] = face
     cells = frozenset(zid.values()) | frozenset(chain_cells) | frozenset(fcells)
     closure = frozenset(incidence) | frozenset(wedge_pairs)
     space = StratifiedSpace(poset=poset, cells=cells, closure=closure,

@@ -62,29 +62,45 @@ def _add_input_args(sub):
     sub.add_argument("--example", help="use a bundled example instead of a file")
 
 
+def _validate_doc(f, gen, man) -> dict:
+    return {"k": f.k,
+            "vertices": len(f.domain.vertices),
+            "simplices": len(f.domain.sorted_simplices()),
+            "genericity": fmt.genericity_to_dict(gen),
+            "manifold": fmt.manifold_to_dict(man)}
+
+
+def _locus_doc(ls) -> dict:
+    coarse, removable = coarseness_check(ls)
+    doc = fmt.locus_stratification_to_dict(ls)
+    doc["coarse"] = coarse
+    doc["removable"] = removable
+    return doc
+
+
+def _stratum_audit_doc(ok, per_stratum) -> dict:
+    return {"passed": ok,
+            "per_stratum": {s: list(c) for s, c in sorted(per_stratum.items())}}
+
+
 def cmd_validate(args) -> int:
     f = _load_input(args)
     gen = check_generic(f)
     man = manifold_check(f.domain)
-    doc = {"k": f.k,
-           "vertices": len(f.domain.vertices),
-           "simplices": len(f.domain.sorted_simplices()),
-           "genericity": fmt.genericity_to_dict(gen),
-           "manifold": fmt.manifold_to_dict(man)}
-    _emit(fmt.canonical_dumps(doc), args.out)
+    _emit(fmt.canonical_dumps(_validate_doc(f, gen, man)), args.out)
     return 0 if gen.passed else 2
 
 
 def cmd_jacobi(args) -> int:
     f = _load_input(args)
-    j = jacobi_set(f, args.notion, jobs=args.jobs)
+    j = jacobi_set(f, args.notion)
     _emit(fmt.canonical_dumps(fmt.jacobi_report_dict(f, j)), args.out)
     return 0
 
 
 def cmd_stratify_domain(args) -> int:
     f = _load_input(args)
-    space = domain_stratification(f, args.notion)
+    space = domain_stratification(f, jacobi_set(f, args.notion))
     _emit(fmt.canonical_dumps(fmt.stratified_space_to_dict(space)), args.out)
     return 0
 
@@ -101,20 +117,19 @@ def cmd_stratify_codomain(args) -> int:
 
 def cmd_reeb(args) -> int:
     f = _load_input(args)
+    j = jacobi_set(f, args.notion)
     if f.k == 1:
-        rg = reeb_graph(f, args.notion)
-        audit = interval_fiber_audit(f, args.notion, samples=args.samples)
+        rg = reeb_graph(f, j)
+        audit = interval_fiber_audit(f, j, samples=args.samples)
         doc = {"reeb": fmt.reeb_to_dict(rg),
                "fiber_audit": fmt.fiber_audit_to_dict(audit)}
     else:
-        sc = reeb_scaffold(f, args.notion)
+        sc = reeb_scaffold(f, build_codomain_stratification(f, j))
         stein = check_stein_square(f, sc)
         ok, per_stratum = stratum_fiber_audit(f, sc, samples=args.samples)
         doc = {"scaffold": fmt.scaffold_to_dict(sc),
                "stein": fmt.stein_to_dict(stein),
-               "fiber_audit": {"passed": ok,
-                               "per_stratum": {s: list(c)
-                                               for s, c in sorted(per_stratum.items())}}}
+               "fiber_audit": _stratum_audit_doc(ok, per_stratum)}
     _emit(fmt.canonical_dumps(doc), args.out)
     return 0
 
@@ -127,11 +142,7 @@ def cmd_locus(args) -> int:
     else:
         raise InputError("provide a contour file or --example NAME")
     ls = stratify_singular_locus(locus)
-    coarse, removable = coarseness_check(ls)
-    doc = fmt.locus_stratification_to_dict(ls)
-    doc["coarse"] = coarse
-    doc["removable"] = removable
-    _emit(fmt.canonical_dumps(doc), args.out)
+    _emit(fmt.canonical_dumps(_locus_doc(ls)), args.out)
     if args.svg:
         _emit(render_svg(ls), args.svg)
     return 0
@@ -155,11 +166,7 @@ def cmd_pipeline(args) -> int:
 
     if isinstance(obj, SingularLocus):
         ls = _stage("locus", lambda: stratify_singular_locus(obj))
-        coarse, removable = coarseness_check(ls)
-        doc = fmt.locus_stratification_to_dict(ls)
-        doc["coarse"] = coarse
-        doc["removable"] = removable
-        write("codomain_strat.json", fmt.canonical_dumps(doc))
+        write("codomain_strat.json", fmt.canonical_dumps(_locus_doc(ls)))
         if args.svg:
             write("codomain_strat.svg", render_svg(ls))
         return 0
@@ -167,17 +174,13 @@ def cmd_pipeline(args) -> int:
     f = obj
     gen = _stage("validate", lambda: check_generic(f))
     man = _stage("validate", lambda: manifold_check(f.domain))
-    write("validate.json", fmt.canonical_dumps(
-        {"k": f.k, "vertices": len(f.domain.vertices),
-         "simplices": len(f.domain.sorted_simplices()),
-         "genericity": fmt.genericity_to_dict(gen),
-         "manifold": fmt.manifold_to_dict(man)}))
+    write("validate.json", fmt.canonical_dumps(_validate_doc(f, gen, man)))
     if not gen.passed:
         return 2
 
-    j = _stage("jacobi", lambda: jacobi_set(f, args.notion, jobs=args.jobs))
+    j = _stage("jacobi", lambda: jacobi_set(f, args.notion))
     write("jacobi.json", fmt.canonical_dumps(fmt.jacobi_report_dict(f, j)))
-    space = _stage("domain", lambda: domain_stratification(f, args.notion))
+    space = _stage("domain", lambda: domain_stratification(f, j))
     write("domain_strat.json",
           fmt.canonical_dumps(fmt.stratified_space_to_dict(space)))
 
@@ -191,25 +194,22 @@ def cmd_pipeline(args) -> int:
             write("filtration.txt", fmt.filtration_text(chain))
 
     if f.k == 1:
-        rg = _stage("reeb", lambda: reeb_graph(f, args.notion))
+        rg = _stage("reeb", lambda: reeb_graph(f, j))
         write("reeb.json", fmt.canonical_dumps(fmt.reeb_to_dict(rg)))
         if args.dot:
             write("reeb.dot", fmt.reeb_to_dot(rg))
         audit = _stage("audit", lambda: interval_fiber_audit(
-            f, args.notion, samples=args.samples))
+            f, j, samples=args.samples))
         write("audit.json", fmt.canonical_dumps(fmt.fiber_audit_to_dict(audit)))
     elif f.k == 2:
-        sc = _stage("scaffold", lambda: reeb_scaffold(f, args.notion))
+        sc = _stage("scaffold", lambda: reeb_scaffold(f, cs))
         stein = _stage("scaffold", lambda: check_stein_square(f, sc))
         sdoc = fmt.scaffold_to_dict(sc)
         sdoc["stein"] = fmt.stein_to_dict(stein)
         write("scaffold.json", fmt.canonical_dumps(sdoc))
         ok, per_stratum = _stage("audit", lambda: stratum_fiber_audit(
             f, sc, samples=args.samples))
-        write("audit.json", fmt.canonical_dumps(
-            {"passed": ok,
-             "per_stratum": {s: list(c)
-                             for s, c in sorted(per_stratum.items())}}))
+        write("audit.json", fmt.canonical_dumps(_stratum_audit_doc(ok, per_stratum)))
     return 0
 
 
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="criticality notion (default H)")
         if jobs:
             sub.add_argument("--jobs", type=int, default=1,
-                             help="worker threads for per-simplex tests")
+                             help="accepted for compatibility; has no effect")
         if samples:
             sub.add_argument("--samples", type=int, default=3,
                              help="probe points per interval or stratum")
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--notion", choices=NOTION_CHOICES, default="H",
                    help="criticality notion (default H)")
     s.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for per-simplex tests")
+                   help="accepted for compatibility; has no effect")
     s.add_argument("--samples", type=int, default=3,
                    help="probe points per interval or stratum")
     s.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True,

@@ -2,7 +2,7 @@
 
 Simplices are sorted tuples of vertex labels; a complex is a face-closed
 finite set of simplices.  Everything is immutable, so the operations below
-return fresh objects and can be called from worker threads freely.
+return fresh objects.
 """
 from __future__ import annotations
 

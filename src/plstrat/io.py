@@ -15,7 +15,7 @@ from .arrangement import (CodomainStratification, Face, LocusStratification,
                           SingularLocus, stratum_dimension)
 from .complexes import SimplicialComplex, Simplex
 from .errors import InputError
-from .geometry import canon_key, format_frac
+from .geometry import canon_key, format_frac, frac
 from .jacobi import GenericityReport, JacobiSet, PLMap
 from .posets import StratifiedSpace, poset_to_json_dict
 from .reeb import ReebGraph, ReebScaffold, SteinReport
@@ -23,16 +23,10 @@ from .reeb import ReebGraph, ReebScaffold, SteinReport
 
 def parse_fraction(x) -> Fraction:
     """Exact rational from an int or a "p/q" string; floats are refused."""
-    if isinstance(x, bool) or isinstance(x, float):
-        raise InputError(f"inexact or boolean number {x!r}; write rationals as strings")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational {x!r}") from exc
-    raise InputError(f"expected a rational, got {type(x).__name__}")
+    try:
+        return frac(x)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{exc}; write rationals as integers or strings") from exc
 
 
 def encode_fraction(x) -> str:

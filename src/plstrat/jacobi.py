@@ -18,7 +18,6 @@ a genericity error with a witness.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -282,14 +281,9 @@ class JacobiSet:
             raise InternalError("critical locus exceeds dimension k-1")
 
 
-def jacobi_set(f: PLMap, notion: str = "H", *, jobs: int = 1) -> JacobiSet:
+def jacobi_set(f: PLMap, notion: str = "H") -> JacobiSet:
     """Collect the critical (k-1)-simplices under the chosen notion and
-    close them under faces.
-
-    Criticality is decided independently per simplex, so with jobs > 1 the
-    tests run on a thread pool; results are merged in canonical order and the
-    output does not depend on the thread count.
-    """
+    close them under faces."""
     if notion not in NOTIONS:
         raise StructuralError(f"unknown notion {notion!r}")
     candidates = f.domain.simplices_of_dim(f.k - 1)
@@ -306,12 +300,7 @@ def jacobi_set(f: PLMap, notion: str = "H", *, jobs: int = 1) -> JacobiSet:
                 raise StructuralError(
                     f"link of {tuple(s)!r} is not a circle; L verdict undecided")
             return verdict
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            flags = list(pool.map(test, candidates))
-    else:
-        flags = [test(s) for s in candidates]
-    critical = [s for s, flag in zip(candidates, flags) if flag]
+    critical = [s for s in candidates if test(s)]
     return JacobiSet(SimplicialComplex.from_facets(critical), notion, f.k)
 
 
@@ -379,6 +368,7 @@ def _complement_neighbors(x: SimplicialComplex, t: Simplex, jset):
             yield cof
 
 
-def domain_stratification(f: PLMap, notion: str = "H") -> StratifiedSpace:
-    """Stratification of the domain induced by the critical locus."""
-    return stratify_domain_by_locus(f.domain, jacobi_set(f, notion))
+def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpace:
+    """Stratification of the domain induced by the critical locus `j`, the
+    H Jacobi set of f when omitted."""
+    return stratify_domain_by_locus(f.domain, jacobi_set(f) if j is None else j)

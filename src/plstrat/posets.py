@@ -52,6 +52,28 @@ def is_partial_order(elements: Iterable[Label], pairs: Iterable[tuple]) -> bool:
     return True
 
 
+def connected_classes(elements: Iterable[Label], pairs: Iterable[tuple]) -> list[list]:
+    """Classes of the equivalence relation the pairs generate, by union-find.
+
+    Members keep the order of `elements`, and classes come in the order of
+    their first member.
+    """
+    parent = {e: e for e in elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    classes: dict = {}
+    for e in parent:
+        classes.setdefault(find(e), []).append(e)
+    return list(classes.values())
+
+
 class Poset:
     """A finite partial order.
 

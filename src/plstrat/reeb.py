@@ -20,8 +20,9 @@ from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      StructuralError)
 from .geometry import (canon_key, frac, on_segment, point_in_convex_hull_2d,
                        vadd, vscale, vsub)
-from .jacobi import PLMap, jacobi_set
-from .posets import MonotoneMap, Poset, StratifiedSpace, check_stratified_map
+from .jacobi import JacobiSet, PLMap, jacobi_set
+from .posets import (MonotoneMap, Poset, StratifiedSpace, check_stratified_map,
+                     connected_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +110,7 @@ class ReebGraph:
     edges: tuple             # pairs (a, b), parallel edges repeated
 
     def component_count(self) -> int:
-        parent = {n: n for n in self.nodes}
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-        for a, b in self.edges:
-            parent[find(a)] = find(b)
-        return len({find(n) for n in self.nodes})
+        return len(connected_classes(self.nodes, self.edges))
 
     def cycle_rank(self) -> int:
         if not self.nodes:
@@ -128,21 +121,23 @@ class ReebGraph:
         return sum((a == node) + (b == node) for a, b in self.edges)
 
 
-def reeb_graph(f: PLMap, notion: str = "H") -> ReebGraph:
+def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     """Contract each fiber to its components and record the graph.
 
     Sweep levels are every vertex value plus every midpoint between
     consecutive values.  Between two consecutive sweep levels no vertex
     value intervenes, so a component at one level attaches to exactly one
     component at the next exactly when they share a support simplex.
-    Components containing a critical vertex at their level become nodes;
-    all other components lie on monotone chains and are contracted away.
+    Components containing a vertex of the critical locus `jset` (the H
+    Jacobi set of f when omitted) at their level become nodes; all other
+    components lie on monotone chains and are contracted away.
     """
     if f.k != 1:
         raise StructuralError("Reeb graph requires a single parameter")
     if f.domain.dimension < 0:
         raise EmptyComplexError("cannot sweep an empty complex")
-    jset = jacobi_set(f, notion)
+    if jset is None:
+        jset = jacobi_set(f)
     critical_vertices = {s[0] for s in jset.complex.simplices_of_dim(0)}
 
     values = sorted({_scalar(f, v) for v in f.domain.vertices})
@@ -228,13 +223,15 @@ class FiberAudit:
     detail: tuple = ()
 
 
-def interval_fiber_audit(f: PLMap, notion: str = "H",
+def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
                          samples: int = 3) -> FiberAudit:
     """Check that the fiber component count is constant on every open
-    interval between consecutive critical values, and report the counts."""
+    interval between consecutive critical values of the locus `jset` (the H
+    Jacobi set of f when omitted), and report the counts."""
     if f.k != 1:
         raise StructuralError("interval audit requires a single parameter")
-    jset = jacobi_set(f, notion)
+    if jset is None:
+        jset = jacobi_set(f)
     crit = sorted({_scalar(f, s[0]) for s in jset.complex.simplices_of_dim(0)})
     if not crit:
         raise InternalError("a nonempty compact domain must have critical values")
@@ -318,9 +315,10 @@ def _match_unique(target_comps, probe_comp) -> int:
     return hits[0]
 
 
-def reeb_scaffold(f: PLMap, notion: str = "H") -> ReebScaffold:
-    """Build the component poset over the stratified codomain of a
-    two-parameter map.
+def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebScaffold:
+    """Build the component poset over the stratified codomain `cs` of a
+    two-parameter map; when omitted, the codomain is stratified by the H
+    Jacobi set of f.
 
     Each stratum gets a sample point and its fiber components.  For every
     covering pair s < t of strata, the stratum t is sampled again at points
@@ -336,8 +334,8 @@ def reeb_scaffold(f: PLMap, notion: str = "H") -> ReebScaffold:
     """
     if f.k not in (1, 2):
         raise StructuralError("the scaffold requires one or two parameters")
-    jset = jacobi_set(f, notion)
-    cs = build_codomain_stratification(f, jset)
+    if cs is None:
+        cs = build_codomain_stratification(f, jacobi_set(f))
 
     reps: dict = {}
     comps: dict = {}
@@ -439,8 +437,7 @@ class SteinReport:
                 and self.projection_surjective and self.commutes)
 
 
-def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None,
-                       notion: str = "H") -> SteinReport:
+def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinReport:
     """Verify that quotienting fibers to components squares with the
     codomain stratification.
 
@@ -453,7 +450,7 @@ def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None,
     point checks run per barycenter, never per closed cell.
     """
     if scaffold is None:
-        scaffold = reeb_scaffold(f, notion)
+        scaffold = reeb_scaffold(f)
     cs = scaffold.codomain
     notes = []
 
@@ -513,11 +510,11 @@ def _walk_match(f, cs, scaffold, stratum, y, comp) -> int:
 
 
 def stratum_fiber_audit(f: PLMap, scaffold: ReebScaffold | None = None,
-                        notion: str = "H", samples: int = 3):
+                        samples: int = 3):
     """Check that the fiber component count is constant across each
     codomain stratum by sampling every stratum at several points."""
     if scaffold is None:
-        scaffold = reeb_scaffold(f, notion)
+        scaffold = reeb_scaffold(f)
     cs = scaffold.codomain
     results: dict = {}
     ok = True

@@ -169,8 +169,7 @@ class TestCodomainStratification:
     def test_empty_image_single_stratum(self):
         from plstrat import RefinedImage
         r = RefinedImage(k=1, points=(), point_sources=(), multiplicities=(),
-                         arrangement=None, vertex_sources=(),
-                         edge_sourcesimplices=())
+                         arrangement=None, edge_sourcesimplices=())
         cs = stratification_from_refined(r)
         assert set(cs.space.poset.elements) == {"i0"}
 

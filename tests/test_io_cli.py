@@ -185,6 +185,37 @@ class TestPipeline:
         assert text == "v0 0 0\ne0 1 1\nf0 2 2\n"
 
 
+# each stage function at every module binding the CLI reaches it through
+_STAGE_BINDINGS = {"jacobi_set": ("cli", "jacobi", "reeb"),
+                   "build_codomain_stratification": ("cli", "reeb")}
+
+
+@pytest.mark.parametrize("command, example, expected", [
+    ("pipeline", "torus_grid", (1, 1)),
+    ("pipeline", "solid_tetrahedron", (1, 1)),
+    ("reeb", "torus_grid", (1, 0)),
+    ("reeb", "solid_tetrahedron", (1, 1)),
+])
+def test_each_artifact_is_computed_once(monkeypatch, tmp_path, command, example,
+                                        expected):
+    """(jacobi_set calls, build_codomain_stratification calls) per command."""
+    import importlib
+    calls = {name: 0 for name in _STAGE_BINDINGS}
+    for name, modules in _STAGE_BINDINGS.items():
+        original = getattr(importlib.import_module("plstrat.cli"), name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            monkeypatch.setattr(importlib.import_module(f"plstrat.{mod}"),
+                                name, counted)
+    cli = importlib.import_module("plstrat.cli")
+    assert cli.main([command, "--example", example,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert (calls["jacobi_set"], calls["build_codomain_stratification"]) == expected
+
+
 class TestFiltrationExport:
     def test_default_chain(self, capsys):
         assert main(["export-filtration", "--example",

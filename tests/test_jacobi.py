@@ -222,10 +222,6 @@ class TestJacobiSet:
             SimplicialComplex(j.complex.simplices)  # closure re-validated
             assert j.complex.dimension <= f.k - 1
 
-    def test_thread_count_does_not_change_result(self, tetra, torus):
-        for f in (tetra, torus):
-            assert jacobi_set(f, jobs=1).complex == jacobi_set(f, jobs=4).complex
-
     def test_l_notion_needs_surface(self, tetra):
         with pytest.raises(StructuralError):
             jacobi_set(tetra, "L")
