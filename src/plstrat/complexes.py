@@ -2,11 +2,14 @@
 
 Simplices are sorted tuples of vertex labels; a complex is a face-closed
 finite set of simplices.  Everything is immutable, so the operations below
-return fresh objects.
+return fresh objects, and each complex indexes itself once, on first use:
+the cofaces of every vertex and the `canon_key` order of its simplices.
+Star and link then walk the cofaces of one vertex instead of the complex.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -46,6 +49,15 @@ class Simplex(tuple):
         return f"Simplex({list(self)!r})"
 
 
+@dataclass(frozen=True)
+class ComplexIndex:
+    """Lookup tables of one complex, built together on first use."""
+    ranked: tuple     # all simplices in `canon_key` order
+    rank: dict        # simplex -> its position in `ranked`
+    order: tuple      # simplices by (dim, canon_key): `sorted_simplices`
+    vertex_cofaces: dict  # vertex -> the simplices containing it, in `ranked` order
+
+
 class SimplicialComplex:
     """A face-closed set of simplices.  May be empty."""
 
@@ -76,17 +88,40 @@ class SimplicialComplex:
     def vertices(self) -> frozenset:
         return frozenset(v for s in self.simplices for v in s)
 
+    @cached_property
+    def index(self) -> ComplexIndex:
+        """The complex's lookup tables, built on first use."""
+        vkey = {v: canon_key(v) for v in self.vertices}
+        # canon_key of a simplex, from the keys of its vertices
+        ranked = tuple(sorted(self.simplices,
+                              key=lambda s: (2, tuple(vkey[v] for v in s))))
+        cofaces: dict = {}
+        for s in ranked:
+            for v in s:
+                cofaces.setdefault(v, []).append(s)
+        return ComplexIndex(
+            ranked=ranked,
+            rank={s: i for i, s in enumerate(ranked)},
+            order=tuple(sorted(ranked, key=len)),
+            vertex_cofaces={v: tuple(ts) for v, ts in cofaces.items()})
+
+    def cofaces(self, sigma: Simplex) -> list[Simplex]:
+        """The simplices containing sigma, sigma itself included."""
+        vs = set(sigma)
+        return [t for t in self.index.vertex_cofaces.get(sigma[0], ())
+                if vs.issubset(t)]
+
     def facets(self) -> list[Simplex]:
-        """Maximal simplices, in deterministic order."""
-        out = [s for s in self.simplices
-               if not any(s != t and set(s) < set(t) for t in self.simplices)]
-        return sorted(out, key=canon_key)
+        """Maximal simplices, in deterministic order: those with no
+        coface one dimension up."""
+        return [s for s in self.index.ranked
+                if not any(len(t) > len(s) for t in self.cofaces(s))]
 
     def simplices_of_dim(self, d: int) -> list[Simplex]:
-        return sorted((s for s in self.simplices if s.dim == d), key=canon_key)
+        return [s for s in self.index.order if len(s) == d + 1]
 
     def sorted_simplices(self) -> list[Simplex]:
-        return sorted(self.simplices, key=lambda s: (s.dim, canon_key(s)))
+        return list(self.index.order)
 
     def is_pure(self) -> bool:
         if not self.simplices:
@@ -127,29 +162,24 @@ def star(k: SimplicialComplex, sigma) -> SimplicialComplex:
     """Closed star: all cofaces of sigma together with their faces."""
     sigma = Simplex(sigma)
     k._require(sigma)
-    cofaces = {t for t in k.simplices if set(sigma) <= set(t)}
-    return SimplicialComplex.from_facets(cofaces)
+    return SimplicialComplex.from_facets(k.cofaces(sigma))
 
 
 def open_star(k: SimplicialComplex, sigma) -> frozenset:
     """The cofaces of sigma themselves (not face-closed)."""
     sigma = Simplex(sigma)
     k._require(sigma)
-    return frozenset(t for t in k.simplices if set(sigma) <= set(t))
+    return frozenset(k.cofaces(sigma))
 
 
 def link(k: SimplicialComplex, sigma) -> SimplicialComplex:
     """All simplices tau disjoint from sigma with tau + sigma in the complex."""
     sigma = Simplex(sigma)
     k._require(sigma)
-    out = set()
-    for t in k.simplices:
-        ts = set(t)
-        ss = set(sigma)
-        if ss <= ts and ts != ss:
-            rest = tuple(v for v in t if v not in ss)
-            out.add(Simplex(rest))
-    return SimplicialComplex(out, check=False)
+    ss = set(sigma)
+    return SimplicialComplex(
+        (tuple(v for v in t if v not in ss)
+         for t in k.cofaces(sigma) if len(t) > len(sigma)), check=False)
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

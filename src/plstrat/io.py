@@ -161,15 +161,22 @@ def jacobi_to_dict(j: JacobiSet) -> dict:
 
 def jacobi_report_dict(f: PLMap, j: JacobiSet) -> dict:
     """Critical subcomplex together with the verdict table over all
-    candidate (k-1)-simplices, criticality under every applicable notion."""
-    from .jacobi import criticality_verdict
+    candidate (k-1)-simplices, criticality under every applicable notion.
+
+    An H locus already holds the H verdicts: a (k-1)-simplex lies in the
+    face closure of the critical (k-1)-simplices exactly when it is
+    critical itself, so the H test is not run again."""
+    from .jacobi import is_d_critical, is_h_critical, is_l_critical_surface
     verdicts = []
     for s in f.domain.simplices_of_dim(f.k - 1):
-        v = criticality_verdict(f, s)
-        verdicts.append({"simplex": _encode_simplex(v.simplex),
-                         "h_critical": v.h_critical,
-                         "d_critical": v.d_critical,
-                         "l_critical": v.l_critical})
+        # L, H, D: the order criticality_verdict runs them in
+        l_crit = is_l_critical_surface(f, s) if s.dim == 0 else None
+        h_crit = (s in j.complex.simplices if j.notion == "H"
+                  else is_h_critical(f, s))
+        verdicts.append({"simplex": _encode_simplex(s),
+                         "h_critical": h_crit,
+                         "d_critical": is_d_critical(f, s),
+                         "l_critical": l_crit})
     return {"critical": jacobi_to_dict(j), "verdicts": verdicts}
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .complexes import Simplex, SimplicialComplex, link, open_star
@@ -56,6 +57,13 @@ class PLMap:
         if extra:
             raise StructuralError(f"values given for unknown vertices {sorted(extra, key=canon_key)!r}")
         object.__setattr__(self, "values", coerced)
+
+    @cached_property
+    def sweep(self):
+        """The sweep levels of a scalar map and its fiber components over
+        each, held by the map and filled on first use (`reeb.SweepIndex`)."""
+        from .reeb import SweepIndex
+        return SweepIndex(self)
 
     def value(self, v):
         try:
@@ -317,8 +325,7 @@ def stratify_domain_by_locus(x: SimplicialComplex, j: JacobiSet) -> StratifiedSp
     for s in jset:
         if s not in x.simplices:
             raise NotAMemberError(f"locus simplex {tuple(s)!r} not in the domain")
-    rest = sorted((s for s in x.simplices if s not in jset),
-                  key=lambda s: (s.dim, canon_key(s)))
+    rest = [s for s in x.sorted_simplices() if s not in jset]
     comp_of: dict = {}
     comps: list[list] = []
     for s in rest:
@@ -334,7 +341,7 @@ def stratify_domain_by_locus(x: SimplicialComplex, j: JacobiSet) -> StratifiedSp
                 if nb not in comp_of:
                     comp_of[nb] = len(comps)
                     stack.append(nb)
-        comps.append(sorted(comp, key=canon_key))
+        comps.append(sorted(comp, key=x.index.rank.__getitem__))
 
     labels = [f"C{i}" for i in range(len(comps))]
     if jset:

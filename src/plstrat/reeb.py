@@ -1,21 +1,25 @@
 """Fibers, Reeb graphs and the connected-component scaffold over a
 stratified codomain.
 
-For a single parameter the Reeb graph is computed from a sweep across every
-vertex value and every gap midpoint; adjacency between consecutive levels is
-decided by shared support simplices, which is exact because no vertex value
-lies strictly between two consecutive sweep levels.  For two parameters the
-analogue is a poset of fiber components over the codomain strata, with
-attachment decided by sampling each stratum near its boundary and matching
-components through shared support.
+For a single parameter the fiber changes only where a vertex value is
+crossed, so it lives on 2V-1 sweep levels: level 2i is the i-th smallest
+vertex value and level 2i+1 the open gap above it.  Each map holds a
+`SweepIndex` of these levels, the level span of every simplex and a table
+of fiber components per level, filled on first use; the Reeb graph and
+every k=1 fiber query read that one table.  Adjacency between consecutive
+levels is decided by shared support simplices, which is exact because no
+vertex value lies strictly inside a gap.  For two parameters the analogue
+is a poset of fiber components over the codomain strata, with attachment
+decided by sampling each stratum near its boundary and matching components
+through shared support.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import (CodomainStratification, build_codomain_stratification)
-from .complexes import Simplex
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      StructuralError)
 from .geometry import (canon_key, frac, on_segment, point_in_convex_hull_2d,
@@ -32,12 +36,7 @@ def _scalar(f: PLMap, v) -> Fraction:
     return f.value(v)[0]
 
 
-def _touches_value(f: PLMap, s: Simplex, t: Fraction) -> bool:
-    vals = [_scalar(f, v) for v in s]
-    return min(vals) <= t <= max(vals)
-
-
-def _contains_point(f: PLMap, s: Simplex, y) -> bool:
+def _contains_point(f: PLMap, s, y) -> bool:
     pts = [f.value(v) for v in s]
     if len(pts) == 1:
         return pts[0] == y
@@ -46,46 +45,56 @@ def _contains_point(f: PLMap, s: Simplex, y) -> bool:
     return point_in_convex_hull_2d(y, pts)
 
 
-def _support(f: PLMap, y) -> list[Simplex]:
-    if f.k == 1:
-        t = frac(y[0] if isinstance(y, (tuple, list)) else y)
-        return [s for s in f.domain.sorted_simplices() if _touches_value(f, s, t)]
-    y = tuple(frac(c) for c in y)
-    return [s for s in f.domain.sorted_simplices() if _contains_point(f, s, y)]
+def _components(support) -> tuple[frozenset, ...]:
+    """Connected components under face incidence of a fiber support listed
+    in `canon_key` order, sorted by their least member (the order of their
+    `canon_key`-sorted member lists).
+
+    A support is upward-closed in the face order: a coface's image contains
+    its face's image.  So a face and a coface in it are joined through the
+    codimension-one faces in between, and each member is joined only to its
+    codimension-one faces."""
+    members = set(support)
+    pairs = [(s, face) for s in support for i in range(len(s))
+             if (face := s[:i] + s[i + 1:]) in members]
+    return tuple(frozenset(c) for c in connected_classes(support, pairs))
 
 
-def _components(simplices) -> tuple[frozenset, ...]:
-    """Connected components of a set of simplices under face incidence.
-    Two members are adjacent when one is a face of the other."""
-    pool = set(simplices)
-    by_vertex: dict = {}
-    for s in pool:
-        for v in s:
-            by_vertex.setdefault(v, []).append(s)
-    seen: set = set()
-    comps = []
-    for start in sorted(pool, key=canon_key):
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        seen.add(start)
-        while stack:
-            s = stack.pop()
-            comp.add(s)
-            for v in s:
-                for t in by_vertex[v]:
-                    if t in seen:
-                        continue
-                    if set(t) <= set(s) or set(s) <= set(t):
-                        seen.add(t)
-                        stack.append(t)
-        comps.append(frozenset(comp))
-    return tuple(sorted(comps, key=_comp_key))
+class SweepIndex:
+    """The sweep levels of a scalar map with the fiber components over each.
 
+    A closed simplex meets the fiber over level l exactly when l lies in its
+    span [2 rank(min), 2 rank(max)], ranks taken among the distinct vertex
+    values.  Components are computed per level on first request and kept."""
 
-def _comp_key(comp):
-    return canon_key(tuple(sorted(comp, key=canon_key)))
+    def __init__(self, f: PLMap):
+        if f.k != 1:
+            raise StructuralError("a sweep requires a single parameter")
+        self.values = sorted({_scalar(f, v) for v in f.domain.vertices})
+        level = {x: 2 * i for i, x in enumerate(self.values)}
+        vlevel = {v: level[_scalar(f, v)] for v in f.domain.vertices}
+        self.ranked = f.domain.index.ranked
+        self.spans = [(min(vlevel[v] for v in s), max(vlevel[v] for v in s))
+                      for s in self.ranked]
+        self.table: list = [None] * max(2 * len(self.values) - 1, 0)
+
+    def level(self, t: Fraction) -> int | None:
+        """The level of value t; None outside the range of vertex values,
+        where the fiber is empty."""
+        i = bisect_left(self.values, t)
+        if i < len(self.values) and self.values[i] == t:
+            return 2 * i
+        if 0 < i < len(self.values):
+            return 2 * i - 1
+        return None
+
+    def components(self, level: int) -> tuple[frozenset, ...]:
+        comps = self.table[level]
+        if comps is None:
+            comps = self.table[level] = _components(
+                [s for s, (lo, hi) in zip(self.ranked, self.spans)
+                 if lo <= level <= hi])
+        return comps
 
 
 def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
@@ -93,9 +102,17 @@ def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
     closed simplices meeting it.
 
     Inside one closed simplex the fiber is convex, so components of the
-    support under face incidence are exactly the fiber components.
+    support under face incidence are exactly the fiber components.  For
+    one parameter y is located among the sweep levels by bisection and the
+    level's components come from the map's `SweepIndex`; for two, the
+    support is collected by a scan of the complex.
     """
-    return _components(_support(f, y))
+    if f.k == 1:
+        level = f.sweep.level(frac(y[0] if isinstance(y, (tuple, list)) else y))
+        return () if level is None else f.sweep.components(level)
+    y = tuple(frac(c) for c in y)
+    return _components([s for s in f.domain.index.ranked
+                        if _contains_point(f, s, y)])
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +141,9 @@ class ReebGraph:
 def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     """Contract each fiber to its components and record the graph.
 
-    Sweep levels are every vertex value plus every midpoint between
-    consecutive values.  Between two consecutive sweep levels no vertex
-    value intervenes, so a component at one level attaches to exactly one
+    The graph is read off the 2V-1 levels of the map's `SweepIndex`: every
+    vertex value and every gap between consecutive values.  Inside a gap no
+    vertex value intervenes, so a component at one level attaches to a
     component at the next exactly when they share a support simplex.
     Components containing a vertex of the critical locus `jset` (the H
     Jacobi set of f when omitted) at their level become nodes; all other
@@ -138,26 +155,22 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         raise EmptyComplexError("cannot sweep an empty complex")
     if jset is None:
         jset = jacobi_set(f)
-    critical_vertices = {s[0] for s in jset.complex.simplices_of_dim(0)}
+    critical_at: dict = {}
+    for s in jset.complex.simplices_of_dim(0):
+        critical_at.setdefault(_scalar(f, s[0]), []).append(s[0])
 
-    values = sorted({_scalar(f, v) for v in f.domain.vertices})
-    levels: list[Fraction] = []
-    for i, v in enumerate(values):
-        if i:
-            levels.append((values[i - 1] + v) / 2)
-        levels.append(v)
-    layer = [_components(s for s in f.domain.sorted_simplices()
-                         if _touches_value(f, s, t)) for t in levels]
+    sweep = f.sweep
+    layer = [sweep.components(li) for li in range(len(sweep.table))]
 
     is_node: dict = {}
     crit_at: dict = {}
-    for li, t in enumerate(levels):
-        for ci, comp in enumerate(layer[li]):
+    for li, comps in enumerate(layer):
+        for ci, comp in enumerate(comps):
             if li % 2 == 1:
                 is_node[(li, ci)] = False
                 continue
-            hits = sorted(v for v in critical_vertices
-                          if _scalar(f, v) == t and Simplex((v,)) in comp)
+            hits = sorted(v for v in critical_at.get(sweep.values[li // 2], ())
+                          if (v,) in comp)
             crit_at[(li, ci)] = tuple(hits)
             is_node[(li, ci)] = bool(hits)
 
@@ -165,7 +178,7 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     edges: dict = {}
     adj: dict = {key: [] for key in is_node}
     eid = 0
-    for li in range(len(levels) - 1):
+    for li in range(len(layer) - 1):
         for ci, a in enumerate(layer[li]):
             for cj, b in enumerate(layer[li + 1]):
                 if a & b:
@@ -199,7 +212,7 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
 
     kept = sorted(k for k, node in is_node.items() if node)
     label = {k: f"r{i}" for i, k in enumerate(kept)}
-    node_value = {label[k]: levels[k[0]] for k in kept}
+    node_value = {label[k]: sweep.values[k[0] // 2] for k in kept}
     node_critical = {label[k]: crit_at[k] for k in kept}
     node_members = {label[k]: layer[k[0]][k[1]] for k in kept}
     out_edges = []

@@ -1,18 +1,23 @@
-"""Shared random generators and the independent homology oracle.
+"""Shared random generators and the independent homology and sweep oracles.
 
-Everything here is deliberately low-tech: the oracle uses dense 0/1 row
-matrices and textbook elimination so that it shares no code path with the
-package's bit-packed reduction, and the generators rejection-sample until
-the exact-arithmetic validators accept the instance.
+Everything here is deliberately low-tech: the homology oracle uses dense
+0/1 row matrices and textbook elimination so that it shares no code path
+with the package's bit-packed reduction; the sweep oracle rescans and
+re-sorts the whole complex at every level instead of reading a level
+index; and the generators rejection-sample until the exact-arithmetic
+validators accept the instance.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from plstrat import (GenericityError, JacobiSet, PlanarArrangement, PLMap,
-                     Poset, SimplicialComplex)
+from plstrat import (GenericityError, InternalError, JacobiSet,
+                     PlanarArrangement, PLMap, Poset, ReebGraph, Simplex,
+                     SimplicialComplex, jacobi_set)
+from plstrat.geometry import canon_key, frac
 from plstrat.io import example_map
+from plstrat.reeb import _contains_point
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +63,117 @@ def naive_reduced_betti(k: SimplicialComplex) -> dict[int, int]:
         ranks[d] = _row_rank([list(r) for r in zip(*columns)]) if columns else 0
     return {d: len(by_dim.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0)
             for d in range(-1, top + 1)}
+
+
+# ---------------------------------------------------------------------------
+# naive fiber and Reeb sweep oracle
+
+def _naive_components(simplices) -> tuple[frozenset, ...]:
+    """Components of a set of simplices, two members adjacent when one is a
+    face of the other; sorted by their canon_key-sorted member lists."""
+    pool = set(simplices)
+    by_vertex: dict = {}
+    for s in pool:
+        for v in s:
+            by_vertex.setdefault(v, []).append(s)
+    seen: set = set()
+    comps = []
+    for start in sorted(pool, key=canon_key):
+        if start in seen:
+            continue
+        comp = set()
+        stack = [start]
+        seen.add(start)
+        while stack:
+            s = stack.pop()
+            comp.add(s)
+            for v in s:
+                for t in by_vertex[v]:
+                    if t not in seen and (set(t) <= set(s) or set(s) <= set(t)):
+                        seen.add(t)
+                        stack.append(t)
+        comps.append(frozenset(comp))
+    return tuple(sorted(
+        comps, key=lambda c: canon_key(tuple(sorted(c, key=canon_key)))))
+
+
+def _naive_support(f: PLMap, y) -> list:
+    """Every simplex whose image meets y: a value for one parameter, a
+    point of the plane for two."""
+    if f.k == 1:
+        t = frac(y[0] if isinstance(y, (tuple, list)) else y)
+        return [s for s in f.domain.simplices
+                if min(f.value(v)[0] for v in s) <= t
+                <= max(f.value(v)[0] for v in s)]
+    y = tuple(frac(c) for c in y)
+    return [s for s in f.domain.simplices if _contains_point(f, s, y)]
+
+
+def naive_fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
+    """Fiber components over y by a scan of every simplex."""
+    return _naive_components(_naive_support(f, y))
+
+
+def naive_sweep_levels(f: PLMap) -> list[Fraction]:
+    """Every vertex value and every midpoint between consecutive values."""
+    values = sorted({f.value(v)[0] for v in f.domain.vertices})
+    levels: list[Fraction] = []
+    for i, v in enumerate(values):
+        if i:
+            levels.append((values[i - 1] + v) / 2)
+        levels.append(v)
+    return levels
+
+
+def naive_reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
+    """The Reeb graph from a full rescan of the complex at every sweep
+    level, contracting regular components one at a time."""
+    if jset is None:
+        jset = jacobi_set(f)
+    critical_vertices = {s[0] for s in jset.complex.simplices}
+    levels = naive_sweep_levels(f)
+    layer = [naive_fiber_components(f, t) for t in levels]
+    is_node: dict = {}
+    crit_at: dict = {}
+    for li, t in enumerate(levels):
+        for ci, comp in enumerate(layer[li]):
+            hits = [] if li % 2 else sorted(
+                v for v in critical_vertices
+                if f.value(v)[0] == t and Simplex((v,)) in comp)
+            crit_at[(li, ci)] = tuple(hits)
+            is_node[(li, ci)] = bool(hits)
+    edges: dict = {}
+    adj: dict = {key: [] for key in is_node}
+    for li in range(len(levels) - 1):
+        for ci, a in enumerate(layer[li]):
+            for cj, b in enumerate(layer[li + 1]):
+                if a & b:
+                    edges[len(edges)] = ((li, ci), (li + 1, cj))
+                    adj[(li, ci)].append(len(edges) - 1)
+                    adj[(li + 1, cj)].append(len(edges) - 1)
+    if any(key[0] % 2 and len(adj[key]) != 2 for key in is_node):
+        raise InternalError("midpoint component must bridge exactly two levels")
+    for key in sorted(k for k, node in is_node.items() if not node):
+        incident = sorted(adj[key])
+        if len(incident) != 2:
+            raise InternalError(
+                f"regular component {key} has degree {len(incident)}")
+        e1, e2 = incident
+        a = edges[e1][0] if edges[e1][1] == key else edges[e1][1]
+        b = edges[e2][0] if edges[e2][1] == key else edges[e2][1]
+        del edges[e2]
+        edges[e1] = (min(a, b), max(a, b))
+        for n in (a, b):
+            adj[n] = sorted({e1 if e == e2 else e for e in adj[n]})
+    kept = sorted(k for k, node in is_node.items() if node)
+    label = {k: f"r{i}" for i, k in enumerate(kept)}
+    return ReebGraph(
+        nodes=tuple(label[k] for k in kept),
+        node_value={label[k]: levels[k[0]] for k in kept},
+        node_critical={label[k]: crit_at[k] for k in kept},
+        node_members={label[k]: layer[k[0]][k[1]] for k in kept},
+        edges=tuple(sorted(tuple(sorted((label[a], label[b])))
+                           for a, b in edges.values())))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from helpers import closed_surfaces, random_complex
 from plstrat import (EmptyComplexError, MonotoneMap, NotAMemberError, Simplex,
                      SimplicialComplex, StructuralError, euler_characteristic,
                      face_poset, join, link, manifold_check,
                      native_stratification, open_star, skeletal_filtration,
                      sphere_verdict, star, validate_poset)
+from plstrat.geometry import canon_key
 
 
 def octahedron() -> SimplicialComplex:
@@ -87,6 +91,42 @@ class TestLocalStructure:
     def test_link_requires_membership(self):
         with pytest.raises(NotAMemberError):
             link(octahedron(), ("z",))
+
+
+def _assert_index_matches_definitions(k: SimplicialComplex):
+    """Every indexed operation against a scan of all simplices."""
+    simp = k.simplices
+    for s in simp:
+        cofaces = {t for t in simp if set(s) <= set(t)}
+        assert open_star(k, s) == frozenset(cofaces)
+        assert star(k, s) == SimplicialComplex.from_facets(cofaces)
+        assert link(k, s) == SimplicialComplex(
+            {Simplex(set(t) - set(s)) for t in cofaces if t != s})
+    facets = sorted((s for s in simp if not any(set(s) < set(t) for t in simp)),
+                    key=canon_key)
+    assert k.facets() == facets
+    assert k.is_pure() == all(f.dim == k.dimension for f in facets)
+    assert k.sorted_simplices() == sorted(simp, key=lambda s: (s.dim, canon_key(s)))
+    for d in range(-1, k.dimension + 2):
+        assert k.simplices_of_dim(d) == sorted(
+            (s for s in simp if s.dim == d), key=canon_key)
+
+
+class TestIndexAgreesWithDefinitions:
+    def test_random_complexes(self):
+        for seed in range(50):
+            _assert_index_matches_definitions(random_complex(random.Random(seed)))
+
+    def test_closed_surfaces(self):
+        for k in closed_surfaces():
+            _assert_index_matches_definitions(k)
+
+    def test_mixed_labels_and_empty_complex(self):
+        # canon_key orders ints before strings before tuples
+        k = SimplicialComplex.from_facets(
+            [(3, "b", (0, 1)), ("a", 10), (2,), ((0, 1), (0, 2), "a")])
+        _assert_index_matches_definitions(k)
+        _assert_index_matches_definitions(SimplicialComplex([]))
 
 
 class TestJoin:

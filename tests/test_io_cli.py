@@ -216,6 +216,28 @@ def test_each_artifact_is_computed_once(monkeypatch, tmp_path, command, example,
     assert (calls["jacobi_set"], calls["build_codomain_stratification"]) == expected
 
 
+@pytest.mark.parametrize("notion", ["H", "L"])
+def test_sweep_levels_and_h_tests_run_once(monkeypatch, tmp_path, notion):
+    """A k=1 pipeline extracts the components of each sweep level at most
+    once, for the Reeb graph and the interval audit together, and runs the
+    H test once per candidate."""
+    import importlib
+    calls = {"_components": 0, "is_h_critical": 0}
+    for mod, name in (("reeb", "_components"), ("jacobi", "is_h_critical")):
+        module = importlib.import_module(f"plstrat.{mod}")
+
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    f = example_map("torus_grid")
+    assert main(["pipeline", "--example", "torus_grid", "--notion", notion,
+                 "--out", str(tmp_path / "out")]) == 0
+    n_values = len({f.value(v) for v in f.domain.vertices})
+    assert 1 <= calls["_components"] <= 2 * n_values - 1
+    assert calls["is_h_critical"] == len(f.domain.simplices_of_dim(0))
+
+
 class TestFiltrationExport:
     def test_default_chain(self, capsys):
         assert main(["export-filtration", "--example",

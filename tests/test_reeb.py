@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from plstrat import (PLMap, SimplicialComplex, StructuralError,
+from helpers import (closed_surfaces, naive_fiber_components,
+                     naive_reeb_graph, naive_sweep_levels, random_surface_map)
+from plstrat import (InternalError, PLMap, SimplicialComplex, StructuralError,
                      check_stein_square, fiber_components, interval_fiber_audit,
                      jacobi_set, reeb_graph, reeb_scaffold,
                      stratum_fiber_audit, validate_poset)
+from plstrat import reeb
 from plstrat.io import example_map
 
 F = Fraction
@@ -81,6 +84,107 @@ class TestReebGraph:
     def test_requires_single_parameter(self, tetra):
         with pytest.raises(StructuralError):
             reeb_graph(tetra)
+
+
+SWEEP_EXAMPLES = ("torus_grid", "octahedron", "saddle_patch", "double_cone")
+
+
+def _sweep_maps(rng) -> list[PLMap]:
+    """Fresh maps, so every level table starts empty."""
+    return ([example_map(name) for name in SWEEP_EXAMPLES]
+            + [random_surface_map(rng) for _ in range(20)])
+
+
+def _audit_probes(f: PLMap, samples: int = 3) -> list[Fraction]:
+    """The points interval_fiber_audit samples, below, between and above
+    the H-critical values."""
+    crit = sorted({f.value(s[0])[0]
+                   for s in jacobi_set(f).complex.simplices_of_dim(0)})
+    pts = [crit[0] - 1 - i for i in range(samples)]
+    for a, b in zip(crit, crit[1:]):
+        pts += [a + (b - a) * Fraction(j, samples + 1)
+                for j in range(1, samples + 1)]
+    return pts + [crit[-1] + 1 + i for i in range(samples)]
+
+
+class TestSweepOracle:
+    """The level index against a full rescan of the complex per query."""
+
+    def test_fibers_agree_on_levels_probes_and_outside(self, rng):
+        for f in _sweep_maps(rng):
+            levels = naive_sweep_levels(f)
+            gaps = [(a + 2 * b) / 3 for a, b in zip(levels, levels[1:])]
+            points = (levels + gaps + _audit_probes(f)
+                      + [levels[0] - 1, levels[-1] + Fraction(1, 3)])
+            for t in points:
+                expected = naive_fiber_components(f, t)
+                assert fiber_components(f, (t,)) == expected, t
+                assert fiber_components(f, t) == expected, t
+            assert fiber_components(f, levels[0] - 1) == ()
+            assert fiber_components(f, levels[-1] + 1) == ()
+
+    @pytest.mark.parametrize("notion", ["H", "D"])
+    def test_reeb_graph_agrees(self, rng, notion):
+        for i, f in enumerate(_sweep_maps(rng)):
+            j = jacobi_set(f, notion)
+            try:
+                expected = naive_reeb_graph(f, j)
+            except InternalError as err:
+                with pytest.raises(InternalError) as got:
+                    reeb_graph(f, j)
+                assert str(got.value) == str(err)
+                continue
+            # half the maps have fibers queried first, so the graph also
+            # reads levels the queries filled
+            if i % 2:
+                fiber_components(f, naive_sweep_levels(f)[1])
+            rg = reeb_graph(f, j)
+            assert rg.nodes == expected.nodes
+            assert rg.node_value == expected.node_value
+            assert rg.node_critical == expected.node_critical
+            assert rg.node_members == expected.node_members
+            assert rg.edges == expected.edges
+
+
+def _planar_maps(rng) -> list[PLMap]:
+    """The bundled two-parameter map and random integer planar images of
+    the closed surfaces."""
+    maps = [example_map("solid_tetrahedron")]
+    for _ in range(6):
+        dom = rng.choice(closed_surfaces())
+        maps.append(PLMap(dom, 2, {v: (F(rng.randint(-9, 9)),
+                                       F(rng.randint(-9, 9)))
+                                   for v in sorted(dom.vertices)}))
+    return maps
+
+
+class TestPlanarFiberOracle:
+    """Two-parameter fibers against a full rescan of the complex."""
+
+    def test_scaffold_sample_points_agree(self, monkeypatch):
+        points = []
+        query = reeb.fiber_components
+
+        def recorded(f, y):
+            points.append(y)
+            return query(f, y)
+        monkeypatch.setattr(reeb, "fiber_components", recorded)
+        f = example_map("solid_tetrahedron")
+        reeb_scaffold(f)
+        monkeypatch.undo()
+        assert points
+        for y in points:
+            assert fiber_components(f, y) == naive_fiber_components(f, y), y
+
+    def test_simplex_barycenter_images_agree(self, rng):
+        for f in _planar_maps(rng):
+            simplices = f.domain.sorted_simplices()
+            points = [(F(100), F(100))]
+            for s in rng.sample(simplices, min(40, len(simplices))):
+                pts = [f.value(v) for v in s]
+                points.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+            for y in points:
+                assert fiber_components(f, y) == naive_fiber_components(f, y), y
 
 
 class TestIntervalAudit:
