@@ -16,7 +16,7 @@ from .arrangement import (SingularLocus, build_codomain_stratification,
                           stratify_singular_locus)
 from .complexes import manifold_check
 from .errors import (GenericityError, InputError, InternalError, PLStratError)
-from .jacobi import check_generic, domain_stratification, jacobi_set
+from .jacobi import PLMap, check_generic, domain_stratification, jacobi_set
 from .posets import linear_subposets
 from .reeb import (check_stein_square, interval_fiber_audit, reeb_graph,
                    reeb_scaffold, stratum_fiber_audit)
@@ -40,26 +40,32 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _load_input(args):
+def _load(args):
+    """The map or drawn contour in the input file or the bundled example,
+    which must be of the kind the command reads (`args.kind`, None for
+    either)."""
     if args.example is not None:
-        return fmt.example_map(args.example)
-    if args.input is None:
+        obj, source = fmt.example_input(args.example), f"example {args.example!r}"
+    elif args.input is not None:
+        obj, source = fmt.load_input(args.input), args.input
+    else:
         raise InputError("provide an input file or --example NAME")
-    return fmt.load_map(args.input)
+    kinds = {"map": PLMap, "contour": SingularLocus}
+    if args.kind is not None and not isinstance(obj, kinds[args.kind]):
+        raise InputError(f"{source} is not a {args.kind}")
+    return obj
 
 
-def _load_any(args):
-    """A map or a drawn contour, whichever the input happens to hold."""
-    if args.example is not None:
-        return fmt.example_input(args.example)
-    if args.input is None:
-        raise InputError("provide an input file or --example NAME")
-    return fmt.load_input(args.input)
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_input_args(sub):
     sub.add_argument("input", nargs="?", help="map JSON file")
     sub.add_argument("--example", help="use a bundled example instead of a file")
+    sub.set_defaults(kind="map")
 
 
 def _validate_doc(f, gen, man) -> dict:
@@ -84,7 +90,7 @@ def _stratum_audit_doc(ok, per_stratum) -> dict:
 
 
 def cmd_validate(args) -> int:
-    f = _load_input(args)
+    f = _load(args)
     gen = check_generic(f)
     man = manifold_check(f.domain)
     _emit(fmt.canonical_dumps(_validate_doc(f, gen, man)), args.out)
@@ -92,21 +98,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    f = _load_input(args)
+    f = _load(args)
     j = jacobi_set(f, args.notion)
     _emit(fmt.canonical_dumps(fmt.jacobi_report_dict(f, j)), args.out)
     return 0
 
 
 def cmd_stratify_domain(args) -> int:
-    f = _load_input(args)
+    f = _load(args)
     space = domain_stratification(f, jacobi_set(f, args.notion))
     _emit(fmt.canonical_dumps(fmt.stratified_space_to_dict(space)), args.out)
     return 0
 
 
 def cmd_stratify_codomain(args) -> int:
-    f = _load_input(args)
+    f = _load(args)
     j = jacobi_set(f, args.notion)
     cs = build_codomain_stratification(f, j)
     _emit(fmt.canonical_dumps(fmt.codomain_to_dict(cs)), args.out)
@@ -116,7 +122,7 @@ def cmd_stratify_codomain(args) -> int:
 
 
 def cmd_reeb(args) -> int:
-    f = _load_input(args)
+    f = _load(args)
     j = jacobi_set(f, args.notion)
     if f.k == 1:
         rg = reeb_graph(f, j)
@@ -135,13 +141,7 @@ def cmd_reeb(args) -> int:
 
 
 def cmd_locus(args) -> int:
-    if args.example is not None:
-        locus = fmt.example_locus(args.example)
-    elif args.input is not None:
-        locus = fmt.load_locus(args.input)
-    else:
-        raise InputError("provide a contour file or --example NAME")
-    ls = stratify_singular_locus(locus)
+    ls = stratify_singular_locus(_load(args))
     _emit(fmt.canonical_dumps(_locus_doc(ls)), args.out)
     if args.svg:
         _emit(render_svg(ls), args.svg)
@@ -157,7 +157,7 @@ def _stage(name, fn):
 
 
 def cmd_pipeline(args) -> int:
-    obj = _load_any(args)
+    obj = _load(args)
     os.makedirs(args.out, exist_ok=True)
 
     def write(name, text):
@@ -214,7 +214,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_filtration(args) -> int:
-    obj = _load_any(args)
+    obj = _load(args)
     if isinstance(obj, SingularLocus):
         space = stratify_singular_locus(obj).space
     else:
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--jobs", type=int, default=1,
                              help="accepted for compatibility; has no effect")
         if samples:
-            sub.add_argument("--samples", type=int, default=3,
+            sub.add_argument("--samples", type=_positive_int, default=3,
                              help="probe points per interval or stratum")
         if svg:
             sub.add_argument("--svg", help="also write an SVG picture here")
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--example", help="use a bundled example instead of a file")
     s.add_argument("--out", help="output path, '-' or omitted for stdout")
     s.add_argument("--svg", help="also write an SVG picture here")
-    s.set_defaults(func=cmd_locus)
+    s.set_defaults(func=cmd_locus, kind="contour")
 
     s = subs.add_parser("pipeline",
                         help="write every applicable artifact to a directory")
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="criticality notion (default H)")
     s.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; has no effect")
-    s.add_argument("--samples", type=int, default=3,
+    s.add_argument("--samples", type=_positive_int, default=3,
                    help="probe points per interval or stratum")
     s.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True,
                    help="write SVG pictures")
@@ -308,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write DOT graphs")
     s.add_argument("--filtration", action=argparse.BooleanOptionalAction,
                    default=False, help="also write a chain filtration file")
-    s.set_defaults(func=cmd_pipeline)
+    s.set_defaults(func=cmd_pipeline, kind=None)
 
     s = subs.add_parser("export-filtration",
                         help="one maximal chain of codomain strata as a filtration")
     common(s)
     s.add_argument("--chain", help="comma separated stratum labels; "
                                    "first maximal chain when omitted")
-    s.set_defaults(func=cmd_filtration)
+    s.set_defaults(func=cmd_filtration, kind=None)
 
     s = subs.add_parser("example", help="print a bundled example input")
     s.add_argument("name", nargs="?", help="example name; omit to list")

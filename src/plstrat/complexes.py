@@ -15,7 +15,8 @@ from typing import Iterable
 
 from .errors import EmptyComplexError, NotAMemberError, StructuralError
 from .geometry import canon_key
-from .posets import MonotoneMap, Poset, StratifiedSpace, chain_poset
+from .posets import (MonotoneMap, Poset, StratifiedSpace, chain_poset,
+                     connected_classes)
 
 
 class Simplex(tuple):
@@ -251,22 +252,7 @@ def _is_single_cycle(k: SimplicialComplex) -> bool:
 
 
 def _is_connected(k: SimplicialComplex) -> bool:
-    verts = list(k.vertices)
-    if not verts:
-        return False
-    adj: dict = {v: set() for v in verts}
-    for e in k.simplices_of_dim(1):
-        adj[e[0]].add(e[1])
-        adj[e[1]].add(e[0])
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
+    return len(connected_classes(k.vertices, k.simplices_of_dim(1))) == 1
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:

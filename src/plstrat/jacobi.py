@@ -28,7 +28,7 @@ from .errors import GenericityError, InternalError, NotAMemberError, StructuralE
 from .geometry import (affinely_independent, barycenter, canon_key, cone_is_full,
                        dot, frac, vsub)
 from .homology import is_h_nontrivial
-from .posets import Poset, StratifiedSpace, wedge_extend
+from .posets import Poset, StratifiedSpace, connected_classes, wedge_extend
 
 NOTIONS = ("H", "D", "L")
 
@@ -316,9 +316,9 @@ def stratify_domain_by_locus(x: SimplicialComplex, j: JacobiSet) -> StratifiedSp
     """Stratify the domain by the simplices of a critical locus plus the
     connected components of its complement.
 
-    Complement components are found by flood fill over the simplices outside
-    the locus, where two simplices communicate when one is a face of the
-    other; that matches topological connectivity of the open complement.
+    Complement components are the classes of the simplices outside the
+    locus, where two simplices communicate when one is a face of the other;
+    that matches topological connectivity of the open complement.
     """
     x._require_nonempty()
     jset = j.complex.simplices
@@ -326,22 +326,11 @@ def stratify_domain_by_locus(x: SimplicialComplex, j: JacobiSet) -> StratifiedSp
         if s not in x.simplices:
             raise NotAMemberError(f"locus simplex {tuple(s)!r} not in the domain")
     rest = [s for s in x.sorted_simplices() if s not in jset]
-    comp_of: dict = {}
-    comps: list[list] = []
-    for s in rest:
-        if s in comp_of:
-            continue
-        comp = []
-        stack = [s]
-        comp_of[s] = len(comps)
-        while stack:
-            t = stack.pop()
-            comp.append(t)
-            for nb in _complement_neighbors(x, t, jset):
-                if nb not in comp_of:
-                    comp_of[nb] = len(comps)
-                    stack.append(nb)
-        comps.append(sorted(comp, key=x.index.rank.__getitem__))
+    # cofaces of a simplex off the locus are off it too, so a simplex and
+    # its cofaces are joined through codimension-one faces in between
+    comps = connected_classes(rest, [(t, fc) for t in rest
+                                     for fc in t.boundary() if fc not in jset])
+    comp_of = {t: i for i, comp in enumerate(comps) for t in comp}
 
     labels = [f"C{i}" for i in range(len(comps))]
     if jset:
@@ -364,15 +353,6 @@ def stratify_domain_by_locus(x: SimplicialComplex, j: JacobiSet) -> StratifiedSp
     closure = frozenset((fc, s) for s in x.simplices for fc in s.faces() if fc != s)
     return StratifiedSpace(poset=poset, cells=frozenset(x.simplices),
                            closure=closure, assignment=assignment)
-
-
-def _complement_neighbors(x: SimplicialComplex, t: Simplex, jset):
-    for fc in t.faces():
-        if fc != t and fc not in jset:
-            yield fc
-    for cof in open_star(x, t):
-        if cof != t and cof not in jset:
-            yield cof
 
 
 def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpace:

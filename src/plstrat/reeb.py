@@ -8,10 +8,18 @@ vertex value and level 2i+1 the open gap above it.  Each map holds a
 of fiber components per level, filled on first use; the Reeb graph and
 every k=1 fiber query read that one table.  Adjacency between consecutive
 levels is decided by shared support simplices, which is exact because no
-vertex value lies strictly inside a gap.  For two parameters the analogue
-is a poset of fiber components over the codomain strata, with attachment
-decided by sampling each stratum near its boundary and matching components
-through shared support.
+vertex value lies strictly inside a gap.
+
+Over a stratified codomain the analogue is a poset of fiber components over
+the strata, the scaffold.  It is glued from finitely many cells on which
+the fiber support is constant: the sweep levels for one parameter, and for
+two the cells of the arrangement of the images of all domain edges
+(Edelsbrunner-Harer-Patel, "Reeb spaces of piecewise linear mappings",
+2008; Carr-Duke, "Joint contour nets", 2014).  The support over a cell
+contains the support over every cell next to it, so components are linked
+across neighbouring cells by inclusion, with no sampling between them.
+Two parameters need the edge images in general position: transverse
+crossings only, no three through one point, no overlaps.
 """
 from __future__ import annotations
 
@@ -19,9 +27,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import (CodomainStratification, build_codomain_stratification)
-from .errors import (DegeneracyError, EmptyComplexError, InternalError,
-                     StructuralError)
+from .arrangement import (CodomainStratification, PlanarArrangement,
+                          build_codomain_stratification)
+from .errors import (DegeneracyError, EmptyComplexError, GenericityError,
+                     InternalError, StructuralError)
 from .geometry import (canon_key, frac, on_segment, point_in_convex_hull_2d,
                        vadd, vscale, vsub)
 from .jacobi import JacobiSet, PLMap, jacobi_set
@@ -243,6 +252,8 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
     Jacobi set of f when omitted), and report the counts."""
     if f.k != 1:
         raise StructuralError("interval audit requires a single parameter")
+    if samples < 1:
+        raise StructuralError(f"the audit needs at least one sample, got {samples}")
     if jset is None:
         jset = jacobi_set(f)
     crit = sorted({_scalar(f, s[0]) for s in jset.complex.simplices_of_dim(0)})
@@ -268,7 +279,67 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
 
 
 # ---------------------------------------------------------------------------
-# the scaffold over a stratified plane
+# the scaffold over a stratified codomain
+
+class FineCells:
+    """The cells of the codomain on which the fiber support is constant.
+
+    For one parameter these are the sweep levels, keyed ("l", level); level
+    l lies in the closure of levels l - 1 and l + 1 when l is even.  For two
+    they are the vertices, open edges and faces of the arrangement of the
+    images of all domain edges, keyed as `PlanarArrangement.locate` returns
+    them.  A simplex image is the hull of its vertex images, bounded by the
+    images of its edges, so every open cell lies inside it or outside it.
+
+    Each cell carries a sample point, the coarse stratum of `cs` containing
+    it and the fiber components over it; `incidences` pairs each cell with
+    the cells whose closure contains it, lower cell first, so the support
+    over the lower cell contains the support over the higher one.
+    """
+
+    def __init__(self, f: PLMap, cs: CodomainStratification):
+        if f.k == 1:
+            self.arrangement, self._sweep = None, f.sweep
+            values, n = f.sweep.values, len(f.sweep.table)
+            # a vertex value at even levels, a gap midpoint at odd ones
+            self.samples = {("l", l): ((values[l // 2] + values[(l + 1) // 2]) / 2,)
+                            for l in range(n)}
+            self.incidences = [(("l", l), ("l", l + d)) for l in range(0, n, 2)
+                               for d in (-1, 1) if 0 <= l + d < n]
+        else:
+            self.arrangement = arr = _edge_arrangement(f)
+            self.samples = {("v", i): p for i, p in enumerate(arr.vertices)}
+            pts = arr.vertices
+            self.samples.update((("e", i), vscale(Fraction(1, 2), vadd(pts[u], pts[v])))
+                                for i, (u, v) in enumerate(arr.edges))
+            self.samples.update((("f", i), arr.face_interior_samples(i, 1)[0])
+                                for i in range(len(arr.faces)))
+            self.incidences = [(("v", u), ("e", i))
+                               for i, e in enumerate(arr.edges) for u in e]
+            self.incidences += [(("e", arr.edge_index[e]), ("f", i))
+                                for i in range(len(arr.faces))
+                                for e in sorted(arr.face_boundary(i)[1])]
+        self.stratum = {c: cs.locate(y) for c, y in self.samples.items()}
+        self.components = {c: fiber_components(f, y)
+                           for c, y in self.samples.items()}
+
+    def locate(self, y):
+        """The cell containing y, or None outside the range of a scalar
+        map, where the fiber is empty."""
+        if self.arrangement is not None:
+            return self.arrangement.locate(y)
+        level = self._sweep.level(frac(y[0]))
+        return None if level is None else ("l", level)
+
+
+def _edge_arrangement(f: PLMap) -> PlanarArrangement:
+    edges = f.domain.simplices_of_dim(1)
+    # a vertex on no edge would be a point of the image no cell boundary holds
+    if lone := f.domain.vertices.difference(*edges):
+        raise GenericityError(f"vertex {min(lone, key=canon_key)!r} is on no "
+                              f"edge, so its image cuts no fine cell")
+    return PlanarArrangement([(f.value(a), f.value(b)) for a, b in edges])
+
 
 @dataclass(frozen=True, eq=False)
 class ReebScaffold:
@@ -280,6 +351,8 @@ class ReebScaffold:
     representatives: dict       # stratum label -> sample point
     supports: dict              # element -> support simplices over the sample
     counts: dict                # stratum label -> component count
+    fine: FineCells             # the cells the scaffold is glued from
+    cell_elements: dict         # fine cell -> element of each of its components
 
     def projection(self) -> MonotoneMap:
         """The forgetful map onto the occupied part of the codomain poset."""
@@ -318,28 +391,20 @@ def _stratum_point(cs: CodomainStratification, label: str):
     return arr.face_interior_samples(int(label[1:]), 1)[0]
 
 
-_NEAR_CAP = 40
-
-
-def _match_unique(target_comps, probe_comp) -> int:
-    hits = [i for i, c in enumerate(target_comps) if c & probe_comp]
-    if len(hits) != 1:
-        return -1
-    return hits[0]
-
-
 def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebScaffold:
-    """Build the component poset over the stratified codomain `cs` of a
-    two-parameter map; when omitted, the codomain is stratified by the H
+    """Build the component poset over the stratified codomain `cs` of a one-
+    or two-parameter map; when omitted, the codomain is stratified by the H
     Jacobi set of f.
 
-    Each stratum gets a sample point and its fiber components.  For every
-    covering pair s < t of strata, the stratum t is sampled again at points
-    walking toward s; a component over the walking point attaches the
-    matching component over s below the matching component over t.  Matches
-    go by shared support simplices and must be unique; if halving the walk
-    distance `40` times never yields a unique match the input is reported
-    as degenerate.
+    The scaffold is glued from the `FineCells` of f.  A component over a
+    higher cell lies in exactly one component over each lower incident
+    cell.  Joining these pairs inside each stratum gives the components
+    over the stratum, indexed by the fibers at its sample point; the pairs
+    across a covering pair s < t of strata put a component over s below a
+    component over t.  A class over a stratum that holds no component over
+    its sample point, or more than one, means the locus does not make the
+    fibers constant there, and is reported as a degeneracy.  The edge images
+    must be in general position (`PlanarArrangement`).
 
     For one parameter the strata are the critical values and the intervals
     between them, and the scaffold is the Reeb graph with edges subdivided
@@ -349,87 +414,55 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
         raise StructuralError("the scaffold requires one or two parameters")
     if cs is None:
         cs = build_codomain_stratification(f, jacobi_set(f))
+    fine = FineCells(f, cs)
 
     reps: dict = {}
+    rep_cell: dict = {}
     comps: dict = {}
     for label in sorted(cs.space.cells):
         y = _stratum_point(cs, label)
         if cs.locate(y) != label:
             raise InternalError(f"sample for stratum {label} landed elsewhere")
         reps[label] = y
-        comps[label] = fiber_components(f, y)
+        rep_cell[label] = cell = fine.locate(y)
+        comps[label] = fine.components.get(cell, ())
+
+    owner = {c: {s: i for i, comp in enumerate(cc) for s in comp}
+             for c, cc in fine.components.items()}
+    covers = cs.space.poset.covers
+    same, across = [], []
+    for low, high in fine.incidences:
+        for i, comp in enumerate(fine.components[high]):
+            below = {owner[low].get(s) for s in comp}
+            if len(below) != 1 or None in below:
+                raise InternalError(f"a fiber component over {high} does not "
+                                    f"lie in one component over {low}")
+            pair = ((low, below.pop()), (high, i))
+            strata = (fine.stratum[low], fine.stratum[high])
+            if strata[0] == strata[1]:
+                same.append(pair)
+            elif strata in covers:
+                across.append(pair)
+
+    element: dict = {}
+    nodes = [(c, i) for c, cc in fine.components.items() for i in range(len(cc))]
+    for cls in connected_classes(nodes, same):
+        label = fine.stratum[cls[0][0]]
+        hits = [i for c, i in cls if c == rep_cell[label]]
+        if len(hits) != 1:
+            raise DegeneracyError(
+                f"fiber components over stratum {label} do not match those "
+                f"over its sample point one to one")
+        element.update((node, (label, hits[0])) for node in cls)
 
     elements = [(s, i) for s in sorted(comps) for i in range(len(comps[s]))]
-    relations: list[tuple] = []
-    for s, t in sorted(cs.space.poset.covers):
-        if not comps[s] or not comps[t]:
-            continue
-        pairs = _attach(f, cs, reps, comps, s, t)
-        relations.extend(((s, ci), (t, di)) for ci, di in pairs)
-    elements = [e for e in elements if comps[e[0]]]
-    poset = Poset(elements, relations)
-    supports = {(s, i): comps[s][i] for s, i in elements}
-    counts = {s: len(comps[s]) for s in comps}
-    return ReebScaffold(codomain=cs, poset=poset, representatives=reps,
-                        supports=supports, counts=counts)
-
-
-def _chain_identify(f, cs, stratum, y0, comp, y1, end_comps) -> int:
-    """Index in end_comps (the components over y1) of the component over y0
-    reached from `comp` by following overlapping supports along the segment
-    from y0 to y1, doubling the number of intermediate samples as needed.
-    Returns -1 when no step count up to 2**10 gives an unambiguous chain."""
-    for steps_pow in range(11):
-        steps = 2 ** steps_pow
-        pts = [vadd(y0, vscale(Fraction(j, steps), vsub(y1, y0)))
-               for j in range(1, steps + 1)]
-        if any(cs.locate(z) != stratum for z in pts):
-            continue
-        cur = comp
-        ok = True
-        for z in pts:
-            near = fiber_components(f, z)
-            ci = _match_unique(near, cur)
-            if ci < 0:
-                ok = False
-                break
-            cur = near[ci]
-        if ok:
-            ti = _match_unique(end_comps, cur)
-            if ti >= 0:
-                return ti
-    return -1
-
-
-def _attach(f, cs, reps, comps, s, t):
-    """Pairs (component index over s, component index over t) related by
-    limiting, found by sampling t ever closer to the sample point of s."""
-    ys = reps[s]
-    yt = reps[t]
-    last_error = "no admissible walking point"
-    for m in range(1, _NEAR_CAP + 1):
-        y = vadd(ys, vscale(Fraction(1, 2 ** m), vsub(yt, ys)))
-        if cs.locate(y) != t:
-            last_error = f"walking point at step {m} left stratum {t}"
-            continue
-        near = fiber_components(f, y)
-        if len(near) != len(comps[t]):
-            last_error = "component count varies inside one stratum"
-            continue
-        pairs = set()
-        ok = True
-        for comp in near:
-            ci = _match_unique(comps[s], comp)
-            di = _chain_identify(f, cs, t, y, comp, yt, comps[t])
-            if ci < 0 or di < 0:
-                ok = False
-                last_error = f"ambiguous component match between {s} and {t}"
-                break
-            pairs.add((ci, di))
-        if ok:
-            return sorted(pairs)
-    raise DegeneracyError(
-        f"could not attach components over {t} to {s}: {last_error}")
+    relations = sorted({(element[a], element[b]) for a, b in across})
+    return ReebScaffold(
+        codomain=cs, poset=Poset(elements, relations), representatives=reps,
+        supports={(s, i): comps[s][i] for s, i in elements},
+        counts={s: len(comps[s]) for s in comps}, fine=fine,
+        cell_elements={c: tuple(element[(c, i)] for i in range(len(cc)))
+                       for c, cc in fine.components.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +489,12 @@ def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinR
 
     Forgetting the component index must carry the scaffold to the stratified
     codomain as a stratified map, checked on the poset level.  On the point
-    level, every simplex barycenter is pushed to its fiber component, which
-    must identify with exactly one scaffold component over the stratum of
-    the barycenter image; the forgetful image of that component has to be
-    the stratum again.  An open simplex may cross several strata, so the
-    point checks run per barycenter, never per closed cell.
+    level, every simplex barycenter image is located in a fine cell of the
+    scaffold, and the simplex goes to the scaffold element of the fiber
+    component over that cell containing it; the forgetful image of that
+    element has to be the stratum of the barycenter image.  An open simplex
+    may cross several strata, so the point checks run per barycenter, never
+    per closed cell.
     """
     if scaffold is None:
         scaffold = reeb_scaffold(f)
@@ -479,16 +513,17 @@ def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinR
 
     cell_map: dict = {}
     commutes = True
+    fine = scaffold.fine
     for s in f.domain.sorted_simplices():
         y = f.barycenter_image(s)
-        stratum = cs.locate(y)
-        here = fiber_components(f, y)
-        ci = _match_unique(here, frozenset([s]))
-        if ci < 0:
+        cell = fine.locate(y)
+        hits = [e for e, comp in zip(scaffold.cell_elements[cell],
+                                     fine.components[cell]) if s in comp]
+        if len(hits) != 1:
             raise InternalError("simplex missing from its own fiber support")
-        target = _walk_match(f, cs, scaffold, stratum, y, here[ci])
-        cell_map[s] = (stratum, target)
-        image = mono((stratum, target)) if mono else stratum
+        cell_map[s] = hits[0]
+        image = mono(hits[0]) if mono else hits[0][0]
+        stratum = cs.locate(y)
         if image != stratum:
             commutes = False
             notes.append(f"composite sends {s!r} to {image!r}, not {stratum!r}")
@@ -509,23 +544,12 @@ def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinR
                        cell_map=cell_map, notes=tuple(notes))
 
 
-def _walk_match(f, cs, scaffold, stratum, y, comp) -> int:
-    """Identify a fiber component over y with one over the stratum's
-    representative."""
-    scaffold_comps = [scaffold.supports[(stratum, i)]
-                      for i in range(scaffold.counts[stratum])]
-    ti = _chain_identify(f, cs, stratum, y,  comp,
-                         scaffold.representatives[stratum], scaffold_comps)
-    if ti < 0:
-        raise DegeneracyError(
-            f"cannot identify a fiber component over stratum {stratum}")
-    return ti
-
-
 def stratum_fiber_audit(f: PLMap, scaffold: ReebScaffold | None = None,
                         samples: int = 3):
     """Check that the fiber component count is constant across each
     codomain stratum by sampling every stratum at several points."""
+    if samples < 1:
+        raise StructuralError(f"the audit needs at least one sample, got {samples}")
     if scaffold is None:
         scaffold = reeb_scaffold(f)
     cs = scaffold.codomain

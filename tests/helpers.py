@@ -1,23 +1,27 @@
-"""Shared random generators and the independent homology and sweep oracles.
+"""Shared random generators and the independent homology, sweep and
+scaffold oracles.
 
 Everything here is deliberately low-tech: the homology oracle uses dense
 0/1 row matrices and textbook elimination so that it shares no code path
 with the package's bit-packed reduction; the sweep oracle rescans and
 re-sorts the whole complex at every level instead of reading a level
-index; and the generators rejection-sample until the exact-arithmetic
-validators accept the instance.
+index; the scaffold oracle attaches strata by walking sample points toward
+each other instead of gluing the cells of an arrangement; and the
+generators rejection-sample until the exact-arithmetic validators accept
+the instance.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from plstrat import (GenericityError, InternalError, JacobiSet,
+from plstrat import (CodomainStratification, DegeneracyError,
+                     GenericityError, InternalError, JacobiSet,
                      PlanarArrangement, PLMap, Poset, ReebGraph, Simplex,
-                     SimplicialComplex, jacobi_set)
-from plstrat.geometry import canon_key, frac
+                     SimplicialComplex, check_generic, jacobi_set)
+from plstrat.geometry import canon_key, frac, vadd, vscale, vsub
 from plstrat.io import example_map
-from plstrat.reeb import _contains_point
+from plstrat.reeb import _contains_point, _stratum_point
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,94 @@ def naive_reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
 
 
 # ---------------------------------------------------------------------------
+# sampling scaffold oracle
+
+_NEAR_CAP = 40
+
+
+def _match_unique(target_comps, probe_comp) -> int:
+    hits = [i for i, c in enumerate(target_comps) if c & probe_comp]
+    return hits[0] if len(hits) == 1 else -1
+
+
+def _chain_identify(f, cs, stratum, y0, comp, y1, end_comps) -> int:
+    """Index in end_comps (the components over y1) of the component over y0
+    reached from `comp` by following overlapping supports along the segment
+    from y0 to y1, doubling the number of intermediate samples as needed.
+    Returns -1 when no step count up to 2**10 gives an unambiguous chain."""
+    for steps_pow in range(11):
+        steps = 2 ** steps_pow
+        pts = [vadd(y0, vscale(Fraction(j, steps), vsub(y1, y0)))
+               for j in range(1, steps + 1)]
+        if any(cs.locate(z) != stratum for z in pts):
+            continue
+        cur = comp
+        for z in pts:
+            near = naive_fiber_components(f, z)
+            ci = _match_unique(near, cur)
+            if ci < 0:
+                break
+            cur = near[ci]
+        else:
+            ti = _match_unique(end_comps, cur)
+            if ti >= 0:
+                return ti
+    return -1
+
+
+def _attach(f, cs, reps, comps, s, t) -> list[tuple[int, int]]:
+    """Pairs (component index over s, component index over t) related by
+    limiting, found by sampling t ever closer to the sample point of s."""
+    ys, yt = reps[s], reps[t]
+    for m in range(1, _NEAR_CAP + 1):
+        y = vadd(ys, vscale(Fraction(1, 2 ** m), vsub(yt, ys)))
+        if cs.locate(y) != t:
+            continue
+        near = naive_fiber_components(f, y)
+        if len(near) != len(comps[t]):
+            continue
+        pairs = {(_match_unique(comps[s], comp),
+                  _chain_identify(f, cs, t, y, comp, yt, comps[t]))
+                 for comp in near}
+        if all(ci >= 0 and di >= 0 for ci, di in pairs):
+            return sorted(pairs)
+    raise DegeneracyError(f"could not attach components over {t} to {s}")
+
+
+def sampled_scaffold(f: PLMap, cs: CodomainStratification) -> tuple[Poset, dict]:
+    """The component poset over the strata of `cs` and the Stein cell map,
+    by walking sample points.
+
+    Components over a stratum are indexed by the fibers at its sample
+    point.  For each covering pair s < t, t is sampled at points halving
+    their way toward the sample point of s; a component over such a point
+    relates the component over s it overlaps to the one over t it reaches by
+    a chain of overlapping fibers along a straight walk.  Each simplex goes
+    to the component over its barycenter image's stratum reached the same
+    way from the barycenter image."""
+    reps = {label: _stratum_point(cs, label) for label in cs.space.cells}
+    comps = {label: naive_fiber_components(f, y) for label, y in reps.items()}
+    elements = [(s, i) for s in sorted(comps) for i in range(len(comps[s]))]
+    relations = []
+    for s, t in sorted(cs.space.poset.covers):
+        if comps[s] and comps[t]:
+            relations += [((s, ci), (t, di))
+                          for ci, di in _attach(f, cs, reps, comps, s, t)]
+    cell_map = {}
+    for s in f.domain.sorted_simplices():
+        y = f.barycenter_image(s)
+        stratum = cs.locate(y)
+        here = naive_fiber_components(f, y)
+        comp = here[_match_unique(here, frozenset([s]))]
+        ti = _chain_identify(f, cs, stratum, y, comp, reps[stratum],
+                             comps[stratum])
+        if ti < 0:
+            raise DegeneracyError(f"cannot identify a component over {stratum}")
+        cell_map[s] = (stratum, ti)
+    return Poset(elements, relations), cell_map
+
+
+# ---------------------------------------------------------------------------
 # random instances
 
 def random_complex(rng: random.Random, max_simplices: int = 30) -> SimplicialComplex:
@@ -219,6 +311,31 @@ def random_surface_map(rng: random.Random) -> PLMap:
     verts = sorted(dom.vertices)
     vals = rng.sample(range(-10 * len(verts), 10 * len(verts)), len(verts))
     return PLMap(dom, 1, {v: (Fraction(x),) for v, x in zip(verts, vals)})
+
+
+def torus_projection(rng: random.Random, n: int = 3,
+                     attempts: int = 200) -> PLMap:
+    """A planar map of the n x n grid torus with integer images in
+    [0, 1000)^2, drawn until the images of all its edges form an arrangement
+    (`PlanarArrangement`) and the genericity audit passes."""
+    def label(i, j):
+        return f"v{i % n}_{j % n}"
+    facets = [tri for i in range(n) for j in range(n)
+              for tri in ((label(i, j), label(i + 1, j), label(i + 1, j + 1)),
+                          (label(i, j), label(i, j + 1), label(i + 1, j + 1)))]
+    dom = SimplicialComplex.from_facets(facets)
+    for _ in range(attempts):
+        f = PLMap(dom, 2, {v: (Fraction(rng.randrange(1000)),
+                               Fraction(rng.randrange(1000)))
+                           for v in sorted(dom.vertices)})
+        try:
+            PlanarArrangement([(f.value(a), f.value(b))
+                               for a, b in dom.simplices_of_dim(1)])
+        except GenericityError:
+            continue
+        if check_generic(f).passed:
+            return f
+    raise AssertionError("torus projection sampler exhausted its attempts")
 
 
 def random_segments(rng: random.Random, max_segments: int = 12,

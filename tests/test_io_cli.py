@@ -134,6 +134,29 @@ class TestCliCommands:
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize("command, example", [
+        ("validate", "oval_contour"), ("reeb", "figure_eight_contour"),
+        ("morse2-locus", "torus_grid")])
+    def test_wrong_input_kind_is_exit_1(self, tmp_path, capsys, command,
+                                        example):
+        path = tmp_path / "input.json"
+        path.write_text(canonical_dumps(load_example(example)))
+        for source in (["--example", example], [str(path)]):
+            assert main([command] + source) == 1
+            assert "is not a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reeb", "pipeline"])
+@pytest.mark.parametrize("example", ["torus_grid", "solid_tetrahedron"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_below_one_is_a_usage_error(tmp_path, capsys, command,
+                                            example, samples):
+    assert main([command, "--example", example, "--samples", samples,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "--samples" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
 
 class TestPipeline:
     def test_planar_bundle_contents(self, tmp_path):

@@ -1,12 +1,16 @@
 """Fibers, Reeb graphs, the component scaffold and the Stein-square check."""
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from helpers import (closed_surfaces, naive_fiber_components,
-                     naive_reeb_graph, naive_sweep_levels, random_surface_map)
-from plstrat import (InternalError, PLMap, SimplicialComplex, StructuralError,
+                     naive_reeb_graph, naive_sweep_levels, random_surface_map,
+                     sampled_scaffold, torus_projection)
+from plstrat import (DegeneracyError, GenericityError, InternalError,
+                     JacobiSet, PLMap, SimplicialComplex,
+                     StructuralError, build_codomain_stratification,
                      check_stein_square, fiber_components, interval_fiber_audit,
                      jacobi_set, reeb_graph, reeb_scaffold,
                      stratum_fiber_audit, validate_poset)
@@ -187,6 +191,100 @@ class TestPlanarFiberOracle:
                 assert fiber_components(f, y) == naive_fiber_components(f, y), y
 
 
+class TestFineCellScaffold:
+    """The scaffold glued from fine cells against the sampling walk, the
+    Reeb graph and the Euler relation."""
+
+    @pytest.mark.parametrize("name", ["solid_tetrahedron", "torus_grid",
+                                      "octahedron"])
+    def test_matches_the_sampling_walk(self, name):
+        f = example_map(name)
+        cs = build_codomain_stratification(f, jacobi_set(f))
+        poset, cell_map = sampled_scaffold(f, cs)
+        sc = reeb_scaffold(f, cs)
+        assert sc.poset.elements == poset.elements
+        assert sc.poset.covers == poset.covers
+        assert check_stein_square(f, sc).cell_map == cell_map
+
+    def test_fine_arrangement_euler_relation(self, rng):
+        checked = 0
+        for f in _planar_maps(rng):
+            try:
+                sc = reeb_scaffold(f)
+            except GenericityError:
+                continue
+            checked += 1
+            arr = sc.fine.arrangement
+            assert arr.euler_lhs() == 1 + arr.component_count()
+            assert len(sc.fine.samples) == (len(arr.vertices) + len(arr.edges)
+                                            + len(arr.faces))
+        assert checked
+
+    def test_k1_contracts_to_the_reeb_graph(self, rng):
+        maps = [example_map(name) for name in
+                ("torus_grid", "octahedron", "saddle_patch")]
+        for f in maps + [random_surface_map(rng) for _ in range(10)]:
+            rg = reeb_graph(f)
+            nodes, edges = _contract_non_nodes(reeb_scaffold(f), rg)
+            assert sorted(nodes) == sorted(rg.nodes)
+            assert edges == Counter(rg.edges)
+
+    def test_torus_projection_finishes_and_passes(self, rng):
+        f = torus_projection(rng, 3)
+        sc = reeb_scaffold(f)
+        assert validate_poset(sc.poset)
+        assert check_stein_square(f, sc).passed
+        ok, _ = stratum_fiber_audit(f, sc)
+        assert ok
+
+    def test_locus_missing_the_saddles_is_degenerate(self, torus):
+        # with only the extrema cut out, the fibers over the one bounded
+        # interval go from one component to two and back
+        ends = sorted(torus.domain.vertices, key=torus.value)
+        locus = JacobiSet(SimplicialComplex.from_facets(
+            [(ends[0],), (ends[-1],)]), "H", 1)
+        with pytest.raises(DegeneracyError):
+            reeb_scaffold(torus, build_codomain_stratification(torus, locus))
+
+    def test_vertex_on_no_edge_is_not_generic(self):
+        # the fiber over the lone vertex's image has one more component
+        # than the fibers around it, which no arrangement of edges sees
+        dom = SimplicialComplex.from_facets([("a", "b", "c"), ("d",)])
+        f = PLMap(dom, 2, {"a": (F(0), F(0)), "b": (F(6), F(0)),
+                           "c": (F(0), F(6)), "d": (F(1), F(1))})
+        with pytest.raises(GenericityError):
+            reeb_scaffold(f)
+
+
+def _contract_non_nodes(sc, rg):
+    """The Hasse diagram of a one-parameter scaffold with every element
+    whose component is not a Reeb node contracted: the Reeb nodes it keeps
+    (matched by value and support) and the multiset of edges between them."""
+    by_key = {(rg.node_value[n], rg.node_members[n]): n for n in rg.nodes}
+    node = {}
+    for e in sc.poset.elements:
+        if e[0].startswith("p"):
+            key = (sc.codomain.geometry[e[0]], sc.supports[e])
+            if key in by_key:
+                node[e] = by_key[key]
+    adj = {e: [] for e in sc.poset.elements}
+    for a, b in sc.poset.covers:
+        adj[a].append(b)
+        adj[b].append(a)
+    walks = Counter()
+    for start in node:
+        for nxt in adj[start]:
+            prev, cur = start, nxt
+            while cur not in node:
+                assert len(adj[cur]) == 2, cur
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+            walks[tuple(sorted((node[start], node[cur])))] += 1
+    # each path between two nodes is walked once from either end
+    assert all(c % 2 == 0 for c in walks.values())
+    return list(node.values()), Counter({e: c // 2 for e, c in walks.items()})
+
+
 class TestIntervalAudit:
     def test_torus_interval_counts(self, torus):
         audit = interval_fiber_audit(torus, samples=4)
@@ -198,6 +296,11 @@ class TestIntervalAudit:
         audit = interval_fiber_audit(example_map("saddle_patch"))
         assert audit.passed
         assert audit.counts == (0, 1, 2, 2, 1, 0)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_needs_a_sample(self, torus, samples):
+        with pytest.raises(StructuralError):
+            interval_fiber_audit(torus, samples=samples)
 
 
 class TestScaffold:
@@ -262,3 +365,8 @@ class TestStratumAudit:
             assert ok
             for counts in results.values():
                 assert len(set(counts)) == 1
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_needs_a_sample(self, tetra, samples):
+        with pytest.raises(StructuralError):
+            stratum_fiber_audit(tetra, samples=samples)
