@@ -8,9 +8,14 @@ honest one-complex embedded in the plane, and faces of the subdivision are
 extracted with a half-edge walk using exact orientation predicates.  Anything
 tangential, overlapping or concurrent beyond two segments is rejected as
 non-generic, never repaired.
+
+`PlanarArrangement` decides planar incidence once, while it is built: its
+vertex index, crossing points and cell incidences are what the refined
+image, both stratifiers and the fiber scaffold read.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -87,7 +92,8 @@ class PlanarArrangement:
             for t in sorted(cuts[i]):
                 vid.setdefault(cuts[i][t], None)
         self.vertices: list[Point] = sorted(vid)
-        vid = {p: n for n, p in enumerate(self.vertices)}
+        self.vertex_id: dict[Point, int] = {p: n for n, p in enumerate(self.vertices)}
+        vid = self.vertex_id
         edges: dict[tuple[int, int], int] = {}
         for i in range(len(segs)):
             ts = sorted(cuts[i])
@@ -103,6 +109,9 @@ class PlanarArrangement:
         self.edge_source: list[int] = [edges[e] for e in self.edges]
         self._extract_faces()
         self._check_euler()
+        # locate tries the smallest bounded faces first
+        self._by_area = sorted((f for f in self.faces if f.bounded),
+                               key=lambda f: (f.area2, f.index))
 
     def _extract_faces(self):
         verts = self.vertices
@@ -217,18 +226,28 @@ class PlanarArrangement:
                 es.add((min(u, v), max(u, v)))
         return vs, es
 
+    def incidences(self) -> list[tuple[tuple, tuple]]:
+        """Every pair (lower, higher) of cells with the lower one in the
+        closure of the higher, keyed as `locate` returns them: vertex < edge
+        in edge order, then per face its vertices and its edges."""
+        pairs = [(("v", u), ("e", i)) for i, e in enumerate(self.edges) for u in e]
+        for face in self.faces:
+            vs, es = self.face_boundary(face.index)
+            pairs += [(("v", u), ("f", face.index)) for u in sorted(vs)]
+            pairs += [(("e", self.edge_index[e]), ("f", face.index))
+                      for e in sorted(es)]
+        return pairs
+
     def locate(self, p) -> tuple:
         """The lowest-dimensional cell containing the point: ("v", i),
         ("e", i) or ("f", i)."""
         p = _point(p)
-        for i, q in enumerate(self.vertices):
-            if p == q:
-                return ("v", i)
+        if p in self.vertex_id:
+            return ("v", self.vertex_id[p])
         for i, (u, v) in enumerate(self.edges):
             if on_segment(p, self.vertices[u], self.vertices[v], closed=False):
                 return ("e", i)
-        for face in sorted((f for f in self.faces if f.bounded),
-                           key=lambda f: (f.area2, f.index)):
+        for face in self._by_area:
             if _ray_parity(p, self.vertices, face.cycles[0]):
                 return ("f", face.index)
         return ("f", self.faces[-1].index)
@@ -309,17 +328,27 @@ class RefinedImage:
     """The image of the critical locus split into cells that meet only along
     shared sub-cells.
 
-    `point_sources` lists, per point, the locus simplices whose closed image
-    contains it, and multiplicity counts the preimage points inside the
-    locus (2 exactly at crossings).  For k = 2 the points are the vertices
-    of the arrangement, which holds the split segments.
+    Multiplicity counts the preimage points inside the locus.  For k = 2 the
+    points are the vertices of the arrangement, which holds the split
+    segments; the arrangement has already rejected every incidence but a
+    shared endpoint and a transverse crossing of two segments, so the
+    multiplicity is 2 exactly at its crossing points and 1 elsewhere.
     """
     k: int
     points: tuple
-    point_sources: tuple
     multiplicities: tuple
     arrangement: PlanarArrangement | None
-    edge_sourcesimplices: tuple
+
+
+def edge_image_arrangement(f, k) -> PlanarArrangement:
+    """The arrangement of the images under f of the edges of the complex k.
+    A vertex of k on no edge is rejected: no cell of the arrangement would
+    hold its image."""
+    edges = k.simplices_of_dim(1)
+    if lone := k.vertices.difference(*edges):
+        raise GenericityError(f"vertex {min(lone, key=canon_key)!r} is on no "
+                              f"edge, so its image cuts no cell")
+    return PlanarArrangement([(f.value(a), f.value(b)) for a, b in edges])
 
 
 def refine_image(f, j) -> RefinedImage:
@@ -332,53 +361,25 @@ def refine_image(f, j) -> RefinedImage:
     k = f.k
     jc = j.complex
     if k == 1:
-        by_value: dict = {}
-        for s in jc.simplices_of_dim(0):
-            by_value.setdefault(f.value(s[0])[0], []).append(s)
-        points = tuple(sorted(by_value))
-        sources = tuple(tuple(sorted(by_value[p], key=canon_key)) for p in points)
-        mult = tuple(len(src) for src in sources)
-        return RefinedImage(k=1, points=points, point_sources=sources,
-                            multiplicities=mult, arrangement=None,
-                            edge_sourcesimplices=())
+        count = Counter(f.value(s[0])[0] for s in jc.simplices_of_dim(0))
+        points = tuple(sorted(count))
+        return RefinedImage(k=1, points=points,
+                            multiplicities=tuple(count[p] for p in points),
+                            arrangement=None)
     if k != 2:
         raise StructuralError("image refinement supports k in {1, 2}")
 
-    jverts = jc.simplices_of_dim(0)
     images: dict = {}
-    for s in jverts:
+    for s in jc.simplices_of_dim(0):
         p = f.value(s[0])
         if p in images:
             raise GenericityError(
                 f"locus vertices {images[p]!r} and {s!r} share an image point")
         images[p] = s
-    jedges = jc.simplices_of_dim(1)
-    segments = [(f.value(e[0]), f.value(e[1])) for e in jedges]
-    arr = PlanarArrangement(segments)
-    sources = []
-    mult = []
-    for p in arr.vertices:
-        srcs: list = []
-        count = 0
-        if p in images:
-            srcs.append(images[p])
-            count += 1
-        for e, (a, b) in zip(jedges, segments):
-            if on_segment(p, a, b, closed=False):
-                srcs.append(e)
-                count += 1
-            elif p in (a, b):
-                srcs.append(e)
-        sources.append(tuple(sorted(srcs, key=canon_key)))
-        mult.append(count)
-    for p, m in zip(arr.vertices, mult):
-        if p in arr.crossing_points and m != 2:
-            raise InternalError("crossing point without preimage multiplicity 2")
-    edge_src = tuple(jedges[i] for i in arr.edge_source)
-    return RefinedImage(k=2, points=tuple(arr.vertices),
-                        point_sources=tuple(sources),
-                        multiplicities=tuple(mult), arrangement=arr,
-                        edge_sourcesimplices=edge_src)
+    arr = edge_image_arrangement(f, jc)
+    mult = tuple(2 if p in arr.crossing_points else 1 for p in arr.vertices)
+    return RefinedImage(k=2, points=tuple(arr.vertices), multiplicities=mult,
+                        arrangement=arr)
 
 
 def containment_comparable(r: RefinedImage) -> bool:
@@ -476,18 +477,11 @@ def stratification_from_refined(refined: RefinedImage) -> CodomainStratification
     vcells = [f"v{i}" for i in range(len(arr.vertices))]
     ecells = [f"e{i}" for i in range(len(arr.edges))]
     fcells = [_face_label(face) for face in arr.faces]
+    label = {"v": vcells, "e": ecells, "f": fcells}
 
-    incidence = []
-    for i, (u, v) in enumerate(arr.edges):
-        incidence.append((f"v{u}", ecells[i]))
-        incidence.append((f"v{v}", ecells[i]))
-    wedge_pairs = []
-    for face in arr.faces:
-        vs, es = arr.face_boundary(face.index)
-        for u in sorted(vs):
-            wedge_pairs.append((f"v{u}", _face_label(face)))
-        for ekey in sorted(es):
-            wedge_pairs.append((f"e{arr.edge_index[ekey]}", _face_label(face)))
+    incidence, wedge_pairs = [], []
+    for (lk, li), (hk, hi) in arr.incidences():
+        (incidence if hk == "e" else wedge_pairs).append((label[lk][li], label[hk][hi]))
     base = Poset(vcells + ecells, incidence) if vcells or ecells else Poset([], [])
     poset = wedge_extend(base, fcells, wedge_pairs)
 
@@ -609,7 +603,7 @@ def stratify_singular_locus(locus: SingularLocus,
         mark(p, "crossing")
 
     for p in special:
-        if arr.locate(p)[0] != "v":
+        if p not in arr.vertex_id:
             raise InternalError(f"marked point {p!r} is not an arrangement vertex")
 
     zero_points = sorted(special)
@@ -617,10 +611,11 @@ def stratify_singular_locus(locus: SingularLocus,
     marks = {zid[p]: frozenset(special[p]) for p in zero_points}
 
     # chains: connected runs of arrangement edges avoiding the special points
+    pairs = arr.incidences()
     incident: dict[int, list[int]] = {}
-    for i, (u, v) in enumerate(arr.edges):
-        incident.setdefault(u, []).append(i)
-        incident.setdefault(v, []).append(i)
+    for (_, u), (hk, i) in pairs:
+        if hk == "e":
+            incident.setdefault(u, []).append(i)
     joins = []
     for u, eis in incident.items():
         if arr.vertices[u] in special:
@@ -630,31 +625,20 @@ def stratify_singular_locus(locus: SingularLocus,
                 f"unmarked point {arr.vertices[u]!r} has degree {len(eis)}")
         joins.append(eis)
     chain_lists = sorted(connected_classes(range(len(arr.edges)), joins))
-    cid_of_edge: dict[int, str] = {}
-    chain_cells = []
-    for n, eis in enumerate(chain_lists):
-        cell = f"c{n}"
-        chain_cells.append(cell)
+    chain_cells = [f"c{n}" for n in range(len(chain_lists))]
+    chain_of_edge: list = [None] * len(arr.edges)
+    for cell, eis in zip(chain_cells, chain_lists):
         for i in eis:
-            cid_of_edge[i] = cell
+            chain_of_edge[i] = cell
 
-    incidence = set()
-    for i, (u, v) in enumerate(arr.edges):
-        for w in (u, v):
-            p = arr.vertices[w]
-            if p in special:
-                incidence.add((zid[p], cid_of_edge[i]))
-    wedge_pairs = set()
-    fcells = []
-    for face in arr.faces:
-        fcells.append(_face_label(face))
-        vs, es = arr.face_boundary(face.index)
-        for u in sorted(vs):
-            p = arr.vertices[u]
-            if p in special:
-                wedge_pairs.add((zid[p], _face_label(face)))
-        for ekey in sorted(es):
-            wedge_pairs.add((cid_of_edge[arr.edge_index[ekey]], _face_label(face)))
+    # a vertex stands for its zero-cell, if marked, and an edge for its chain
+    fcells = [_face_label(face) for face in arr.faces]
+    label = {"v": [zid.get(p) for p in arr.vertices], "e": chain_of_edge,
+             "f": fcells}
+    incidence, wedge_pairs = set(), set()
+    for (lk, li), (hk, hi) in pairs:
+        if (low := label[lk][li]) is not None:
+            (incidence if hk == "e" else wedge_pairs).add((low, label[hk][hi]))
 
     base = Poset(list(zid.values()) + chain_cells, sorted(incidence))
     poset = wedge_extend(base, fcells, sorted(wedge_pairs))

@@ -29,10 +29,6 @@ def parse_fraction(x) -> Fraction:
         raise InputError(f"{exc}; write rationals as integers or strings") from exc
 
 
-def encode_fraction(x) -> str:
-    return format_frac(x)
-
-
 def _encode_point(p) -> list:
     return [format_frac(c) for c in p]
 

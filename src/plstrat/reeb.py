@@ -27,10 +27,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import (CodomainStratification, PlanarArrangement,
-                          build_codomain_stratification)
-from .errors import (DegeneracyError, EmptyComplexError, GenericityError,
-                     InternalError, StructuralError)
+from .arrangement import (CodomainStratification, build_codomain_stratification,
+                          edge_image_arrangement)
+from .errors import (DegeneracyError, EmptyComplexError, InternalError,
+                     StructuralError)
 from .geometry import (canon_key, frac, on_segment, point_in_convex_hull_2d,
                        vadd, vscale, vsub)
 from .jacobi import JacobiSet, PLMap, jacobi_set
@@ -259,12 +259,8 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
     crit = sorted({_scalar(f, s[0]) for s in jset.complex.simplices_of_dim(0)})
     if not crit:
         raise InternalError("a nonempty compact domain must have critical values")
-    probes: list[list[Fraction]] = []
-    probes.append([crit[0] - 1 - i for i in range(samples)])
-    for a, b in zip(crit, crit[1:]):
-        probes.append([a + (b - a) * Fraction(j, samples + 1)
-                       for j in range(1, samples + 1)])
-    probes.append([crit[-1] + 1 + i for i in range(samples)])
+    probes = [_interval_samples(bounds, samples)
+              for bounds in zip([None] + crit, crit + [None])]
     counts = []
     detail = []
     ok = True
@@ -287,9 +283,10 @@ class FineCells:
     For one parameter these are the sweep levels, keyed ("l", level); level
     l lies in the closure of levels l - 1 and l + 1 when l is even.  For two
     they are the vertices, open edges and faces of the arrangement of the
-    images of all domain edges, keyed as `PlanarArrangement.locate` returns
-    them.  A simplex image is the hull of its vertex images, bounded by the
-    images of its edges, so every open cell lies inside it or outside it.
+    images of all domain edges, keyed and paired as the arrangement's
+    `locate` and `incidences` give them.  A simplex image is the hull of its
+    vertex images, bounded by the images of its edges, so every open cell
+    lies inside it or outside it.
 
     Each cell carries a sample point, the coarse stratum of `cs` containing
     it and the fiber components over it; `incidences` pairs each cell with
@@ -307,18 +304,14 @@ class FineCells:
             self.incidences = [(("l", l), ("l", l + d)) for l in range(0, n, 2)
                                for d in (-1, 1) if 0 <= l + d < n]
         else:
-            self.arrangement = arr = _edge_arrangement(f)
+            self.arrangement = arr = edge_image_arrangement(f, f.domain)
             self.samples = {("v", i): p for i, p in enumerate(arr.vertices)}
             pts = arr.vertices
             self.samples.update((("e", i), vscale(Fraction(1, 2), vadd(pts[u], pts[v])))
                                 for i, (u, v) in enumerate(arr.edges))
             self.samples.update((("f", i), arr.face_interior_samples(i, 1)[0])
                                 for i in range(len(arr.faces)))
-            self.incidences = [(("v", u), ("e", i))
-                               for i, e in enumerate(arr.edges) for u in e]
-            self.incidences += [(("e", arr.edge_index[e]), ("f", i))
-                                for i in range(len(arr.faces))
-                                for e in sorted(arr.face_boundary(i)[1])]
+            self.incidences = arr.incidences()
         self.stratum = {c: cs.locate(y) for c, y in self.samples.items()}
         self.components = {c: fiber_components(f, y)
                            for c, y in self.samples.items()}
@@ -330,15 +323,6 @@ class FineCells:
             return self.arrangement.locate(y)
         level = self._sweep.level(frac(y[0]))
         return None if level is None else ("l", level)
-
-
-def _edge_arrangement(f: PLMap) -> PlanarArrangement:
-    edges = f.domain.simplices_of_dim(1)
-    # a vertex on no edge would be a point of the image no cell boundary holds
-    if lone := f.domain.vertices.difference(*edges):
-        raise GenericityError(f"vertex {min(lone, key=canon_key)!r} is on no "
-                              f"edge, so its image cuts no fine cell")
-    return PlanarArrangement([(f.value(a), f.value(b)) for a, b in edges])
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,14 +356,7 @@ def _stratum_point(cs: CodomainStratification, label: str):
     if cs.k == 1:
         if label.startswith("p"):
             return (cs.geometry[label],)
-        lo, hi = cs.geometry[label]
-        if lo is None and hi is None:
-            return (Fraction(0),)
-        if lo is None:
-            return (hi - 1,)
-        if hi is None:
-            return (lo + 1,)
-        return ((lo + hi) / 2,)
+        return _interval_samples(cs.geometry[label], 1)[0]
     arr = cs.refined.arrangement
     if label.startswith("v"):
         return cs.geometry[label]
@@ -562,14 +539,12 @@ def stratum_fiber_audit(f: PLMap, scaffold: ReebScaffold | None = None,
                 pts = _interval_samples(cs.geometry[label], samples)
         elif label.startswith("e"):
             a, b = cs.geometry[label]
-            for j in range(1, samples):
-                pts.append(vadd(a, vscale(Fraction(j, samples + 1), vsub(b, a))))
-        elif label.startswith("f") and label != "f_out":
+            pts = [vadd(a, vscale(Fraction(j, samples + 1), vsub(b, a)))
+                   for j in range(1, samples + 1)]
+        elif label.startswith("f"):
             arr = cs.refined.arrangement
-            pts = arr.face_interior_samples(int(label[1:]), samples)
-        elif label == "f_out":
-            arr = cs.refined.arrangement
-            pts = arr.face_interior_samples(len(arr.faces) - 1, samples)
+            face = len(arr.faces) - 1 if label == "f_out" else int(label[1:])
+            pts = arr.face_interior_samples(face, samples)
         counts = []
         for y in pts:
             if cs.locate(y) != label:

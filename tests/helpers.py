@@ -1,14 +1,15 @@
-"""Shared random generators and the independent homology, sweep and
-scaffold oracles.
+"""Shared random generators and the independent homology, sweep, scaffold
+and multiplicity oracles.
 
 Everything here is deliberately low-tech: the homology oracle uses dense
 0/1 row matrices and textbook elimination so that it shares no code path
 with the package's bit-packed reduction; the sweep oracle rescans and
 re-sorts the whole complex at every level instead of reading a level
 index; the scaffold oracle attaches strata by walking sample points toward
-each other instead of gluing the cells of an arrangement; and the
-generators rejection-sample until the exact-arithmetic validators accept
-the instance.
+each other instead of gluing the cells of an arrangement; the multiplicity
+oracle scans every locus edge at every image point instead of reading the
+arrangement's crossings; and the generators rejection-sample until the
+exact-arithmetic validators accept the instance.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from plstrat import (CodomainStratification, DegeneracyError,
                      GenericityError, InternalError, JacobiSet,
                      PlanarArrangement, PLMap, Poset, ReebGraph, Simplex,
                      SimplicialComplex, check_generic, jacobi_set)
-from plstrat.geometry import canon_key, frac, vadd, vscale, vsub
+from plstrat.geometry import canon_key, frac, on_segment, vadd, vscale, vsub
 from plstrat.io import example_map
 from plstrat.reeb import _contains_point, _stratum_point
 
@@ -269,6 +270,20 @@ def sampled_scaffold(f: PLMap, cs: CodomainStratification) -> tuple[Poset, dict]
 
 
 # ---------------------------------------------------------------------------
+# multiplicity oracle
+
+def naive_multiplicities(f: PLMap, j: JacobiSet, points) -> tuple[int, ...]:
+    """Preimage points inside the locus of each image point: the locus
+    vertices mapped onto it plus the locus edges whose open image segment
+    passes through it, by a scan of every edge at every point."""
+    images = {f.value(s[0]) for s in j.complex.simplices_of_dim(0)}
+    segments = [(f.value(a), f.value(b)) for a, b in j.complex.simplices_of_dim(1)]
+    return tuple((p in images) + sum(on_segment(p, a, b, closed=False)
+                                     for a, b in segments)
+                 for p in points)
+
+
+# ---------------------------------------------------------------------------
 # random instances
 
 def random_complex(rng: random.Random, max_simplices: int = 30) -> SimplicialComplex:
@@ -311,6 +326,15 @@ def random_surface_map(rng: random.Random) -> PLMap:
     verts = sorted(dom.vertices)
     vals = rng.sample(range(-10 * len(verts), 10 * len(verts)), len(verts))
     return PLMap(dom, 1, {v: (Fraction(x),) for v, x in zip(verts, vals)})
+
+
+def random_planar_map(rng: random.Random) -> PLMap:
+    """Random integer images in [-9, 9]^2 of the vertices of a small closed
+    surface; nothing checks that they are generic."""
+    dom = rng.choice(closed_surfaces())
+    return PLMap(dom, 2, {v: (Fraction(rng.randint(-9, 9)),
+                              Fraction(rng.randint(-9, 9)))
+                          for v in sorted(dom.vertices)})
 
 
 def torus_projection(rng: random.Random, n: int = 3,

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_segments, segments_as_map
-from plstrat import (GenericityError, InputError, PlanarArrangement,
-                     SingularLocus, build_codomain_stratification,
-                     coarseness_check, containment_comparable, jacobi_set,
-                     refine_image, render_svg, stratification_from_refined,
+from helpers import (naive_multiplicities, random_planar_map, random_segments,
+                     segments_as_map, torus_projection)
+from plstrat import (GenericityError, InputError, JacobiSet, PLMap,
+                     PlanarArrangement, SimplicialComplex, SingularLocus,
+                     build_codomain_stratification, coarseness_check,
+                     containment_comparable, jacobi_set, refine_image,
+                     render_svg, stratification_from_refined,
                      stratify_singular_locus, stratum_dimension, validate_poset)
 from plstrat.io import example_locus, example_map
 
@@ -115,6 +117,17 @@ class TestRefineImage:
         with pytest.raises(GenericityError):
             refine_image(f, j)
 
+    def test_locus_vertex_on_no_edge_rejected(self):
+        # a lone locus vertex at the crossing would add a third preimage
+        # point that no arrangement vertex records
+        dom = SimplicialComplex.from_facets([(0, 1), (2, 3), (4,)])
+        values = {4: (F(0), F(0))}
+        for i, (a, b) in enumerate(CROSS):
+            values[2 * i], values[2 * i + 1] = a, b
+        f = PLMap(dom, 2, values)
+        with pytest.raises(GenericityError):
+            refine_image(f, JacobiSet(dom, "H", 2))
+
     def test_random_sets_obey_crossing_lemma(self, rng):
         for _ in range(5):
             segs, _ = random_segments(rng, max_segments=8)
@@ -124,6 +137,21 @@ class TestRefineImage:
             for p, m in zip(r.points, r.multiplicities):
                 if p in r.arrangement.crossing_points:
                     assert m == 2
+
+    def test_multiplicities_match_a_full_scan(self, rng):
+        maps = [example_map("solid_tetrahedron"), torus_projection(rng)]
+        maps += [random_planar_map(rng) for _ in range(8)]
+        compared = crossings = 0
+        for f in maps:
+            try:
+                j = jacobi_set(f)
+                r = refine_image(f, j)
+            except GenericityError:
+                continue
+            assert r.multiplicities == naive_multiplicities(f, j, r.points)
+            compared += 1
+            crossings += len(r.arrangement.crossing_points)
+        assert compared > 2 and crossings
 
 
 class TestCodomainStratification:
@@ -168,8 +196,7 @@ class TestCodomainStratification:
 
     def test_empty_image_single_stratum(self):
         from plstrat import RefinedImage
-        r = RefinedImage(k=1, points=(), point_sources=(), multiplicities=(),
-                         arrangement=None, edge_sourcesimplices=())
+        r = RefinedImage(k=1, points=(), multiplicities=(), arrangement=None)
         cs = stratification_from_refined(r)
         assert set(cs.space.poset.elements) == {"i0"}
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (closed_surfaces, naive_fiber_components,
-                     naive_reeb_graph, naive_sweep_levels, random_surface_map,
+from helpers import (naive_fiber_components, naive_reeb_graph,
+                     naive_sweep_levels, random_planar_map, random_surface_map,
                      sampled_scaffold, torus_projection)
 from plstrat import (DegeneracyError, GenericityError, InternalError,
                      JacobiSet, PLMap, SimplicialComplex,
@@ -153,13 +153,8 @@ class TestSweepOracle:
 def _planar_maps(rng) -> list[PLMap]:
     """The bundled two-parameter map and random integer planar images of
     the closed surfaces."""
-    maps = [example_map("solid_tetrahedron")]
-    for _ in range(6):
-        dom = rng.choice(closed_surfaces())
-        maps.append(PLMap(dom, 2, {v: (F(rng.randint(-9, 9)),
-                                       F(rng.randint(-9, 9)))
-                                   for v in sorted(dom.vertices)}))
-    return maps
+    return [example_map("solid_tetrahedron")] + [random_planar_map(rng)
+                                                 for _ in range(6)]
 
 
 class TestPlanarFiberOracle:
@@ -370,3 +365,22 @@ class TestStratumAudit:
     def test_needs_a_sample(self, tetra, samples):
         with pytest.raises(StructuralError):
             stratum_fiber_audit(tetra, samples=samples)
+
+    @pytest.mark.parametrize("samples", [3, 5])
+    def test_edge_strata_get_distinct_points(self, tetra, samples, monkeypatch):
+        sc = reeb_scaffold(tetra)
+        points = []
+        query = reeb.fiber_components
+
+        def recorded(f, y):
+            points.append(y)
+            return query(f, y)
+        monkeypatch.setattr(reeb, "fiber_components", recorded)
+        stratum_fiber_audit(tetra, sc, samples=samples)
+        monkeypatch.undo()
+        cs = sc.codomain
+        edges = sorted(c for c in cs.space.cells if c.startswith("e"))
+        assert edges
+        for label in edges:
+            here = [y for y in points if cs.locate(y) == label]
+            assert len(here) == len(set(here)) == samples, label
