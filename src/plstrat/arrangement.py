@@ -5,13 +5,28 @@ For k = 1 the image of the critical locus is a finite set of values and the
 complement decomposes into open intervals.  For k = 2 the image is a set of
 segments; after splitting at pairwise transverse crossings the result is an
 honest one-complex embedded in the plane, and faces of the subdivision are
-extracted with a half-edge walk using exact orientation predicates.  Anything
+extracted with a half-edge walk using exact orientation tests.  Anything
 tangential, overlapping or concurrent beyond two segments is rejected as
 non-generic, never repaired.
 
 `PlanarArrangement` decides planar incidence once, while it is built: its
 vertex index, crossing points and cell incidences are what the refined
 image, both stratifiers and the fiber scaffold read.
+
+Construction runs on Python ints, not on the `Fraction` predicates of
+`geometry`.  Every input coordinate is multiplied by the common
+denominator of all of them; a positive scale keeps every sign and every
+order, so each decision is the one the rationals would give.  Each segment
+pair gets one orientation quadruple, which decides overlap, transverse
+crossing and an endpoint inside the other segment at once.  A crossing is
+a homogeneous integer point (X, Y, W) with W > 0, reduced by the gcd of
+the three, so equal points are equal triples; cut order along a segment,
+the rotation at a vertex, the face areas and the inside test are integer
+determinants whose sign is unchanged by the positive W.  Points become
+`Fraction`s only where they leave the arrangement: `vertices` (still in
+rational lexicographic order), `vertex_id`, `crossing_points` and
+`Face.area2` are `Fraction`-valued, and `Fraction` is the only number type
+they hold.  `locate` and `face_interior_samples` work on those.
 """
 from __future__ import annotations
 
@@ -19,11 +34,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (DegeneracyError, GenericityError, InputError, InternalError,
                      StructuralError)
-from .geometry import (canon_key, cross2, dot, frac, on_segment,
+from .geometry import (canon_key, format_frac, frac, on_segment,
                        proper_crossing, segments_share_line_overlap, vadd,
                        vscale, vsub)
 from .posets import Poset, StratifiedSpace, connected_classes, wedge_extend
@@ -59,46 +75,86 @@ class PlanarArrangement:
             segs.append((p, q))
         self.segments = tuple(segs)
         self._build()
+        self._check_euler()
+        # locate tries the smallest bounded faces first
+        self._by_area = sorted((f for f in self.faces if f.bounded),
+                               key=lambda f: (f.area2, f.index))
 
     # -- construction -------------------------------------------------------
 
     def _build(self):
         segs = self.segments
-        cuts: list[dict] = [{Fraction(0): p, Fraction(1): q} for p, q in segs]
-        crossing_pairs: dict[Point, set] = {}
-        for i in range(len(segs)):
-            a, b = segs[i]
-            for j in range(i + 1, len(segs)):
-                c, d = segs[j]
-                if segments_share_line_overlap(a, b, c, d):
-                    raise GenericityError(f"segments {i} and {j} overlap along a line")
-                x = proper_crossing(a, b, c, d)
-                if x is not None:
-                    cuts[i][_param(x, a, b)] = x
-                    cuts[j][_param(x, c, d)] = x
-                    crossing_pairs.setdefault(x, set()).add((i, j))
+        scale = lcm(*(c.denominator for seg in segs for p in seg for c in p))
+        ends = [tuple((p[0].numerator * (scale // p[0].denominator),
+                       p[1].numerator * (scale // p[1].denominator), 1)
+                      for p in seg) for seg in segs]
+        # cuts[i]: (t numerator, t denominator > 0, point) along segment i
+        cuts = [[(0, 1, a), (1, 1, b)] for a, b in ends]
+        crossing_pairs: dict[tuple, list] = {}
+        for i, ((ax, ay, _), (bx, by, _)) in enumerate(ends):
+            rx, ry = bx - ax, by - ay
+            for j in range(i + 1, len(ends)):
+                (cx, cy, _), (dx, dy, _) = ends[j]
+                # twice the signed areas of abc, abd, cda and cdb
+                o1 = rx * (cy - ay) - ry * (cx - ax)
+                o2 = rx * (dy - ay) - ry * (dx - ax)
+                if o1 * o2 > 0:
                     continue
-                for e, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
-                    if on_segment(e, u, v, closed=False):
+                sx, sy = dx - cx, dy - cy
+                o3 = sx * (ay - cy) - sy * (ax - cx)
+                o4 = sx * (by - cy) - sy * (bx - cx)
+                if o3 * o4 > 0:
+                    continue
+                if o1 == 0 and o2 == 0:
+                    # one line: compare the projections onto ab
+                    pc = rx * (cx - ax) + ry * (cy - ay)
+                    pd = rx * (dx - ax) + ry * (dy - ay)
+                    if max(0, min(pc, pd)) < min(rx * rx + ry * ry, max(pc, pd)):
                         raise GenericityError(
-                            f"endpoint {e!r} lies interior to another segment")
-        for x, pairs in crossing_pairs.items():
+                            f"segments {_show_segment(segs[i])} and "
+                            f"{_show_segment(segs[j])} overlap along a line")
+                elif o1 * o2 < 0 and o3 * o4 < 0:
+                    # a + t (b - a) = c + u (d - c), t = o3 / (o3 - o4),
+                    # u = o1 / (o1 - o2), and o3 - o4 = o2 - o1
+                    w = o3 - o4
+                    if w < 0:
+                        w, o1, o3 = -w, -o1, -o3
+                    x, y = ax * w + o3 * rx, ay * w + o3 * ry
+                    g = gcd(x, y, w)
+                    point = (x // g, y // g, w // g)
+                    cuts[i].append((o3, w, point))
+                    cuts[j].append((-o1, w, point))
+                    crossing_pairs.setdefault(point, []).append((i, j))
+                elif o1 * o2 < 0 or o3 * o4 < 0:
+                    # lines meet at one point, strictly inside one segment
+                    # and at an endpoint of the other
+                    if o1 * o2 < 0:
+                        e, k, other = segs[i][o3 != 0], i, j
+                    else:
+                        e, k, other = segs[j][o1 != 0], j, i
+                    raise GenericityError(
+                        f"endpoint {_show(e)} of segment {_show_segment(segs[k])} "
+                        f"lies interior to segment {_show_segment(segs[other])}")
+        for point, pairs in crossing_pairs.items():
             if len(pairs) > 1:
-                raise GenericityError(f"three or more segments meet at {x!r}")
-        self.crossing_points = frozenset(crossing_pairs)
+                names = [_show_segment(segs[k])
+                         for k in sorted({k for pair in pairs for k in pair})]
+                raise GenericityError(
+                    f"three or more segments meet at "
+                    f"{_show(_rational(point, scale))}: "
+                    f"{', '.join(names[:-1])} and {names[-1]}")
 
-        vid: dict[Point, int] = {}
-        for i in range(len(segs)):
-            for t in sorted(cuts[i]):
-                vid.setdefault(cuts[i][t], None)
-        self.vertices: list[Point] = sorted(vid)
+        hom = sorted({p for seg in cuts for _, _, p in seg}, key=_BY_POSITION)
+        index = {p: n for n, p in enumerate(hom)}
+        self.vertices: list[Point] = [_rational(p, scale) for p in hom]
         self.vertex_id: dict[Point, int] = {p: n for n, p in enumerate(self.vertices)}
-        vid = self.vertex_id
+        self.crossing_points = frozenset(self.vertices[index[p]]
+                                         for p in crossing_pairs)
         edges: dict[tuple[int, int], int] = {}
-        for i in range(len(segs)):
-            ts = sorted(cuts[i])
-            for t0, t1 in zip(ts, ts[1:]):
-                u, v = vid[cuts[i][t0]], vid[cuts[i][t1]]
+        for i, seg in enumerate(cuts):
+            seg.sort(key=_BY_PARAM)
+            for (_, _, p), (_, _, q) in zip(seg, seg[1:]):
+                u, v = index[p], index[q]
                 key = (min(u, v), max(u, v))
                 if key in edges:
                     raise GenericityError("duplicate sub-segment between two points")
@@ -107,32 +163,20 @@ class PlanarArrangement:
         self.edge_index: dict[tuple[int, int], int] = {
             e: i for i, e in enumerate(self.edges)}
         self.edge_source: list[int] = [edges[e] for e in self.edges]
-        self._extract_faces()
-        self._check_euler()
-        # locate tries the smallest bounded faces first
-        self._by_area = sorted((f for f in self.faces if f.bounded),
-                               key=lambda f: (f.area2, f.index))
+        self.faces: list[Face] = self._extract_faces(hom, scale)
 
-    def _extract_faces(self):
-        verts = self.vertices
-        rotation: dict[int, list[int]] = {u: [] for u in range(len(verts))}
+    def _extract_faces(self, hom: list[tuple], scale: int) -> list[Face]:
+        """Faces from a half-edge walk over the vertices `hom`, homogeneous
+        integer points (X, Y, W) with W > 0 at `scale` times the input."""
+        rotation: dict[int, list[int]] = {u: [] for u in range(len(hom))}
         for u, v in self.edges:
             rotation[u].append(v)
             rotation[v].append(u)
-
-        def ccw_cmp(u):
-            def cmp(a, b):
-                da, db = vsub(verts[a], verts[u]), vsub(verts[b], verts[u])
-                ha = 0 if (da[1] > 0 or (da[1] == 0 and da[0] > 0)) else 1
-                hb = 0 if (db[1] > 0 or (db[1] == 0 and db[0] > 0)) else 1
-                if ha != hb:
-                    return ha - hb
-                c = cross2(da, db)
-                return -1 if c > 0 else (1 if c < 0 else 0)
-            return cmp
-
-        for u in rotation:
-            rotation[u].sort(key=cmp_to_key(ccw_cmp(u)))
+        for u, nbrs in rotation.items():
+            xu, yu, wu = hom[u]
+            # (X W' - X' W, Y W' - Y' W) points along the edge, scaled by W W' > 0
+            nbrs.sort(key=lambda v: _CCW_KEY((hom[v][0] * wu - xu * hom[v][2],
+                                              hom[v][1] * wu - yu * hom[v][2])))
         rot_index = {(u, v): i for u, nbrs in rotation.items() for i, v in enumerate(nbrs)}
 
         # next half-edge of (u, v): at v, step clockwise from the reversal;
@@ -159,26 +203,22 @@ class PlanarArrangement:
                 raise InternalError("half-edge walk did not close up")
             orbits.append(walk)
 
-        areas = []
-        for walk in orbits:
-            a2 = sum(cross2(verts[u], verts[v]) for u, v in walk)
-            areas.append(a2)
-
+        areas = [_area2(walk, hom, scale) for walk in orbits]
         positive = [i for i, a in enumerate(areas) if a > 0]
         outer = [i for i, a in enumerate(areas) if a <= 0]
 
         def walk_vertices(i):
             return [u for u, _ in orbits[i]]
 
-        def strictly_inside(p, i) -> bool:
-            walk = orbits[i]
-            if any(on_segment(p, verts[u], verts[v]) for u, v in walk):
-                return False
-            return _ray_parity(p, verts, walk)
+        # no vertex lies inside an edge, so a vertex off a walk's vertices
+        # is off the walk
+        def strictly_inside(u, i) -> bool:
+            return (u not in walk_vertices(i)
+                    and _ray_parity_h(hom[u], hom, orbits[i]))
 
         parent: dict[int, int | None] = {}
         for i in outer:
-            anchor = verts[min(walk_vertices(i))]
+            anchor = min(walk_vertices(i))
             best = None
             for j in positive:
                 if strictly_inside(anchor, j):
@@ -194,7 +234,7 @@ class PlanarArrangement:
                               cycles=(tuple(orbits[i]),) + holes, area2=areas[i]))
         unb = tuple(tuple(orbits[i]) for i in sorted(outer) if parent[i] is None)
         faces.append(Face(index=len(order), bounded=False, cycles=unb, area2=Fraction(0)))
-        self.faces: list[Face] = faces
+        return faces
 
     def _check_euler(self):
         v, e, fcount = len(self.vertices), len(self.edges), len(self.faces)
@@ -297,9 +337,69 @@ class PlanarArrangement:
         return out
 
 
-def _param(x, a, b) -> Fraction:
-    d = vsub(b, a)
-    return dot(vsub(x, a), d) / dot(d, d)
+def _show(p) -> str:
+    return "(" + ", ".join(format_frac(c) for c in p) + ")"
+
+
+def _show_segment(seg) -> str:
+    return f"{_show(seg[0])}-{_show(seg[1])}"
+
+
+def _rational(p: tuple, scale: int) -> Point:
+    """The input-unit point of a homogeneous integer point at `scale`."""
+    x, y, w = p
+    return (Fraction(x, w * scale), Fraction(y, w * scale))
+
+
+# cut parameters (numerator, denominator > 0, point) in increasing order
+_BY_PARAM = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+# homogeneous points (X, Y, W > 0) in lexicographic order of (X/W, Y/W)
+_BY_POSITION = cmp_to_key(lambda p, q: (p[0] * q[2] - q[0] * p[2])
+                          or (p[1] * q[2] - q[1] * p[2]))
+
+
+def _ccw_cmp(a, b) -> int:
+    """Order of nonzero integer vectors by angle from the positive x axis."""
+    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
+    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
+    if ha != hb:
+        return ha - hb
+    c = a[0] * b[1] - a[1] * b[0]
+    return (c < 0) - (c > 0)
+
+
+_CCW_KEY = cmp_to_key(_ccw_cmp)
+
+
+def _area2(walk, hom, scale) -> Fraction:
+    """Twice the signed area of a closed walk over homogeneous integer
+    points, in input units: the shoelace sum over the walk's common
+    denominator d, divided by (d * scale) ** 2."""
+    d = lcm(*(hom[u][2] for u, _ in walk))
+    m = {u: d // hom[u][2] for u, _ in walk}
+    s = sum((hom[u][0] * hom[v][1] - hom[u][1] * hom[v][0]) * m[u] * m[v]
+            for u, v in walk)
+    return Fraction(s, (d * scale) ** 2)
+
+
+def _ray_parity_h(p, hom, walk) -> bool:
+    """`_ray_parity` on homogeneous integer points.  The rightward ray from
+    p meets an edge that straddles p's height exactly when p lies strictly
+    left of it going up, or strictly right of it going down; the sign of
+    the 3x3 determinant of a, b, p is that of orient(a, b, p), because
+    every W is positive."""
+    xp, yp, wp = p
+    cnt = 0
+    for u, v in walk:
+        xa, ya, wa = hom[u]
+        xb, yb, wb = hom[v]
+        up = yb * wp > yp * wb
+        if (ya * wp > yp * wa) != up:
+            o = (xa * (yb * wp - wb * yp) - ya * (xb * wp - wb * xp)
+                 + wa * (xb * yp - yb * xp))
+            if (o > 0 if up else o < 0):
+                cnt ^= 1
+    return cnt == 1
 
 
 def _ray_parity(p, verts, walk) -> bool:
@@ -622,7 +722,7 @@ def stratify_singular_locus(locus: SingularLocus,
             continue
         if len(eis) != 2:
             raise GenericityError(
-                f"unmarked point {arr.vertices[u]!r} has degree {len(eis)}")
+                f"unmarked point {_show(arr.vertices[u])} has degree {len(eis)}")
         joins.append(eis)
     chain_lists = sorted(connected_classes(range(len(arr.edges)), joins))
     chain_cells = [f"c{n}" for n in range(len(chain_lists))]

@@ -3,6 +3,11 @@
 Every coordinate in this package is a `fractions.Fraction`, so each predicate
 below is an exact decision; there are no epsilons anywhere.  Floats are
 rejected at the door because they would silently destroy that guarantee.
+Coordinates are made exact once, by `frac` where input is read, so the
+vector helpers add and multiply what they are given without re-wrapping
+it; on `int` coordinates they stay on `int`s, and the one division, in
+`proper_crossing`, builds a `Fraction`.  `PlanarArrangement` is built
+without these predicates, on its own integer kernel in `arrangement`.
 """
 from __future__ import annotations
 
@@ -35,11 +40,11 @@ def format_frac(x: Fraction) -> str:
 
 
 def vsub(a: Sequence, b: Sequence) -> Point:
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def vadd(a: Sequence, b: Sequence) -> Point:
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def vscale(t, a: Sequence) -> Point:
@@ -48,11 +53,11 @@ def vscale(t, a: Sequence) -> Point:
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return sum(x * y for x, y in zip(a, b))
 
 
 def cross2(a: Sequence, b: Sequence) -> Fraction:
-    return Fraction(a[0]) * Fraction(b[1]) - Fraction(a[1]) * Fraction(b[0])
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def orient(a: Sequence, b: Sequence, c: Sequence) -> int:
@@ -118,9 +123,13 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def affinely_independent(points: Sequence[Sequence]) -> bool:
-    """True iff the points span an affine subspace of dimension len(points)-1."""
+    """True iff the points span an affine subspace of dimension len(points)-1.
+    Three points of the plane are independent iff they are not collinear,
+    which one orientation test decides without elimination."""
     if len(points) <= 1:
         return True
+    if len(points) == 3 and len(points[0]) == 2:
+        return orient(*points) != 0
     diffs = [vsub(p, points[0]) for p in points[1:]]
     return matrix_rank(diffs) == len(points) - 1
 
@@ -202,7 +211,7 @@ def proper_crossing(a, b, c, d) -> Point | None:
         r = vsub(b, a)
         s = vsub(d, c)
         denom = cross2(r, s)
-        t = cross2(vsub(c, a), s) / denom
+        t = Fraction(cross2(vsub(c, a), s), denom)
         return vadd(a, vscale(t, r))
     return None
 

@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 from plstrat import (CodomainStratification, DegeneracyError,
                      GenericityError, InternalError, JacobiSet,
                      PlanarArrangement, PLMap, Poset, ReebGraph, Simplex,
                      SimplicialComplex, check_generic, jacobi_set)
-from plstrat.geometry import canon_key, frac, on_segment, vadd, vscale, vsub
+from plstrat.arrangement import Face, _ray_parity
+from plstrat.geometry import (canon_key, cross2, dot, frac, on_segment,
+                              proper_crossing, segments_share_line_overlap,
+                              vadd, vscale, vsub)
 from plstrat.io import example_map
 from plstrat.reeb import _contains_point, _stratum_point
 
@@ -281,6 +285,148 @@ def naive_multiplicities(f: PLMap, j: JacobiSet, points) -> tuple[int, ...]:
     return tuple((p in images) + sum(on_segment(p, a, b, closed=False)
                                      for a, b in segments)
                  for p in points)
+
+
+# ---------------------------------------------------------------------------
+# arrangement oracle
+
+def _param(x, a, b) -> Fraction:
+    d = vsub(b, a)
+    return dot(vsub(x, a), d) / dot(d, d)
+
+
+class _NaiveArrangement(PlanarArrangement):
+    """`PlanarArrangement` built on `Fraction` points with the `geometry`
+    predicates: overlap, crossing and endpoint tests called separately for
+    every segment pair, rational cut parameters, and rotation, area and
+    containment tests on rational coordinates."""
+
+    def _build(self):
+        segs = self.segments
+        cuts: list[dict] = [{Fraction(0): p, Fraction(1): q} for p, q in segs]
+        crossing_pairs: dict = {}
+        for i in range(len(segs)):
+            a, b = segs[i]
+            for j in range(i + 1, len(segs)):
+                c, d = segs[j]
+                if segments_share_line_overlap(a, b, c, d):
+                    raise GenericityError(f"segments {i} and {j} overlap along a line")
+                x = proper_crossing(a, b, c, d)
+                if x is not None:
+                    cuts[i][_param(x, a, b)] = x
+                    cuts[j][_param(x, c, d)] = x
+                    crossing_pairs.setdefault(x, set()).add((i, j))
+                    continue
+                for e, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
+                    if on_segment(e, u, v, closed=False):
+                        raise GenericityError(
+                            f"endpoint {e!r} lies interior to another segment")
+        for x, pairs in crossing_pairs.items():
+            if len(pairs) > 1:
+                raise GenericityError(f"three or more segments meet at {x!r}")
+        self.crossing_points = frozenset(crossing_pairs)
+
+        vid: dict = {}
+        for i in range(len(segs)):
+            for t in sorted(cuts[i]):
+                vid.setdefault(cuts[i][t], None)
+        self.vertices = sorted(vid)
+        self.vertex_id = {p: n for n, p in enumerate(self.vertices)}
+        vid = self.vertex_id
+        edges: dict = {}
+        for i in range(len(segs)):
+            ts = sorted(cuts[i])
+            for t0, t1 in zip(ts, ts[1:]):
+                u, v = vid[cuts[i][t0]], vid[cuts[i][t1]]
+                key = (min(u, v), max(u, v))
+                if key in edges:
+                    raise GenericityError("duplicate sub-segment between two points")
+                edges[key] = i
+        self.edges = sorted(edges)
+        self.edge_index = {e: i for i, e in enumerate(self.edges)}
+        self.edge_source = [edges[e] for e in self.edges]
+        self.faces = self._naive_faces()
+
+    def _naive_faces(self) -> list:
+        verts = self.vertices
+        rotation: dict = {u: [] for u in range(len(verts))}
+        for u, v in self.edges:
+            rotation[u].append(v)
+            rotation[v].append(u)
+
+        def ccw_cmp(u):
+            def cmp(a, b):
+                da, db = vsub(verts[a], verts[u]), vsub(verts[b], verts[u])
+                ha = 0 if (da[1] > 0 or (da[1] == 0 and da[0] > 0)) else 1
+                hb = 0 if (db[1] > 0 or (db[1] == 0 and db[0] > 0)) else 1
+                if ha != hb:
+                    return ha - hb
+                c = cross2(da, db)
+                return -1 if c > 0 else (1 if c < 0 else 0)
+            return cmp
+
+        for u in rotation:
+            rotation[u].sort(key=cmp_to_key(ccw_cmp(u)))
+        rot_index = {(u, v): i for u, nbrs in rotation.items() for i, v in enumerate(nbrs)}
+
+        def next_he(u, v):
+            nbrs = rotation[v]
+            i = rot_index[(v, u)]
+            return (v, nbrs[(i - 1) % len(nbrs)])
+
+        directed = sorted([(u, v) for u, v in self.edges] + [(v, u) for u, v in self.edges])
+        orbit_of: dict = {}
+        orbits: list = []
+        for h in directed:
+            if h in orbit_of:
+                continue
+            walk = []
+            cur = h
+            while cur not in orbit_of:
+                orbit_of[cur] = len(orbits)
+                walk.append(cur)
+                cur = next_he(*cur)
+            if cur != h:
+                raise InternalError("half-edge walk did not close up")
+            orbits.append(walk)
+
+        areas = [sum(cross2(verts[u], verts[v]) for u, v in walk) for walk in orbits]
+        positive = [i for i, a in enumerate(areas) if a > 0]
+        outer = [i for i, a in enumerate(areas) if a <= 0]
+
+        def walk_vertices(i):
+            return [u for u, _ in orbits[i]]
+
+        def strictly_inside(p, i) -> bool:
+            walk = orbits[i]
+            if any(on_segment(p, verts[u], verts[v]) for u, v in walk):
+                return False
+            return _ray_parity(p, verts, walk)
+
+        parent: dict = {}
+        for i in outer:
+            anchor = verts[min(walk_vertices(i))]
+            best = None
+            for j in positive:
+                if strictly_inside(anchor, j):
+                    if best is None or areas[j] < areas[best]:
+                        best = j
+            parent[i] = best
+
+        order = sorted(positive, key=lambda i: (min(walk_vertices(i)), areas[i]))
+        faces = []
+        for n, i in enumerate(order):
+            holes = tuple(tuple(orbits[h2]) for h2 in sorted(outer) if parent[h2] == i)
+            faces.append(Face(index=n, bounded=True,
+                              cycles=(tuple(orbits[i]),) + holes, area2=areas[i]))
+        unb = tuple(tuple(orbits[i]) for i in sorted(outer) if parent[i] is None)
+        faces.append(Face(index=len(order), bounded=False, cycles=unb, area2=Fraction(0)))
+        return faces
+
+
+def naive_arrangement(segments) -> PlanarArrangement:
+    """The arrangement of the segments, built by the `Fraction` oracle."""
+    return _NaiveArrangement(segments)
 
 
 # ---------------------------------------------------------------------------

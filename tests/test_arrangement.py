@@ -1,17 +1,24 @@
 """Planar arrangements, image refinement and the two codomain stratifiers."""
+import json
+import os
+import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import (naive_multiplicities, random_planar_map, random_segments,
-                     segments_as_map, torus_projection)
+from helpers import (naive_arrangement, naive_multiplicities,
+                     random_planar_map, random_segments, segments_as_map,
+                     torus_projection)
 from plstrat import (GenericityError, InputError, JacobiSet, PLMap,
                      PlanarArrangement, SimplicialComplex, SingularLocus,
-                     build_codomain_stratification, coarseness_check,
-                     containment_comparable, jacobi_set, refine_image,
-                     render_svg, stratification_from_refined,
-                     stratify_singular_locus, stratum_dimension, validate_poset)
-from plstrat.io import example_locus, example_map
+                     StructuralError, build_codomain_stratification,
+                     check_generic, coarseness_check, containment_comparable,
+                     jacobi_set, refine_image, render_svg,
+                     stratification_from_refined, stratify_singular_locus,
+                     stratum_dimension, validate_poset)
+from plstrat.cli import main
+from plstrat.io import example_locus, example_map, locus_to_dict, map_from_dict
 
 F = Fraction
 
@@ -84,6 +91,191 @@ class TestPlanarArrangement:
             assert arr.euler_lhs() == 2
             for p in arr.crossing_points:
                 assert arr.locate(p)[0] == "v"
+
+
+def _edge_segments(f, k):
+    """The segments `edge_image_arrangement(f, k)` is built from."""
+    return [(f.value(a), f.value(b)) for a, b in k.simplices_of_dim(1)]
+
+
+def _benchmark_torus_maps():
+    """The 12 planar 6x6 torus maps of the torus_k2 benchmark workload at
+    seeds 1 and 2, from its own generator."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import gen
+    maps = []
+    for seed in (1, 2):
+        rngs = [gen.map_rng(seed, "torus_k2", i)
+                for i in range(gen.MAPS_PER_WORKLOAD)]
+        docs = gen.torus_projections(
+            gen.TORUS_K2_SIZE, rngs,
+            lambda doc: check_generic(map_from_dict(doc)).passed)
+        maps += [map_from_dict(doc) for doc in docs]
+    return maps
+
+
+def _grid_segments(rng, n):
+    """Segments between points of a 5 x 5 grid: shared endpoints,
+    collinear overlaps, T-junctions and triple points are all common."""
+    segs = []
+    while len(segs) < n:
+        p = (F(rng.randint(-2, 2)), F(rng.randint(-2, 2)))
+        q = (F(rng.randint(-2, 2)), F(rng.randint(-2, 2)))
+        if p != q:
+            segs.append((p, q))
+    return segs
+
+
+def assert_matches_oracle(segs) -> bool:
+    """The integer kernel and the `Fraction` oracle build the same
+    arrangement, or both reject the segments with the same error class.
+    True when the segments were accepted."""
+    try:
+        arr = PlanarArrangement(segs)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            naive_arrangement(segs)
+        return False
+    ref = naive_arrangement(segs)
+    assert arr.vertices == ref.vertices
+    assert arr.vertex_id == ref.vertex_id
+    assert arr.crossing_points == ref.crossing_points
+    assert arr.edges == ref.edges
+    assert arr.edge_source == ref.edge_source
+    assert arr.faces == ref.faces
+    assert arr.incidences() == ref.incidences()
+    # Fraction is the only type that leaves the arrangement
+    assert all(type(c) is Fraction for p in arr.vertices for c in p)
+    assert all(type(c) is Fraction for p in arr.crossing_points for c in p)
+    assert all(type(face.area2) is Fraction for face in arr.faces)
+    return True
+
+
+class TestIntegerKernel:
+    def test_random_segments_match_the_oracle(self, rng):
+        for _ in range(20):
+            segs, _ = random_segments(rng)
+            assert assert_matches_oracle(segs)
+
+    def test_grid_segments_match_the_oracle(self, rng):
+        accepted = 0
+        for n in [2] * 150 + [3] * 150 + [5] * 100:
+            accepted += assert_matches_oracle(_grid_segments(rng, n))
+        assert 0 < accepted < 400
+        # chords through the origin: triple points and overlaps
+        for _ in range(30):
+            star = [(p, (-p[0], -p[1])) for p, _ in _grid_segments(rng, 3)]
+            assert not assert_matches_oracle(star)
+
+    def test_nested_components_match_the_oracle(self, rng):
+        # a copy shrunk 200 times dropped at a random point usually lands
+        # inside one face of the other: a hole, found by the inside test
+        holes = 0
+        for _ in range(20):
+            outer, _ = random_segments(rng, max_segments=6)
+            inner, _ = random_segments(rng, max_segments=4)
+            at = (F(rng.randint(-190, 190), 10), F(rng.randint(-190, 190), 10))
+            inner = [tuple((at[0] + x / 200, at[1] + y / 200) for x, y in s)
+                     for s in inner]
+            if assert_matches_oracle(outer + inner):
+                arr = PlanarArrangement(outer + inner)
+                holes += sum(len(f.cycles) - 1 for f in arr.faces if f.bounded)
+        assert holes
+
+    def test_random_planar_maps_match_the_oracle(self, rng):
+        accepted = 0
+        for _ in range(30):
+            f = random_planar_map(rng)
+            accepted += assert_matches_oracle(_edge_segments(f, f.domain))
+        assert 0 < accepted < 30
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_torus_projections_match_the_oracle(self, rng, n):
+        f = torus_projection(rng, n)
+        assert assert_matches_oracle(_edge_segments(f, f.domain))
+
+    def test_benchmark_torus_loci_match_the_oracle(self):
+        maps = _benchmark_torus_maps()
+        assert len(maps) == 12
+        for f in maps:
+            assert assert_matches_oracle(_edge_segments(f, jacobi_set(f).complex))
+
+    def test_mixed_large_and_negative_denominators(self, rng):
+        # a shear and translation with denominators beyond 2**64, some of
+        # the inputs negative, keeps the combinatorics and scatters the
+        # denominators of every coordinate
+        big = 2 ** 67 + 9
+        for _ in range(6):
+            segs, _ = random_segments(rng, max_segments=8)
+            sx = F(rng.randint(1, 2 ** 70), big)
+            sy = F(rng.randint(1, 9), -rng.randint(2, 50))
+            k = F(rng.randint(-99, 99), 2 ** 65 + rng.randint(1, 99))
+            tx = F(-rng.randint(1, 2 ** 80), rng.randint(2, 2 ** 66))
+            ty = F(rng.randint(1, 99), -(3 ** 41))
+
+            def move(p):
+                return (p[0] * sx + tx, p[1] * sy + p[0] * k + ty)
+            moved = [(move(a), move(b)) for a, b in segs]
+            assert assert_matches_oracle(moved)
+        mixed = [((F(-1, 3), F(5, 7)), (F(2, 11), F(-9, 13))),
+                 ((F(1, -5), F(-2, 9)), (F(7, 17), F(3, 4))),
+                 ((F(-3), F(2 ** 70, 3 ** 50)), (F(5, 2 ** 66), F(-1, 2 ** 65)))]
+        assert assert_matches_oracle(mixed)
+
+    def test_positive_rescaling_keeps_the_combinatorics(self, rng):
+        for c in (F(7), F(3, 2 ** 70), F(2 ** 80 + 1, 3 ** 45)):
+            segs, arr = random_segments(rng, max_segments=8)
+            scaled = PlanarArrangement(
+                [tuple((x * c, y * c) for x, y in s) for s in segs])
+            assert scaled.edges == arr.edges
+            assert scaled.edge_source == arr.edge_source
+            assert [(f.index, f.bounded, f.cycles) for f in scaled.faces] == \
+                [(f.index, f.bounded, f.cycles) for f in arr.faces]
+            assert [f.area2 for f in scaled.faces] == \
+                [f.area2 * c * c for f in arr.faces]
+            assert scaled.incidences() == arr.incidences()
+            assert scaled.vertices == [(x * c, y * c) for x, y in arr.vertices]
+
+    @pytest.mark.parametrize("segs", [
+        [((0, 0), (0, 0))],
+        [seg(-1, 0, 1, 0), ((F(1, 3), 2), ("1/3", F(2)))],
+        [((F(2 ** 70, 3), 1), (F(2 ** 70, 3), 1)), seg(0, 0, 1, 1)],
+    ])
+    def test_zero_length_segment_rejected(self, segs):
+        with pytest.raises(StructuralError):
+            PlanarArrangement(segs)
+
+
+class TestGenericityMessages:
+    """Points are written as the input's values, segments by their two
+    endpoints."""
+
+    def test_overlap_names_both_segments(self):
+        with pytest.raises(GenericityError, match=re.escape(
+                "segments (0, 0)-(2, 0) and (1, 0)-(3, 0) overlap along a line")):
+            PlanarArrangement([seg(0, 0, 2, 0), seg(1, 0, 3, 0)])
+
+    def test_endpoint_interior_names_point_and_segments(self):
+        with pytest.raises(GenericityError, match=re.escape(
+                "endpoint (1/2, 0) of segment (1/2, 0)-(1/2, 1) lies interior "
+                "to segment (-1, 0)-(1, 0)")):
+            PlanarArrangement([seg(-1, 0, 1, 0), seg(F(1, 2), 0, F(1, 2), 1)])
+
+    def test_triple_point_names_point_and_segments(self):
+        with pytest.raises(GenericityError, match=re.escape(
+                "three or more segments meet at (0, 0): (-1, 0)-(1, 0), "
+                "(0, -1)-(0, 1) and (-1, -1)-(1, 1)")):
+            PlanarArrangement(CROSS + [seg(-1, -1, 1, 1)])
+
+    def test_contour_t_junction_exits_2_with_the_message(self, tmp_path, capsys):
+        locus = SingularLocus(strands=(((F(-2), F(0)), (F(2), F(1))),
+                                       ((F(0), F(1, 2)), (F(1), F(3)))))
+        path = tmp_path / "contour.json"
+        path.write_text(json.dumps(locus_to_dict(locus)))
+        assert main(["morse2-locus", str(path)]) == 2
+        assert ("endpoint (0, 1/2) of segment (0, 1/2)-(1, 3) lies interior "
+                "to segment (-2, 0)-(2, 1)") in capsys.readouterr().err
 
 
 class TestRefineImage:
@@ -261,6 +453,14 @@ class TestLocusStratification:
             (F(0), F(0)), (F(0), F(2)), (F(1), F(3))),))
         with pytest.raises(GenericityError):
             stratify_singular_locus(bad)
+
+    def test_strands_touching_at_a_plain_vertex_rejected(self):
+        diamond = ((F(0), F(0)), (F(2), F(1)), (F(4), F(0)), (F(2), F(-1)),
+                   (F(0), F(0)))
+        wedge = ((F(1), F(3)), (F(2), F(1)), (F(3), F(4)), (F(1), F(3)))
+        with pytest.raises(GenericityError,
+                           match=re.escape("unmarked point (2, 1) has degree 4")):
+            stratify_singular_locus(SingularLocus(strands=(diamond, wedge)))
 
     def test_coarseness_of_canonical_output(self):
         for name in ("oval_contour", "figure_eight_contour"):

@@ -136,3 +136,55 @@ def test_canon_key_orders_mixed_labels():
     ordered = sorted(labels, key=canon_key)
     assert sorted(ordered, key=canon_key) == ordered
     assert len(set(map(canon_key, labels))) == len(labels)
+
+
+def _exact(x) -> bool:
+    return type(x) in (int, Fraction)
+
+
+def test_planar_predicates_agree_on_int_and_fraction_copies(rng):
+    from helpers import random_segments
+    crossings = 0
+    for _ in range(5):
+        segs, arr = random_segments(rng, max_segments=8)
+        as_int = [tuple((int(x), int(y)) for x, y in s) for s in segs]
+        probes = [p for s in segs for p in s] + sorted(arr.crossing_points)
+        for (a, b), (ai, bi) in zip(segs, as_int):
+            for p in probes:
+                pi = tuple(int(c) if c.denominator == 1 else c for c in p)
+                for closed in (True, False):
+                    assert on_segment(p, a, b, closed=closed) == \
+                        on_segment(pi, ai, bi, closed=closed)
+            for (c, d), (ci, di) in zip(segs, as_int):
+                assert segments_share_line_overlap(a, b, c, d) == \
+                    segments_share_line_overlap(ai, bi, ci, di)
+                x, xi = proper_crossing(a, b, c, d), proper_crossing(ai, bi, ci, di)
+                assert x == xi
+                if xi is not None:
+                    crossings += 1
+                    assert all(_exact(t) for t in x + xi)
+        # the crossing points the arrangement found, and only those
+        found = {proper_crossing(a, b, c, d) for i, (a, b) in enumerate(as_int)
+                 for c, d in as_int[i + 1:]} - {None}
+        assert found == arr.crossing_points
+    assert crossings
+
+
+def test_vector_helpers_keep_int_and_fraction_exact():
+    a, b = (1, 2), (3, 5)
+    assert vsub(b, a) == (2, 3) and all(type(x) is int for x in vsub(b, a))
+    assert vadd(a, b) == (4, 7)
+    assert dot(a, b) == 13 and type(dot(a, b)) is int
+    assert cross2(a, b) == -1
+    assert orient((0, 0), (1, 0), (0, 1)) == 1
+    # a division between ints gives a Fraction, never a float
+    p = proper_crossing((0, 0), (3, 0), (1, -1), (2, 1))
+    assert p == (F(3, 2), F(0)) and all(type(c) is Fraction for c in p)
+
+
+def test_three_planar_points_match_the_rank_test(rng):
+    for _ in range(300):
+        pts = [(F(rng.randint(-3, 3), rng.randint(1, 3)),
+                F(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(3)]
+        diffs = [vsub(p, pts[0]) for p in pts[1:]]
+        assert affinely_independent(pts) == (matrix_rank(diffs) == 2)
