@@ -106,6 +106,16 @@ class SimplicialComplex:
             order=tuple(sorted(ranked, key=len)),
             vertex_cofaces={v: tuple(ts) for v, ts in cofaces.items()})
 
+    @cached_property
+    def face_ranks(self) -> tuple:
+        """The ranks of each simplex's codimension-one faces, by rank.
+
+        Built apart from `index` and only on request: fiber components
+        are taken on the complex of a map, never on a link or a star."""
+        rank = self.index.rank
+        return tuple(tuple(rank[s[:i] + s[i + 1:]] for i in range(len(s)))
+                     if len(s) > 1 else () for s in self.index.ranked)
+
     def cofaces(self, sigma: Simplex) -> list[Simplex]:
         """The simplices containing sigma, sigma itself included."""
         vs = set(sigma)

@@ -159,19 +159,23 @@ def jacobi_report_dict(f: PLMap, j: JacobiSet) -> dict:
     """Critical subcomplex together with the verdict table over all
     candidate (k-1)-simplices, criticality under every applicable notion.
 
-    An H locus already holds the H verdicts: a (k-1)-simplex lies in the
-    face closure of the critical (k-1)-simplices exactly when it is
-    critical itself, so the H test is not run again."""
+    The locus already holds the verdicts of its own notion: a (k-1)-simplex
+    lies in the face closure of the critical (k-1)-simplices exactly when
+    it is critical itself, so that notion's test is not run again."""
     from .jacobi import is_d_critical, is_h_critical, is_l_critical_surface
+    locus = j.complex.simplices
     verdicts = []
     for s in f.domain.simplices_of_dim(f.k - 1):
         # L, H, D: the order criticality_verdict runs them in
-        l_crit = is_l_critical_surface(f, s) if s.dim == 0 else None
-        h_crit = (s in j.complex.simplices if j.notion == "H"
-                  else is_h_critical(f, s))
+        if s.dim != 0:
+            l_crit = None
+        else:
+            l_crit = s in locus if j.notion == "L" else is_l_critical_surface(f, s)
+        h_crit = s in locus if j.notion == "H" else is_h_critical(f, s)
+        d_crit = s in locus if j.notion == "D" else is_d_critical(f, s)
         verdicts.append({"simplex": _encode_simplex(s),
                          "h_critical": h_crit,
-                         "d_critical": is_d_critical(f, s),
+                         "d_critical": d_crit,
                          "l_critical": l_crit})
     return {"critical": jacobi_to_dict(j), "verdicts": verdicts}
 

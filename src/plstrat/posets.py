@@ -61,13 +61,18 @@ def connected_classes(elements: Iterable[Label], pairs: Iterable[tuple]) -> list
     parent = {e: e for e in elements}
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        # path halving: each step points x at its grandparent
+        while (up := parent[x]) != x:
+            parent[x] = x = parent[up]
         return x
 
     for a, b in pairs:
-        parent[find(a)] = find(b)
+        # the hottest loop of the k=1 sweep, so find is inlined here
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
+        parent[a] = b
     classes: dict = {}
     for e in parent:
         classes.setdefault(find(e), []).append(e)

@@ -3,12 +3,17 @@ stratified codomain.
 
 For a single parameter the fiber changes only where a vertex value is
 crossed, so it lives on 2V-1 sweep levels: level 2i is the i-th smallest
-vertex value and level 2i+1 the open gap above it.  Each map holds a
-`SweepIndex` of these levels, the level span of every simplex and a table
-of fiber components per level, filled on first use; the Reeb graph and
-every k=1 fiber query read that one table.  Adjacency between consecutive
-levels is decided by shared support simplices, which is exact because no
-vertex value lies strictly inside a gap.
+vertex value and level 2i+1 the open gap above it.  A closed simplex meets
+the levels of one interval, its span.  Each map holds a `SweepIndex`, which
+fills the fiber components of every level in one pass on first use: a
+simplex enters the support at the level where its span starts and leaves
+it at the gap after the level where its span ends, and each level's
+support, held as simplex ranks, is split into components by face
+incidence.  The Reeb graph and every k=1 fiber query read that one table.
+No vertex value lies strictly inside a gap, so a gap's support, with all
+of its face pairs, lies in the support of both neighbouring levels, and
+each gap component lies in exactly one component on either side: these
+two pairs per gap component are the arcs of the Reeb graph.
 
 Over a stratified codomain the analogue is a poset of fiber components over
 the strata, the scaffold.  It is glued from finitely many cells on which
@@ -54,19 +59,30 @@ def _contains_point(f: PLMap, s, y) -> bool:
     return point_in_convex_hull_2d(y, pts)
 
 
-def _components(support) -> tuple[frozenset, ...]:
-    """Connected components under face incidence of a fiber support listed
-    in `canon_key` order, sorted by their least member (the order of their
-    `canon_key`-sorted member lists).
+def _point(f: PLMap, y) -> tuple:
+    """y as a point of R^k; a scalar stands for a point of the line."""
+    if not isinstance(y, (tuple, list)):
+        y = (y,)
+    if len(y) != f.k:
+        raise StructuralError(
+            f"a fiber of a map to R^{f.k} needs a point with {f.k} "
+            f"coordinates, got {len(y)}")
+    return tuple(frac(c) for c in y)
+
+
+def _components(support, ranked, faces) -> tuple[frozenset, ...]:
+    """Connected components under face incidence of a fiber support given
+    as increasing ranks into `ranked`, each returned as the frozenset of
+    its simplices, sorted by their least member.
 
     A support is upward-closed in the face order: a coface's image contains
     its face's image.  So a face and a coface in it are joined through the
-    codimension-one faces in between, and each member is joined only to its
-    codimension-one faces."""
+    codimension-one faces in between, and each member is joined only to the
+    ranks of its codimension-one faces, `faces[rank]`."""
     members = set(support)
-    pairs = [(s, face) for s in support for i in range(len(s))
-             if (face := s[:i] + s[i + 1:]) in members]
-    return tuple(frozenset(c) for c in connected_classes(support, pairs))
+    pairs = [(r, q) for r in support for q in faces[r] if q in members]
+    return tuple(frozenset([ranked[r] for r in c])
+                 for c in connected_classes(support, pairs))
 
 
 class SweepIndex:
@@ -74,7 +90,11 @@ class SweepIndex:
 
     A closed simplex meets the fiber over level l exactly when l lies in its
     span [2 rank(min), 2 rank(max)], ranks taken among the distinct vertex
-    values.  Components are computed per level on first request and kept."""
+    values.  The first request fills the table of every level in one pass
+    over the levels: the support is kept as a set of simplex ranks, a
+    simplex enters it at the level where its span starts and leaves it at
+    the gap after the level where its span ends, and each level's support
+    is split into components once."""
 
     def __init__(self, f: PLMap):
         if f.k != 1:
@@ -82,9 +102,9 @@ class SweepIndex:
         self.values = sorted({_scalar(f, v) for v in f.domain.vertices})
         level = {x: 2 * i for i, x in enumerate(self.values)}
         vlevel = {v: level[_scalar(f, v)] for v in f.domain.vertices}
-        self.ranked = f.domain.index.ranked
+        self.domain = f.domain
         self.spans = [(min(vlevel[v] for v in s), max(vlevel[v] for v in s))
-                      for s in self.ranked]
+                      for s in f.domain.index.ranked]
         self.table: list = [None] * max(2 * len(self.values) - 1, 0)
 
     def level(self, t: Fraction) -> int | None:
@@ -98,12 +118,25 @@ class SweepIndex:
         return None
 
     def components(self, level: int) -> tuple[frozenset, ...]:
-        comps = self.table[level]
-        if comps is None:
-            comps = self.table[level] = _components(
-                [s for s, (lo, hi) in zip(self.ranked, self.spans)
-                 if lo <= level <= hi])
-        return comps
+        if self.table[level] is None:
+            self._fill()
+        return self.table[level]
+
+    def _fill(self):
+        n = len(self.table)
+        enter: list = [[] for _ in range(n)]
+        leave: list = [[] for _ in range(n)]
+        for r, (lo, hi) in enumerate(self.spans):
+            enter[lo].append(r)
+            leave[hi].append(r)
+        ranked, faces = self.domain.index.ranked, self.domain.face_ranks
+        active: set = set()
+        for level in range(n):
+            if level % 2:
+                active.difference_update(leave[level - 1])
+            else:
+                active.update(enter[level])
+            self.table[level] = _components(sorted(active), ranked, faces)
 
 
 def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
@@ -112,16 +145,19 @@ def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
 
     Inside one closed simplex the fiber is convex, so components of the
     support under face incidence are exactly the fiber components.  For
-    one parameter y is located among the sweep levels by bisection and the
-    level's components come from the map's `SweepIndex`; for two, the
-    support is collected by a scan of the complex.
+    one parameter y is a value or a 1-tuple, located among the sweep
+    levels by bisection, and the level's components come from the map's
+    `SweepIndex`; for two it is a pair, and the support is collected by a
+    scan of the complex.  A point of another length is a `StructuralError`.
     """
+    y = _point(f, y)
     if f.k == 1:
-        level = f.sweep.level(frac(y[0] if isinstance(y, (tuple, list)) else y))
+        level = f.sweep.level(y[0])
         return () if level is None else f.sweep.components(level)
-    y = tuple(frac(c) for c in y)
-    return _components([s for s in f.domain.index.ranked
-                        if _contains_point(f, s, y)])
+    ranked = f.domain.index.ranked
+    return _components([r for r, s in enumerate(ranked)
+                        if _contains_point(f, s, y)],
+                       ranked, f.domain.face_ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +188,12 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
 
     The graph is read off the 2V-1 levels of the map's `SweepIndex`: every
     vertex value and every gap between consecutive values.  Inside a gap no
-    vertex value intervenes, so a component at one level attaches to a
-    component at the next exactly when they share a support simplex.
-    Components containing a vertex of the critical locus `jset` (the H
-    Jacobi set of f when omitted) at their level become nodes; all other
-    components lie on monotone chains and are contracted away.
+    vertex value intervenes, so each gap component lies in exactly one
+    component at the level below and in exactly one at the level above, and
+    is joined to those two.  Components containing a vertex of the critical
+    locus `jset` (the H Jacobi set of f when omitted) at their level become
+    nodes; all other components lie on monotone chains and are contracted
+    away.
     """
     if f.k != 1:
         raise StructuralError("Reeb graph requires a single parameter")
@@ -183,21 +220,26 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
             crit_at[(li, ci)] = tuple(hits)
             is_node[(li, ci)] = bool(hits)
 
-    # arcs across consecutive levels via shared support
-    edges: dict = {}
+    # a gap component lies in exactly one component at each neighbouring
+    # level, the one that holds any of its members; these pairs are the arcs
+    arcs = []
+    for li in range(0, len(layer), 2):
+        owner = {s: ci for ci, comp in enumerate(layer[li]) for s in comp}
+        for gap in (li - 1, li + 1):
+            if not 0 <= gap < len(layer):
+                continue
+            for cj, comp in enumerate(layer[gap]):
+                ci = owner.get(next(iter(comp)))
+                if ci is None or not comp <= layer[li][ci]:
+                    raise InternalError(
+                        "midpoint component must bridge exactly two levels")
+                arcs.append(tuple(sorted(((li, ci), (gap, cj)))))
+    # arc ids go by the lower end, then by the upper end
+    edges = dict(enumerate(sorted(arcs)))
     adj: dict = {key: [] for key in is_node}
-    eid = 0
-    for li in range(len(layer) - 1):
-        for ci, a in enumerate(layer[li]):
-            for cj, b in enumerate(layer[li + 1]):
-                if a & b:
-                    edges[eid] = ((li, ci), (li + 1, cj))
-                    adj[(li, ci)].append(eid)
-                    adj[(li + 1, cj)].append(eid)
-                    eid += 1
-    for key, node in is_node.items():
-        if key[0] % 2 == 1 and len(adj[key]) != 2:
-            raise InternalError("midpoint component must bridge exactly two levels")
+    for eid, (a, b) in edges.items():
+        adj[a].append(eid)
+        adj[b].append(eid)
 
     for key in sorted(k for k, node in is_node.items() if not node):
         incident = sorted(adj[key])

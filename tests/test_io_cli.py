@@ -261,6 +261,30 @@ def test_sweep_levels_and_h_tests_run_once(monkeypatch, tmp_path, notion):
     assert calls["is_h_critical"] == len(f.domain.simplices_of_dim(0))
 
 
+@pytest.mark.parametrize("notion, test", [("D", "is_d_critical"),
+                                          ("L", "is_l_critical_surface")])
+def test_the_notion_test_runs_once_per_candidate(monkeypatch, tmp_path,
+                                                 notion, test):
+    """The verdict table reads the notion's own column off the locus that
+    `jacobi_set` has just decided, as it does for H."""
+    import importlib
+    jacobi = importlib.import_module("plstrat.jacobi")
+    calls = []
+    original = getattr(jacobi, test)
+
+    def counted(f, s):
+        calls.append(s)
+        return original(f, s)
+    monkeypatch.setattr(jacobi, test, counted)
+    f = example_map("torus_grid")
+    # the exit code is not at issue here: under D the Reeb stage after
+    # jacobi.json fails on torus_grid
+    main(["pipeline", "--example", "torus_grid", "--notion", notion,
+          "--out", str(tmp_path / "out")])
+    assert (tmp_path / "out" / "jacobi.json").exists()
+    assert len(calls) == len(f.domain.simplices_of_dim(0))
+
+
 class TestFiltrationExport:
     def test_default_chain(self, capsys):
         assert main(["export-filtration", "--example",

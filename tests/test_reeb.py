@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (naive_fiber_components, naive_reeb_graph,
-                     naive_sweep_levels, random_planar_map, random_surface_map,
-                     sampled_scaffold, torus_projection)
+                     naive_sweep_levels, random_complex, random_planar_map,
+                     random_surface_map, sampled_scaffold, torus_projection)
 from plstrat import (DegeneracyError, GenericityError, InternalError,
                      JacobiSet, PLMap, SimplicialComplex,
                      StructuralError, build_codomain_stratification,
@@ -55,6 +55,21 @@ class TestFiberComponents:
         assert len(fiber_components(tetra, inside)) == 1
         assert len(fiber_components(tetra, (F(1000), F(1000)))) == 0
 
+    def test_scalar_and_one_tuple_agree_for_one_parameter(self, torus):
+        assert fiber_components(torus, F(10)) == fiber_components(torus, (F(10),))
+
+    def test_pair_for_one_parameter_rejected(self, torus):
+        with pytest.raises(StructuralError, match=r"R\^1 .* 1 coordinates, got 2"):
+            fiber_components(torus, (F(10), F(0)))
+
+    def test_triple_for_two_parameters_rejected(self, tetra):
+        with pytest.raises(StructuralError, match=r"R\^2 .* 2 coordinates, got 3"):
+            fiber_components(tetra, (F(0), F(0), F(0)))
+
+    def test_one_tuple_for_two_parameters_rejected(self, tetra):
+        with pytest.raises(StructuralError, match=r"R\^2 .* 2 coordinates, got 1"):
+            fiber_components(tetra, (F(0),))
+
 
 class TestReebGraph:
     def test_torus_loop(self, torus):
@@ -89,6 +104,19 @@ class TestReebGraph:
         with pytest.raises(StructuralError):
             reeb_graph(tetra)
 
+    def test_gap_component_across_two_components_is_internal(self):
+        f = example_map("torus_grid")
+        f.sweep.components(0)
+        table = f.sweep.table
+
+        def below(li):
+            return {i for comp in table[li] for i, c in enumerate(table[li - 1])
+                    if comp <= c}
+        li = next(li for li in range(1, len(table), 2) if len(below(li)) == 2)
+        table[li] = (frozenset().union(*table[li]),)
+        with pytest.raises(InternalError, match="must bridge exactly two levels"):
+            reeb_graph(f)
+
 
 SWEEP_EXAMPLES = ("torus_grid", "octahedron", "saddle_patch", "double_cone")
 
@@ -111,6 +139,16 @@ def _audit_probes(f: PLMap, samples: int = 3) -> list[Fraction]:
     return pts + [crit[-1] + 1 + i for i in range(samples)]
 
 
+def _scalar_maps_beyond_surfaces(rng) -> list[PLMap]:
+    """Small integer values, so ties are common, on random complexes (mixed
+    dimensions, tetrahedra, isolated vertices) and on the solid
+    tetrahedron's complex."""
+    doms = ([random_complex(rng) for _ in range(30)]
+            + [example_map("solid_tetrahedron").domain] * 10)
+    return [PLMap(dom, 1, {v: (F(rng.randint(-3, 3)),) for v in dom.vertices})
+            for dom in doms]
+
+
 class TestSweepOracle:
     """The level index against a full rescan of the complex per query."""
 
@@ -126,6 +164,57 @@ class TestSweepOracle:
                 assert fiber_components(f, t) == expected, t
             assert fiber_components(f, levels[0] - 1) == ()
             assert fiber_components(f, levels[-1] + 1) == ()
+
+    def test_fibers_agree_beyond_closed_surfaces(self, rng):
+        for f in _scalar_maps_beyond_surfaces(rng):
+            levels = naive_sweep_levels(f)
+            gaps = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+            for t in levels + gaps:
+                assert fiber_components(f, t) == naive_fiber_components(f, t), t
+
+    def test_reeb_graph_agrees_beyond_closed_surfaces(self, rng):
+        compared = 0
+        for f in _scalar_maps_beyond_surfaces(rng):
+            try:
+                j = jacobi_set(f)
+            except GenericityError:
+                continue
+            expected = naive_reeb_graph(f, j)
+            rg = reeb_graph(f, j)
+            assert (rg.nodes, rg.node_value, rg.node_critical,
+                    rg.node_members, rg.edges) == (
+                expected.nodes, expected.node_value, expected.node_critical,
+                expected.node_members, expected.edges)
+            compared += 1
+        assert compared >= 10
+
+    def test_one_query_fills_every_level_once(self, rng, monkeypatch):
+        calls = []
+        original = reeb._components
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(reeb, "_components", counted)
+        for f in _sweep_maps(rng)[:8]:
+            del calls[:]
+            n_values = len({f.value(v) for v in f.domain.vertices})
+            fiber_components(f, naive_sweep_levels(f)[-1])
+            assert len(calls) == 2 * n_values - 1
+            reeb_graph(f)
+            fiber_components(f, naive_sweep_levels(f)[1])
+            assert len(calls) == 2 * n_values - 1
+
+    def test_gap_components_lie_in_one_component_on_each_side(self, rng):
+        for _ in range(20):
+            f = random_surface_map(rng)
+            levels = naive_sweep_levels(f)
+            fibers = [naive_fiber_components(f, t) for t in levels]
+            for li in range(1, len(levels), 2):
+                for comp in fibers[li]:
+                    for side in (fibers[li - 1], fibers[li + 1]):
+                        assert len([c for c in side if comp <= c]) == 1
+                        assert len([c for c in side if comp & c]) == 1
 
     @pytest.mark.parametrize("notion", ["H", "D"])
     def test_reeb_graph_agrees(self, rng, notion):
