@@ -20,9 +20,15 @@ from .posets import (MonotoneMap, Poset, StratifiedSpace, chain_poset,
 
 
 class Simplex(tuple):
-    """A simplex as a strictly increasing tuple of vertex labels."""
+    """A simplex as a strictly increasing tuple of vertex labels.
+
+    A `Simplex` passed in is returned as it is, and faces, boundaries and
+    links are ordered subsequences of a sorted simplex, so they are built
+    without sorting again."""
 
     def __new__(cls, vertices: Iterable):
+        if type(vertices) is Simplex:
+            return vertices
         vs = tuple(sorted(vertices, key=canon_key))
         if len(set(vs)) != len(vs):
             raise StructuralError(f"repeated vertex in simplex {vs!r}")
@@ -38,13 +44,14 @@ class Simplex(tuple):
         """All nonempty faces, the simplex itself included."""
         for r in range(1, len(self) + 1):
             for c in combinations(self, r):
-                yield Simplex(c)
+                yield tuple.__new__(Simplex, c)
 
     def boundary(self) -> list["Simplex"]:
         """Codimension-one faces; empty for a vertex."""
         if len(self) == 1:
             return []
-        return [Simplex(self[:i] + self[i + 1:]) for i in range(len(self))]
+        return [tuple.__new__(Simplex, self[:i] + self[i + 1:])
+                for i in range(len(self))]
 
     def __repr__(self) -> str:
         return f"Simplex({list(self)!r})"
@@ -189,7 +196,7 @@ def link(k: SimplicialComplex, sigma) -> SimplicialComplex:
     k._require(sigma)
     ss = set(sigma)
     return SimplicialComplex(
-        (tuple(v for v in t if v not in ss)
+        (tuple.__new__(Simplex, (v for v in t if v not in ss))
          for t in k.cofaces(sigma) if len(t) > len(sigma)), check=False)
 
 
@@ -247,9 +254,15 @@ class ManifoldReport:
     notes: tuple = ()
 
 
+def _edges(k: SimplicialComplex) -> list:
+    """The edges of k in no particular order, without building its index:
+    the graph tests below only count and join them."""
+    return [s for s in k.simplices if len(s) == 2]
+
+
 def _is_single_cycle(k: SimplicialComplex) -> bool:
     verts = k.vertices
-    edges = k.simplices_of_dim(1)
+    edges = _edges(k)
     if k.dimension != 1 or not verts or len(edges) != len(verts):
         return False
     deg: dict = {v: 0 for v in verts}
@@ -262,7 +275,7 @@ def _is_single_cycle(k: SimplicialComplex) -> bool:
 
 
 def _is_connected(k: SimplicialComplex) -> bool:
-    return len(connected_classes(k.vertices, k.simplices_of_dim(1))) == 1
+    return len(connected_classes(k.vertices, _edges(k))) == 1
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:

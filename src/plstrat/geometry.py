@@ -8,6 +8,10 @@ vector helpers add and multiply what they are given without re-wrapping
 it; on `int` coordinates they stay on `int`s, and the one division, in
 `proper_crossing`, builds a `Fraction`.  `PlanarArrangement` is built
 without these predicates, on its own integer kernel in `arrangement`.
+`cone_is_full` is the general D-criticality test: `jacobi.is_d_critical`
+decides a (k-1)-simplex with a nondegenerate image by a sign test and
+calls it only for lower simplices, a degenerate image and k > 2, and
+the tests use it as the oracle for that sign test.
 """
 from __future__ import annotations
 

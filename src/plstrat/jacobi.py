@@ -8,7 +8,9 @@ interpolation over each simplex.  Three notions of criticality for a
   H  -- some directional (upper/lower) link has nonvanishing reduced Z/2
         homology;
   D  -- the positive hull of the image directions out of the simplex misses
-        part of R^k, i.e. the differential is not onto;
+        part of R^k, i.e. the differential is not onto.  For k <= 2 and a
+        nondegenerate image this is one sign test on the link split along
+        the normal of the image; otherwise `geometry.cone_is_full` decides;
   L  -- failure of the link to split into a regular interlevel product;
         implemented for interior vertices of surfaces under scalar maps,
         everything else reports None ("undecided").
@@ -23,10 +25,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .complexes import Simplex, SimplicialComplex, link, open_star
+from .complexes import (Simplex, SimplicialComplex, _edges, _is_connected,
+                        _is_single_cycle, link)
 from .errors import GenericityError, InternalError, NotAMemberError, StructuralError
 from .geometry import (affinely_independent, barycenter, canon_key, cone_is_full,
-                       dot, frac, vsub)
+                       dot, format_frac, frac, vsub)
 from .homology import is_h_nontrivial
 from .posets import Poset, StratifiedSpace, connected_classes, wedge_extend
 
@@ -123,11 +126,16 @@ def check_generic(f: PLMap) -> GenericityReport:
     return GenericityReport(passed=not bad, violations=tuple(bad))
 
 
-def _side_sets(f: PLMap, sigma: Simplex, u: tuple):
-    """Split link vertices of sigma by the sign of <f(v) - f(sigma), u>."""
-    lk = link(f.domain, sigma)
+def _format_vector(u) -> str:
+    parts = [format_frac(x) for x in u]
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
+def _split_link(f: PLMap, sigma: Simplex, lk: SimplicialComplex, u: tuple):
+    """Upper and lower full subcomplexes of the link `lk` of sigma: the
+    link vertices v with <f(v) - f(sigma), u> above / below zero."""
     level = dot(f.barycenter_image(sigma), u)
-    upper, lower = set(), set()
+    upper, lower, ties = set(), set(), []
     for v in lk.vertices:
         h = dot(f.value(v), u)
         if h > level:
@@ -135,9 +143,12 @@ def _side_sets(f: PLMap, sigma: Simplex, u: tuple):
         elif h < level:
             lower.add(v)
         else:
-            raise GenericityError(
-                f"vertex {v!r} ties with {tuple(sigma)!r} along direction {u!r}")
-    return lk, upper, lower
+            ties.append(v)
+    if ties:
+        raise GenericityError(
+            f"vertex {min(ties, key=canon_key)!r} ties with {tuple(sigma)!r} "
+            f"at value {format_frac(level)} along direction {_format_vector(u)}")
+    return _full_subcomplex(lk, upper), _full_subcomplex(lk, lower)
 
 
 def _full_subcomplex(k: SimplicialComplex, verts: set) -> SimplicialComplex:
@@ -153,8 +164,7 @@ def directional_links(f: PLMap, sigma, u) -> tuple[SimplicialComplex, Simplicial
     u = tuple(frac(x) for x in u)
     if len(u) != f.k or all(x == 0 for x in u):
         raise StructuralError("direction must be a nonzero vector in R^k")
-    lk, up, lo = _side_sets(f, sigma, u)
-    return _full_subcomplex(lk, up), _full_subcomplex(lk, lo)
+    return _split_link(f, sigma, link(f.domain, sigma), u)
 
 
 def _normal_direction(f: PLMap, sigma: Simplex) -> tuple:
@@ -201,17 +211,36 @@ def h_side_verdicts(f: PLMap, sigma) -> tuple[bool, bool]:
 def is_d_critical(f: PLMap, sigma) -> bool:
     """Differential criticality: the positive hull of the image directions
     from the barycenter of sigma into its star, together with both signed
-    directions along the image of sigma itself, fails to cover R^k."""
+    directions along the image of sigma itself, fails to cover R^k.
+
+    For a (k-1)-simplex with a nondegenerate image and k <= 2, both signed
+    image directions of sigma are generators, so a functional that
+    separates the hull from R^k must vanish on them: it is +n or -n for the
+    normal n of `_normal_direction`.  The hull then misses part of R^k iff
+    no two link vertices lie strictly on opposite sides of the image along
+    n; a vertex on it counts on neither side, and an empty link is
+    critical.  Lower simplices, a degenerate image and k > 2 go through
+    the general cone test.
+    """
     sigma = Simplex(sigma)
     f.domain._require(sigma)
     if sigma.dim > f.k - 1:
         raise StructuralError(
             f"differential test needs dim <= {f.k - 1}, got {sigma.dim}")
+    star_vertices = {v for t in f.domain.cofaces(sigma) for v in t}
+    star_vertices.difference_update(sigma)
+    image = f.image(sigma)
+    if sigma.dim == f.k - 1 and f.k <= 2 and len(set(image)) == len(image):
+        n = _normal_direction(f, sigma)
+        level = dot(image[0], n)
+        above = below = False
+        for v in star_vertices:
+            h = dot(f.value(v), n)
+            above |= h > level
+            below |= h < level
+        return not (above and below)
     b = f.barycenter_image(sigma)
-    gens: list[tuple] = []
-    star_vertices = {v for t in open_star(f.domain, sigma) for v in t}
-    for v in sorted(star_vertices - set(sigma), key=canon_key):
-        gens.append(vsub(f.value(v), b))
+    gens = [vsub(f.value(v), b) for v in sorted(star_vertices, key=canon_key)]
     for w in sigma:
         d = vsub(f.value(w), b)
         gens.append(d)
@@ -224,14 +253,13 @@ def _single_arc(k: SimplicialComplex) -> bool:
     verts = k.vertices
     if not verts or k.dimension > 1:
         return False
-    edges = k.simplices_of_dim(1)
+    edges = _edges(k)
     deg = {v: 0 for v in verts}
     for e in edges:
         deg[e[0]] += 1
         deg[e[1]] += 1
     if len(edges) != len(verts) - 1 or any(d > 2 for d in deg.values()):
         return False
-    from .complexes import _is_connected
     return _is_connected(k) if edges else len(verts) == 1
 
 
@@ -248,11 +276,10 @@ def is_l_critical_surface(f: PLMap, v) -> bool | None:
         return None
     v = Simplex([v] if not isinstance(v, (tuple, list, Simplex)) else v)
     f.domain._require(v)
-    from .complexes import _is_single_cycle
     lk = link(f.domain, v)
     if not _is_single_cycle(lk):
         return None
-    upper, lower = directional_links(f, v, (Fraction(1),))
+    upper, lower = _split_link(f, v, lk, (Fraction(1),))
     return not (_single_arc(upper) and _single_arc(lower))
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +36,64 @@ class TestSimplex:
         assert len(list(s.faces())) == 7
         assert set(s.boundary()) == {Simplex((0, 1)), Simplex((0, 2)),
                                      Simplex((1, 2))}
+
+
+# labels whose `canon_key` order is not the order of their reprs, or that
+# Python cannot compare with each other at all
+_MIXED_LABELS = [
+    (10, 2, 7),
+    ("b", 10, "a", 2),
+    (Fraction(1, 2), 10, 2, Fraction(-3, 4)),
+    ((2, "x"), (10,), "z", 3, (Fraction(1, 3), 1)),
+]
+
+
+def _resorted(s) -> Simplex:
+    return Simplex(tuple(s))
+
+
+class TestSimplexWithoutResorting:
+    @pytest.mark.parametrize("labels", _MIXED_LABELS)
+    def test_faces_and_boundary_are_canon_ordered(self, labels):
+        s = Simplex(labels)
+        assert list(s) == sorted(labels, key=canon_key)
+        for part in (list(s.faces()), s.boundary()):
+            assert all(type(x) is Simplex for x in part)
+            assert [tuple(x) for x in part] == [tuple(_resorted(x)) for x in part]
+        assert len(list(s.faces())) == 2 ** len(labels) - 1
+        assert len(set(s.boundary())) == len(labels)
+
+    @pytest.mark.parametrize("labels", _MIXED_LABELS)
+    def test_link_is_canon_ordered(self, labels):
+        # a cone over the simplex and a second apex, linked at each face
+        s = Simplex(labels)
+        k = SimplicialComplex.from_facets([s + ("apex",), s + ("other",)])
+        for sigma in s.faces():
+            lk = link(k, sigma)
+            assert lk.simplices == {_resorted(t) for t in lk.simplices}
+            for t in lk.simplices:
+                assert type(t) is Simplex
+                assert tuple(t) == tuple(_resorted(t))
+                assert not set(t) & set(sigma)
+                assert _resorted(t + tuple(sigma)) in k
+
+    @pytest.mark.parametrize("labels", _MIXED_LABELS)
+    def test_a_simplex_passes_through_unchanged(self, labels):
+        s = Simplex(labels)
+        assert Simplex(s) is s
+        assert Simplex(list(s)) == s and Simplex(list(s)) is not s
+
+    @pytest.mark.parametrize("raw", [(2, 10, 2), ["a", "a"],
+                                     (Fraction(1, 2), Fraction(2, 4)),
+                                     ((1, "x"), (1, "x"))])
+    def test_raw_input_with_a_repeated_vertex_rejected(self, raw):
+        with pytest.raises(StructuralError):
+            Simplex(raw)
+
+    @pytest.mark.parametrize("raw", [(), [], iter(())])
+    def test_empty_raw_input_rejected(self, raw):
+        with pytest.raises(StructuralError):
+            Simplex(raw)
 
 
 class TestComplex:

@@ -146,6 +146,21 @@ class TestCliCommands:
             assert "is not a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("notion", ["H", "L"])
+def test_tie_names_the_value_and_direction(tmp_path, capsys, notion):
+    # the boundary of a tetrahedron, with b and c at one height
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps({
+        "kind": "map", "k": 1,
+        "facets": [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"],
+                   ["b", "c", "d"]],
+        "values": {"a": 0, "b": "1/2", "c": "1/2", "d": 1}}))
+    assert main(["jacobi", str(path), "--notion", notion]) == 2
+    err = capsys.readouterr().err
+    assert ("vertex 'c' ties with ('b',) at value 1/2 along direction (1,)"
+            in err), err
+
+
 @pytest.mark.parametrize("command", ["reeb", "pipeline"])
 @pytest.mark.parametrize("example", ["torus_grid", "solid_tetrahedron"])
 @pytest.mark.parametrize("samples", ["0", "-1"])

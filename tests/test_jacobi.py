@@ -1,16 +1,17 @@
 """Criticality notions, genericity and the critical locus."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_surface_map
+from helpers import random_planar_map, random_surface_map, torus_projection
 from plstrat import (GenericityError, PLMap, Simplex, SimplicialComplex,
                      StructuralError, check_generic, criticality_verdict,
                      directional_links, domain_stratification, h_side_verdicts,
                      is_d_critical, is_h_critical, is_l_critical_surface,
                      jacobi_set, reduced_betti, sphere_verdict,
                      stratify_domain_by_locus, validate_poset)
-from plstrat.geometry import cone_is_full, vsub
+from plstrat.geometry import canon_key, cone_is_full, vsub
 from plstrat.io import example_map
 
 F = Fraction
@@ -115,6 +116,15 @@ class TestDirectionalLinks:
         with pytest.raises(GenericityError):
             directional_links(f, Simplex((0,)), (F(1),))
 
+    def test_planar_tie_names_value_and_direction(self):
+        dom = SimplicialComplex.from_facets([("a", "b", "c")])
+        f = PLMap(dom, 2, {"a": (F(0), F(0)), "b": (F(1), F(1, 2)),
+                           "c": (F(1, 2), F(5))})
+        with pytest.raises(GenericityError, match=(
+                r"vertex 'c' ties with \('a', 'b'\) at value 1/4 "
+                r"along direction \(1/2, 0\)")):
+            directional_links(f, Simplex(("a", "b")), (F(1, 2), F(0)))
+
 
 class TestHCriticality:
     def test_octahedron_verdicts(self, octa):
@@ -163,17 +173,93 @@ class TestDCriticality:
         for f in (tetra, torus):
             for s in f.domain.simplices_of_dim(f.k - 1):
                 for weights in _interior_weights(len(s)):
-                    x = f.at(s, weights)
-                    dirs = []
-                    star_verts = {v for t in f.domain.simplices
-                                  if set(s) <= set(t) for v in t}
-                    for v in sorted(star_verts - set(s)):
-                        dirs.append(vsub(f.value(v), x))
-                    for w in s:
-                        d = vsub(f.value(w), x)
-                        dirs.append(d)
-                        dirs.append(tuple(-c for c in d))
-                    assert (not cone_is_full(dirs, f.k)) == is_d_critical(f, s)
+                    assert _cone_oracle(f, s, weights) == is_d_critical(f, s)
+
+
+def _cone_oracle(f: PLMap, s, weights) -> bool:
+    """D criticality by the general cone test, with the directions based
+    at the point of s with the given barycentric weights and the star
+    found by scanning every simplex."""
+    x = f.at(s, weights)
+    dirs = []
+    star_verts = {v for t in f.domain.simplices if set(s) <= set(t) for v in t}
+    for v in sorted(star_verts - set(s), key=canon_key):
+        dirs.append(vsub(f.value(v), x))
+    for w in s:
+        d = vsub(f.value(w), x)
+        dirs.append(d)
+        dirs.append(tuple(-c for c in d))
+    return not cone_is_full(dirs, f.k)
+
+
+def _assert_d_matches_cone_oracle(f: PLMap):
+    for s in f.domain.simplices_of_dim(f.k - 1):
+        for weights in _interior_weights(len(s)):
+            assert is_d_critical(f, s) == _cone_oracle(f, s, weights), s
+
+
+class TestDAgainstConeOracle:
+    """The sign test on the link split against `cone_is_full` on every
+    (k-1)-simplex."""
+
+    @pytest.mark.parametrize("name", ["double_cone", "octahedron",
+                                      "saddle_patch", "solid_tetrahedron",
+                                      "torus_grid"])
+    def test_bundled_maps(self, name):
+        _assert_d_matches_cone_oracle(example_map(name))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_surface_maps(self, seed):
+        _assert_d_matches_cone_oracle(random_surface_map(random.Random(seed)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_torus_projections(self, seed):
+        _assert_d_matches_cone_oracle(torus_projection(random.Random(seed), 3))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_planar_maps(self, seed):
+        # small integer images, so some link vertices tie
+        _assert_d_matches_cone_oracle(random_planar_map(random.Random(seed)))
+
+    def test_scalar_tie_counts_on_neither_side(self):
+        dom = SimplicialComplex.from_facets([("a", "b"), ("b", "c")])
+        f = PLMap(dom, 1, {"a": (F(0),), "b": (F(1, 2),), "c": (F(1, 2),)})
+        assert is_d_critical(f, Simplex(("b",)))
+        _assert_d_matches_cone_oracle(f)
+
+    @pytest.mark.parametrize("others, critical", [
+        ({"c": (F(2), F(0)), "d": (F(1), F(1))}, True),
+        ({"c": (F(2), F(0)), "d": (F(1), F(-1))}, True),
+        ({"c": (F(2), F(0)), "d": (F(1), F(1)), "e": (F(1), F(-1))}, False),
+    ])
+    def test_planar_tie_counts_on_neither_side(self, others, critical):
+        # c lies on the line through the images of a and b
+        values = {"a": (F(0), F(0)), "b": (F(1), F(0)), **others}
+        dom = SimplicialComplex.from_facets([("a", "b", v) for v in others])
+        f = PLMap(dom, 2, values)
+        assert is_d_critical(f, Simplex(("a", "b"))) is critical
+        _assert_d_matches_cone_oracle(f)
+
+    @pytest.mark.parametrize("others, critical", [
+        ({"c": (F(1), F(0)), "d": (F(-1), F(0))}, True),
+        ({"c": (F(1), F(0)), "d": (F(-1), F(1)), "e": (F(-1), F(-1))}, False),
+    ])
+    def test_degenerate_edge_image_uses_the_cone_test(self, others, critical):
+        values = {"a": (F(0), F(0)), "b": (F(0), F(0)), **others}
+        dom = SimplicialComplex.from_facets([("a", "b", v) for v in others])
+        f = PLMap(dom, 2, values)
+        assert is_d_critical(f, Simplex(("a", "b"))) is critical
+        _assert_d_matches_cone_oracle(f)
+
+    def test_empty_links_are_critical(self):
+        vertex = PLMap(SimplicialComplex.from_facets([("p",), ("q", "r")]), 1,
+                       {"p": (F(0),), "q": (F(1),), "r": (F(2),)})
+        assert is_d_critical(vertex, Simplex(("p",)))
+        _assert_d_matches_cone_oracle(vertex)
+        edge = PLMap(SimplicialComplex.from_facets([("p", "q")]), 2,
+                     {"p": (F(0), F(0)), "q": (F(1), F(2))})
+        assert is_d_critical(edge, Simplex(("p", "q")))
+        _assert_d_matches_cone_oracle(edge)
 
 
 def _interior_weights(n: int):
