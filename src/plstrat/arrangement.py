@@ -30,6 +30,7 @@ they hold.  `locate` and `face_interior_samples` work on those.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -521,11 +522,8 @@ class CodomainStratification:
         if self.k == 1:
             y = frac(y[0] if isinstance(y, (tuple, list)) else y)
             pts = self.refined.points
-            for i, p in enumerate(pts):
-                if y == p:
-                    return f"p{i}"
-            lo = sum(1 for p in pts if p < y)
-            return f"i{lo}"
+            i = bisect_left(pts, y)
+            return f"p{i}" if i < len(pts) and pts[i] == y else f"i{i}"
         kind, idx = self.refined.arrangement.locate(y)
         if kind == "f":
             return _face_label(self.refined.arrangement.faces[idx])
@@ -605,8 +603,9 @@ def stratification_from_refined(refined: RefinedImage) -> CodomainStratification
 
 @dataclass(frozen=True)
 class SingularLocus:
-    """A drawn apparent contour: polyline strands in the plane with marked
-    birth/death vertices.  A strand whose first and last points agree is
+    """A drawn apparent contour: polyline strands of points in the plane
+    with marked birth/death vertices, each mark a pair of integers (strand
+    index, point index).  A strand whose first and last points agree is
     closed."""
     strands: tuple
     cusp_marks: tuple = ()
@@ -616,8 +615,12 @@ class SingularLocus:
         for s in strands:
             if len(s) < 2:
                 raise InputError("each strand needs at least two points")
-        marks = tuple((int(i), int(v)) for i, v in self.cusp_marks)
+            if any(len(p) != 2 for p in s):
+                raise InputError("each point of a strand must be a pair of rationals")
+        marks = tuple((i, v) for i, v in self.cusp_marks)
         for i, v in marks:
+            if not all(type(x) is int for x in (i, v)):
+                raise InputError(f"cusp mark {(i, v)!r} must be a pair of integers")
             if not (0 <= i < len(strands)) or not (0 <= v < len(strands[i])):
                 raise InputError(f"cusp mark {(i, v)!r} out of range")
         object.__setattr__(self, "strands", strands)

@@ -54,6 +54,8 @@ def map_from_dict(data: dict) -> PLMap:
         raise InputError("k must be a positive integer")
     if not isinstance(facets, list) or not all(isinstance(s, list) for s in facets):
         raise InputError("facets must be a list of label lists")
+    if not all(isinstance(v, str) for s in facets for v in s):
+        raise InputError("vertex labels must be strings")
     if not isinstance(values, dict):
         raise InputError("values must map vertex labels to rationals")
     domain = SimplicialComplex.from_facets(facets)
@@ -93,7 +95,7 @@ def locus_from_dict(data: dict) -> SingularLocus:
         raise InputError("strands must be a list of polylines")
     parsed = []
     for s in strands:
-        if not isinstance(s, list):
+        if not isinstance(s, list) or not all(isinstance(p, list) for p in s):
             raise InputError("each strand must be a list of points")
         parsed.append(tuple(tuple(parse_fraction(c) for c in p) for p in s))
     cusps = data.get("cusps", [])

@@ -192,8 +192,9 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     component at the level below and in exactly one at the level above, and
     is joined to those two.  Components containing a vertex of the critical
     locus `jset` (the H Jacobi set of f when omitted) at their level become
-    nodes; all other components lie on monotone chains and are contracted
-    away.
+    nodes.  Every other component has exactly two neighbours, so the
+    regular components form monotone chains between nodes, and each chain
+    becomes one edge between the nodes at its two ends.
     """
     if f.k != 1:
         raise StructuralError("Reeb graph requires a single parameter")
@@ -201,30 +202,21 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         raise EmptyComplexError("cannot sweep an empty complex")
     if jset is None:
         jset = jacobi_set(f)
-    critical_at: dict = {}
-    for s in jset.complex.simplices_of_dim(0):
-        critical_at.setdefault(_scalar(f, s[0]), []).append(s[0])
-
     sweep = f.sweep
     layer = [sweep.components(li) for li in range(len(sweep.table))]
-
-    is_node: dict = {}
-    crit_at: dict = {}
-    for li, comps in enumerate(layer):
-        for ci, comp in enumerate(comps):
-            if li % 2 == 1:
-                is_node[(li, ci)] = False
-                continue
-            hits = sorted(v for v in critical_at.get(sweep.values[li // 2], ())
-                          if (v,) in comp)
-            crit_at[(li, ci)] = tuple(hits)
-            is_node[(li, ci)] = bool(hits)
+    locus_at: dict = {}
+    for s in jset.complex.simplices_of_dim(0):
+        locus_at.setdefault(sweep.level(_scalar(f, s[0])), []).append(s[0])
 
     # a gap component lies in exactly one component at each neighbouring
-    # level, the one that holds any of its members; these pairs are the arcs
-    arcs = []
+    # level, the one that holds any of its members; these pairs are the
+    # arcs.  A locus vertex makes a node of its component at its own level.
+    critical: dict = {}
+    nbrs: dict = {}
     for li in range(0, len(layer), 2):
         owner = {s: ci for ci, comp in enumerate(layer[li]) for s in comp}
+        for v in locus_at.get(li, ()):
+            critical.setdefault((li, owner[(v,)]), []).append(v)
         for gap in (li - 1, li + 1):
             if not 0 <= gap < len(layer):
                 continue
@@ -233,50 +225,40 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
                 if ci is None or not comp <= layer[li][ci]:
                     raise InternalError(
                         "midpoint component must bridge exactly two levels")
-                arcs.append(tuple(sorted(((li, ci), (gap, cj)))))
-    # arc ids go by the lower end, then by the upper end
-    edges = dict(enumerate(sorted(arcs)))
-    adj: dict = {key: [] for key in is_node}
-    for eid, (a, b) in edges.items():
-        adj[a].append(eid)
-        adj[b].append(eid)
+                nbrs.setdefault((li, ci), []).append((gap, cj))
+                nbrs.setdefault((gap, cj), []).append((li, ci))
 
-    for key in sorted(k for k, node in is_node.items() if not node):
-        incident = sorted(adj[key])
-        if not incident:
+    regular = [(li, ci) for li, comps in enumerate(layer)
+               for ci in range(len(comps)) if (li, ci) not in critical]
+    for key in regular:
+        degree = len(nbrs.get(key, ()))
+        if not degree:
             # an isolated regular component can only be a whole component of
             # the space with no critical vertex, which cannot happen
             raise InternalError(f"regular component {key} has no neighbours")
-        if len(incident) != 2:
-            raise InternalError(
-                f"regular component {key} has degree {len(incident)}")
-        e1, e2 = incident
-        a = edges[e1][0] if edges[e1][1] == key else edges[e1][1]
-        b = edges[e2][0] if edges[e2][1] == key else edges[e2][1]
-        keep, drop = min(e1, e2), max(e1, e2)
-        del edges[drop]
-        edges[keep] = (a, b) if a <= b else (b, a)
-        for n in (a, b):
-            adj[n] = sorted({keep if e in (e1, e2) else e
-                             for e in adj[n] if e in edges or e in (e1, e2)})
-        del adj[key]
+        if degree != 2:
+            raise InternalError(f"regular component {key} has degree {degree}")
 
-    kept = sorted(k for k, node in is_node.items() if node)
+    # every arc has a gap component, which is regular, at one end, so each
+    # monotone chain of regular components is one edge between the two
+    # nodes at its ends
+    kept = sorted(critical)
     label = {k: f"r{i}" for i, k in enumerate(kept)}
-    node_value = {label[k]: sweep.values[k[0] // 2] for k in kept}
-    node_critical = {label[k]: crit_at[k] for k in kept}
-    node_members = {label[k]: layer[k[0]][k[1]] for k in kept}
-    out_edges = []
-    for e in sorted(edges):
-        a, b = edges[e]
-        if a not in label or b not in label:
+    edges = []
+    for chain in connected_classes(regular, [(a, b) for a in regular
+                                             for b in nbrs[a] if b not in label]):
+        ends = [label[b] for a in chain for b in nbrs[a] if b in label]
+        if len(ends) != 2:
+            # the chain closes into a cycle: a whole component of the space
+            # without a locus vertex
             raise InternalError("contracted edge endpoint is not a node")
-        pair = tuple(sorted((label[a], label[b])))
-        out_edges.append(pair)
+        edges.append(tuple(sorted(ends)))
     return ReebGraph(nodes=tuple(label[k] for k in kept),
-                     node_value=node_value, node_critical=node_critical,
-                     node_members=node_members,
-                     edges=tuple(sorted(out_edges)))
+                     node_value={label[k]: sweep.values[k[0] // 2] for k in kept},
+                     node_critical={label[k]: tuple(sorted(critical[k]))
+                                    for k in kept},
+                     node_members={label[k]: layer[k[0]][k[1]] for k in kept},
+                     edges=tuple(sorted(edges)))
 
 
 @dataclass(frozen=True)
@@ -394,20 +376,19 @@ def _induced_subposet(p: Poset, elements) -> Poset:
     return Poset(sorted(keep, key=canon_key), rel)
 
 
-def _stratum_point(cs: CodomainStratification, label: str):
+def _stratum_samples(cs: CodomainStratification, label: str, n: int) -> list:
+    """n points inside the stratum `label` of `cs`, or its one point when
+    the stratum is a point."""
+    g = cs.geometry[label]
     if cs.k == 1:
-        if label.startswith("p"):
-            return (cs.geometry[label],)
-        return _interval_samples(cs.geometry[label], 1)[0]
-    arr = cs.refined.arrangement
+        return [(g,)] if label.startswith("p") else _interval_samples(g, n)
     if label.startswith("v"):
-        return cs.geometry[label]
+        return [g]
     if label.startswith("e"):
-        a, b = cs.geometry[label]
-        return vscale(Fraction(1, 2), vadd(a, b))
-    if label == "f_out":
-        return arr.face_interior_samples(len(arr.faces) - 1, 1)[0]
-    return arr.face_interior_samples(int(label[1:]), 1)[0]
+        a, b = g
+        return [vadd(a, vscale(Fraction(j, n + 1), vsub(b, a)))
+                for j in range(1, n + 1)]
+    return cs.refined.arrangement.face_interior_samples(g.index, n)
 
 
 def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebScaffold:
@@ -439,7 +420,7 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
     rep_cell: dict = {}
     comps: dict = {}
     for label in sorted(cs.space.cells):
-        y = _stratum_point(cs, label)
+        y = _stratum_samples(cs, label, 1)[0]
         if cs.locate(y) != label:
             raise InternalError(f"sample for stratum {label} landed elsewhere")
         reps[label] = y
@@ -575,20 +556,8 @@ def stratum_fiber_audit(f: PLMap, scaffold: ReebScaffold | None = None,
     results: dict = {}
     ok = True
     for label in sorted(cs.space.cells):
-        pts = [scaffold.representatives[label]]
-        if cs.k == 1:
-            if label.startswith("i"):
-                pts = _interval_samples(cs.geometry[label], samples)
-        elif label.startswith("e"):
-            a, b = cs.geometry[label]
-            pts = [vadd(a, vscale(Fraction(j, samples + 1), vsub(b, a)))
-                   for j in range(1, samples + 1)]
-        elif label.startswith("f"):
-            arr = cs.refined.arrangement
-            face = len(arr.faces) - 1 if label == "f_out" else int(label[1:])
-            pts = arr.face_interior_samples(face, samples)
         counts = []
-        for y in pts:
+        for y in _stratum_samples(cs, label, samples):
             if cs.locate(y) != label:
                 raise InternalError(f"audit sample for {label} landed elsewhere")
             counts.append(len(fiber_components(f, y)))

@@ -26,7 +26,7 @@ from plstrat.geometry import (canon_key, cross2, dot, frac, on_segment,
                               proper_crossing, segments_share_line_overlap,
                               vadd, vscale, vsub)
 from plstrat.io import example_map
-from plstrat.reeb import _contains_point, _stratum_point
+from plstrat.reeb import _contains_point, _stratum_samples
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def sampled_scaffold(f: PLMap, cs: CodomainStratification) -> tuple[Poset, dict]
     a chain of overlapping fibers along a straight walk.  Each simplex goes
     to the component over its barycenter image's stratum reached the same
     way from the barycenter image."""
-    reps = {label: _stratum_point(cs, label) for label in cs.space.cells}
+    reps = {label: _stratum_samples(cs, label, 1)[0] for label in cs.space.cells}
     comps = {label: naive_fiber_components(f, y) for label, y in reps.items()}
     elements = [(s, i) for s in sorted(comps) for i in range(len(comps[s]))]
     relations = []

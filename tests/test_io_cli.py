@@ -146,6 +146,31 @@ class TestCliCommands:
             assert "is not a" in capsys.readouterr().err
 
 
+_CUSP, _POINT, _LABEL = ("cusps", 0, 1), ("strands", 0, 1), ("facets", 0, 0)
+_MALFORMED = [pytest.param(command, "figure_eight_contour", where, value,
+                           id=f"{command}-{name}")
+              for command in ("morse2-locus", "pipeline")
+              for name, where, value in (
+                  ("cusp-str", _CUSP, "a"), ("cusp-float", _CUSP, 1.7),
+                  ("cusp-bool", _CUSP, True), ("point-int", _POINT, 5),
+                  ("point-1d", _POINT, ["0"]), ("point-3d", _POINT, [-3, 2, 0]))]
+_MALFORMED += [pytest.param("pipeline", "octahedron", _LABEL, ["x"], id="label-list"),
+               pytest.param("pipeline", "octahedron", _LABEL, {"a": 1}, id="label-dict")]
+
+
+@pytest.mark.parametrize("command, example, where, value", _MALFORMED)
+def test_malformed_input_is_exit_1(tmp_path, capsys, command, example, where,
+                                   value):
+    doc = load_example(example)
+    key, i, j = where
+    doc[key][i][j] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("notion", ["H", "L"])
 def test_tie_names_the_value_and_direction(tmp_path, capsys, notion):
     # the boundary of a tetrahedron, with b and c at one height

@@ -117,6 +117,20 @@ class TestReebGraph:
         with pytest.raises(InternalError, match="must bridge exactly two levels"):
             reeb_graph(f)
 
+    def test_chain_closed_into_a_cycle_is_internal(self):
+        # a square with a hand-made empty locus: its regular components
+        # close into a cycle with no node on it; with one locus vertex the
+        # cycle is a loop at that node
+        dom = SimplicialComplex.from_facets([["a", "b"], ["b", "c"],
+                                             ["c", "d"], ["d", "a"]])
+        f = PLMap(dom, 1, {"a": (F(0),), "b": (F(1),), "c": (F(2),),
+                           "d": (F(1),)})
+        empty = JacobiSet(SimplicialComplex.from_facets([]), "H", 1)
+        with pytest.raises(InternalError, match="endpoint is not a node"):
+            reeb_graph(f, empty)
+        top = JacobiSet(SimplicialComplex.from_facets([["c"]]), "H", 1)
+        assert reeb_graph(f, top).edges == (("r0", "r0"),)
+
 
 SWEEP_EXAMPLES = ("torus_grid", "octahedron", "saddle_patch", "double_cone")
 
@@ -172,14 +186,22 @@ class TestSweepOracle:
             for t in levels + gaps:
                 assert fiber_components(f, t) == naive_fiber_components(f, t), t
 
-    def test_reeb_graph_agrees_beyond_closed_surfaces(self, rng):
-        compared = 0
+    @pytest.mark.parametrize("notion", ["H", "D"])
+    def test_reeb_graph_agrees_beyond_closed_surfaces(self, rng, notion):
+        compared = failed = 0
         for f in _scalar_maps_beyond_surfaces(rng):
             try:
-                j = jacobi_set(f)
+                j = jacobi_set(f, notion)
             except GenericityError:
                 continue
-            expected = naive_reeb_graph(f, j)
+            try:
+                expected = naive_reeb_graph(f, j)
+            except InternalError as err:
+                with pytest.raises(InternalError) as got:
+                    reeb_graph(f, j)
+                assert str(got.value) == str(err)
+                failed += 1
+                continue
             rg = reeb_graph(f, j)
             assert (rg.nodes, rg.node_value, rg.node_critical,
                     rg.node_members, rg.edges) == (
@@ -187,6 +209,10 @@ class TestSweepOracle:
                 expected.node_members, expected.edges)
             compared += 1
         assert compared >= 10
+        # a vertex with acyclic strict lower and upper links joins one arc
+        # below to one above, so only D leaves a regular component with
+        # other than two neighbours; on these complexes it does
+        assert (failed > 0) == (notion == "D")
 
     def test_one_query_fills_every_level_once(self, rng, monkeypatch):
         calls = []
