@@ -13,8 +13,8 @@ non-generic, never repaired.
 vertex index, crossing points and cell incidences are what the refined
 image, both stratifiers and the fiber scaffold read.
 
-Construction runs on Python ints, not on the `Fraction` predicates of
-`geometry`.  Every input coordinate is multiplied by the common
+Every decision runs on Python ints, not on the `Fraction` predicates of
+`geometry`.  Construction multiplies every input coordinate by the common
 denominator of all of them; a positive scale keeps every sign and every
 order, so each decision is the one the rationals would give.  Each segment
 pair gets one orientation quadruple, which decides overlap, transverse
@@ -26,7 +26,10 @@ determinants whose sign is unchanged by the positive W.  Points become
 `Fraction`s only where they leave the arrangement: `vertices` (still in
 rational lexicographic order), `vertex_id`, `crossing_points` and
 `Face.area2` are `Fraction`-valued, and `Fraction` is the only number type
-they hold.  `locate` and `face_interior_samples` work on those.
+they hold.  `locate` turns its query and the vertices back into
+homogeneous integer points, each over the lcm of its own two
+denominators, and decides edges and faces with the same determinants;
+`face_interior_samples` asks `locate`.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from typing import Sequence
 
@@ -77,9 +80,6 @@ class PlanarArrangement:
         self.segments = tuple(segs)
         self._build()
         self._check_euler()
-        # locate tries the smallest bounded faces first
-        self._by_area = sorted((f for f in self.faces if f.bounded),
-                               key=lambda f: (f.area2, f.index))
 
     # -- construction -------------------------------------------------------
 
@@ -279,17 +279,38 @@ class PlanarArrangement:
                       for e in sorted(es)]
         return pairs
 
+    @cached_property
+    def _hom(self) -> list[tuple]:
+        """The vertices as homogeneous integer points (X, Y, W), W > 0."""
+        return [_homogeneous(p) for p in self.vertices]
+
     def locate(self, p) -> tuple:
         """The lowest-dimensional cell containing the point: ("v", i),
         ("e", i) or ("f", i)."""
         p = _point(p)
+        if len(p) != 2:
+            raise StructuralError(f"cannot locate {_show(p)}: a point of the "
+                                  f"plane is a pair of rationals")
         if p in self.vertex_id:
             return ("v", self.vertex_id[p])
+        hom = self._hom
+        q = _homogeneous(p)
+        xq, yq, wq = q
         for i, (u, v) in enumerate(self.edges):
-            if on_segment(p, self.vertices[u], self.vertices[v], closed=False):
+            (xa, ya, wa), (xb, yb, wb) = hom[u], hom[v]
+            # q inside ab: the 3x3 determinant of a, b, q is 0 and
+            # (q - a).(q - b) < 0, each scaled by positive W's
+            if (xa * (yb * wq - wb * yq) - ya * (xb * wq - wb * xq)
+                    + wa * (xb * yq - yb * xq) == 0
+                    and (xq * wa - xa * wq) * (xq * wb - xb * wq)
+                    + (yq * wa - ya * wq) * (yq * wb - yb * wq) < 0):
                 return ("e", i)
-        for face in self._by_area:
-            if _ray_parity(p, self.vertices, face.cycles[0]):
+        # off every vertex and edge, q is inside exactly one face; the
+        # unbounded face comes last
+        for face in self.faces[:-1]:
+            outer, *holes = face.cycles
+            if (_ray_parity_h(q, hom, outer)
+                    and not any(_ray_parity_h(q, hom, h) for h in holes)):
                 return ("f", face.index)
         return ("f", self.faces[-1].index)
 
@@ -383,12 +404,21 @@ def _area2(walk, hom, scale) -> Fraction:
     return Fraction(s, (d * scale) ** 2)
 
 
+def _homogeneous(p: Point) -> tuple:
+    """A rational point as (X, Y, W) over the lcm W of its denominators."""
+    x, y = p
+    w = lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator),
+            y.numerator * (w // y.denominator), w)
+
+
 def _ray_parity_h(p, hom, walk) -> bool:
-    """`_ray_parity` on homogeneous integer points.  The rightward ray from
-    p meets an edge that straddles p's height exactly when p lies strictly
-    left of it going up, or strictly right of it going down; the sign of
-    the 3x3 determinant of a, b, p is that of orient(a, b, p), because
-    every W is positive."""
+    """Even-odd test on homogeneous integer points: whether a rightward
+    ray from p crosses the closed walk of directed edges (u, v) over `hom`
+    an odd number of times.  The ray meets an edge that straddles p's
+    height exactly when p lies strictly left of it going up, or strictly
+    right of it going down; the sign of the 3x3 determinant of a, b, p is
+    that of orient(a, b, p), because every W is positive."""
     xp, yp, wp = p
     cnt = 0
     for u, v in walk:
@@ -399,19 +429,6 @@ def _ray_parity_h(p, hom, walk) -> bool:
             o = (xa * (yb * wp - wb * yp) - ya * (xb * wp - wb * xp)
                  + wa * (xb * yp - yb * xp))
             if (o > 0 if up else o < 0):
-                cnt ^= 1
-    return cnt == 1
-
-
-def _ray_parity(p, verts, walk) -> bool:
-    """Even-odd test: whether a rightward ray from p crosses the closed walk
-    of directed edges (u, v) over `verts` an odd number of times."""
-    cnt = 0
-    for u, v in walk:
-        a, b = verts[u], verts[v]
-        if (a[1] > p[1]) != (b[1] > p[1]):
-            x = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-            if x > p[0]:
                 cnt ^= 1
     return cnt == 1
 
@@ -546,27 +563,16 @@ def stratum_dimension(label: str) -> int:
 def stratification_from_refined(refined: RefinedImage) -> CodomainStratification:
     if refined.k == 1:
         pts = refined.points
-        n = len(pts)
-        pcells = [f"p{i}" for i in range(n)]
-        icells = [f"i{i}" for i in range(n + 1)]
-        pairs = []
-        for i in range(n):
-            pairs.append((pcells[i], icells[i]))
-            pairs.append((pcells[i], icells[i + 1]))
-        if n == 0:
-            poset = Poset(icells, [])
-        else:
-            poset = wedge_extend(Poset(pcells, []), icells, pairs)
-        geometry: dict = {}
-        for i, p in enumerate(pts):
-            geometry[pcells[i]] = p
-        for i in range(n + 1):
-            lo = pts[i - 1] if i > 0 else None
-            hi = pts[i] if i < n else None
-            geometry[icells[i]] = (lo, hi)
+        pcells = [f"p{i}" for i in range(len(pts))]
+        icells = [f"i{i}" for i in range(len(pts) + 1)]
+        pairs = [(p, icells[i + d]) for i, p in enumerate(pcells) for d in (0, 1)]
+        # interval i runs from point i - 1 to point i, unbounded at the ends
+        bounds = (None,) + pts + (None,)
+        geometry = dict(zip(pcells, pts))
+        geometry.update((c, bounds[i:i + 2]) for i, c in enumerate(icells))
         cells = frozenset(pcells) | frozenset(icells)
-        space = StratifiedSpace(poset=poset, cells=cells,
-                                closure=frozenset(pairs),
+        space = StratifiedSpace(poset=wedge_extend(Poset(pcells), icells, pairs),
+                                cells=cells, closure=frozenset(pairs),
                                 assignment={c: c for c in cells})
         return CodomainStratification(k=1, space=space, geometry=geometry,
                                       refined=refined)
@@ -574,28 +580,32 @@ def stratification_from_refined(refined: RefinedImage) -> CodomainStratification
     arr = refined.arrangement
     vcells = [f"v{i}" for i in range(len(arr.vertices))]
     ecells = [f"e{i}" for i in range(len(arr.edges))]
+    geometry = dict(zip(vcells, arr.vertices))
+    geometry.update((c, (arr.vertices[u], arr.vertices[v]))
+                    for c, (u, v) in zip(ecells, arr.edges))
+    geometry.update((_face_label(face), face) for face in arr.faces)
+    return CodomainStratification(k=2, space=_plane_space(arr, vcells, ecells),
+                                  geometry=geometry, refined=refined)
+
+
+def _plane_space(arr: PlanarArrangement, vlabel: list, elabel: list) -> StratifiedSpace:
+    """The plane stratified by the cells of `arr`: vertex i stands for the
+    cell `vlabel[i]`, edge i for `elabel[i]` and each face for its own
+    cell.  A vertex labelled None lies inside the cell of its edges and
+    adds no cell and no pair.  Pairs keep the order of `incidences()`."""
     fcells = [_face_label(face) for face in arr.faces]
-    label = {"v": vcells, "e": ecells, "f": fcells}
-
-    incidence, wedge_pairs = [], []
+    label = {"v": vlabel, "e": elabel, "f": fcells}
+    incidence: dict = {}
+    wedge_pairs: dict = {}
     for (lk, li), (hk, hi) in arr.incidences():
-        (incidence if hk == "e" else wedge_pairs).append((label[lk][li], label[hk][hi]))
-    base = Poset(vcells + ecells, incidence) if vcells or ecells else Poset([], [])
-    poset = wedge_extend(base, fcells, wedge_pairs)
-
-    geometry = {}
-    for i, p in enumerate(arr.vertices):
-        geometry[vcells[i]] = p
-    for i, (u, v) in enumerate(arr.edges):
-        geometry[ecells[i]] = (arr.vertices[u], arr.vertices[v])
-    for face in arr.faces:
-        geometry[_face_label(face)] = face
-    cells = frozenset(vcells) | frozenset(ecells) | frozenset(fcells)
-    closure = frozenset(incidence) | frozenset(wedge_pairs)
-    space = StratifiedSpace(poset=poset, cells=cells, closure=closure,
-                            assignment={c: c for c in cells})
-    return CodomainStratification(k=2, space=space, geometry=geometry,
-                                  refined=refined)
+        if (low := label[lk][li]) is not None:
+            (incidence if hk == "e" else wedge_pairs)[(low, label[hk][hi])] = None
+    lower = [c for c in vlabel if c is not None] + list(dict.fromkeys(elabel))
+    poset = wedge_extend(Poset(lower, incidence), fcells, wedge_pairs)
+    cells = frozenset(lower) | frozenset(fcells)
+    return StratifiedSpace(poset=poset, cells=cells,
+                           closure=frozenset(incidence) | frozenset(wedge_pairs),
+                           assignment={c: c for c in cells})
 
 
 # ---------------------------------------------------------------------------
@@ -714,10 +724,9 @@ def stratify_singular_locus(locus: SingularLocus,
     marks = {zid[p]: frozenset(special[p]) for p in zero_points}
 
     # chains: connected runs of arrangement edges avoiding the special points
-    pairs = arr.incidences()
     incident: dict[int, list[int]] = {}
-    for (_, u), (hk, i) in pairs:
-        if hk == "e":
+    for i, e in enumerate(arr.edges):
+        for u in e:
             incident.setdefault(u, []).append(i)
     joins = []
     for u, eis in incident.items():
@@ -735,29 +744,12 @@ def stratify_singular_locus(locus: SingularLocus,
             chain_of_edge[i] = cell
 
     # a vertex stands for its zero-cell, if marked, and an edge for its chain
-    fcells = [_face_label(face) for face in arr.faces]
-    label = {"v": [zid.get(p) for p in arr.vertices], "e": chain_of_edge,
-             "f": fcells}
-    incidence, wedge_pairs = set(), set()
-    for (lk, li), (hk, hi) in pairs:
-        if (low := label[lk][li]) is not None:
-            (incidence if hk == "e" else wedge_pairs).add((low, label[hk][hi]))
-
-    base = Poset(list(zid.values()) + chain_cells, sorted(incidence))
-    poset = wedge_extend(base, fcells, sorted(wedge_pairs))
-
-    geometry: dict = {}
-    for p, z in zid.items():
-        geometry[z] = p
+    space = _plane_space(arr, [zid.get(p) for p in arr.vertices], chain_of_edge)
+    geometry: dict = {z: p for p, z in zid.items()}
     for n, eis in enumerate(chain_lists):
         geometry[f"c{n}"] = tuple((arr.vertices[arr.edges[i][0]],
                                    arr.vertices[arr.edges[i][1]]) for i in eis)
-    for face in arr.faces:
-        geometry[_face_label(face)] = face
-    cells = frozenset(zid.values()) | frozenset(chain_cells) | frozenset(fcells)
-    closure = frozenset(incidence) | frozenset(wedge_pairs)
-    space = StratifiedSpace(poset=poset, cells=cells, closure=closure,
-                            assignment={c: c for c in cells})
+    geometry.update((_face_label(face), face) for face in arr.faces)
     return LocusStratification(space=space, geometry=geometry, marks=marks,
                                arrangement=arr)
 

@@ -36,8 +36,15 @@ def _emit(text: str, out: str | None):
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        _write(out, text)
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _load(args):
@@ -158,11 +165,13 @@ def _stage(name, fn):
 
 def cmd_pipeline(args) -> int:
     obj = _load(args)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
 
     def write(name, text):
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(os.path.join(args.out, name), text)
 
     if isinstance(obj, SingularLocus):
         ls = _stage("locus", lambda: stratify_singular_locus(obj))

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from importlib import resources
 
-from .arrangement import (CodomainStratification, Face, LocusStratification,
+from .arrangement import (CodomainStratification, LocusStratification,
                           SingularLocus, stratum_dimension)
 from .complexes import SimplicialComplex, Simplex
 from .errors import InputError
@@ -220,69 +220,57 @@ def stratified_space_to_dict(space: StratifiedSpace) -> dict:
     from .posets import _encode_label
     cells = sorted(space.cells, key=canon_key)
     return {"poset": poset_to_json_dict(space.poset),
-            "cells": [_encode_label(_cell(c)) for c in cells],
-            "assignment": [[_encode_label(_cell(c)),
-                            _encode_label(space.assignment[c])] for c in cells],
-            "closure": [[_encode_label(_cell(a)), _encode_label(_cell(b))]
+            "cells": [_encode_label(c) for c in cells],
+            "assignment": [[_encode_label(c), _encode_label(space.assignment[c])]
+                           for c in cells],
+            "closure": [[_encode_label(a), _encode_label(b)]
                         for a, b in sorted(space.closure,
                                            key=lambda p: (canon_key(p[0]),
                                                           canon_key(p[1])))]}
 
 
-def _cell(c):
-    return tuple(c) if isinstance(c, Simplex) else c
+def _encode_cell(label: str, g):
+    """The geometry of a codomain or contour stratum, by its label's
+    prefix: a value, an interval, a point, a segment, a chain of segments
+    or a face."""
+    kind = label[0]
+    if kind == "p":
+        return format_frac(g)
+    if kind == "i":
+        return [None if x is None else format_frac(x) for x in g]
+    if kind in "vz":
+        return _encode_point(g)
+    if kind == "e":
+        return [_encode_point(p) for p in g]
+    if kind == "c":
+        return [[_encode_point(a), _encode_point(b)] for a, b in g]
+    return {"bounded": g.bounded,
+            "cycles": [[u for u, _ in walk] for walk in g.cycles]}
 
 
-def _encode_face(face: Face) -> dict:
-    return {"bounded": face.bounded,
-            "cycles": [[u for u, _ in walk] for walk in face.cycles]}
-
-
-def codomain_to_dict(cs: CodomainStratification) -> dict:
-    out = {"k": cs.k, "stratification": stratified_space_to_dict(cs.space)}
-    geom = {}
-    for label in sorted(cs.space.cells):
-        g = cs.geometry[label]
-        if cs.k == 1:
-            if label.startswith("p"):
-                geom[label] = format_frac(g)
-            else:
-                lo, hi = g
-                geom[label] = [None if lo is None else format_frac(lo),
-                               None if hi is None else format_frac(hi)]
-        else:
-            if label.startswith("v"):
-                geom[label] = _encode_point(g)
-            elif label.startswith("e"):
-                geom[label] = [_encode_point(g[0]), _encode_point(g[1])]
-            else:
-                geom[label] = _encode_face(g)
-    out["geometry"] = geom
-    if cs.k == 2:
-        arr = cs.refined.arrangement
+def _plane_dict(space: StratifiedSpace, geometry: dict, arr) -> dict:
+    """A stratification with the geometry of each stratum and, when it
+    comes from a planar arrangement `arr`, the arrangement's Euler count."""
+    out = {"stratification": stratified_space_to_dict(space),
+           "geometry": {label: _encode_cell(label, geometry[label])
+                        for label in sorted(space.cells)}}
+    if arr is not None:
         out["euler"] = {"vertices": len(arr.vertices), "edges": len(arr.edges),
                         "faces": len(arr.faces),
                         "components": arr.component_count()}
+    return out
+
+
+def codomain_to_dict(cs: CodomainStratification) -> dict:
+    out = _plane_dict(cs.space, cs.geometry, cs.refined.arrangement)
+    out["k"] = cs.k
     out["multiplicities"] = list(cs.refined.multiplicities)
     return out
 
 
 def locus_stratification_to_dict(ls: LocusStratification) -> dict:
-    out = {"stratification": stratified_space_to_dict(ls.space),
-           "marks": {z: sorted(ls.marks[z]) for z in sorted(ls.marks)}}
-    geom = {}
-    for label in sorted(ls.space.cells):
-        g = ls.geometry[label]
-        if label.startswith("z"):
-            geom[label] = _encode_point(g)
-        elif label.startswith("c"):
-            geom[label] = [[_encode_point(a), _encode_point(b)] for a, b in g]
-        else:
-            geom[label] = _encode_face(g)
-    out["geometry"] = geom
-    arr = ls.arrangement
-    out["euler"] = {"vertices": len(arr.vertices), "edges": len(arr.edges),
-                    "faces": len(arr.faces), "components": arr.component_count()}
+    out = _plane_dict(ls.space, ls.geometry, ls.arrangement)
+    out["marks"] = {z: sorted(ls.marks[z]) for z in sorted(ls.marks)}
     return out
 
 
@@ -338,7 +326,7 @@ def stein_to_dict(report: SteinReport) -> dict:
             "projection_surjective": report.projection_surjective,
             "commutes": report.commutes,
             "notes": list(report.notes),
-            "cell_map": [[_encode_label(tuple(s)), _encode_label(e)]
+            "cell_map": [[_encode_label(s), _encode_label(e)]
                          for s, e in cm]}
 
 

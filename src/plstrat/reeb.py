@@ -32,8 +32,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import (CodomainStratification, build_codomain_stratification,
-                          edge_image_arrangement)
+from .arrangement import (CodomainStratification, _show,
+                          build_codomain_stratification, edge_image_arrangement)
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      StructuralError)
 from .geometry import (canon_key, frac, on_segment, point_in_convex_hull_2d,
@@ -452,7 +452,9 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
         if len(hits) != 1:
             raise DegeneracyError(
                 f"fiber components over stratum {label} do not match those "
-                f"over its sample point one to one")
+                f"over its sample point {_show(reps[label])} one to one: "
+                f"one class of them joins {len(hits)} of the "
+                f"{len(comps[label])} components there")
         element.update((node, (label, hits[0])) for node in cls)
 
     elements = [(s, i) for s in sorted(comps) for i in range(len(comps[s]))]

@@ -1,32 +1,37 @@
-"""Shared random generators and the independent homology, sweep, scaffold
-and multiplicity oracles.
+"""Shared random generators and the independent homology, sweep, scaffold,
+multiplicity, arrangement and point-location oracles.
 
 Everything here is deliberately low-tech: the homology oracle uses dense
 0/1 row matrices and textbook elimination so that it shares no code path
 with the package's bit-packed reduction; the sweep oracle rescans and
 re-sorts the whole complex at every level instead of reading a level
-index; the scaffold oracle attaches strata by walking sample points toward
-each other instead of gluing the cells of an arrangement; the multiplicity
-oracle scans every locus edge at every image point instead of reading the
-arrangement's crossings; and the generators rejection-sample until the
-exact-arithmetic validators accept the instance.
+index, and decides a planar fiber by Carathéodory on vertex images
+instead of the package's hull predicate; the scaffold oracle attaches
+strata by walking sample points toward each other instead of gluing the
+cells of an arrangement; the multiplicity oracle scans every locus edge at
+every image point instead of reading the arrangement's crossings; the
+arrangement and point-location oracles work on `Fraction` points with the
+`geometry` predicates instead of the integer kernel; and the generators
+rejection-sample until the exact-arithmetic validators accept the
+instance.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
+from itertools import combinations
 
 from plstrat import (CodomainStratification, DegeneracyError,
                      GenericityError, InternalError, JacobiSet,
                      PlanarArrangement, PLMap, Poset, ReebGraph, Simplex,
                      SimplicialComplex, check_generic, jacobi_set)
-from plstrat.arrangement import Face, _ray_parity
+from plstrat.arrangement import Face
 from plstrat.geometry import (canon_key, cross2, dot, frac, on_segment,
                               proper_crossing, segments_share_line_overlap,
                               vadd, vscale, vsub)
 from plstrat.io import example_map
-from plstrat.reeb import _contains_point, _stratum_samples
+from plstrat.reeb import _stratum_samples
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +120,25 @@ def _naive_support(f: PLMap, y) -> list:
                 if min(f.value(v)[0] for v in s) <= t
                 <= max(f.value(v)[0] for v in s)]
     y = tuple(frac(c) for c in y)
-    return [s for s in f.domain.simplices if _contains_point(f, s, y)]
+    return [s for s in f.domain.simplices
+            if _in_hull(y, [f.value(v) for v in s])]
+
+
+def _in_hull(y, pts) -> bool:
+    """Whether the plane point y lies in the convex hull of `pts`, by
+    Carathéodory: y is one of the points, inside a segment between two of
+    them, or inside a triangle of three, each read off `cross2` signs."""
+    if y in pts:
+        return True
+    for a, b in combinations(pts, 2):
+        if cross2(vsub(b, a), vsub(y, a)) == 0 and dot(vsub(a, y), vsub(b, y)) < 0:
+            return True
+    # a collinear triple never has three sides of one sign
+    for a, b, c in combinations(pts, 3):
+        sides = [cross2(vsub(q, p), vsub(y, p)) for p, q in ((a, b), (b, c), (c, a))]
+        if all(x > 0 for x in sides) or all(x < 0 for x in sides):
+            return True
+    return False
 
 
 def naive_fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
@@ -289,6 +312,47 @@ def naive_multiplicities(f: PLMap, j: JacobiSet, points) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # arrangement oracle
+
+def _ray_parity(p, verts, walk) -> bool:
+    """Even-odd test: whether a rightward ray from p crosses the closed walk
+    of directed edges (u, v) over `verts` an odd number of times."""
+    cnt = 0
+    for u, v in walk:
+        a, b = verts[u], verts[v]
+        if (a[1] > p[1]) != (b[1] > p[1]):
+            x = a[0] + (p[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
+            if x > p[0]:
+                cnt ^= 1
+    return cnt == 1
+
+
+def naive_locate(arr: PlanarArrangement, p) -> tuple:
+    """`PlanarArrangement.locate` on `Fraction` points: the vertex index,
+    then `on_segment` over every edge whose bounding box holds p, then the
+    ray-parity test on the outer cycles of the bounded faces, smallest
+    area first, so the first hit is the innermost face."""
+    p = tuple(frac(c) for c in p)
+    if p in arr.vertex_id:
+        return ("v", arr.vertex_id[p])
+    x, y = p
+    for i, (u, v) in enumerate(arr.edges):
+        a, b = arr.vertices[u], arr.vertices[v]
+        if (min(a[0], b[0]) <= x <= max(a[0], b[0])
+                and min(a[1], b[1]) <= y <= max(a[1], b[1])
+                and on_segment(p, a, b, closed=False)):
+            return ("e", i)
+    for face in _by_area(arr):
+        if _ray_parity(p, arr.vertices, face.cycles[0]):
+            return ("f", face.index)
+    return ("f", arr.faces[-1].index)
+
+
+@lru_cache(maxsize=1)
+def _by_area(arr: PlanarArrangement) -> list:
+    """The bounded faces of `arr`, smallest area first."""
+    return sorted((f for f in arr.faces if f.bounded),
+                  key=lambda f: (f.area2, f.index))
+
 
 def _param(x, a, b) -> Fraction:
     d = vsub(b, a)

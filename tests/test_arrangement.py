@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (naive_arrangement, naive_multiplicities,
+from helpers import (naive_arrangement, naive_locate, naive_multiplicities,
                      random_planar_map, random_segments, segments_as_map,
                      torus_projection)
 from plstrat import (GenericityError, InputError, JacobiSet, PLMap,
@@ -18,6 +18,7 @@ from plstrat import (GenericityError, InputError, JacobiSet, PLMap,
                      stratification_from_refined, stratify_singular_locus,
                      stratum_dimension, validate_poset)
 from plstrat.cli import main
+from plstrat.geometry import vadd, vsub
 from plstrat.io import example_locus, example_map, locus_to_dict, map_from_dict
 
 F = Fraction
@@ -76,6 +77,12 @@ class TestPlanarArrangement:
         kind, idx = arr.locate((F(100), F(100)))
         assert kind == "f" and not arr.faces[idx].bounded
 
+    @pytest.mark.parametrize("p", [(1,), (1, 0, 5)])
+    def test_locate_needs_a_pair(self, p):
+        arr = PlanarArrangement([seg(0, 0, 2, 0), seg(1, -1, 1, 1)])
+        with pytest.raises(StructuralError, match="pair"):
+            arr.locate(p)
+
     def test_face_interior_samples_stay_inside(self):
         square = [seg(0, 0, 2, 1), seg(2, 1, 1, 3), seg(1, 3, -1, 2),
                   seg(-1, 2, 0, 0)]
@@ -127,10 +134,11 @@ def _grid_segments(rng, n):
     return segs
 
 
-def assert_matches_oracle(segs) -> bool:
+def assert_matches_oracle(segs, most=32) -> bool:
     """The integer kernel and the `Fraction` oracle build the same
-    arrangement, or both reject the segments with the same error class.
-    True when the segments were accepted."""
+    arrangement and locate the same cells at the `_locate_probes(arr,
+    most)`, or both reject the segments with the same error class.  True
+    when the segments were accepted."""
     try:
         arr = PlanarArrangement(segs)
     except Exception as exc:
@@ -149,7 +157,30 @@ def assert_matches_oracle(segs) -> bool:
     assert all(type(c) is Fraction for p in arr.vertices for c in p)
     assert all(type(c) is Fraction for p in arr.crossing_points for c in p)
     assert all(type(face.area2) is Fraction for face in arr.faces)
+    for p in _locate_probes(arr, most):
+        assert arr.locate(p) == naive_locate(ref, p), p
     return True
+
+
+def _locate_probes(arr, most):
+    """Every vertex; the midpoints of edges and the points 2**-40 normals
+    off them on either side; three interior samples of faces; a far point.
+    Edges and faces are taken at an even stride, at most `most` of each, so
+    that the `Fraction` oracle stays quick on large arrangements."""
+    probes = list(arr.vertices)
+    for u, v in _spread(arr.edges, most):
+        a, b = arr.vertices[u], arr.vertices[v]
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        off = ((a[1] - b[1]) / 2 ** 40, (b[0] - a[0]) / 2 ** 40)
+        probes += [mid, vadd(mid, off), vsub(mid, off)]
+    for face in _spread(arr.faces, most):
+        probes += arr.face_interior_samples(face.index, 3)
+    x0, y0, x1, y1 = arr.bounding_box()
+    return probes + [(x1 + 1, y0 - 1)]
+
+
+def _spread(items, most):
+    return items[::max(1, -(-len(items) // most))]
 
 
 class TestIntegerKernel:
@@ -183,6 +214,15 @@ class TestIntegerKernel:
                 holes += sum(len(f.cycles) - 1 for f in arr.faces if f.bounded)
         assert holes
 
+    def test_nested_rings_match_the_oracle(self):
+        # the random holes above are mostly trees, whose walks no ray
+        # crosses an odd number of times; a ring inside a ring has faces
+        # inside each hole, with larger indices than the face around it
+        rings = [e for s in (9, 3, 1)
+                 for e in (seg(-s, -s, s, -s), seg(s, -s, 0, s), seg(0, s, -s, -s))]
+        assert assert_matches_oracle(rings)
+        assert [len(f.cycles) for f in PlanarArrangement(rings).faces] == [2, 2, 1, 1]
+
     def test_random_planar_maps_match_the_oracle(self, rng):
         accepted = 0
         for _ in range(30):
@@ -199,7 +239,8 @@ class TestIntegerKernel:
         maps = _benchmark_torus_maps()
         assert len(maps) == 12
         for f in maps:
-            assert assert_matches_oracle(_edge_segments(f, jacobi_set(f).complex))
+            assert assert_matches_oracle(_edge_segments(f, jacobi_set(f).complex),
+                                         most=8)
 
     def test_mixed_large_and_negative_denominators(self, rng):
         # a shear and translation with denominators beyond 2**64, some of

@@ -345,3 +345,18 @@ class TestFiltrationExport:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("z") and lines[-1].split()[1] == "2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--example", "torus_grid", "--out", "FILE"],
+    ["reeb", "--example", "torus_grid", "--out", "missing/x.json"],
+    ["stratify-codomain", "--example", "solid_tetrahedron",
+     "--svg", "missing/x.svg"],
+], ids=["bundle-onto-a-file", "out-in-a-missing-directory",
+        "svg-in-a-missing-directory"])
+def test_unusable_output_path_is_exit_1(tmp_path, capsys, argv):
+    (tmp_path / "FILE").write_text("")
+    path = str(tmp_path / argv[-1])
+    assert main(argv[:-1] + [path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: "), err

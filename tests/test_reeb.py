@@ -1,5 +1,6 @@
 """Fibers, Reeb graphs, the component scaffold and the Stein-square check."""
 import dataclasses
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -11,11 +12,11 @@ from helpers import (naive_fiber_components, naive_reeb_graph,
 from plstrat import (DegeneracyError, GenericityError, InternalError,
                      JacobiSet, PLMap, SimplicialComplex,
                      StructuralError, build_codomain_stratification,
-                     check_stein_square, fiber_components, interval_fiber_audit,
+                     check_generic, check_stein_square, fiber_components, interval_fiber_audit,
                      jacobi_set, reeb_graph, reeb_scaffold,
                      stratum_fiber_audit, validate_poset)
 from plstrat import reeb
-from plstrat.io import example_map
+from plstrat.io import example_map, map_from_dict
 
 F = Fraction
 
@@ -355,6 +356,23 @@ class TestFineCellScaffold:
             [(ends[0],), (ends[-1],)]), "H", 1)
         with pytest.raises(DegeneracyError):
             reeb_scaffold(torus, build_codomain_stratification(torus, locus))
+
+    @pytest.mark.parametrize("notion", ["H", "D"])
+    def test_degeneracy_names_the_sample_point(self, notion):
+        # a generic disk whose boundary winds twice around the image of c:
+        # the two fiber components near c trade places around it
+        f = map_from_dict({
+            "k": 2, "facets": [["c", f"a{i}", f"a{(i + 1) % 6}"] for i in range(6)],
+            "values": {"c": ["0", "0"], "a0": ["4", "0"], "a1": ["-2", "3"],
+                       "a2": ["-2", "-4"], "a3": ["2", "3"], "a4": ["-5", "0"],
+                       "a5": ["1", "-5"]}})
+        assert check_generic(f).passed
+        cs = build_codomain_stratification(f, jacobi_set(f, notion))
+        with pytest.raises(DegeneracyError, match=re.escape(
+                "over stratum f2 do not match those over its sample point "
+                "(-3/28, -17/28) one to one: one class of them joins 2 of "
+                "the 2 components there")):
+            reeb_scaffold(f, cs)
 
     def test_vertex_on_no_edge_is_not_generic(self):
         # the fiber over the lone vertex's image has one more component
