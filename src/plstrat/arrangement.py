@@ -327,9 +327,8 @@ class PlanarArrangement:
         the cap are reported as a degeneracy.  The unbounded face walks away
         from the bounding box.
         """
-        face = self.faces[index]
-        x0, y0, x1, y1 = self.bounding_box()
-        if not face.bounded:
+        if not self.faces[index].bounded:
+            _, _, x1, y1 = self.bounding_box()
             return [(x1 + 1 + i, y1 + 1 + i) for i in range(n)]
         vs, es = self.face_boundary(index)
         out: list[Point] = []

@@ -221,12 +221,13 @@ def proper_crossing(a, b, c, d) -> Point | None:
 
 
 def convex_hull_2d(points: Sequence[Sequence]) -> list[Point]:
-    """Andrew's monotone chain; returns hull vertices in ccw order.
+    """Andrew's monotone chain; returns hull vertices in ccw order, in the
+    number type they are given (`reeb.HullIndex` passes ints).
 
     Collinear interior points are dropped.  A degenerate input (all collinear)
     yields the two extreme points, a single repeated point yields one.
     """
-    pts = sorted({(Fraction(p[0]), Fraction(p[1])) for p in points})
+    pts = sorted({(p[0], p[1]) for p in points})
     if len(pts) <= 2:
         return pts
     def half(seq):

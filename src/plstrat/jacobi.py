@@ -68,6 +68,13 @@ class PLMap:
         from .reeb import SweepIndex
         return SweepIndex(self)
 
+    @cached_property
+    def hulls(self):
+        """The integer images of a planar map's simplices, held by the map
+        and read by every two-parameter fiber query (`reeb.HullIndex`)."""
+        from .reeb import HullIndex
+        return HullIndex(self)
+
     def value(self, v):
         try:
             return self.values[v]

@@ -24,20 +24,25 @@ two the cells of the arrangement of the images of all domain edges
 contains the support over every cell next to it, so components are linked
 across neighbouring cells by inclusion, with no sampling between them.
 Two parameters need the edge images in general position: transverse
-crossings only, no three through one point, no overlaps.
+crossings only, no three through one point, no overlaps.  A fiber over a
+point of the plane is read off the map's `HullIndex`, built once: each
+simplex image on integers, as a bounding box and the half-planes of its
+hull, so a query is one integer scan over the simplices, whatever the
+position of the images.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .arrangement import (CodomainStratification, _show,
                           build_codomain_stratification, edge_image_arrangement)
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      StructuralError)
-from .geometry import (canon_key, frac, on_segment, point_in_convex_hull_2d,
-                       vadd, vscale, vsub)
+from .geometry import (canon_key, convex_hull_2d, format_frac, frac, vadd,
+                       vscale, vsub)
 from .jacobi import JacobiSet, PLMap, jacobi_set
 from .posets import (MonotoneMap, Poset, StratifiedSpace, check_stratified_map,
                      connected_classes)
@@ -48,15 +53,6 @@ from .posets import (MonotoneMap, Poset, StratifiedSpace, check_stratified_map,
 
 def _scalar(f: PLMap, v) -> Fraction:
     return f.value(v)[0]
-
-
-def _contains_point(f: PLMap, s, y) -> bool:
-    pts = [f.value(v) for v in s]
-    if len(pts) == 1:
-        return pts[0] == y
-    if len(pts) == 2:
-        return on_segment(y, pts[0], pts[1])
-    return point_in_convex_hull_2d(y, pts)
 
 
 def _point(f: PLMap, y) -> tuple:
@@ -139,6 +135,50 @@ class SweepIndex:
             self.table[level] = _components(sorted(active), ranked, faces)
 
 
+class HullIndex:
+    """The images of a planar map's simplices on integers, built once per
+    map and read by every two-parameter fiber query.
+
+    Every vertex image is scaled by the common denominator of all the
+    coordinates; a positive scale keeps every sign and order.  Each simplex,
+    in `index.ranked` order, keeps the integer bounding box of its image
+    and the half-planes whose intersection with the box is the image: none
+    when the image is a point, which is its box; a line and its opposite
+    when it is a segment, since a point of the line inside the box lies on
+    the closed segment; and the inner side of each edge of a ccw polygon.
+    Each half-plane is a form (A, B, C), and a homogeneous point (X, Y, W)
+    with W > 0 lies in it when A X + B Y + C W >= 0."""
+
+    def __init__(self, f: PLMap):
+        if f.k != 2:
+            raise StructuralError("a hull index requires two parameters")
+        self.scale = scale = lcm(*(c.denominator for p in f.values.values()
+                                   for c in p))
+        image = {v: tuple(c.numerator * (scale // c.denominator) for c in p)
+                 for v, p in f.values.items()}
+        self.images = []
+        for s in f.domain.index.ranked:
+            hull = convex_hull_2d([image[v] for v in s])
+            xs, ys = [p[0] for p in hull], [p[1] for p in hull]
+            # the form of each directed edge, ab and ba for a segment
+            edges = zip(hull, hull[1:] + hull[:1]) if len(hull) > 1 else ()
+            forms = tuple((ay - by, bx - ax, ax * by - ay * bx)
+                          for (ax, ay), (bx, by) in edges)
+            self.images.append((min(xs), min(ys), max(xs), max(ys), forms))
+
+    def support(self, y) -> list[int]:
+        """The ranks, in increasing order, of the simplices whose image
+        holds the point y, a pair of `Fraction`s."""
+        w = lcm(y[0].denominator, y[1].denominator)
+        x, yy = (c.numerator * (w // c.denominator) * self.scale for c in y)
+        # the box test on ints: x0 <= x / w <= x1 exactly when
+        # x0 <= floor(x / w) and ceil(x / w) <= x1, the bounds being ints
+        fx, cx, fy, cy = x // w, -(-x // w), yy // w, -(-yy // w)
+        return [r for r, (x0, y0, x1, y1, forms) in enumerate(self.images)
+                if x0 <= fx and cx <= x1 and y0 <= fy and cy <= y1
+                and all(a * x + b * yy + c * w >= 0 for a, b, c in forms)]
+
+
 def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
     """Connected components of the fiber over y, each given as the set of
     closed simplices meeting it.
@@ -147,17 +187,15 @@ def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
     support under face incidence are exactly the fiber components.  For
     one parameter y is a value or a 1-tuple, located among the sweep
     levels by bisection, and the level's components come from the map's
-    `SweepIndex`; for two it is a pair, and the support is collected by a
-    scan of the complex.  A point of another length is a `StructuralError`.
+    `SweepIndex`; for two it is a pair, and the support is read off the
+    map's `HullIndex`.  A point of another length is a `StructuralError`.
     """
     y = _point(f, y)
     if f.k == 1:
         level = f.sweep.level(y[0])
         return () if level is None else f.sweep.components(level)
-    ranked = f.domain.index.ranked
-    return _components([r for r, s in enumerate(ranked)
-                        if _contains_point(f, s, y)],
-                       ranked, f.domain.face_ranks)
+    return _components(f.hulls.support(y), f.domain.index.ranked,
+                       f.domain.face_ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +266,14 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
                 nbrs.setdefault((li, ci), []).append((gap, cj))
                 nbrs.setdefault((gap, cj), []).append((li, ci))
 
+    def component(key) -> str:
+        li, ci = key
+        least = min(layer[li][ci], key=f.domain.index.rank.__getitem__)
+        lo, hi = (format_frac(sweep.values[i]) for i in (li // 2, (li + 1) // 2))
+        return ("regular fiber component through {" + ", ".join(map(str, least))
+                + "} " + (f"at value {lo}" if li % 2 == 0
+                          else f"between values {lo} and {hi}"))
+
     regular = [(li, ci) for li, comps in enumerate(layer)
                for ci in range(len(comps)) if (li, ci) not in critical]
     for key in regular:
@@ -235,9 +281,9 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         if not degree:
             # an isolated regular component can only be a whole component of
             # the space with no critical vertex, which cannot happen
-            raise InternalError(f"regular component {key} has no neighbours")
+            raise InternalError(f"{component(key)} has no neighbours")
         if degree != 2:
-            raise InternalError(f"regular component {key} has degree {degree}")
+            raise InternalError(f"{component(key)} has degree {degree}")
 
     # every arc has a gap component, which is regular, at one end, so each
     # monotone chain of regular components is one edge between the two

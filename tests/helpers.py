@@ -27,9 +27,9 @@ from plstrat import (CodomainStratification, DegeneracyError,
                      PlanarArrangement, PLMap, Poset, ReebGraph, Simplex,
                      SimplicialComplex, check_generic, jacobi_set)
 from plstrat.arrangement import Face
-from plstrat.geometry import (canon_key, cross2, dot, frac, on_segment,
-                              proper_crossing, segments_share_line_overlap,
-                              vadd, vscale, vsub)
+from plstrat.geometry import (canon_key, cross2, dot, format_frac, frac,
+                              on_segment, proper_crossing,
+                              segments_share_line_overlap, vadd, vscale, vsub)
 from plstrat.io import example_map
 from plstrat.reeb import _stratum_samples
 
@@ -188,8 +188,14 @@ def naive_reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     for key in sorted(k for k, node in is_node.items() if not node):
         incident = sorted(adj[key])
         if len(incident) != 2:
+            li, ci = key
+            least = min(layer[li][ci], key=canon_key)
+            where = (f"at value {format_frac(levels[li])}" if li % 2 == 0 else
+                     f"between values {format_frac(levels[li - 1])} "
+                     f"and {format_frac(levels[li + 1])}")
             raise InternalError(
-                f"regular component {key} has degree {len(incident)}")
+                "regular fiber component through {" + ", ".join(map(str, least))
+                + f"}} {where} has degree {len(incident)}")
         e1, e2 = incident
         a = edges[e1][0] if edges[e1][1] == key else edges[e1][1]
         b = edges[e2][0] if edges[e2][1] == key else edges[e2][1]

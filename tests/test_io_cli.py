@@ -186,6 +186,20 @@ def test_tie_names_the_value_and_direction(tmp_path, capsys, notion):
             in err), err
 
 
+@pytest.mark.parametrize("example, component, key", [
+    ("torus_grid", "{v00, v01, v11} at value 1001/500", "(6, 0)"),
+    ("saddle_patch", "{a, b} at value 0", "(4, 0)"),
+    ("double_cone", "{e0, e1} at value 0", "(2, 0)")])
+def test_reeb_internal_error_names_value_and_simplex(capsys, example,
+                                                     component, key):
+    # the D locus misses a vertex where the fiber changes, which the
+    # Reeb graph reports as an internal invariant failure
+    assert main(["reeb", "--example", example, "--notion", "D"]) == 3
+    err = capsys.readouterr().err
+    assert f"regular fiber component through {component} has degree" in err, err
+    assert key not in err
+
+
 @pytest.mark.parametrize("command", ["reeb", "pipeline"])
 @pytest.mark.parametrize("example", ["torus_grid", "solid_tetrahedron"])
 @pytest.mark.parametrize("samples", ["0", "-1"])

@@ -302,6 +302,87 @@ class TestPlanarFiberOracle:
                 assert fiber_components(f, y) == naive_fiber_components(f, y), y
 
 
+def _hull_maps(rng) -> list[PLMap]:
+    """Planar maps on the solid tetrahedron's complex and on random
+    complexes of dimension up to 3, whose vertex images are drawn from six
+    points with mixed denominators, five of them on one line, so images
+    coincide and line up."""
+    maps = []
+    for i in range(40):
+        dom = (example_map("solid_tetrahedron").domain if i % 5 == 0
+               else random_complex(rng))
+        pool = [(F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5))),
+                 F(rng.randint(-6, 6), rng.choice((1, 4, 7))))
+                for _ in range(3)]
+        a, b = pool[0], pool[1]
+        pool += [tuple(p + F(t, 2) * (q - p) for p, q in zip(a, b))
+                 for t in (-1, 1, 3)]
+        maps.append(PLMap(dom, 2, {v: rng.choice(pool) for v in dom.vertices}))
+    return maps
+
+
+def _hull_probes(f: PLMap) -> list[tuple]:
+    """Every vertex image; each edge image's midpoint, the points 2^-40
+    normals off it on both sides, and a point on its line beyond each end;
+    and a far point."""
+    points = sorted({f.value(v) for v in f.domain.vertices})
+    eps = F(1, 2 ** 40)
+    for u, v in f.domain.simplices_of_dim(1):
+        a, b = f.value(u), f.value(v)
+        if a == b:
+            continue
+        d = (b[0] - a[0], b[1] - a[1])
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        points += [mid,
+                   (mid[0] - eps * d[1], mid[1] + eps * d[0]),
+                   (mid[0] + eps * d[1], mid[1] - eps * d[0]),
+                   (b[0] + d[0] / 3, b[1] + d[1] / 3),
+                   (a[0] - d[0] / 3, a[1] - d[1] / 3)]
+    return points + [(F(10 ** 6), F(-10 ** 6))]
+
+
+class TestHullIndex:
+    """Two-parameter fibers read off the map's integer hulls against the
+    Carathéodory rescan of `helpers.naive_fiber_components`."""
+
+    def test_fibers_agree_on_degenerate_images(self, rng):
+        point_edges = flat_triangles = mixed = 0
+        for f in _hull_maps(rng):
+            for s in f.domain.simplices:
+                pts = [f.value(v) for v in s]
+                point_edges += len(s) == 2 and pts[0] == pts[1]
+                flat_triangles += (len(s) == 3 and len(set(pts)) == 3
+                                   and (pts[1][0] - pts[0][0]) * (pts[2][1] - pts[0][1])
+                                   == (pts[1][1] - pts[0][1]) * (pts[2][0] - pts[0][0]))
+            mixed += len({c.denominator for p in f.values.values() for c in p}) > 2
+            for y in _hull_probes(f):
+                assert fiber_components(f, y) == naive_fiber_components(f, y), y
+        assert point_edges and flat_triangles and mixed
+
+    def test_built_once_per_map(self, monkeypatch):
+        built = []
+
+        class Counted(reeb.HullIndex):
+            def __init__(self, f):
+                built.append(f)
+                super().__init__(f)
+        monkeypatch.setattr(reeb, "HullIndex", Counted)
+        f = example_map("solid_tetrahedron")
+        sc = reeb_scaffold(f)
+        assert check_stein_square(f, sc).passed
+        assert stratum_fiber_audit(f, sc)[0]
+        assert built == [f] and isinstance(f.hulls, Counted)
+
+    def test_only_planar_maps(self, torus):
+        with pytest.raises(StructuralError, match="two parameters"):
+            reeb.HullIndex(torus)
+
+    def test_one_support_path(self):
+        assert not hasattr(reeb, "point_in_convex_hull_2d")
+        assert not hasattr(reeb, "on_segment")
+        assert not hasattr(reeb, "_contains_point")
+
+
 class TestFineCellScaffold:
     """The scaffold glued from fine cells against the sampling walk, the
     Reeb graph and the Euler relation."""
