@@ -799,17 +799,20 @@ def render_svg(strat) -> str:
     color = {c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(labels)}
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_f(x0)} {_f(-y1)} {_f(w)} {_f(h)}">']
     lines.append(f'  <rect x="{_f(x0)}" y="{_f(-y1)}" width="{_f(w)}" height="{_f(h)}" fill="{color.get("f_out", "#ffffff")}" fill-opacity="0.15"/>')
+    # each vertex's coordinates are formatted once, indexed like arr.vertices
+    xs = [_f(p[0]) for p in arr.vertices]
+    ys = [_f(-p[1]) for p in arr.vertices]
     for face in arr.faces:
         if not face.bounded:
             continue
-        walk = face.cycles[0]
-        pts = " ".join(f"{_f(arr.vertices[u][0])},{_f(-arr.vertices[u][1])}" for u, _ in walk)
+        pts = " ".join(f"{xs[u]},{ys[u]}" for u, _ in face.cycles[0])
         lines.append(f'  <polygon points="{pts}" fill="{color.get(f"f{face.index}", "#dddddd")}" fill-opacity="0.35" stroke="none"/>')
-    for i, (u, v) in enumerate(arr.edges):
-        a, b = arr.vertices[u], arr.vertices[v]
-        lines.append(f'  <line x1="{_f(a[0])}" y1="{_f(-a[1])}" x2="{_f(b[0])}" y2="{_f(-b[1])}" stroke="#333333" stroke-width="{_f(pad / 8)}"/>')
-    for i, p in enumerate(arr.vertices):
-        lines.append(f'  <circle cx="{_f(p[0])}" cy="{_f(-p[1])}" r="{_f(pad / 4)}" fill="#111111"/>')
+    stroke = _f(pad / 8)
+    for u, v in arr.edges:
+        lines.append(f'  <line x1="{xs[u]}" y1="{ys[u]}" x2="{xs[v]}" y2="{ys[v]}" stroke="#333333" stroke-width="{stroke}"/>')
+    radius = _f(pad / 4)
+    for x, y in zip(xs, ys):
+        lines.append(f'  <circle cx="{x}" cy="{y}" r="{radius}" fill="#111111"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

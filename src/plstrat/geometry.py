@@ -39,7 +39,6 @@ def frac(x) -> Fraction:
 
 
 def format_frac(x: Fraction) -> str:
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -257,6 +256,8 @@ def point_in_convex_hull_2d(y: Sequence, points: Sequence[Sequence]) -> bool:
 def canon_key(label):
     """A total order on heterogeneous labels, used wherever determinism
     requires sorting mixed vertex/cell/tuple labels."""
+    if type(label) is str:      # most labels; tested before the ABC checks
+        return (1, label)
     if isinstance(label, bool):
         return (0, Fraction(int(label)))
     if isinstance(label, (int, Fraction)):

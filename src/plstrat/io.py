@@ -3,13 +3,19 @@
 All coordinates travel as exact rational strings ("3", "-1/2"); floats in
 input are rejected rather than rounded.  Serialization is canonical: keys
 sorted, fixed separators, one trailing newline, so equal objects produce
-byte-identical files.
+byte-identical files.  `canonical_dumps` writes that text itself, in one
+pass, the same bytes as `json.dumps(obj, sort_keys=True, indent=2,
+separators=(",", ": "))` would.  The encoders hand it labels as they are
+(tuples and `Simplex` become arrays), sort labels by `canon_key` once and
+pairs of labels by those ranks.  It takes str keys and str, int, bool and None scalars only, and
+raises `TypeError` on anything else, such as a float, an int key or a set.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 
 from .arrangement import (CodomainStratification, LocusStratification,
                           SingularLocus, stratum_dimension)
@@ -17,7 +23,7 @@ from .complexes import SimplicialComplex, Simplex
 from .errors import InputError
 from .geometry import canon_key, format_frac, frac
 from .jacobi import GenericityReport, JacobiSet, PLMap
-from .posets import StratifiedSpace, poset_to_json_dict
+from .posets import StratifiedSpace, poset_to_json_dict, sorted_pairs
 from .reeb import ReebGraph, ReebScaffold, SteinReport
 
 
@@ -39,8 +45,8 @@ def _encode_point(p) -> list:
 def map_from_dict(data: dict) -> PLMap:
     """Build a map from {"k": ..., "facets": [[labels]], "values": {...}}.
 
-    Vertex labels are strings.  For k = 1 every value is one rational, for
-    higher k a list of k rationals.
+    Vertex labels are strings without a comma.  For k = 1 every value is
+    one rational, for higher k a list of k rationals.
     """
     if not isinstance(data, dict):
         raise InputError("expected a JSON object")
@@ -56,6 +62,9 @@ def map_from_dict(data: dict) -> PLMap:
         raise InputError("facets must be a list of label lists")
     if not all(isinstance(v, str) for s in facets for v in s):
         raise InputError("vertex labels must be strings")
+    if any("," in v for s in facets for v in s):
+        # validate.json keys each link verdict by the comma-joined labels
+        raise InputError("vertex labels must not contain ','")
     if not isinstance(values, dict):
         raise InputError("values must map vertex labels to rationals")
     domain = SimplicialComplex.from_facets(facets)
@@ -148,13 +157,9 @@ def _load_json(path):
 # ---------------------------------------------------------------------------
 # result encoders
 
-def _encode_simplex(s: Simplex) -> list:
-    return list(s)
-
-
 def jacobi_to_dict(j: JacobiSet) -> dict:
     return {"notion": j.notion, "k": j.k,
-            "simplices": [_encode_simplex(s) for s in j.complex.sorted_simplices()]}
+            "simplices": j.complex.sorted_simplices()}
 
 
 def jacobi_report_dict(f: PLMap, j: JacobiSet) -> dict:
@@ -175,7 +180,7 @@ def jacobi_report_dict(f: PLMap, j: JacobiSet) -> dict:
             l_crit = s in locus if j.notion == "L" else is_l_critical_surface(f, s)
         h_crit = s in locus if j.notion == "H" else is_h_critical(f, s)
         d_crit = s in locus if j.notion == "D" else is_d_critical(f, s)
-        verdicts.append({"simplex": _encode_simplex(s),
+        verdicts.append({"simplex": s,
                          "h_critical": h_crit,
                          "d_critical": d_crit,
                          "l_critical": l_crit})
@@ -217,16 +222,12 @@ def fiber_audit_to_dict(audit) -> dict:
 
 
 def stratified_space_to_dict(space: StratifiedSpace) -> dict:
-    from .posets import _encode_label
     cells = sorted(space.cells, key=canon_key)
+    assignment = space.assignment
     return {"poset": poset_to_json_dict(space.poset),
-            "cells": [_encode_label(c) for c in cells],
-            "assignment": [[_encode_label(c), _encode_label(space.assignment[c])]
-                           for c in cells],
-            "closure": [[_encode_label(a), _encode_label(b)]
-                        for a, b in sorted(space.closure,
-                                           key=lambda p: (canon_key(p[0]),
-                                                          canon_key(p[1])))]}
+            "cells": cells,
+            "assignment": [(c, assignment[c]) for c in cells],
+            "closure": sorted_pairs(space.closure, cells)}
 
 
 def _encode_cell(label: str, g):
@@ -318,22 +319,95 @@ def scaffold_to_dict(sc: ReebScaffold) -> dict:
 
 
 def stein_to_dict(report: SteinReport) -> dict:
-    from .posets import _encode_label
-    cm = sorted(report.cell_map.items(), key=lambda kv: canon_key(kv[0]))
     return {"passed": report.passed,
             "continuous": report.continuous,
             "projection_monotone": report.projection_monotone,
             "projection_surjective": report.projection_surjective,
             "commutes": report.commutes,
             "notes": list(report.notes),
-            "cell_map": [[_encode_label(s), _encode_label(e)]
-                         for s, e in cm]}
+            "cell_map": sorted(report.cell_map.items(),
+                               key=lambda kv: canon_key(kv[0]))}
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2,
-                      separators=(",", ": "), ensure_ascii=True) + "\n"
+    """Deterministic JSON text: keys sorted, two-space indent, `", "` and
+    `": "` separators, ASCII escapes, one trailing newline.
+
+    Dicts with str keys, lists, tuples (so `Simplex` too), str, int, bool
+    and None are written; anything else, a float or a non-str key among
+    them, raises `TypeError`."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    return "".join(out) + "\n"
+
+
+_STR = frozenset((str,))
+_INT = frozenset((int,))
+_ARRAYS = frozenset((list, tuple, Simplex))
+
+
+def _write(o, out: list, nl: str):
+    """Append the text of `o` to `out`; `nl` is a newline and the indent
+    of the line `o` starts on."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        kinds = set(map(type, o))
+        if kinds == _STR:
+            out.append("[" + inner + sep.join(map(_quote, o)) + nl + "]")
+            return
+        if kinds == _INT:
+            out.append("[" + inner + sep.join(map(int.__repr__, o)) + nl + "]")
+            return
+        if kinds <= _ARRAYS:
+            # a list of lists of strings, one join per level
+            inner2 = inner + "  "
+            sep2 = "," + inner2
+            close = inner + "]"
+            try:
+                out.append("[" + inner + sep.join(
+                    ["[" + inner2 + sep2.join(map(_quote, x)) + close if x else "[]"
+                     for x in o]) + nl + "]")
+                return
+            except TypeError:
+                pass
+        lead = "[" + inner
+        for x in o:
+            out.append(lead)
+            _write(x, out, inner)
+            lead = sep
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        try:
+            keys = sorted(o)
+            quoted = [_quote(k) for k in keys]
+        except TypeError:
+            raise TypeError("canonical JSON keys must be strings") from None
+        inner = nl + "  "
+        lead = "{" + inner
+        for k, q in zip(keys, quoted):
+            out.append(lead + q + ": ")
+            _write(o[k], out, inner)
+            lead = "," + inner
+        out.append(nl + "}")
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    else:
+        raise TypeError(f"canonical JSON cannot hold a {type(o).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -407,11 +407,6 @@ def is_refinement(fine: StratifiedSpace, coarse: StratifiedSpace) -> bool:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _encode_label(x):
-    if isinstance(x, tuple):
-        return [_encode_label(v) for v in x]
-    return x
-
 def _decode_label(x):
     if isinstance(x, list):
         return tuple(_decode_label(v) for v in x)
@@ -419,10 +414,18 @@ def _decode_label(x):
 
 
 def poset_to_json_dict(p: Poset) -> dict:
+    """Elements and cover pairs in `canon_key` order, labels as they are;
+    `io.canonical_dumps` writes tuple labels as arrays."""
     els = p.sorted_elements()
-    covers = sorted(p.covers, key=lambda ab: (canon_key(ab[0]), canon_key(ab[1])))
-    return {"elements": [_encode_label(e) for e in els],
-            "covers": [[_encode_label(a), _encode_label(b)] for a, b in covers]}
+    return {"elements": els, "covers": sorted_pairs(p.covers, els)}
+
+
+def sorted_pairs(pairs: Iterable[tuple], ordered: list) -> list:
+    """`pairs` in the lexicographic order of their ends' positions in
+    `ordered`, which lists every end once."""
+    rank = {e: i for i, e in enumerate(ordered)}
+    n = len(ordered)
+    return sorted(pairs, key=lambda ab: rank[ab[0]] * n + rank[ab[1]])
 
 
 def poset_from_json_dict(data: dict) -> Poset:

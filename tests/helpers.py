@@ -11,12 +11,14 @@ strata by walking sample points toward each other instead of gluing the
 cells of an arrangement; the multiplicity oracle scans every locus edge at
 every image point instead of reading the arrangement's crossings; the
 arrangement and point-location oracles work on `Fraction` points with the
-`geometry` predicates instead of the integer kernel; and the generators
+`geometry` predicates instead of the integer kernel; the JSON oracle is
+the json module's own indenting encoder; and the generators
 rejection-sample until the exact-arithmetic validators accept the
 instance.
 """
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -32,6 +34,16 @@ from plstrat.geometry import (canon_key, cross2, dot, format_frac, frac,
                               segments_share_line_overlap, vadd, vscale, vsub)
 from plstrat.io import example_map
 from plstrat.reeb import _stratum_samples
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON oracle
+
+def naive_dumps(obj) -> str:
+    """The canonical text by `json.dumps`, whose indenting encoder is the
+    json module's pure-Python one."""
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      separators=(",", ": "), ensure_ascii=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from plstrat import InputError, build_codomain_stratification, jacobi_set
+from helpers import naive_dumps
+from plstrat import (InputError, Simplex, build_codomain_stratification,
+                     jacobi_set)
 from plstrat.cli import main
 from plstrat.io import (canonical_dumps, codomain_to_dict, example_input,
                         example_locus, example_map, example_names,
@@ -60,6 +62,95 @@ class TestRoundTrips:
             text = canonical_dumps(doc)
             assert text.endswith("\n")
             assert canonical_dumps(json.loads(text)) == text
+
+
+# quotes, backslashes, control, non-ASCII and astral characters, a lone
+# surrogate and a comma: each escape the ASCII encoder knows
+_CHARS = ["a", "Z", "0", " ", ",", '"', "\\", "/", "\n", "\t", "\x00", "\x1f",
+          "\x7f", "\u00e9", "\u2603", "\U0001F600", "\ud800"]
+
+
+def _random_text(rng) -> str:
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(5)))
+
+
+def _random_scalar(rng):
+    return rng.choice([lambda: _random_text(rng),
+                       lambda: rng.randint(-2 ** 100, 2 ** 100),
+                       lambda: rng.randint(-2, 2),
+                       lambda: rng.choice([True, False]),
+                       lambda: None])()
+
+
+def _random_array(rng, n):
+    items = {_random_text(rng) for _ in range(n + 1)}
+    return rng.choice([list, tuple, Simplex])(items)
+
+
+def _random_document(rng, depth: int = 0):
+    """Nested dicts, lists, tuples and `Simplex`, empty ones among them,
+    with runs of strings, of ints and of string arrays (the shapes the
+    writer joins at once), some with one odd item to break the run."""
+    if depth == 4:
+        return _random_scalar(rng)
+    n = rng.randrange(5)
+    kind = rng.randrange(8)
+    if kind == 0:
+        return {_random_text(rng): _random_document(rng, depth + 1)
+                for _ in range(n)}
+    if kind in (1, 2):
+        items = [_random_document(rng, depth + 1) for _ in range(n)]
+        return items if kind == 1 else tuple(items)
+    if kind == 3:
+        items = [_random_text(rng) for _ in range(n)]
+    elif kind == 4:
+        items = [rng.randint(-2 ** 70, 2 ** 70) for _ in range(n)]
+    elif kind == 5:
+        items = [rng.choice([[], ()]) if rng.random() < 0.2 else _random_array(rng, 2)
+                 for _ in range(n)]
+    elif kind == 6:
+        return _random_array(rng, n)
+    else:
+        return _random_scalar(rng)
+    if items and rng.random() < 0.3:
+        items[rng.randrange(len(items))] = _random_scalar(rng)
+    return items
+
+
+class TestCanonicalDumps:
+    def test_random_documents_match_json_dumps(self, rng):
+        for _ in range(2000):
+            doc = _random_document(rng)
+            assert canonical_dumps(doc) == naive_dumps(doc), doc
+
+    @pytest.mark.parametrize("example", example_names())
+    def test_cli_documents_match_json_dumps(self, monkeypatch, tmp_path,
+                                            example):
+        import plstrat.io
+        docs = []
+
+        def recorded(obj):
+            docs.append(obj)
+            return naive_dumps(obj)
+        monkeypatch.setattr(plstrat.io, "canonical_dumps", recorded)
+        main(["example", example])
+        for notion in ("H", "D", "L"):
+            main(["pipeline", "--example", example, "--notion", notion,
+                  "--out", str(tmp_path / notion), "--filtration"])
+            main(["reeb", "--example", example, "--notion", notion,
+                  "--out", str(tmp_path / f"reeb_{notion}.json")])
+        assert len(docs) >= 4     # the input and a bundle per notion at least
+        for doc in docs:
+            assert canonical_dumps(doc) == naive_dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        0.5, [1, 2.0], {"a": [float("nan")]}, {1: "a"}, {"a": {2: "b"}},
+        {"a": 1, 2: "b"}, {"a"}, [frozenset()], F(1, 2)],
+        ids=["float", "float-item", "nan", "int-key", "nested-int-key",
+             "mixed-keys", "set", "frozenset-item", "fraction"])
+    def test_refuses_what_it_cannot_write_exactly(self, doc):
+        with pytest.raises(TypeError):
+            canonical_dumps(doc)
 
 
 class TestExamples:
@@ -169,6 +260,19 @@ def test_malformed_input_is_exit_1(tmp_path, capsys, command, example, where,
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline",
+                                     "export-filtration"])
+def test_comma_in_a_vertex_label_is_exit_1(tmp_path, capsys, command):
+    # "a,b" and the edge (a, b) would share one key of validate.json's links
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps({"k": 1, "facets": [["a", "b", "a,b"]],
+                                "values": {"a": "0", "b": "1", "a,b": "3"}}))
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: vertex labels must not "
+                                       "contain ','\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("notion", ["H", "L"])
