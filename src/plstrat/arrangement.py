@@ -491,8 +491,9 @@ def refine_image(f, j) -> RefinedImage:
         p = f.value(s[0])
         if p in images:
             raise GenericityError(
-                f"locus vertices {images[p]!r} and {s!r} share an image point")
-        images[p] = s
+                f"locus vertices {images[p]!r} and {s[0]!r} share the image "
+                f"point {_show(p)}")
+        images[p] = s[0]
     arr = edge_image_arrangement(f, jc)
     mult = tuple(2 if p in arr.crossing_points else 1 for p in arr.vertices)
     return RefinedImage(k=2, points=tuple(arr.vertices), multiplicities=mult,

@@ -1,10 +1,12 @@
 """Finite abstract simplicial complexes and their combinatorial operations.
 
 Simplices are sorted tuples of vertex labels; a complex is a face-closed
-finite set of simplices.  Everything is immutable, so the operations below
-return fresh objects, and each complex indexes itself once, on first use:
-the cofaces of every vertex and the `canon_key` order of its simplices.
-Star and link then walk the cofaces of one vertex instead of the complex.
+finite set of simplices.  Everything is immutable, so each complex indexes
+itself once, on first use: the cofaces of every vertex and the `canon_key`
+order of its simplices.  Star and link then walk the cofaces of one vertex
+instead of the complex, and the complex keeps each link it is asked for,
+so callers share one link per simplex; the other operations return fresh
+objects.
 """
 from __future__ import annotations
 
@@ -70,7 +72,7 @@ class SimplicialComplex:
     """A face-closed set of simplices.  May be empty."""
 
     def __init__(self, simplices: Iterable, *, check: bool = True):
-        simp = frozenset(Simplex(s) for s in simplices)
+        simp = frozenset(map(Simplex, simplices))
         if check:
             for s in simp:
                 for f in s.boundary():
@@ -78,6 +80,8 @@ class SimplicialComplex:
                         raise StructuralError(
                             f"not face-closed: {f!r} missing under {s!r}")
         self.simplices = simp
+        # simplex -> its link, kept by `link`; made on the first call
+        self._links: dict | None = None
 
     @classmethod
     def from_facets(cls, facets: Iterable) -> "SimplicialComplex":
@@ -90,11 +94,11 @@ class SimplicialComplex:
     @property
     def dimension(self) -> int:
         """Max simplex dimension; -1 for the empty complex."""
-        return max((s.dim for s in self.simplices), default=-1)
+        return max(map(len, self.simplices), default=0) - 1
 
     @property
     def vertices(self) -> frozenset:
-        return frozenset(v for s in self.simplices for v in s)
+        return frozenset().union(*self.simplices)
 
     @cached_property
     def index(self) -> ComplexIndex:
@@ -129,11 +133,16 @@ class SimplicialComplex:
         return [t for t in self.index.vertex_cofaces.get(sigma[0], ())
                 if vs.issubset(t)]
 
+    @cached_property
+    def _facets(self) -> tuple:
+        # a simplex with a coface is a face of one a dimension up
+        covered = {f for s in self.simplices for f in s.boundary()}
+        return tuple(s for s in self.index.ranked if s not in covered)
+
     def facets(self) -> list[Simplex]:
-        """Maximal simplices, in deterministic order: those with no
-        coface one dimension up."""
-        return [s for s in self.index.ranked
-                if not any(len(t) > len(s) for t in self.cofaces(s))]
+        """Maximal simplices, in `canon_key` order: those that are no
+        codimension-one face of another."""
+        return list(self._facets)
 
     def simplices_of_dim(self, d: int) -> list[Simplex]:
         return [s for s in self.index.order if len(s) == d + 1]
@@ -144,8 +153,8 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         if not self.simplices:
             return True
-        d = self.dimension
-        return all(f.dim == d for f in self.facets())
+        n = self.dimension + 1
+        return all(len(f) == n for f in self._facets)
 
     def __contains__(self, s) -> bool:
         try:
@@ -191,13 +200,27 @@ def open_star(k: SimplicialComplex, sigma) -> frozenset:
 
 
 def link(k: SimplicialComplex, sigma) -> SimplicialComplex:
-    """All simplices tau disjoint from sigma with tau + sigma in the complex."""
+    """All simplices tau disjoint from sigma with tau + sigma in the complex.
+
+    The link is built on the first call for sigma and kept by the complex,
+    so the criticality tests and the manifold check share one link per
+    simplex."""
     sigma = Simplex(sigma)
+    if k._links is None:
+        k._links = {}
+    lk = k._links.get(sigma)
+    if lk is None:
+        lk = k._links[sigma] = _build_link(k, sigma)
+    return lk
+
+
+def _build_link(k: SimplicialComplex, sigma: Simplex) -> SimplicialComplex:
+    """The link of sigma, from the cofaces of its first vertex."""
     k._require(sigma)
     ss = set(sigma)
     return SimplicialComplex(
-        (tuple.__new__(Simplex, (v for v in t if v not in ss))
-         for t in k.cofaces(sigma) if len(t) > len(sigma)), check=False)
+        [tuple.__new__(Simplex, [v for v in t if v not in ss])
+         for t in k.cofaces(sigma) if len(t) > len(sigma)], check=False)
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
@@ -288,6 +311,14 @@ def sphere_verdict(k: SimplicialComplex) -> str:
     The empty complex counts as the (-1)-sphere, matching its role as the
     link of a facet in a closed pseudomanifold.
     """
+    return _sphere_verdict(k, lambda v: _is_single_cycle(link(k, (v,))))
+
+
+def _sphere_verdict(k: SimplicialComplex, cycle_link) -> str:
+    """`sphere_verdict`, told by `cycle_link(v)` whether the link of vertex
+    v is a single cycle; it is asked only in a pure 2-complex with two
+    triangles at every edge, where each vertex link is a nonempty graph
+    without isolated vertices, so a single cycle iff a 1-sphere."""
     d = k.dimension
     if d == -1:
         return "sphere"
@@ -306,9 +337,8 @@ def sphere_verdict(k: SimplicialComplex) -> str:
             return "not-sphere"
         if not _is_connected(k):
             return "not-sphere"
-        for v in k.vertices:
-            if not _is_single_cycle(link(k, (v,))):
-                return "not-sphere"
+        if not all(cycle_link(v) for v in k.vertices):
+            return "not-sphere"
         return "sphere" if euler_characteristic(k) == 2 else "not-sphere"
     return "undecided"
 
@@ -318,6 +348,10 @@ def manifold_check(k: SimplicialComplex) -> ManifoldReport:
 
     Weak means: pure, every ridge in exactly two facets, all links connected.
     A non-pure complex is reported (never raised) with the failure noted.
+    Each link is built once: the links the complex already keeps (those of
+    the (k-1)-simplices of a map, which the criticality tests read) are
+    reused, the others are built here and not kept, and the verdict on the
+    complex reads its vertex-link verdicts.
     """
     k._require_nonempty()
     notes: list[str] = []
@@ -335,10 +369,15 @@ def manifold_check(k: SimplicialComplex) -> ManifoldReport:
 
     link_checks: dict = {}
     links_connected = True
+    kept = k._links or {}
     for s in k.sorted_simplices():
-        lk = link(k, s)
-        link_checks[s] = sphere_verdict(lk)
-        if s.dim < n and lk.dimension >= 1 and not _is_connected(lk):
+        lk = kept.get(s)
+        if lk is None:
+            lk = _build_link(k, s)
+        verdict = link_checks[s] = sphere_verdict(lk)
+        # spheres of dimension one and up are connected
+        if (s.dim < n and lk.dimension >= 1 and verdict != "sphere"
+                and not _is_connected(lk)):
             links_connected = False
     if not links_connected:
         notes.append("some link is disconnected")
@@ -346,7 +385,8 @@ def manifold_check(k: SimplicialComplex) -> ManifoldReport:
     return ManifoldReport(
         is_pure=pure,
         is_weak_pseudomanifold=pure and closed and links_connected,
-        complex_verdict=sphere_verdict(k),
+        complex_verdict=_sphere_verdict(
+            k, lambda v: link_checks[(v,)] == "sphere"),
         link_checks=link_checks,
         notes=tuple(notes),
     )

@@ -127,10 +127,13 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 def affinely_independent(points: Sequence[Sequence]) -> bool:
     """True iff the points span an affine subspace of dimension len(points)-1.
-    Three points of the plane are independent iff they are not collinear,
-    which one orientation test decides without elimination."""
+    Two points are independent iff they differ, and three points of the
+    plane iff they are not collinear, which one orientation test decides;
+    neither needs elimination."""
     if len(points) <= 1:
         return True
+    if len(points) == 2:
+        return points[0] != points[1]
     if len(points) == 3 and len(points[0]) == 2:
         return orient(*points) != 0
     diffs = [vsub(p, points[0]) for p in points[1:]]

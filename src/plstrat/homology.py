@@ -53,23 +53,19 @@ def boundary_columns(k: SimplicialComplex) -> dict[int, list[int]]:
     """Bitmask columns of every boundary map of the augmented complex.
 
     Key d maps d-simplices to (d-1)-simplices; d = 0 maps vertices onto the
-    empty simplex (a single all-ones row).
+    empty simplex (a single all-ones row).  Each dimension's simplices are
+    taken in one pass, in no particular order: ranks do not depend on it.
     """
-    by_dim = {d: k.simplices_of_dim(d) for d in range(k.dimension + 1)}
-    index = {d: {s: i for i, s in enumerate(ss)} for d, ss in by_dim.items()}
+    by_dim: list[list] = [[] for _ in range(k.dimension + 1)]
+    for s in k.simplices:
+        by_dim[len(s) - 1].append(s)
     cols: dict[int, list[int]] = {}
-    for d, ss in by_dim.items():
+    for d, ss in enumerate(by_dim):
         if d == 0:
-            cols[0] = [1 for _ in ss]
+            cols[0] = [1] * len(ss)
             continue
-        lower = index[d - 1]
-        out = []
-        for s in ss:
-            mask = 0
-            for f in s.boundary():
-                mask |= 1 << lower[f]
-            out.append(mask)
-        cols[d] = out
+        lower = {s: 1 << i for i, s in enumerate(by_dim[d - 1])}
+        cols[d] = [sum(lower[f] for f in s.boundary()) for s in ss]
     return cols
 
 
@@ -77,8 +73,9 @@ def reduced_betti(k: SimplicialComplex) -> BettiVector:
     """Reduced Z/2 Betti numbers in degrees -1 .. dim."""
     dim = k.dimension
     cols = boundary_columns(k)
-    counts = {d: len(k.simplices_of_dim(d)) for d in range(dim + 1)}
-    counts[-1] = 1  # the empty simplex
+    # one column per simplex, and the empty simplex in degree -1
+    counts = {d: len(cs) for d, cs in cols.items()}
+    counts[-1] = 1
     ranks = {d: _rank_mod2(cs) for d, cs in cols.items()}
 
     betti = []

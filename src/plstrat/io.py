@@ -230,21 +230,21 @@ def stratified_space_to_dict(space: StratifiedSpace) -> dict:
             "closure": sorted_pairs(space.closure, cells)}
 
 
-def _encode_cell(label: str, g):
+def _encode_cell(label: str, g, point=_encode_point):
     """The geometry of a codomain or contour stratum, by its label's
     prefix: a value, an interval, a point, a segment, a chain of segments
-    or a face."""
+    or a face.  `point` encodes one point."""
     kind = label[0]
     if kind == "p":
         return format_frac(g)
     if kind == "i":
         return [None if x is None else format_frac(x) for x in g]
     if kind in "vz":
-        return _encode_point(g)
+        return point(g)
     if kind == "e":
-        return [_encode_point(p) for p in g]
+        return [point(p) for p in g]
     if kind == "c":
-        return [[_encode_point(a), _encode_point(b)] for a, b in g]
+        return [[point(a), point(b)] for a, b in g]
     return {"bounded": g.bounded,
             "cycles": [[u for u, _ in walk] for walk in g.cycles]}
 
@@ -252,8 +252,17 @@ def _encode_cell(label: str, g):
 def _plane_dict(space: StratifiedSpace, geometry: dict, arr) -> dict:
     """A stratification with the geometry of each stratum and, when it
     comes from a planar arrangement `arr`, the arrangement's Euler count."""
+    point = _encode_point
+    if arr is not None:
+        # the strata hold the `arr.vertices` points themselves, so each
+        # vertex is encoded once and found again by identity
+        encoded = {id(p): _encode_point(p) for p in arr.vertices}
+
+        def point(p):
+            e = encoded.get(id(p))
+            return _encode_point(p) if e is None else e
     out = {"stratification": stratified_space_to_dict(space),
-           "geometry": {label: _encode_cell(label, geometry[label])
+           "geometry": {label: _encode_cell(label, geometry[label], point)
                         for label in sorted(space.cells)}}
     if arr is not None:
         out["euler"] = {"vertices": len(arr.vertices), "edges": len(arr.edges),

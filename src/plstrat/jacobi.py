@@ -15,15 +15,27 @@ interpolation over each simplex.  Three notions of criticality for a
         implemented for interior vertices of surfaces under scalar maps,
         everything else reports None ("undecided").
 
+Every local test reads one table per map, `PLMap.local` (`local_table`):
+for each (k-1)-simplex its link, built once through `complexes.link`, the
+normal of its image and one split of the link vertices into upper, lower
+and tied.  Heights are compared on `PLMap.integer_image`, the vertex values
+times the common denominator of all coordinates, a positive scale that
+keeps every sign and order, so no comparison builds a `Fraction`.
+`check_generic` reads its G3 violations off the ties, H and L read the
+upper and lower links, D reads which sides are nonempty, and
+`directional_links` splits along any direction the same way.
+
 Ties are never perturbed; any comparison that would need a tiebreak raises
-a genericity error with a witness.
+a genericity error with a witness.  The table records ties without raising,
+so a notion that can decide with them (D counts them on neither side) does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from math import lcm
+from typing import Mapping, NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _edges, _is_connected,
                         _is_single_cycle, link)
@@ -60,6 +72,23 @@ class PLMap:
         if extra:
             raise StructuralError(f"values given for unknown vertices {sorted(extra, key=canon_key)!r}")
         object.__setattr__(self, "values", coerced)
+
+    @cached_property
+    def integer_image(self) -> tuple:
+        """(scale, images): `scale` is the common denominator of all the
+        vertex coordinates and `images` maps each vertex to its value times
+        `scale`, a tuple of ints.  A positive scale keeps every sign and
+        order, so the exact predicates below run on these ints."""
+        scale = lcm(*(c.denominator for p in self.values.values() for c in p))
+        return scale, {v: tuple(c.numerator * (scale // c.denominator) for c in p)
+                       for v, p in self.values.items()}
+
+    @cached_property
+    def local(self) -> dict:
+        """The `LocalEntry` of every (k-1)-simplex, held by the map and
+        read by the genericity audit and every criticality test
+        (`local_table`)."""
+        return local_table(self)
 
     @cached_property
     def sweep(self):
@@ -105,32 +134,108 @@ class GenericityReport:
 
 
 def check_generic(f: PLMap) -> GenericityReport:
-    """Local general-position audit.
+    """Local general-position audit, on the integer images.
 
     G1: simplices of dimension <= k have affinely independent images.
     G2: for k = 1 all vertex values are pairwise distinct.
     G3: no link vertex of a (k-1)-simplex lands on the affine hull of its
-        image.
+        image: the ties of the map's local table.
     """
     bad: list[tuple] = []
     dom = f.domain
+    image = f.integer_image[1]
     for s in dom.sorted_simplices():
-        if s.dim <= f.k and not affinely_independent(f.image(s)):
+        if s.dim <= f.k and not affinely_independent([image[v] for v in s]):
             bad.append(("G1", s, "image not affinely independent"))
     if f.k == 1:
         seen: dict = {}
         for v in sorted(dom.vertices, key=canon_key):
-            val = f.value(v)
+            val = image[v]
             if val in seen:
                 bad.append(("G2", (seen[val], v), "duplicate vertex value"))
             else:
                 seen[val] = v
-    for s in dom.simplices_of_dim(f.k - 1):
-        base = f.image(s)
-        for v in sorted(link(dom, s).vertices, key=canon_key):
-            if not affinely_independent(base + (f.value(v),)):
-                bad.append(("G3", (s, v), "link vertex on affine hull of image"))
+    for s, e in f.local.items():
+        for v in e.ties:
+            bad.append(("G3", (s, v), "link vertex on affine hull of image"))
     return GenericityReport(passed=not bad, violations=tuple(bad))
+
+
+def _det(rows) -> int:
+    """Determinant of a small square integer matrix, by cofactors of its
+    first row; 1 for the empty matrix."""
+    if not rows:
+        return 1
+    rest = rows[1:]
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rest])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def _integer_normal(points) -> tuple:
+    """The normal n of the hyperplane through k integer points p0..p(k-1)
+    of Z^k for which <x - p0, n> = det(p1 - p0, ..., x - p0): (1,) for
+    k = 1, (-dy, dx) for an edge of the plane, and zero when the points
+    are affinely dependent."""
+    k = len(points[0])
+    rows = [tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]]
+    return tuple((-1) ** (k - 1 + j) * _det([r[:j] + r[j + 1:] for r in rows])
+                 for j in range(k))
+
+
+def _split(image: dict, sigma: Simplex, vertices, u: tuple):
+    """The link split: the vertices mapping strictly above and strictly
+    below the image of sigma's barycenter along the integer direction u,
+    and those level with it in `canon_key` order.  Heights are compared
+    times len(sigma), so the barycenter stays on the integers."""
+    n = len(sigma)
+    level = sum(dot(image[w], u) for w in sigma)
+    upper, lower, ties = set(), set(), []
+    for v in vertices:
+        h = n * dot(image[v], u)
+        if h > level:
+            upper.add(v)
+        elif h < level:
+            lower.add(v)
+        else:
+            ties.append(v)
+    return frozenset(upper), frozenset(lower), tuple(sorted(ties, key=canon_key))
+
+
+class LocalEntry(NamedTuple):
+    """What the local tests read about one (k-1)-simplex sigma."""
+    link: SimplicialComplex
+    normal: tuple     # `_integer_normal` of sigma's integer image
+    upper: frozenset  # link vertices strictly above the image along normal
+    lower: frozenset  # ... and strictly below it
+    ties: tuple       # link vertices on the affine hull of the image
+
+
+def _full_sides(lk: SimplicialComplex, upper: frozenset, lower: frozenset):
+    """The full subcomplexes of the link `lk` on `upper` and on `lower`."""
+    up, low = [], []
+    for s in lk.simplices:
+        if upper.issuperset(s):
+            up.append(s)
+        elif lower.issuperset(s):
+            low.append(s)
+    return SimplicialComplex(up, check=False), SimplicialComplex(low, check=False)
+
+
+def local_table(f: PLMap) -> dict:
+    """One pass over the (k-1)-simplices of a map: each one's link, built
+    once through `link`, the integer normal of its image and one split of
+    its link vertices into upper, lower and tied on the map's integer
+    image, as a `LocalEntry` per simplex.  A degenerate image has a zero
+    normal, so every link vertex ties.  Ties are recorded, not raised: the
+    tests that cannot decide with them raise, the D sign test counts them
+    on neither side."""
+    image = f.integer_image[1]
+    table = {}
+    for s in f.domain.simplices_of_dim(f.k - 1):
+        lk = link(f.domain, s)
+        n = _integer_normal([image[v] for v in s])
+        table[s] = LocalEntry(lk, n, *_split(image, s, lk.vertices, n))
+    return table
 
 
 def _format_vector(u) -> str:
@@ -138,29 +243,22 @@ def _format_vector(u) -> str:
     return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
 
 
-def _split_link(f: PLMap, sigma: Simplex, lk: SimplicialComplex, u: tuple):
-    """Upper and lower full subcomplexes of the link `lk` of sigma: the
-    link vertices v with <f(v) - f(sigma), u> above / below zero."""
+def _tie_error(f: PLMap, sigma: Simplex, ties: tuple, u: tuple) -> GenericityError:
+    """The error for link vertices level with sigma along the rational
+    direction u, naming the first of them, the value and u."""
     level = dot(f.barycenter_image(sigma), u)
-    upper, lower, ties = set(), set(), []
-    for v in lk.vertices:
-        h = dot(f.value(v), u)
-        if h > level:
-            upper.add(v)
-        elif h < level:
-            lower.add(v)
-        else:
-            ties.append(v)
-    if ties:
-        raise GenericityError(
-            f"vertex {min(ties, key=canon_key)!r} ties with {tuple(sigma)!r} "
-            f"at value {format_frac(level)} along direction {_format_vector(u)}")
-    return _full_subcomplex(lk, upper), _full_subcomplex(lk, lower)
+    return GenericityError(
+        f"vertex {ties[0]!r} ties with {tuple(sigma)!r} "
+        f"at value {format_frac(level)} along direction {_format_vector(u)}")
 
 
-def _full_subcomplex(k: SimplicialComplex, verts: set) -> SimplicialComplex:
-    return SimplicialComplex(
-        (s for s in k.simplices if set(s) <= verts), check=False)
+def _decided_sides(f: PLMap, sigma: Simplex, e: LocalEntry):
+    """The entry's link sides, or the tie error naming the normal of the
+    image in input units (the integer normal over scale^(k-1))."""
+    if e.ties:
+        den = f.integer_image[0] ** (f.k - 1)
+        raise _tie_error(f, sigma, e.ties, tuple(Fraction(c, den) for c in e.normal))
+    return _full_sides(e.link, e.upper, e.lower)
 
 
 def directional_links(f: PLMap, sigma, u) -> tuple[SimplicialComplex, SimplicialComplex]:
@@ -171,21 +269,29 @@ def directional_links(f: PLMap, sigma, u) -> tuple[SimplicialComplex, Simplicial
     u = tuple(frac(x) for x in u)
     if len(u) != f.k or all(x == 0 for x in u):
         raise StructuralError("direction must be a nonzero vector in R^k")
-    return _split_link(f, sigma, link(f.domain, sigma), u)
+    lk = link(f.domain, sigma)
+    # u times the common denominator of its coordinates, on the integers
+    den = lcm(*(x.denominator for x in u))
+    upper, lower, ties = _split(f.integer_image[1], sigma, lk.vertices,
+                                tuple(x.numerator * (den // x.denominator) for x in u))
+    if ties:
+        raise _tie_error(f, sigma, ties, u)
+    return _full_sides(lk, upper, lower)
 
 
-def _normal_direction(f: PLMap, sigma: Simplex) -> tuple:
-    """A direction normal to the image of a (k-1)-simplex.  Unit length is
-    irrelevant for sign tests, so no normalization over the rationals."""
-    if f.k == 1:
-        return (Fraction(1),)
-    if f.k == 2:
-        a, b = f.image(sigma)
-        d = vsub(b, a)
-        if d == (0, 0):
-            raise GenericityError(f"degenerate image of {tuple(sigma)!r}")
-        return (-d[1], d[0])
-    raise StructuralError(f"criticality tests support k <= 2, got k={f.k}")
+def _h_sides(f: PLMap, sigma) -> tuple[SimplicialComplex, SimplicialComplex]:
+    """The upper and lower links of a (k-1)-simplex along the normal of
+    its image."""
+    sigma = Simplex(sigma)
+    f.domain._require(sigma)
+    if sigma.dim != f.k - 1:
+        raise StructuralError(f"expected a {f.k - 1}-simplex, got dim {sigma.dim}")
+    if f.k > 2:
+        raise StructuralError(f"criticality tests support k <= 2, got k={f.k}")
+    e = f.local[sigma]
+    if not any(e.normal):
+        raise GenericityError(f"degenerate image of {tuple(sigma)!r}")
+    return _decided_sides(f, sigma, e)
 
 
 def is_h_critical(f: PLMap, sigma) -> bool:
@@ -197,21 +303,15 @@ def is_h_critical(f: PLMap, sigma) -> bool:
     across a boundary only one side may witness criticality (an empty upper
     link, with its nontrivial degree -1, flags extrema either way).
     """
-    sigma = Simplex(sigma)
-    f.domain._require(sigma)
-    if sigma.dim != f.k - 1:
-        raise StructuralError(f"expected a {f.k - 1}-simplex, got dim {sigma.dim}")
-    u = _normal_direction(f, sigma)
-    upper, lower = directional_links(f, sigma, u)
+    upper, lower = _h_sides(f, sigma)
     return is_h_nontrivial(upper) or is_h_nontrivial(lower)
 
 
 def h_side_verdicts(f: PLMap, sigma) -> tuple[bool, bool]:
-    """The two one-sided H verdicts (along +u and -u); equal on closed
-    manifolds, where either one decides criticality on its own."""
-    sigma = Simplex(sigma)
-    u = _normal_direction(f, sigma)
-    upper, lower = directional_links(f, sigma, u)
+    """The two one-sided H verdicts of a (k-1)-simplex (along +u and -u);
+    equal on closed manifolds, where either one decides criticality on
+    its own."""
+    upper, lower = _h_sides(f, sigma)
     return is_h_nontrivial(upper), is_h_nontrivial(lower)
 
 
@@ -223,29 +323,23 @@ def is_d_critical(f: PLMap, sigma) -> bool:
     For a (k-1)-simplex with a nondegenerate image and k <= 2, both signed
     image directions of sigma are generators, so a functional that
     separates the hull from R^k must vanish on them: it is +n or -n for the
-    normal n of `_normal_direction`.  The hull then misses part of R^k iff
-    no two link vertices lie strictly on opposite sides of the image along
-    n; a vertex on it counts on neither side, and an empty link is
-    critical.  Lower simplices, a degenerate image and k > 2 go through
-    the general cone test.
+    normal n of the image.  The hull then misses part of R^k iff no two
+    link vertices lie strictly on opposite sides of the image along n,
+    which the link split of the map's table says; a vertex on it counts
+    on neither side, and an empty link is critical.  Lower simplices, a
+    degenerate image and k > 2 go through the general cone test.
     """
     sigma = Simplex(sigma)
     f.domain._require(sigma)
     if sigma.dim > f.k - 1:
         raise StructuralError(
             f"differential test needs dim <= {f.k - 1}, got {sigma.dim}")
+    if sigma.dim == f.k - 1 and f.k <= 2:
+        e = f.local[sigma]
+        if any(e.normal):
+            return not (e.upper and e.lower)
     star_vertices = {v for t in f.domain.cofaces(sigma) for v in t}
     star_vertices.difference_update(sigma)
-    image = f.image(sigma)
-    if sigma.dim == f.k - 1 and f.k <= 2 and len(set(image)) == len(image):
-        n = _normal_direction(f, sigma)
-        level = dot(image[0], n)
-        above = below = False
-        for v in star_vertices:
-            h = dot(f.value(v), n)
-            above |= h > level
-            below |= h < level
-        return not (above and below)
     b = f.barycenter_image(sigma)
     gens = [vsub(f.value(v), b) for v in sorted(star_vertices, key=canon_key)]
     for w in sigma:
@@ -275,18 +369,21 @@ def is_l_critical_surface(f: PLMap, v) -> bool | None:
     map: the vertex is regular iff its upper and lower links are both single
     nonempty arcs of the link circle.
 
-    Returns None (undecided) when k > 1 or the vertex link is not a single
-    circle; the test is local, so vertices deep inside a patch of a larger
-    surface are decidable even if the complex has a boundary elsewhere.
+    Returns None (undecided) when k > 1, v is not a vertex or the vertex
+    link is not a single circle; the test is local, so vertices deep inside
+    a patch of a larger surface are decidable even if the complex has a
+    boundary elsewhere.
     """
     if f.k != 1:
         return None
     v = Simplex([v] if not isinstance(v, (tuple, list, Simplex)) else v)
     f.domain._require(v)
-    lk = link(f.domain, v)
-    if not _is_single_cycle(lk):
+    if v.dim != 0:
         return None
-    upper, lower = _split_link(f, v, lk, (Fraction(1),))
+    e = f.local[v]
+    if not _is_single_cycle(e.link):
+        return None
+    upper, lower = _decided_sides(f, v, e)
     return not (_single_arc(upper) and _single_arc(lower))
 
 

@@ -139,23 +139,21 @@ class HullIndex:
     """The images of a planar map's simplices on integers, built once per
     map and read by every two-parameter fiber query.
 
-    Every vertex image is scaled by the common denominator of all the
-    coordinates; a positive scale keeps every sign and order.  Each simplex,
-    in `index.ranked` order, keeps the integer bounding box of its image
-    and the half-planes whose intersection with the box is the image: none
-    when the image is a point, which is its box; a line and its opposite
-    when it is a segment, since a point of the line inside the box lies on
-    the closed segment; and the inner side of each edge of a ccw polygon.
+    Every vertex image is read from `PLMap.integer_image`, scaled by the
+    common denominator of all the coordinates; a positive scale keeps every
+    sign and order.  Each simplex, in `index.ranked` order, keeps the
+    integer bounding box of its image and the half-planes whose
+    intersection with the box is the image: none when the image is a
+    point, which is its box; a line and its opposite when it is a segment,
+    since a point of the line inside the box lies on the closed segment;
+    and the inner side of each edge of a ccw polygon.
     Each half-plane is a form (A, B, C), and a homogeneous point (X, Y, W)
     with W > 0 lies in it when A X + B Y + C W >= 0."""
 
     def __init__(self, f: PLMap):
         if f.k != 2:
             raise StructuralError("a hull index requires two parameters")
-        self.scale = scale = lcm(*(c.denominator for p in f.values.values()
-                                   for c in p))
-        image = {v: tuple(c.numerator * (scale // c.denominator) for c in p)
-                 for v, p in f.values.items()}
+        self.scale, image = f.integer_image
         self.images = []
         for s in f.domain.index.ranked:
             hull = convex_hull_2d([image[v] for v in s])

@@ -12,9 +12,12 @@ cells of an arrangement; the multiplicity oracle scans every locus edge at
 every image point instead of reading the arrangement's crossings; the
 arrangement and point-location oracles work on `Fraction` points with the
 `geometry` predicates instead of the integer kernel; the JSON oracle is
-the json module's own indenting encoder; and the generators
-rejection-sample until the exact-arithmetic validators accept the
-instance.
+the json module's own indenting encoder; the local-table oracle decides
+genericity, the H, D and L verdicts and the directional links of each
+simplex one at a time on `Fraction` values, with links found by scanning
+the complex and homology by the dense oracle, instead of reading the
+map's integer table; and the generators rejection-sample until the
+exact-arithmetic validators accept the instance.
 """
 from __future__ import annotations
 
@@ -27,10 +30,11 @@ from itertools import combinations
 from plstrat import (CodomainStratification, DegeneracyError,
                      GenericityError, InternalError, JacobiSet,
                      PlanarArrangement, PLMap, Poset, ReebGraph, Simplex,
-                     SimplicialComplex, check_generic, jacobi_set)
+                     SimplicialComplex, StructuralError, check_generic,
+                     jacobi_set)
 from plstrat.arrangement import Face
-from plstrat.geometry import (canon_key, cross2, dot, format_frac, frac,
-                              on_segment, proper_crossing,
+from plstrat.geometry import (canon_key, cone_is_full, cross2, dot, format_frac,
+                              frac, matrix_rank, on_segment, proper_crossing,
                               segments_share_line_overlap, vadd, vscale, vsub)
 from plstrat.io import example_map
 from plstrat.reeb import _stratum_samples
@@ -89,6 +93,160 @@ def naive_reduced_betti(k: SimplicialComplex) -> dict[int, int]:
         ranks[d] = _row_rank([list(r) for r in zip(*columns)]) if columns else 0
     return {d: len(by_dim.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0)
             for d in range(-1, top + 1)}
+
+
+# ---------------------------------------------------------------------------
+# Fraction per-simplex oracle of the local table
+
+def naive_link(k: SimplicialComplex, sigma) -> SimplicialComplex:
+    """The link of sigma, found by scanning every simplex of k."""
+    ss = set(sigma)
+    return SimplicialComplex(
+        [tuple(v for v in t if v not in ss) for t in k.simplices
+         if ss < set(t)], check=False)
+
+
+def naive_normal_direction(f: PLMap, sigma) -> tuple:
+    """A normal of the image of a (k-1)-simplex, on `Fraction`s."""
+    if f.k == 1:
+        return (Fraction(1),)
+    if f.k == 2:
+        a, b = f.image(sigma)
+        d = vsub(b, a)
+        if d == (0, 0):
+            raise GenericityError(f"degenerate image of {tuple(sigma)!r}")
+        return (-d[1], d[0])
+    raise StructuralError(f"criticality tests support k <= 2, got k={f.k}")
+
+
+def _naive_vector(u) -> str:
+    parts = [format_frac(x) for x in u]
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
+def _naive_split(f: PLMap, sigma, lk: SimplicialComplex, u):
+    """Upper and lower full subcomplexes of the link along u, comparing
+    `Fraction` heights with the image of sigma's barycenter."""
+    level = dot(f.barycenter_image(sigma), u)
+    upper, lower, ties = set(), set(), []
+    for v in lk.vertices:
+        h = dot(f.value(v), u)
+        if h > level:
+            upper.add(v)
+        elif h < level:
+            lower.add(v)
+        else:
+            ties.append(v)
+    if ties:
+        raise GenericityError(
+            f"vertex {min(ties, key=canon_key)!r} ties with {tuple(sigma)!r} "
+            f"at value {format_frac(level)} along direction {_naive_vector(u)}")
+    return tuple(SimplicialComplex([s for s in lk.simplices if set(s) <= side],
+                                   check=False) for side in (upper, lower))
+
+
+def naive_directional_links(f: PLMap, sigma, u):
+    sigma = Simplex(sigma)
+    u = tuple(frac(x) for x in u)
+    if len(u) != f.k or all(x == 0 for x in u):
+        raise StructuralError("direction must be a nonzero vector in R^k")
+    return _naive_split(f, sigma, naive_link(f.domain, sigma), u)
+
+
+def _nontrivial(k: SimplicialComplex) -> bool:
+    return any(naive_reduced_betti(k).values())
+
+
+def naive_h_side_verdicts(f: PLMap, sigma) -> tuple[bool, bool]:
+    upper, lower = naive_directional_links(f, sigma, naive_normal_direction(f, sigma))
+    return _nontrivial(upper), _nontrivial(lower)
+
+
+def naive_is_h_critical(f: PLMap, sigma) -> bool:
+    return any(naive_h_side_verdicts(f, sigma))
+
+
+def naive_is_d_critical(f: PLMap, sigma) -> bool:
+    """The sign test along the normal on `Fraction`s for a (k-1)-simplex
+    with distinct vertex images and k <= 2, `cone_is_full` otherwise."""
+    sigma = Simplex(sigma)
+    star = {v for t in f.domain.simplices if set(sigma) <= set(t) for v in t}
+    star -= set(sigma)
+    image = f.image(sigma)
+    if sigma.dim == f.k - 1 and f.k <= 2 and len(set(image)) == len(image):
+        n = naive_normal_direction(f, sigma)
+        level = dot(image[0], n)
+        heights = [dot(f.value(v), n) for v in star]
+        return not (any(h > level for h in heights) and any(h < level for h in heights))
+    b = f.barycenter_image(sigma)
+    gens = [vsub(f.value(v), b) for v in sorted(star, key=canon_key)]
+    for w in sigma:
+        d = vsub(f.value(w), b)
+        gens += [d, tuple(-x for x in d)]
+    return not cone_is_full(gens, f.k)
+
+
+def _graph(k: SimplicialComplex):
+    """Vertices, edges and connectedness of a complex of dimension <= 1."""
+    verts = set(k.vertices)
+    edges = [tuple(s) for s in k.simplices if len(s) == 2]
+    seen, todo = set(), list(verts)[:1]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo += [w for e in edges if v in e for w in e]
+    return verts, edges, seen == verts
+
+
+def _degrees(verts, edges) -> list[int]:
+    return [sum(v in e for e in edges) for v in verts]
+
+
+def naive_is_l_critical_surface(f: PLMap, v) -> bool | None:
+    """Both sides of the link circle must be single arcs, on `Fraction`
+    heights; None unless k = 1 and the link of the vertex is one circle."""
+    if f.k != 1:
+        return None
+    v = Simplex([v] if not isinstance(v, (tuple, list, Simplex)) else v)
+    lk = naive_link(f.domain, v)
+    verts, edges, connected = _graph(lk)
+    if (lk.dimension != 1 or not verts or len(edges) != len(verts)
+            or set(_degrees(verts, edges)) != {2} or not connected):
+        return None
+    arcs = []
+    for side in _naive_split(f, v, lk, (Fraction(1),)):
+        verts, edges, connected = _graph(side)
+        arcs.append(bool(verts) and side.dimension <= 1 and connected
+                    and len(edges) == len(verts) - 1
+                    and max(_degrees(verts, edges)) <= 2)
+    return not all(arcs)
+
+
+def _naive_independent(points) -> bool:
+    diffs = [vsub(p, points[0]) for p in points[1:]]
+    return not diffs or matrix_rank(diffs) == len(diffs)
+
+
+def naive_check_generic(f: PLMap) -> tuple:
+    """The G1, G2 and G3 violations, on `Fraction` images by elimination."""
+    bad = []
+    dom = f.domain
+    for s in dom.sorted_simplices():
+        if s.dim <= f.k and not _naive_independent(f.image(s)):
+            bad.append(("G1", s, "image not affinely independent"))
+    if f.k == 1:
+        seen: dict = {}
+        for v in sorted(dom.vertices, key=canon_key):
+            if f.value(v) in seen:
+                bad.append(("G2", (seen[f.value(v)], v), "duplicate vertex value"))
+            else:
+                seen[f.value(v)] = v
+    for s in dom.simplices_of_dim(f.k - 1):
+        for v in sorted(naive_link(dom, s).vertices, key=canon_key):
+            if not _naive_independent(f.image(s) + (f.value(v),)):
+                bad.append(("G3", (s, v), "link vertex on affine hull of image"))
+    return tuple(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,15 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["genericity"]["passed"] is False
 
+    def test_shared_locus_image_names_labels_and_point(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(
+            {"k": 2, "facets": [["a", "b", "c"]],
+             "values": {"a": [0, 0], "b": [0, 0], "c": [1, 1]}}))
+        assert main(["stratify-codomain", str(path), "--notion", "D"]) == 2
+        assert capsys.readouterr().err == (
+            "error: locus vertices 'a' and 'b' share the image point (0, 0)\n")
+
     def test_jacobi_report(self, tmp_path):
         out = tmp_path / "j.json"
         assert main(["jacobi", "--example", "octahedron",

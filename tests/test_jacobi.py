@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_planar_map, random_surface_map, torus_projection
+from helpers import (naive_check_generic, naive_directional_links,
+                     naive_h_side_verdicts, naive_is_d_critical,
+                     naive_is_h_critical, naive_is_l_critical_surface,
+                     naive_normal_direction, random_complex, random_planar_map,
+                     random_surface_map, torus_projection)
 from plstrat import (GenericityError, PLMap, Simplex, SimplicialComplex,
                      StructuralError, check_generic, criticality_verdict,
                      directional_links, domain_stratification, h_side_verdicts,
@@ -12,7 +16,7 @@ from plstrat import (GenericityError, PLMap, Simplex, SimplicialComplex,
                      jacobi_set, reduced_betti, sphere_verdict,
                      stratify_domain_by_locus, validate_poset)
 from plstrat.geometry import canon_key, cone_is_full, vsub
-from plstrat.io import example_map
+from plstrat.io import example_map, example_names, load_example
 
 F = Fraction
 
@@ -147,9 +151,8 @@ class TestHCriticality:
         # with a boundary the per-side verdicts may differ (a silhouette
         # edge sees an empty side), but flipping the normal only swaps them,
         # so the combined verdict cannot depend on the orientation
-        from plstrat.jacobi import _normal_direction
         for e in tetra.domain.simplices_of_dim(1):
-            u = _normal_direction(tetra, e)
+            u = naive_normal_direction(tetra, e)
             up, low = directional_links(tetra, e, u)
             up2, low2 = directional_links(tetra, e, tuple(-c for c in u))
             assert (up, low) == (low2, up2)
@@ -260,6 +263,96 @@ class TestDAgainstConeOracle:
                      {"p": (F(0), F(0)), "q": (F(1), F(2))})
         assert is_d_critical(edge, Simplex(("p", "q")))
         _assert_d_matches_cone_oracle(edge)
+
+
+def _outcome(fn, *args):
+    """A call's value, or the type and text of the genericity or
+    structural error it raised."""
+    try:
+        return fn(*args)
+    except (GenericityError, StructuralError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_VERDICTS = ((is_h_critical, naive_is_h_critical),
+             (h_side_verdicts, naive_h_side_verdicts),
+             (is_d_critical, naive_is_d_critical),
+             (is_l_critical_surface, naive_is_l_critical_surface))
+
+
+def _assert_local_table_matches_oracle(f: PLMap, rng: random.Random):
+    """Every verdict, both H sides, the genericity violations and every
+    error text against the `Fraction` per-simplex oracle, and the upper
+    and lower links of every simplex along a few random directions."""
+    assert check_generic(f).violations == naive_check_generic(f)
+    for s in f.domain.simplices_of_dim(f.k - 1):
+        for fast, naive in _VERDICTS:
+            assert _outcome(fast, f, s) == _outcome(naive, f, s), (fast.__name__, s)
+    directions = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(f.k))
+                  for _ in range(3)]
+    for s in f.domain.sorted_simplices():
+        for u in directions + [(F(1),) + (F(0),) * (f.k - 1)]:
+            got = _outcome(directional_links, f, s, u)
+            want = _outcome(naive_directional_links, f, s, u)
+            if isinstance(got, tuple) and isinstance(got[0], SimplicialComplex):
+                got = tuple(side.simplices for side in got)
+                want = tuple(side.simplices for side in want)
+            assert got == want, (s, u)
+
+
+def _tied_map(rng: random.Random, dom: SimplicialComplex, k: int, spread: int) -> PLMap:
+    """Random images in [-spread, spread]^k on the half-integers, so the
+    integer image is scaled: with a small spread, values tie and images
+    are collinear or coincide."""
+    return PLMap(dom, k, {v: tuple(F(rng.randint(-2 * spread, 2 * spread), 2)
+                                   for _ in range(k))
+                          for v in sorted(dom.vertices, key=canon_key)})
+
+
+class TestLocalTable:
+    """The per-map table of links and integer link splits against the
+    `Fraction` per-simplex oracle in `helpers`."""
+
+    @pytest.mark.parametrize("name", [n for n in example_names()
+                                      if load_example(n).get("kind") == "map"])
+    def test_bundled_maps(self, name, rng):
+        _assert_local_table_matches_oracle(example_map(name), rng)
+
+    def test_random_surface_maps(self, rng):
+        for _ in range(6):
+            _assert_local_table_matches_oracle(random_surface_map(rng), rng)
+
+    def test_random_planar_maps(self, rng):
+        for _ in range(6):
+            _assert_local_table_matches_oracle(random_planar_map(rng), rng)
+
+    def test_torus_projections(self, rng):
+        for _ in range(2):
+            _assert_local_table_matches_oracle(torus_projection(rng, 3), rng)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_maps_on_random_complexes(self, k, rng):
+        # links of dimension two and up, boundaries, isolated vertices,
+        # and k = 3, where only the genericity audit is defined
+        for _ in range(12):
+            dom = random_complex(rng)
+            _assert_local_table_matches_oracle(_tied_map(rng, dom, k, 40), rng)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_forced_ties_and_collinear_images(self, k, rng):
+        for _ in range(12):
+            dom = rng.choice([random_complex(rng), example_map("octahedron").domain,
+                              example_map("solid_tetrahedron").domain])
+            _assert_local_table_matches_oracle(_tied_map(rng, dom, k, 2), rng)
+
+    def test_ties_are_recorded_not_raised(self):
+        dom = SimplicialComplex.from_facets([("a", "b", "c"), ("a", "c", "d")])
+        f = PLMap(dom, 1, {"a": F(0), "b": F(1), "c": F(1), "d": F(2)})
+        assert f.local[Simplex(("b",))].ties == ("c",)
+        # a is below b, c level with it and counted on neither side
+        assert is_d_critical(f, ("b",)) is True
+        with pytest.raises(GenericityError, match=r"vertex 'c' ties with \('b',\)"):
+            is_h_critical(f, ("b",))
 
 
 def _interior_weights(n: int):
