@@ -103,26 +103,14 @@ def matrix_rank(rows: Iterable[Sequence]) -> int:
     return rank
 
 
-def det(rows: Sequence[Sequence]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in r] for r in rows]
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return result
+def det(rows: Sequence[Sequence]):
+    """Determinant of a small square matrix, by cofactors of its first row,
+    in the number type of its entries; 1 for the empty matrix."""
+    if not rows:
+        return 1
+    rest = rows[1:]
+    return sum((-1) ** j * x * det([r[:j] + r[j + 1:] for r in rest])
+               for j, x in enumerate(rows[0]) if x)
 
 
 def affinely_independent(points: Sequence[Sequence]) -> bool:
@@ -145,11 +133,8 @@ def orthogonal_vector(vectors: Sequence[Sequence], k: int) -> Point:
     via cofactor expansion (the generalized cross product)."""
     if len(vectors) != k - 1:
         raise ValueError("need exactly k-1 vectors")
-    comps = []
-    for i in range(k):
-        minor = [[Fraction(v[j]) for j in range(k) if j != i] for v in vectors]
-        comps.append((-1) ** i * det(minor))
-    return tuple(comps)
+    return tuple((-1) ** i * det([v[:i] + v[i + 1:] for v in vectors])
+                 for i in range(k))
 
 
 def cone_is_full(generators: Sequence[Sequence], k: int) -> bool:

@@ -41,7 +41,7 @@ from .complexes import (Simplex, SimplicialComplex, _edges, _is_connected,
                         _is_single_cycle, link)
 from .errors import GenericityError, InternalError, NotAMemberError, StructuralError
 from .geometry import (affinely_independent, barycenter, canon_key, cone_is_full,
-                       dot, format_frac, frac, vsub)
+                       det, dot, format_frac, frac, vsub)
 from .homology import is_h_nontrivial
 from .posets import Poset, StratifiedSpace, connected_classes, wedge_extend
 
@@ -161,16 +161,6 @@ def check_generic(f: PLMap) -> GenericityReport:
     return GenericityReport(passed=not bad, violations=tuple(bad))
 
 
-def _det(rows) -> int:
-    """Determinant of a small square integer matrix, by cofactors of its
-    first row; 1 for the empty matrix."""
-    if not rows:
-        return 1
-    rest = rows[1:]
-    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rest])
-               for j, x in enumerate(rows[0]) if x)
-
-
 def _integer_normal(points) -> tuple:
     """The normal n of the hyperplane through k integer points p0..p(k-1)
     of Z^k for which <x - p0, n> = det(p1 - p0, ..., x - p0): (1,) for
@@ -178,7 +168,7 @@ def _integer_normal(points) -> tuple:
     are affinely dependent."""
     k = len(points[0])
     rows = [tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]]
-    return tuple((-1) ** (k - 1 + j) * _det([r[:j] + r[j + 1:] for r in rows])
+    return tuple((-1) ** (k - 1 + j) * det([r[:j] + r[j + 1:] for r in rows])
                  for j in range(k))
 
 

@@ -83,15 +83,14 @@ class Poset:
     """A finite partial order.
 
     `relations` is any generating set of pairs (a, b) meaning a <= b; the
-    constructor closes it reflexively and transitively.  With check=True
-    (the default) a closure that violates antisymmetry is rejected.
+    constructor closes it reflexively and transitively and rejects a
+    closure that violates antisymmetry.
     """
 
-    def __init__(self, elements: Iterable[Label], relations: Iterable[tuple] = (),
-                 *, check: bool = True):
+    def __init__(self, elements: Iterable[Label], relations: Iterable[tuple] = ()):
         self.elements = frozenset(elements)
         self._up = _closure_upsets(self.elements, list(relations))
-        if check and not self._antisymmetric():
+        if not self._antisymmetric():
             raise StructuralError("relation closure violates antisymmetry")
         self._covers: frozenset | None = None
 

@@ -9,20 +9,23 @@ fills the fiber components of every level in one pass on first use: a
 simplex enters the support at the level where its span starts and leaves
 it at the gap after the level where its span ends, and each level's
 support, held as simplex ranks, is split into components by face
-incidence.  The Reeb graph and every k=1 fiber query read that one table.
-No vertex value lies strictly inside a gap, so a gap's support, with all
-of its face pairs, lies in the support of both neighbouring levels, and
-each gap component lies in exactly one component on either side: these
-two pairs per gap component are the arcs of the Reeb graph.
+incidence.  Every k=1 fiber query reads that one table.
 
-Over a stratified codomain the analogue is a poset of fiber components over
-the strata, the scaffold.  It is glued from finitely many cells on which
-the fiber support is constant: the sweep levels for one parameter, and for
-two the cells of the arrangement of the images of all domain edges
+The Reeb graph and the scaffold, its analogue over a stratified codomain,
+are both glued from `FineCells`: finitely many cells on which the fiber
+support is constant, the sweep levels for one parameter, and for two the
+cells of the arrangement of the images of all domain edges
 (Edelsbrunner-Harer-Patel, "Reeb spaces of piecewise linear mappings",
 2008; Carr-Duke, "Joint contour nets", 2014).  The support over a cell
-contains the support over every cell next to it, so components are linked
-across neighbouring cells by inclusion, with no sampling between them.
+contains the support over every cell whose closure holds it, so each
+component over the higher cell lies in exactly one component over the
+lower one, with no sampling between them; `FineCells.attachments` yields
+these pairs and is the one place that rule is checked.  No vertex value
+lies strictly inside a gap, so each gap component is attached to one
+component on either side: these two pairs are the arcs of the Reeb graph.
+The scaffold, a poset of fiber components over the strata, joins the
+pairs inside and across the strata.
+
 Two parameters need the edge images in general position: transverse
 crossings only, no three through one point, no overlaps.  A fiber over a
 point of the plane is read off the map's `HullIndex`, built once: each
@@ -222,15 +225,15 @@ class ReebGraph:
 def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     """Contract each fiber to its components and record the graph.
 
-    The graph is read off the 2V-1 levels of the map's `SweepIndex`: every
-    vertex value and every gap between consecutive values.  Inside a gap no
-    vertex value intervenes, so each gap component lies in exactly one
-    component at the level below and in exactly one at the level above, and
-    is joined to those two.  Components containing a vertex of the critical
-    locus `jset` (the H Jacobi set of f when omitted) at their level become
-    nodes.  Every other component has exactly two neighbours, so the
-    regular components form monotone chains between nodes, and each chain
-    becomes one edge between the nodes at its two ends.
+    The graph is read off the `FineCells` of f, the 2V-1 sweep levels:
+    every vertex value and every gap between consecutive values.  Each gap
+    component is attached to one component at the level below and one at
+    the level above, and is joined to those two.  Components containing a
+    vertex of the critical locus `jset` (the H Jacobi set of f when
+    omitted) at their level become nodes.  Every other component has
+    exactly two neighbours, so the regular components form monotone chains
+    between nodes, and each chain becomes one edge between the nodes at its
+    two ends.
     """
     if f.k != 1:
         raise StructuralError("Reeb graph requires a single parameter")
@@ -238,42 +241,30 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         raise EmptyComplexError("cannot sweep an empty complex")
     if jset is None:
         jset = jacobi_set(f)
-    sweep = f.sweep
-    layer = [sweep.components(li) for li in range(len(sweep.table))]
-    locus_at: dict = {}
-    for s in jset.complex.simplices_of_dim(0):
-        locus_at.setdefault(sweep.level(_scalar(f, s[0])), []).append(s[0])
-
-    # a gap component lies in exactly one component at each neighbouring
-    # level, the one that holds any of its members; these pairs are the
-    # arcs.  A locus vertex makes a node of its component at its own level.
+    fine = FineCells(f)
+    values = f.sweep.values
+    # a locus vertex makes a node of its component at its own level; the
+    # attachments of the gap components are the arcs
     critical: dict = {}
+    for s in jset.complex.simplices_of_dim(0):
+        cell = fine.locate(f.value(s[0]))
+        ci = next(i for i, comp in enumerate(fine.components[cell]) if s in comp)
+        critical.setdefault((cell, ci), []).append(s[0])
     nbrs: dict = {}
-    for li in range(0, len(layer), 2):
-        owner = {s: ci for ci, comp in enumerate(layer[li]) for s in comp}
-        for v in locus_at.get(li, ()):
-            critical.setdefault((li, owner[(v,)]), []).append(v)
-        for gap in (li - 1, li + 1):
-            if not 0 <= gap < len(layer):
-                continue
-            for cj, comp in enumerate(layer[gap]):
-                ci = owner.get(next(iter(comp)))
-                if ci is None or not comp <= layer[li][ci]:
-                    raise InternalError(
-                        "midpoint component must bridge exactly two levels")
-                nbrs.setdefault((li, ci), []).append((gap, cj))
-                nbrs.setdefault((gap, cj), []).append((li, ci))
+    for low, high in fine.attachments():
+        nbrs.setdefault(low, []).append(high)
+        nbrs.setdefault(high, []).append(low)
 
     def component(key) -> str:
-        li, ci = key
-        least = min(layer[li][ci], key=f.domain.index.rank.__getitem__)
-        lo, hi = (format_frac(sweep.values[i]) for i in (li // 2, (li + 1) // 2))
+        (_, li), ci = key
+        least = min(fine.components[key[0]][ci], key=fine.rank.__getitem__)
+        lo, hi = (format_frac(values[i]) for i in (li // 2, (li + 1) // 2))
         return ("regular fiber component through {" + ", ".join(map(str, least))
                 + "} " + (f"at value {lo}" if li % 2 == 0
                           else f"between values {lo} and {hi}"))
 
-    regular = [(li, ci) for li, comps in enumerate(layer)
-               for ci in range(len(comps)) if (li, ci) not in critical]
+    regular = [(c, ci) for c, comps in fine.components.items()
+               for ci in range(len(comps)) if (c, ci) not in critical]
     for key in regular:
         degree = len(nbrs.get(key, ()))
         if not degree:
@@ -298,10 +289,11 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
             raise InternalError("contracted edge endpoint is not a node")
         edges.append(tuple(sorted(ends)))
     return ReebGraph(nodes=tuple(label[k] for k in kept),
-                     node_value={label[k]: sweep.values[k[0] // 2] for k in kept},
+                     node_value={label[k]: values[k[0][1] // 2] for k in kept},
                      node_critical={label[k]: tuple(sorted(critical[k]))
                                     for k in kept},
-                     node_members={label[k]: layer[k[0]][k[1]] for k in kept},
+                     node_members={label[k]: fine.components[k[0]][k[1]]
+                                   for k in kept},
                      edges=tuple(sorted(edges)))
 
 
@@ -346,23 +338,28 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
 # the scaffold over a stratified codomain
 
 class FineCells:
-    """The cells of the codomain on which the fiber support is constant.
+    """The cells of the codomain on which the fiber support is constant,
+    with the fiber components over each and the one rule that glues them.
 
-    For one parameter these are the sweep levels, keyed ("l", level); level
-    l lies in the closure of levels l - 1 and l + 1 when l is even.  For two
-    they are the vertices, open edges and faces of the arrangement of the
-    images of all domain edges, keyed and paired as the arrangement's
-    `locate` and `incidences` give them.  A simplex image is the hull of its
-    vertex images, bounded by the images of its edges, so every open cell
-    lies inside it or outside it.
+    For one parameter these are the sweep levels, keyed ("l", level), and
+    their components are read off the map's `SweepIndex`; level l lies in
+    the closure of levels l - 1 and l + 1 when l is even.  For two they are
+    the vertices, open edges and faces of the arrangement of the images of
+    all domain edges, keyed and paired as the arrangement's `locate` and
+    `incidences` give them, and the components over each come from
+    `fiber_components` at its sample point.  A simplex image is the hull of
+    its vertex images, bounded by the images of its edges, so every open
+    cell lies inside it or outside it.
 
-    Each cell carries a sample point, the coarse stratum of `cs` containing
-    it and the fiber components over it; `incidences` pairs each cell with
-    the cells whose closure contains it, lower cell first, so the support
-    over the lower cell contains the support over the higher one.
+    Each cell carries a sample point and the fiber components over it;
+    `incidences` pairs each cell with the cells whose closure contains it,
+    lower cell first, so the support over the lower cell contains the
+    support over the higher one, and `attachments` names the component
+    over the lower cell that holds each component over the higher one.
     """
 
-    def __init__(self, f: PLMap, cs: CodomainStratification):
+    def __init__(self, f: PLMap):
+        self.rank = f.domain.index.rank
         if f.k == 1:
             self.arrangement, self._sweep = None, f.sweep
             values, n = f.sweep.values, len(f.sweep.table)
@@ -371,6 +368,7 @@ class FineCells:
                             for l in range(n)}
             self.incidences = [(("l", l), ("l", l + d)) for l in range(0, n, 2)
                                for d in (-1, 1) if 0 <= l + d < n]
+            self.components = {("l", l): f.sweep.components(l) for l in range(n)}
         else:
             self.arrangement = arr = edge_image_arrangement(f, f.domain)
             self.samples = {("v", i): p for i, p in enumerate(arr.vertices)}
@@ -380,9 +378,8 @@ class FineCells:
             self.samples.update((("f", i), arr.face_interior_samples(i, 1)[0])
                                 for i in range(len(arr.faces)))
             self.incidences = arr.incidences()
-        self.stratum = {c: cs.locate(y) for c, y in self.samples.items()}
-        self.components = {c: fiber_components(f, y)
-                           for c, y in self.samples.items()}
+            self.components = {c: fiber_components(f, y)
+                               for c, y in self.samples.items()}
 
     def locate(self, y):
         """The cell containing y, or None outside the range of a scalar
@@ -391,6 +388,30 @@ class FineCells:
             return self.arrangement.locate(y)
         level = self._sweep.level(frac(y[0]))
         return None if level is None else ("l", level)
+
+    def attachments(self):
+        """Yield ((low, j), (high, i)) for every incidence (low, high) and
+        every component i over high: j is the component over low that
+        holds it.  The support over low contains the support over high,
+        and a component over high is connected, so it lies in exactly one
+        component over low; one that does not is an `InternalError`."""
+        above: dict = {}
+        for low, high in self.incidences:
+            above.setdefault(low, []).append(high)
+        for low, highs in above.items():
+            below = self.components[low]
+            owner = {s: j for j, comp in enumerate(below) for s in comp}
+            for high in highs:
+                for i, comp in enumerate(self.components[high]):
+                    j = owner.get(next(iter(comp)))
+                    if j is None or not comp <= below[j]:
+                        least = min(comp, key=self.rank.__getitem__)
+                        raise InternalError(
+                            "fiber component through {"
+                            + ", ".join(map(str, least)) + "} over "
+                            f"{_show(self.samples[high])} does not lie in one "
+                            f"component over {_show(self.samples[low])}")
+                    yield (low, j), (high, i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,15 +461,15 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
     or two-parameter map; when omitted, the codomain is stratified by the H
     Jacobi set of f.
 
-    The scaffold is glued from the `FineCells` of f.  A component over a
-    higher cell lies in exactly one component over each lower incident
-    cell.  Joining these pairs inside each stratum gives the components
-    over the stratum, indexed by the fibers at its sample point; the pairs
-    across a covering pair s < t of strata put a component over s below a
-    component over t.  A class over a stratum that holds no component over
-    its sample point, or more than one, means the locus does not make the
-    fibers constant there, and is reported as a degeneracy.  The edge images
-    must be in general position (`PlanarArrangement`).
+    The scaffold is glued from the `FineCells` of f, each in the stratum
+    of `cs` that holds its sample point.  Joining their `attachments`
+    inside each stratum gives the components over the stratum, indexed by
+    the fibers at its sample point; the pairs across a covering pair s < t
+    of strata put a component over s below a component over t.  A class
+    over a stratum that holds no component over its sample point, or more
+    than one, means the locus does not make the fibers constant there, and
+    is reported as a degeneracy.  The edge images must be in general
+    position (`PlanarArrangement`).
 
     For one parameter the strata are the critical values and the intervals
     between them, and the scaffold is the Reeb graph with edges subdivided
@@ -458,7 +479,8 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
         raise StructuralError("the scaffold requires one or two parameters")
     if cs is None:
         cs = build_codomain_stratification(f, jacobi_set(f))
-    fine = FineCells(f, cs)
+    fine = FineCells(f)
+    stratum = {c: cs.locate(y) for c, y in fine.samples.items()}
 
     reps: dict = {}
     rep_cell: dict = {}
@@ -471,27 +493,19 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
         rep_cell[label] = cell = fine.locate(y)
         comps[label] = fine.components.get(cell, ())
 
-    owner = {c: {s: i for i, comp in enumerate(cc) for s in comp}
-             for c, cc in fine.components.items()}
     covers = cs.space.poset.covers
     same, across = [], []
-    for low, high in fine.incidences:
-        for i, comp in enumerate(fine.components[high]):
-            below = {owner[low].get(s) for s in comp}
-            if len(below) != 1 or None in below:
-                raise InternalError(f"a fiber component over {high} does not "
-                                    f"lie in one component over {low}")
-            pair = ((low, below.pop()), (high, i))
-            strata = (fine.stratum[low], fine.stratum[high])
-            if strata[0] == strata[1]:
-                same.append(pair)
-            elif strata in covers:
-                across.append(pair)
+    for pair in fine.attachments():
+        strata = (stratum[pair[0][0]], stratum[pair[1][0]])
+        if strata[0] == strata[1]:
+            same.append(pair)
+        elif strata in covers:
+            across.append(pair)
 
     element: dict = {}
     nodes = [(c, i) for c, cc in fine.components.items() for i in range(len(cc))]
     for cls in connected_classes(nodes, same):
-        label = fine.stratum[cls[0][0]]
+        label = stratum[cls[0][0]]
         hits = [i for c, i in cls if c == rep_cell[label]]
         if len(hits) != 1:
             raise DegeneracyError(
@@ -553,7 +567,7 @@ def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinR
         closure=frozenset(scaffold.poset.relation_pairs()),
         assignment={e: e for e in scaffold.poset.elements})
     forget = {e: e[0] for e in scaffold.poset.elements}
-    continuous, mono = check_stratified_map(forget, scaffold_space, cs.space)
+    continuous, _ = check_stratified_map(forget, scaffold_space, cs.space)
     if not continuous:
         notes.append("forgetting the component index is not a stratified map")
 
@@ -568,25 +582,19 @@ def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinR
         if len(hits) != 1:
             raise InternalError("simplex missing from its own fiber support")
         cell_map[s] = hits[0]
-        image = mono(hits[0]) if mono else hits[0][0]
+        image = hits[0][0]
         stratum = cs.locate(y)
         if image != stratum:
             commutes = False
             notes.append(f"composite sends {s!r} to {image!r}, not {stratum!r}")
 
-    try:
-        proj = scaffold.projection()
-        projection_monotone = True
-        surj = proj.is_surjective()
-    except StructuralError:
-        projection_monotone = False
-        surj = False
+    # the projection onto the occupied strata is onto by construction, and
+    # it is monotone exactly when forgetting the index is stratified: both
+    # test the scaffold's covers against the order of `cs`
+    if not continuous:
         notes.append("projection onto occupied strata is not monotone")
-    if projection_monotone and not surj:
-        notes.append("projection misses an occupied stratum")
-    return SteinReport(continuous=continuous,
-                       projection_monotone=projection_monotone,
-                       projection_surjective=surj, commutes=commutes,
+    return SteinReport(continuous=continuous, projection_monotone=continuous,
+                       projection_surjective=continuous, commutes=commutes,
                        cell_map=cell_map, notes=tuple(notes))
 
 

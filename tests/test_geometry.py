@@ -56,6 +56,32 @@ def test_matrix_rank_and_det():
     assert matrix_rank([]) == 0
     assert det([(F(1), F(2)), (F(3), F(4))]) == F(-2)
     assert det([(F(2),)]) == F(2)
+    assert det([]) == 1
+    assert det([(F(1, 2), F(1), F(0)), (F(0), F(2, 3), F(1)),
+                (F(1), F(0), F(3))]) == F(2)
+    assert det([(1, 2, 3), (4, 5, 6), (7, 8, 9)]) == 0
+    # an even permutation of a diagonal, then a full 4x4
+    assert det([(0, 2, 0, 0), (3, 0, 0, 0), (0, 0, 0, 5), (0, 0, 7, 0)]) == 210
+    four = [(1, 2, 3, 4), (5, 6, 7, 8), (2, 6, 4, 8), (3, 1, 1, 2)]
+    assert det(four) == 72 and type(det(four)) is int
+    assert det([tuple(F(x, 3) for x in r) for r in four]) == F(72, 81)
+
+
+def test_det_vanishes_exactly_on_rank_deficient_rows(rng):
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [tuple(F(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                      for _ in range(n)) for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            # one row a combination of two others
+            a, b = rng.sample(range(n), 2)
+            c = F(rng.randint(-2, 2), rng.choice((1, 2)))
+            rows[b] = tuple(x * c + y for x, y in zip(rows[a], rows[(b + 1) % n]))
+        singular = matrix_rank(rows) < n
+        assert (det(rows) == 0) == singular, rows
+        seen.add(singular)
+    assert seen == {True, False}
 
 
 def test_affinely_independent():

@@ -16,6 +16,7 @@ from plstrat import (DegeneracyError, GenericityError, InternalError,
                      jacobi_set, reeb_graph, reeb_scaffold,
                      stratum_fiber_audit, validate_poset)
 from plstrat import reeb
+from plstrat.geometry import format_frac
 from plstrat.io import example_map, map_from_dict
 
 F = Fraction
@@ -107,15 +108,10 @@ class TestReebGraph:
 
     def test_gap_component_across_two_components_is_internal(self):
         f = example_map("torus_grid")
-        f.sweep.components(0)
-        table = f.sweep.table
-
-        def below(li):
-            return {i for comp in table[li] for i, c in enumerate(table[li - 1])
-                    if comp <= c}
-        li = next(li for li in range(1, len(table), 2) if len(below(li)) == 2)
-        table[li] = (frozenset().union(*table[li]),)
-        with pytest.raises(InternalError, match="must bridge exactly two levels"):
+        _merge_a_gap_level(f)
+        with pytest.raises(InternalError, match=re.escape(
+                "fiber component through {v00, v01, v11} over (2503/250) does "
+                "not lie in one component over (2501/250)")):
             reeb_graph(f)
 
     def test_chain_closed_into_a_cycle_is_internal(self):
@@ -131,6 +127,20 @@ class TestReebGraph:
             reeb_graph(f, empty)
         top = JacobiSet(SimplicialComplex.from_facets([["c"]]), "H", 1)
         assert reeb_graph(f, top).edges == (("r0", "r0"),)
+
+
+def _merge_a_gap_level(f: PLMap):
+    """Merge the components of the first gap level whose components lie in
+    two different components of the level below, so the merged one lies in
+    no single component there."""
+    f.sweep.components(0)
+    table = f.sweep.table
+
+    def below(li):
+        return {i for comp in table[li] for i, c in enumerate(table[li - 1])
+                if comp <= c}
+    li = next(li for li in range(1, len(table), 2) if len(below(li)) == 2)
+    table[li] = (frozenset().union(*table[li]),)
 
 
 SWEEP_EXAMPLES = ("torus_grid", "octahedron", "saddle_patch", "double_cone")
@@ -465,6 +475,63 @@ class TestFineCellScaffold:
             reeb_scaffold(f)
 
 
+class TestAttachments:
+    """`FineCells.attachments`, the one gluing rule of the Reeb graph and the
+    scaffold, against fibers rescanned at the cells' sample points."""
+
+    def _maps(self, rng) -> list[PLMap]:
+        names = ("torus_grid", "octahedron", "saddle_patch", "double_cone",
+                 "solid_tetrahedron")
+        return ([example_map(name) for name in names]
+                + [random_surface_map(rng) for _ in range(6)]
+                + [random_planar_map(rng) for _ in range(6)]
+                + [torus_projection(rng, 3)])
+
+    def test_each_higher_component_lies_in_the_named_lower_one(self, rng):
+        checked = {1: 0, 2: 0}
+        for f in self._maps(rng):
+            try:
+                fine = reeb.FineCells(f)
+            except GenericityError:
+                continue
+            naive = {c: naive_fiber_components(f, y)
+                     for c, y in fine.samples.items()}
+            seen = Counter()
+            for (low, j), (high, i) in fine.attachments():
+                assert naive[high][i] <= naive[low][j], (low, high)
+                seen[(low, high), i] += 1
+            assert seen == Counter({((low, high), i): 1
+                                    for low, high in fine.incidences
+                                    for i in range(len(naive[high]))})
+            checked[f.k] += 1
+        assert checked[1] >= 8 and checked[2] >= 2
+
+    def test_scaffold_reports_a_component_outside_one_holder_k1(self):
+        f = example_map("torus_grid")
+        cs = build_codomain_stratification(f, jacobi_set(f))
+        _merge_a_gap_level(f)
+        with pytest.raises(InternalError, match=re.escape(
+                "fiber component through {v00, v01, v11} over (2503/250) does "
+                "not lie in one component over (2501/250)")):
+            reeb_scaffold(f, cs)
+
+    def test_scaffold_reports_a_component_outside_one_holder_k2(self, monkeypatch):
+        f = example_map("solid_tetrahedron")
+        cs = build_codomain_stratification(f, jacobi_set(f))
+        # drop the fiber over one arrangement vertex, which every incident
+        # edge and face fiber meets
+        p = reeb.edge_image_arrangement(f, f.domain).vertices[0]
+        query = reeb.fiber_components
+
+        def dropped(g, y):
+            return () if y == p else query(g, y)
+        monkeypatch.setattr(reeb, "fiber_components", dropped)
+        shown = "(" + ", ".join(format_frac(c) for c in p) + ")"
+        with pytest.raises(InternalError, match=re.escape(
+                f"does not lie in one component over {shown}") + "$"):
+            reeb_scaffold(f, cs)
+
+
 def _contract_non_nodes(sc, rg):
     """The Hasse diagram of a one-parameter scaffold with every element
     whose component is not a Reeb node contracted: the Reeb nodes it keeps
@@ -563,7 +630,10 @@ class TestSteinSquare:
         rep = check_stein_square(torus, scaffold=bad)
         assert not rep.passed
         assert not rep.continuous
-        assert rep.notes
+        assert not rep.projection_monotone and not rep.projection_surjective
+        assert rep.notes == (
+            "forgetting the component index is not a stratified map",
+            "projection onto occupied strata is not monotone")
 
 
 class TestStratumAudit:
