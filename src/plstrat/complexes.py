@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EmptyComplexError, NotAMemberError, StructuralError
 from .geometry import canon_key
@@ -127,11 +127,16 @@ class SimplicialComplex:
         return tuple(tuple(rank[s[:i] + s[i + 1:]] for i in range(len(s)))
                      if len(s) > 1 else () for s in self.index.ranked)
 
-    def cofaces(self, sigma: Simplex) -> list[Simplex]:
-        """The simplices containing sigma, sigma itself included."""
-        vs = set(sigma)
-        return [t for t in self.index.vertex_cofaces.get(sigma[0], ())
-                if vs.issubset(t)]
+    def cofaces(self, sigma: Simplex) -> Sequence[Simplex]:
+        """The simplices containing sigma, sigma itself included, in
+        `canon_key` order: the cofaces of its first vertex that hold its
+        other vertices, tested one by one on the tuple."""
+        around = self.index.vertex_cofaces.get(sigma[0], ())
+        if len(sigma) == 1:
+            return around
+        second, rest = sigma[1], sigma[2:]
+        return [t for t in around
+                if second in t and all(map(t.__contains__, rest))]
 
     @cached_property
     def _facets(self) -> tuple:

@@ -7,9 +7,12 @@ vertex value and level 2i+1 the open gap above it.  A closed simplex meets
 the levels of one interval, its span.  Each map holds a `SweepIndex`, which
 fills the fiber components of every level in one pass on first use: a
 simplex enters the support at the level where its span starts and leaves
-it at the gap after the level where its span ends, and each level's
-support, held as simplex ranks, is split into components by face
-incidence.  Every k=1 fiber query reads that one table.
+it at the gap after the level where its span ends.  The components are
+carried from level to level, and only those the level's vertices touch
+change: the entering simplices merge the gap components they meet, and a
+component that loses simplices is joined again only when the rest of the
+star of the level's vertices falls apart inside it.  Every k=1 fiber query
+reads that one table.
 
 The Reeb graph and the scaffold, its analogue over a stratified codomain,
 are both glued from `FineCells`: finitely many cells on which the fiber
@@ -38,6 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from .arrangement import (CodomainStratification, _show,
@@ -69,19 +73,21 @@ def _point(f: PLMap, y) -> tuple:
     return tuple(frac(c) for c in y)
 
 
-def _components(support, ranked, faces) -> tuple[frozenset, ...]:
-    """Connected components under face incidence of a fiber support given
-    as increasing ranks into `ranked`, each returned as the frozenset of
-    its simplices, sorted by their least member.
+def _components(support, faces) -> list[list[int]]:
+    """Connected components under face incidence of a set of simplices
+    given as ranks, each as the list of its ranks in the order of
+    `support`; classes come in the order of their first member.
 
-    A support is upward-closed in the face order: a coface's image contains
-    its face's image.  So a face and a coface in it are joined through the
-    codimension-one faces in between, and each member is joined only to the
-    ranks of its codimension-one faces, `faces[rank]`."""
+    Each member is joined only to its codimension-one faces, `faces[rank]`,
+    so every member must reach its class through faces among the members:
+    with a face and a coface, the set holds every simplex between them.  A
+    fiber support is upward-closed in the face order, since a coface's image
+    contains its face's image, and so is every union of its components.  The
+    simplices whose least vertex value is one value are closed between a
+    face and a coface too: all of them hold the face's least vertex."""
     members = set(support)
-    pairs = [(r, q) for r in support for q in faces[r] if q in members]
-    return tuple(frozenset([ranked[r] for r in c])
-                 for c in connected_classes(support, pairs))
+    return connected_classes(support, [(r, q) for r in support for q in faces[r]
+                                       if q in members])
 
 
 class SweepIndex:
@@ -90,10 +96,24 @@ class SweepIndex:
     A closed simplex meets the fiber over level l exactly when l lies in its
     span [2 rank(min), 2 rank(max)], ranks taken among the distinct vertex
     values.  The first request fills the table of every level in one pass
-    over the levels: the support is kept as a set of simplex ranks, a
-    simplex enters it at the level where its span starts and leaves it at
-    the gap after the level where its span ends, and each level's support
-    is split into components once."""
+    over the levels that carries the components from level to level, each
+    with an id, and updates only those the level's vertices touch:
+
+    - at level 2i the simplices whose span starts there enter.  Their own
+      pieces under face incidence are joined to the components of the gap
+      below only through their cofaces, since their faces have entered with
+      them or not at all; each piece merges the gap components it touches,
+      the smaller ones relabelled into the largest.
+    - at gap 2i+1 the simplices whose span ends at 2i leave, and each
+      component that lost some may split.  Every path in the old component
+      between two remaining members leaves the removed simplices into S,
+      the remaining members that hold a vertex of level 2i, so the rest is
+      connected when S is.  S is upward-closed, so its classes are read off
+      its face pairs; only the components over which S falls apart are
+      joined again, in one call.
+
+    Components no level touches keep their frozenset from level to level;
+    each level's tuple is sorted by least rank."""
 
     def __init__(self, f: PLMap):
         if f.k != 1:
@@ -122,20 +142,81 @@ class SweepIndex:
         return self.table[level]
 
     def _fill(self):
+        ranked, faces = self.domain.index.ranked, self.domain.face_ranks
         n = len(self.table)
         enter: list = [[] for _ in range(n)]
         leave: list = [[] for _ in range(n)]
         for r, (lo, hi) in enumerate(self.spans):
             enter[lo].append(r)
             leave[hi].append(r)
-        ranked, faces = self.domain.index.ranked, self.domain.face_ranks
-        active: set = set()
+        cofaces: list = [[] for _ in ranked]
+        star: dict = {}      # vertex -> the ranks of the simplices holding it
+        for r, s in enumerate(ranked):
+            for q in faces[r]:
+                cofaces[q].append(r)
+            for v in s:
+                star.setdefault(v, []).append(r)
+        owner: list = [None] * len(ranked)    # rank -> id of its component
+        members: dict = {}                    # id -> its set of ranks
+        published: dict = {}                  # id -> (least rank, frozenset)
+        fresh = count()
         for level in range(n):
-            if level % 2:
-                active.difference_update(leave[level - 1])
+            changed = set()
+            if level % 2 == 0:
+                for piece in _components(enter[level], faces):
+                    ids = {owner[t] for r in piece for t in cofaces[r]}
+                    ids.discard(None)
+                    if ids:
+                        c = max(ids, key=lambda i: len(members[i]))
+                        ids.discard(c)
+                        for d in ids:
+                            for r in members[d]:
+                                owner[r] = c
+                            members[c] |= members.pop(d)
+                            del published[d]
+                            changed.discard(d)
+                    else:
+                        c = next(fresh)
+                        members[c] = set()
+                    members[c].update(piece)
+                    for r in piece:
+                        owner[r] = c
+                    changed.add(c)
             else:
-                active.update(enter[level])
-            self.table[level] = _components(sorted(active), ranked, faces)
+                for r in leave[level - 1]:
+                    c = owner[r]
+                    owner[r] = None
+                    members[c].discard(r)
+                    changed.add(c)
+                for c in [c for c in changed if not members[c]]:
+                    del members[c], published[c]
+                    changed.discard(c)
+                if changed:
+                    rim = {t for r in leave[level - 1] if len(ranked[r]) == 1
+                           for t in star[ranked[r][0]] if owner[t] is not None}
+                    # the components holding two or more classes of the rim
+                    held, suspect = set(), set()
+                    for cls in connected_classes(rim, [(t, q) for t in rim
+                                                       for q in faces[t] if q in rim]):
+                        c = owner[cls[0]]
+                        if c in held:
+                            suspect.add(c)
+                        held.add(c)
+                    if suspect:
+                        rest = [r for c in suspect for r in members.pop(c)]
+                        for c in suspect:
+                            del published[c]
+                        changed -= suspect
+                        for piece in _components(rest, faces):
+                            c = next(fresh)
+                            members[c] = set(piece)
+                            for r in piece:
+                                owner[r] = c
+                            changed.add(c)
+            for c in changed:
+                published[c] = (min(members[c]),
+                                frozenset(map(ranked.__getitem__, members[c])))
+            self.table[level] = tuple(comp for _, comp in sorted(published.values()))
 
 
 class HullIndex:
@@ -195,8 +276,9 @@ def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
     if f.k == 1:
         level = f.sweep.level(y[0])
         return () if level is None else f.sweep.components(level)
-    return _components(f.hulls.support(y), f.domain.index.ranked,
-                       f.domain.face_ranks)
+    ranked = f.domain.index.ranked
+    return tuple(frozenset(map(ranked.__getitem__, c))
+                 for c in _components(f.hulls.support(y), f.domain.face_ranks))
 
 
 # ---------------------------------------------------------------------------

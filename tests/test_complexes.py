@@ -180,6 +180,12 @@ class TestIndexAgreesWithDefinitions:
         for k in closed_surfaces():
             _assert_index_matches_definitions(k)
 
+    def test_cofaces_match_the_scan(self, rng):
+        for k in [random_complex(rng) for _ in range(50)] + closed_surfaces():
+            for s in k.simplices:
+                assert list(k.cofaces(s)) == [t for t in k.index.ranked
+                                              if set(s) <= set(t)], s
+
     def test_mixed_labels_and_empty_complex(self):
         # canon_key orders ints before strings before tuples
         k = SimplicialComplex.from_facets(

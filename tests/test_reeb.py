@@ -174,6 +174,53 @@ def _scalar_maps_beyond_surfaces(rng) -> list[PLMap]:
             for dom in doms]
 
 
+def _scalar_map(facets, values) -> PLMap:
+    dom = SimplicialComplex.from_facets(facets)
+    return PLMap(dom, 1, {v: (F(x),) for v, x in values.items()})
+
+
+def _record_sweep(monkeypatch) -> list:
+    """Record each call of the sweep's `_components` as ("enter", classes)
+    for the simplices entering at a vertex value, whose support holds a
+    vertex, or ("split", classes) for a re-split of gap components, which
+    hold none."""
+    calls = []
+    original = reeb._components
+
+    def recorded(support, faces):
+        classes = original(support, faces)
+        kind = "enter" if any(not faces[r] for r in support) else "split"
+        calls.append((kind, len(classes)))
+        return classes
+    monkeypatch.setattr(reeb, "_components", recorded)
+    return calls
+
+
+def _check_every_level(f: PLMap) -> Counter:
+    """Compare every level of the sweep with the rescan oracle, and count
+    what the fill met: the largest number of gap components one component
+    of the level above holds ("merged"), even levels with several vertices
+    in one component ("tie in one") or in different ones ("tie apart")."""
+    seen: Counter = Counter()
+    levels = naive_sweep_levels(f)
+    tables = [f.sweep.components(li) for li in range(len(levels))]
+    for li, t in enumerate(levels):
+        assert tables[li] == naive_fiber_components(f, t), (li, t)
+    for li in range(0, len(levels), 2):
+        at = [v for v in f.domain.vertices if f.value(v)[0] == levels[li]]
+        holders = [next(i for i, c in enumerate(tables[li]) if (v,) in c)
+                   for v in at]
+        if len(set(holders)) < len(holders):
+            seen["tie in one"] += 1
+        if len(set(holders)) > 1:
+            seen["tie apart"] += 1
+        if li:
+            for comp in tables[li]:
+                held = sum(gap <= comp for gap in tables[li - 1])
+                seen["merged"] = max(seen["merged"], held)
+    return seen
+
+
 class TestSweepOracle:
     """The level index against a full rescan of the complex per query."""
 
@@ -226,21 +273,83 @@ class TestSweepOracle:
         assert (failed > 0) == (notion == "D")
 
     def test_one_query_fills_every_level_once(self, rng, monkeypatch):
-        calls = []
-        original = reeb._components
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-        monkeypatch.setattr(reeb, "_components", counted)
+        # one call at each vertex value and at most one at each gap
+        calls = _record_sweep(monkeypatch)
         for f in _sweep_maps(rng)[:8]:
             del calls[:]
             n_values = len({f.value(v) for v in f.domain.vertices})
             fiber_components(f, naive_sweep_levels(f)[-1])
-            assert len(calls) == 2 * n_values - 1
+            filled = len(calls)
+            assert 1 <= filled <= 2 * n_values - 1
+            assert [k for k, _ in calls].count("enter") == n_values
             reeb_graph(f)
             fiber_components(f, naive_sweep_levels(f)[1])
-            assert len(calls) == 2 * n_values - 1
+            assert len(calls) == filled
+
+    def test_torus_saddle_with_two_upper_pieces_stays_connected(self, monkeypatch):
+        # the torus loop: after the second saddle the two pieces of its
+        # upper star are joined around the torus, so the re-split finds one
+        # class; the first saddle splits the circle in two
+        calls = _record_sweep(monkeypatch)
+        _check_every_level(example_map("torus_grid"))
+        assert ("split", 1) in calls
+        assert ("split", 2) in calls
+
+    def test_true_split(self, monkeypatch):
+        calls = _record_sweep(monkeypatch)
+        f = _scalar_map([["a", "b"], ["a", "c"], ["c", "d"]],
+                        {"a": 0, "b": 1, "c": 2, "d": 3})
+        _check_every_level(f)
+        assert calls.count(("split", 2)) == 1
+        assert [k for k, _ in calls].count("split") == 1
+
+    def test_three_gap_components_merge_at_one_vertex(self, monkeypatch):
+        # a monkey saddle on a disk: the lower star of the centre meets
+        # three components of the gap below
+        calls = _record_sweep(monkeypatch)
+        rim = [f"r{i}" for i in range(6)]
+        f = _scalar_map([["c", rim[i], rim[(i + 1) % 6]] for i in range(6)],
+                        {"c": 0, **{r: (-1) ** i * (i + 1) for i, r in enumerate(rim)}})
+        assert _check_every_level(f)["merged"] == 3
+        del calls[:]
+        star = _scalar_map([["c", "a"], ["c", "b"], ["c", "d"]],
+                           {"c": 1, "a": 0, "b": 0, "d": 0})
+        seen = _check_every_level(star)
+        assert seen["merged"] == 3 and seen["tie apart"] == 1
+        # three leaves enter apart, the centre joins them, nothing splits
+        assert calls == [("enter", 3), ("enter", 1)]
+
+    def test_tied_values_in_one_component_and_in_several(self, monkeypatch):
+        calls = _record_sweep(monkeypatch)
+        f = _scalar_map([["x", "y", "z"], ["y", "w"], ["p", "q"], ["s"]],
+                        {"x": 0, "y": 0, "p": 0, "s": 0, "z": 1, "w": 1, "q": 1})
+        seen = _check_every_level(f)
+        assert seen["tie in one"] == 1 and seen["tie apart"] == 2
+        assert [k for k, _ in calls].count("enter") == 2
+
+    def test_bowtie_joined_at_the_swept_vertex(self, monkeypatch):
+        # two triangles sharing only v: v merges the two lower edges, and
+        # above v the two upper pieces of its star are apart again
+        calls = _record_sweep(monkeypatch)
+        f = _scalar_map([["v", "a", "b"], ["v", "c", "d"]],
+                        {"a": -1, "c": -1, "v": 0, "b": 1, "d": 1})
+        seen = _check_every_level(f)
+        assert seen["merged"] == 2 and seen["tie apart"] == 2
+        assert ("split", 2) in calls
+
+    def test_solid_tetrahedron(self, rng, monkeypatch):
+        calls = _record_sweep(monkeypatch)
+        dom = example_map("solid_tetrahedron").domain
+        vs = sorted(dom.vertices)
+        seen: Counter = Counter()
+        for values in [range(4), [0, 1, 0, 1], [1, 0, 0, 1], [0] * 4]:
+            seen += _check_every_level(PLMap(dom, 1, {v: (F(x),) for v, x in zip(vs, values)}))
+        for _ in range(20):
+            _check_every_level(PLMap(dom, 1, {v: (F(rng.randint(-2, 2)),) for v in vs}))
+        assert seen["tie in one"] >= 3
+        # the vertices above a swept vertex span one face of the opposite
+        # triangle, so the rest of its star never falls apart
+        assert {k for k, _ in calls} == {"enter"}
 
     def test_gap_components_lie_in_one_component_on_each_side(self, rng):
         for _ in range(20):
