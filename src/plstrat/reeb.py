@@ -14,20 +14,25 @@ component that loses simplices is joined again only when the rest of the
 star of the level's vertices falls apart inside it.  Every k=1 fiber query
 reads that one table.
 
-The Reeb graph and the scaffold, its analogue over a stratified codomain,
-are both glued from `FineCells`: finitely many cells on which the fiber
-support is constant, the sweep levels for one parameter, and for two the
-cells of the arrangement of the images of all domain edges
-(Edelsbrunner-Harer-Patel, "Reeb spaces of piecewise linear mappings",
-2008; Carr-Duke, "Joint contour nets", 2014).  The support over a cell
-contains the support over every cell whose closure holds it, so each
-component over the higher cell lies in exactly one component over the
-lower one, with no sampling between them; `FineCells.attachments` yields
-these pairs and is the one place that rule is checked.  No vertex value
-lies strictly inside a gap, so each gap component is attached to one
-component on either side: these two pairs are the arcs of the Reeb graph.
-The scaffold, a poset of fiber components over the strata, joins the
-pairs inside and across the strata.
+The same pass records its events: the gap ids each component of a vertex
+level absorbs, and the ids each component it touched becomes in the gap
+above.  The Reeb graph is replayed from that record: a gap id is an arc
+from the component it left to the one that absorbs it, so the graph costs
+the events, not the levels times their width (Pascucci et al., "Robust
+on-line computation of Reeb graphs", 2007; Parsa, "A deterministic
+O(m log m) time algorithm for the Reeb graph", 2012).
+
+The scaffold, the analogue of the Reeb graph over a stratified codomain, is
+glued from `FineCells`: finitely many cells on which the fiber support is
+constant, the sweep levels for one parameter, and for two the cells of the
+arrangement of the images of all domain edges (Edelsbrunner-Harer-Patel,
+"Reeb spaces of piecewise linear mappings", 2008; Carr-Duke, "Joint
+contour nets", 2014).  The support over a cell contains the support over
+every cell whose closure holds it, so each component over the higher cell
+lies in exactly one component over the lower one, with no sampling between
+them; `FineCells.attachments` yields these pairs and is the one place that
+rule is checked.  The scaffold, a poset of fiber components over the
+strata, joins the pairs inside and across the strata.
 
 Two parameters need the edge images in general position: transverse
 crossings only, no three through one point, no overlaps.  A fiber over a
@@ -113,7 +118,14 @@ class SweepIndex:
       joined again, in one call.
 
     Components no level touches keep their frozenset from level to level;
-    each level's tuple is sorted by least rank."""
+    each level's tuple is sorted by least rank.  The pass also keeps its
+    record (`record`), which the Reeb graph replays: for each vertex level,
+    the gap ids each touched component absorbed, itself among them when it
+    continues an id of the gap below; for each gap, the ids each touched
+    component of the level below becomes, none when it ends, itself when
+    it shrinks and fresh ones when it is joined again; the ids each level
+    touched, with their least rank and frozenset; and the id holding each
+    vertex at its own level."""
 
     def __init__(self, f: PLMap):
         if f.k != 1:
@@ -125,6 +137,9 @@ class SweepIndex:
         self.spans = [(min(vlevel[v] for v in s), max(vlevel[v] for v in s))
                       for s in f.domain.index.ranked]
         self.table: list = [None] * max(2 * len(self.values) - 1, 0)
+        self.events: list = [None] * len(self.table)
+        self.touched: list = [None] * len(self.table)
+        self.holder: dict = {}
 
     def level(self, t: Fraction) -> int | None:
         """The level of value t; None outside the range of vertex values,
@@ -140,6 +155,14 @@ class SweepIndex:
         if self.table[level] is None:
             self._fill()
         return self.table[level]
+
+    def record(self) -> tuple[list, list, dict]:
+        """The fill's record, filled on first use: the events of each level,
+        the ids each level touched with their (least rank, frozenset), and
+        the id holding each vertex at its own level."""
+        if self.table and self.table[0] is None:
+            self._fill()
+        return self.events, self.touched, self.holder
 
     def _fill(self):
         ranked, faces = self.domain.index.ranked, self.domain.face_ranks
@@ -161,33 +184,42 @@ class SweepIndex:
         published: dict = {}                  # id -> (least rank, frozenset)
         fresh = count()
         for level in range(n):
-            changed = set()
             if level % 2 == 0:
+                # id -> the ids of the gap below that it holds
+                changed = self.events[level] = {}
                 for piece in _components(enter[level], faces):
                     ids = {owner[t] for r in piece for t in cofaces[r]}
                     ids.discard(None)
                     if ids:
                         c = max(ids, key=lambda i: len(members[i]))
                         ids.discard(c)
+                        gaps = changed.setdefault(c, [c])
                         for d in ids:
                             for r in members[d]:
                                 owner[r] = c
                             members[c] |= members.pop(d)
                             del published[d]
-                            changed.discard(d)
+                            gaps += changed.pop(d, [d])
                     else:
                         c = next(fresh)
                         members[c] = set()
+                        changed[c] = []
                     members[c].update(piece)
                     for r in piece:
                         owner[r] = c
-                    changed.add(c)
+                self.holder.update((ranked[r][0], owner[r]) for r in enter[level]
+                                   if len(ranked[r]) == 1)
             else:
+                changed = set()
                 for r in leave[level - 1]:
                     c = owner[r]
                     owner[r] = None
                     members[c].discard(r)
                     changed.add(c)
+                # id at the level below -> its ids here: none when it ends,
+                # itself when it shrinks, fresh ones when it is joined again
+                become = self.events[level] = {c: [c] if members[c] else []
+                                               for c in changed}
                 for c in [c for c in changed if not members[c]]:
                     del members[c], published[c]
                     changed.discard(c)
@@ -206,16 +238,19 @@ class SweepIndex:
                         rest = [r for c in suspect for r in members.pop(c)]
                         for c in suspect:
                             del published[c]
+                            become[c] = []
                         changed -= suspect
                         for piece in _components(rest, faces):
                             c = next(fresh)
+                            become[owner[piece[0]]].append(c)
                             members[c] = set(piece)
                             for r in piece:
                                 owner[r] = c
                             changed.add(c)
+            touched = self.touched[level] = {}
             for c in changed:
-                published[c] = (min(members[c]),
-                                frozenset(map(ranked.__getitem__, members[c])))
+                touched[c] = published[c] = (
+                    min(members[c]), frozenset(map(ranked.__getitem__, members[c])))
             self.table[level] = tuple(comp for _, comp in sorted(published.values()))
 
 
@@ -307,15 +342,16 @@ class ReebGraph:
 def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     """Contract each fiber to its components and record the graph.
 
-    The graph is read off the `FineCells` of f, the 2V-1 sweep levels:
-    every vertex value and every gap between consecutive values.  Each gap
-    component is attached to one component at the level below and one at
-    the level above, and is joined to those two.  Components containing a
-    vertex of the critical locus `jset` (the H Jacobi set of f when
-    omitted) at their level become nodes.  Every other component has
-    exactly two neighbours, so the regular components form monotone chains
-    between nodes, and each chain becomes one edge between the nodes at its
-    two ends.
+    The graph is replayed from the record of the map's `SweepIndex`.  Each
+    component a vertex level touches is a candidate, with the gap ids it
+    absorbed from below and the ids it becomes in the gap above.  A gap id
+    is an arc, open from the candidate it left until the candidate that
+    absorbs it; the components no level touches lie inside arcs.  The
+    candidates containing a vertex of the critical locus `jset` (the H
+    Jacobi set of f when omitted) at their level become nodes.  Every other
+    candidate has exactly two arcs, on either side, so the regular
+    components form chains between nodes, and each chain becomes one edge
+    between the nodes at its two ends.
     """
     if f.k != 1:
         raise StructuralError("Reeb graph requires a single parameter")
@@ -323,59 +359,86 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         raise EmptyComplexError("cannot sweep an empty complex")
     if jset is None:
         jset = jacobi_set(f)
-    fine = FineCells(f)
-    values = f.sweep.values
-    # a locus vertex makes a node of its component at its own level; the
-    # attachments of the gap components are the arcs
+    sweep = f.sweep
+    events, touched, holder = sweep.record()
+    values, ranked = sweep.values, f.domain.index.ranked
+
+    def order(key):
+        """(level, least rank): the order of the level's own tuple."""
+        return key[0], touched[key[0]][key[1]][0]
+
+    def component(level, c) -> str:
+        # an id keeps its members until a level touches it again
+        at = next(l for l in range(level, -1, -1) if c in touched[l])
+        least = ranked[touched[at][c][0]]
+        lo, hi = (format_frac(values[i]) for i in (level // 2, (level + 1) // 2))
+        return ("fiber component through {" + ", ".join(map(str, least)) + "} "
+                + (f"at value {lo}" if level % 2 == 0
+                   else f"between values {lo} and {hi}"))
+
+    # a locus vertex makes a node of its component at its own level
     critical: dict = {}
     for s in jset.complex.simplices_of_dim(0):
-        cell = fine.locate(f.value(s[0]))
-        ci = next(i for i, comp in enumerate(fine.components[cell]) if s in comp)
-        critical.setdefault((cell, ci), []).append(s[0])
-    nbrs: dict = {}
-    for low, high in fine.attachments():
-        nbrs.setdefault(low, []).append(high)
-        nbrs.setdefault(high, []).append(low)
+        v = s[0]
+        critical.setdefault((sweep.level(_scalar(f, v)), holder[v]), []).append(v)
 
-    def component(key) -> str:
-        (_, li), ci = key
-        least = min(fine.components[key[0]][ci], key=fine.rank.__getitem__)
-        lo, hi = (format_frac(values[i]) for i in (li // 2, (li + 1) // 2))
-        return ("regular fiber component through {" + ", ".join(map(str, least))
-                + "} " + (f"at value {lo}" if li % 2 == 0
-                          else f"between values {lo} and {hi}"))
+    arcs: list = []          # (lower, upper) candidate of each gap id
+    incident: dict = {}      # candidate (level, id) -> its arcs
+    opened: dict = {}        # open gap id -> the candidate it left
+    for level in range(0, len(events), 2):
+        for c, gaps in events[level].items():
+            key = (level, c)
+            incident[key] = []
+            for g in gaps:
+                if g not in opened:
+                    raise InternalError(
+                        f"{component(level - 1, g)} does not lie in one "
+                        f"component at value {format_frac(values[level // 2])}")
+                low = opened.pop(g)
+                incident[low].append(len(arcs))
+                incident[key].append(len(arcs))
+                arcs.append((low, key))
+            if level + 1 < len(events):
+                opened.update((g, key) for g in events[level + 1][c])
 
-    regular = [(c, ci) for c, comps in fine.components.items()
-               for ci in range(len(comps)) if (c, ci) not in critical]
-    for key in regular:
-        degree = len(nbrs.get(key, ()))
-        if not degree:
-            # an isolated regular component can only be a whole component of
-            # the space with no critical vertex, which cannot happen
-            raise InternalError(f"{component(key)} has no neighbours")
-        if degree != 2:
-            raise InternalError(f"{component(key)} has degree {degree}")
+    bad = [key for key, arcs_at in incident.items()
+           if len(arcs_at) != 2 and key not in critical]
+    if bad:
+        key = min(bad, key=order)
+        degree = len(incident[key])
+        # an isolated regular component can only be a whole component of
+        # the space with no critical vertex, which cannot happen
+        raise InternalError(f"regular {component(*key)} " + (
+            f"has degree {degree}" if degree else "has no neighbours"))
 
-    # every arc has a gap component, which is regular, at one end, so each
-    # monotone chain of regular components is one edge between the two
-    # nodes at its ends
-    kept = sorted(critical)
+    # walk each chain of regular candidates from a node to the node at its
+    # other end, once
+    kept = sorted(critical, key=order)
     label = {k: f"r{i}" for i, k in enumerate(kept)}
     edges = []
-    for chain in connected_classes(regular, [(a, b) for a in regular
-                                             for b in nbrs[a] if b not in label]):
-        ends = [label[b] for a in chain for b in nbrs[a] if b in label]
-        if len(ends) != 2:
-            # the chain closes into a cycle: a whole component of the space
-            # without a locus vertex
-            raise InternalError("contracted edge endpoint is not a node")
-        edges.append(tuple(sorted(ends)))
+    walked = [False] * len(arcs)
+    for start in kept:
+        for a in incident[start]:
+            if walked[a]:
+                continue
+            end = start
+            while True:
+                walked[a] = True
+                low, high = arcs[a]
+                end = high if end == low else low
+                if end in label:
+                    break
+                a = next(b for b in incident[end] if b != a)
+            edges.append(tuple(sorted((label[start], label[end]))))
+    if not all(walked):
+        # the chain closes into a cycle: a whole component of the space
+        # without a locus vertex
+        raise InternalError("contracted edge endpoint is not a node")
     return ReebGraph(nodes=tuple(label[k] for k in kept),
-                     node_value={label[k]: values[k[0][1] // 2] for k in kept},
+                     node_value={label[k]: values[k[0] // 2] for k in kept},
                      node_critical={label[k]: tuple(sorted(critical[k]))
                                     for k in kept},
-                     node_members={label[k]: fine.components[k[0]][k[1]]
-                                   for k in kept},
+                     node_members={label[k]: touched[k[0]][k[1]][1] for k in kept},
                      edges=tuple(sorted(edges)))
 
 

@@ -306,10 +306,14 @@ def test_tie_names_the_value_and_direction(tmp_path, capsys, notion):
 def test_reeb_internal_error_names_value_and_simplex(capsys, example,
                                                      component, key):
     # the D locus misses a vertex where the fiber changes, which the
-    # Reeb graph reports as an internal invariant failure
+    # Reeb graph reports as an internal invariant failure: the whole line,
+    # with the component's degree, in input labels, not as the internal
+    # (level, index) key
+    degree = {"torus_grid": 3, "saddle_patch": 4, "double_cone": 4}[example]
     assert main(["reeb", "--example", example, "--notion", "D"]) == 3
     err = capsys.readouterr().err
-    assert f"regular fiber component through {component} has degree" in err, err
+    assert err == (f"error: regular fiber component through {component} "
+                   f"has degree {degree}\n"), err
     assert key not in err
 
 

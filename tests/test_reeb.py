@@ -107,12 +107,36 @@ class TestReebGraph:
             reeb_graph(tetra)
 
     def test_gap_component_across_two_components_is_internal(self):
-        f = example_map("torus_grid")
-        _merge_a_gap_level(f)
+        # two edges born apart at value 0 and ended at value 1; the record
+        # is corrupted so the gap id of the first edge also continues into
+        # the component of the second
+        f = _scalar_map([["a", "b"], ["c", "d"]], {"a": 0, "c": 0, "b": 1, "d": 1})
+        events, _, holder = f.sweep.record()
+        first, second = holder["b"], holder["d"]
+        events[2][second].append(first)
         with pytest.raises(InternalError, match=re.escape(
-                "fiber component through {v00, v01, v11} over (2503/250) does "
-                "not lie in one component over (2501/250)")):
+                "fiber component through {a, b} between values 0 and 1 does "
+                "not lie in one component at value 1") + "$"):
             reeb_graph(f)
+
+    def test_reads_the_sweep_record_not_fine_cells(self, rng, monkeypatch):
+        # on a fresh map the graph makes the fill's `_components` calls and
+        # none of its own, and never builds the fine cells the scaffold reads
+        def no_cells(f):
+            raise AssertionError("reeb_graph built FineCells")
+        monkeypatch.setattr(reeb, "FineCells", no_cells)
+        calls = _record_sweep(monkeypatch)
+        for f in _sweep_maps(rng)[:8]:
+            j = jacobi_set(f)
+            twin = PLMap(f.domain, 1, f.values)
+            del calls[:]
+            twin.sweep.components(0)
+            filled = len(calls)
+            del calls[:]
+            reeb_graph(f, j)
+            assert len(calls) == filled
+            reeb_graph(f, j)
+            assert len(calls) == filled
 
     def test_chain_closed_into_a_cycle_is_internal(self):
         # a square with a hand-made empty locus: its regular components
@@ -383,6 +407,32 @@ class TestSweepOracle:
             assert rg.node_critical == expected.node_critical
             assert rg.node_members == expected.node_members
             assert rg.edges == expected.edges
+
+    def test_two_nodes_at_one_tied_level(self):
+        # the path z-y is born first, so its component has the smaller id,
+        # but at the tied maxima b and y the component of a-b comes first,
+        # by its least simplex
+        f = _scalar_map([["z", "y"], ["a", "b"]], {"z": 0, "a": 1, "b": 2, "y": 2})
+        rg = reeb_graph(f)
+        assert _graph(rg) == _graph(naive_reeb_graph(f))
+        assert [rg.node_critical[n] for n in rg.nodes] == [("z",), ("a",), ("b",), ("y",)]
+        assert rg.edges == (("r0", "r3"), ("r1", "r2"))
+
+    @pytest.mark.parametrize("values", [{"a": 0, "m": 1, "b": 0},
+                                        {"a": 1, "m": 0, "b": 1}])
+    def test_regular_component_with_both_arcs_on_one_side(self, values):
+        # a locus without the maximum (or the minimum) m of the path a-m-b:
+        # m's component has both arcs below (or above) and is contracted,
+        # so the two ends are joined by one edge
+        f = _scalar_map([["a", "m"], ["m", "b"]], values)
+        ends = JacobiSet(SimplicialComplex.from_facets([["a"], ["b"]]), "H", 1)
+        rg = reeb_graph(f, ends)
+        assert _graph(rg) == _graph(naive_reeb_graph(f, ends))
+        assert rg.edges == (("r0", "r1"),)
+
+
+def _graph(rg) -> tuple:
+    return (rg.nodes, rg.node_value, rg.node_critical, rg.node_members, rg.edges)
 
 
 def _planar_maps(rng) -> list[PLMap]:
