@@ -41,7 +41,7 @@ from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import (DegeneracyError, GenericityError, InputError, InternalError,
+from .errors import (GenericityError, InputError, InternalError,
                      StructuralError)
 from .geometry import (canon_key, format_frac, frac, on_segment,
                        proper_crossing, segments_share_line_overlap, vadd,
@@ -322,39 +322,32 @@ class PlanarArrangement:
     def face_interior_samples(self, index: int, n: int = 1) -> list[Point]:
         """Deterministic interior points of a face.
 
-        Bounded faces: points slightly off boundary-edge midpoints, with the
-        offset halved until location confirms the face; thin faces that defeat
-        the cap are reported as a degeneracy.  The unbounded face walks away
-        from the bounding box.
+        Bounded faces: n points off the least boundary edge, at j/(n+1) of
+        its length, each moved along the edge normal by 1/2, 1/4, ... of
+        its length, to either side, until location confirms the face.  The
+        face lies on a side of the edge, so the halving ends, and the
+        points differ along the edge.  The unbounded face walks away from
+        the bounding box.
         """
         if not self.faces[index].bounded:
             _, _, x1, y1 = self.bounding_box()
             return [(x1 + 1 + i, y1 + 1 + i) for i in range(n)]
-        vs, es = self.face_boundary(index)
+        u, v = min(self.face_boundary(index)[1])
+        a, b = self.vertices[u], self.vertices[v]
+        d = vsub(b, a)
+        normal = (-d[1], d[0])
         out: list[Point] = []
-        bases: list[tuple[Point, Point]] = []
-        for u, v in sorted(es):
-            a, b = self.vertices[u], self.vertices[v]
-            for j in range(1, n + 1):
-                t = Fraction(j, n + 1)
-                bases.append((vadd(a, vscale(t, vsub(b, a))), vsub(b, a)))
-        for base, d in bases:
-            normal = (-d[1], d[0])
-            found = None
-            for m in range(1, 64):
-                for sgn in (1, -1):
-                    cand = vadd(base, vscale(Fraction(sgn, 2 ** m), normal))
+        for j in range(1, n + 1):
+            base = vadd(a, vscale(Fraction(j, n + 1), d))
+            step, found = Fraction(1, 2), None
+            while found is None:
+                for cand in (vadd(base, vscale(step, normal)),
+                             vadd(base, vscale(-step, normal))):
                     if self.locate(cand) == ("f", index):
                         found = cand
                         break
-                if found is not None:
-                    break
-            if found is not None and found not in out:
-                out.append(found)
-            if len(out) == n:
-                return out
-        if not out:
-            raise DegeneracyError(f"could not sample the interior of face {index}")
+                step /= 2
+            out.append(found)
         return out
 
 

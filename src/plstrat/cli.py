@@ -1,8 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 unusable input (parse errors, structural
-violations, unknown names), 2 non-generic or degenerate data, 3 internal
-invariant failure.
+Exit codes: 0 success, otherwise the `exit_code` of the package error that
+ended the run (see `errors`); a usage error is 1.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from .arrangement import (SingularLocus, build_codomain_stratification,
                           coarseness_check, render_svg,
                           stratify_singular_locus)
 from .complexes import manifold_check
-from .errors import (GenericityError, InputError, InternalError, PLStratError)
+from .errors import InputError, PLStratError
 from .jacobi import PLMap, check_generic, domain_stratification, jacobi_set
 from .posets import linear_subposets
 from .reeb import (check_stein_square, interval_fiber_audit, reeb_graph,
@@ -67,12 +66,6 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
-
-
-def _add_input_args(sub):
-    sub.add_argument("input", nargs="?", help="map JSON file")
-    sub.add_argument("--example", help="use a bundled example instead of a file")
-    sub.set_defaults(kind="map")
 
 
 def _validate_doc(f, gen, man) -> dict:
@@ -258,9 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
                                  "images, Reeb graphs and fiber scaffolds.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub, notion=True, jobs=False, samples=False, svg=False):
-        _add_input_args(sub)
-        sub.add_argument("--out", help="output path, '-' or omitted for stdout")
+    def common(sub, kind="map", bundle=False, notion=True, jobs=False,
+               samples=False, svg=False):
+        # every shared option is declared here only: the input of `kind`
+        # ("map", "contour", or None for either), `--out` (a directory
+        # when `bundle`) and each option asked for
+        sub.add_argument("input", nargs="?",
+                         help=f"{kind or 'map or contour'} JSON file")
+        sub.add_argument("--example", help="use a bundled example instead of a file")
+        sub.add_argument("--out", required=bundle,
+                         help="bundle output directory" if bundle
+                         else "output path, '-' or omitted for stdout")
         if notion:
             sub.add_argument("--notion", choices=NOTION_CHOICES, default="H",
                              help="criticality notion (default H)")
@@ -272,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="probe points per interval or stratum")
         if svg:
             sub.add_argument("--svg", help="also write an SVG picture here")
+        sub.set_defaults(kind=kind)
 
     s = subs.add_parser("validate", help="parse, audit genericity and manifoldness")
     common(s, notion=False)
@@ -295,36 +297,26 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_reeb)
 
     s = subs.add_parser("morse2-locus", help="stratify a drawn apparent contour")
-    s.add_argument("input", nargs="?", help="contour JSON file")
-    s.add_argument("--example", help="use a bundled example instead of a file")
-    s.add_argument("--out", help="output path, '-' or omitted for stdout")
-    s.add_argument("--svg", help="also write an SVG picture here")
-    s.set_defaults(func=cmd_locus, kind="contour")
+    common(s, kind="contour", notion=False, svg=True)
+    s.set_defaults(func=cmd_locus)
 
     s = subs.add_parser("pipeline",
                         help="write every applicable artifact to a directory")
-    _add_input_args(s)
-    s.add_argument("--out", required=True, help="bundle output directory")
-    s.add_argument("--notion", choices=NOTION_CHOICES, default="H",
-                   help="criticality notion (default H)")
-    s.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
-    s.add_argument("--samples", type=_positive_int, default=3,
-                   help="probe points per interval or stratum")
+    common(s, kind=None, bundle=True, jobs=True, samples=True)
     s.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True,
                    help="write SVG pictures")
     s.add_argument("--dot", action=argparse.BooleanOptionalAction, default=True,
                    help="write DOT graphs")
     s.add_argument("--filtration", action=argparse.BooleanOptionalAction,
                    default=False, help="also write a chain filtration file")
-    s.set_defaults(func=cmd_pipeline, kind=None)
+    s.set_defaults(func=cmd_pipeline)
 
     s = subs.add_parser("export-filtration",
                         help="one maximal chain of codomain strata as a filtration")
-    common(s)
+    common(s, kind=None)
     s.add_argument("--chain", help="comma separated stratum labels; "
                                    "first maximal chain when omitted")
-    s.set_defaults(func=cmd_filtration, kind=None)
+    s.set_defaults(func=cmd_filtration)
 
     s = subs.add_parser("example", help="print a bundled example input")
     s.add_argument("name", nargs="?", help="example name; omit to list")
@@ -334,26 +326,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the argparse tree, built by the first `main` call of the process (not at
+# import) and reused: it does not depend on the arguments, and each
+# `parse_args` fills a fresh namespace
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GenericityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PLStratError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,13 +1,18 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto process exit codes: bad or ill-formed input is 1,
-genericity and degeneracy failures are 2, internal invariant breaches are 3.
+Each class carries the process exit code the CLI returns for it, as its
+`exit_code` attribute, and a subclass inherits its base's code unless it
+sets its own: bad or ill-formed input is 1 (`PLStratError` and all it
+does not say otherwise of), genericity and degeneracy failures are 2
+(`GenericityError`, `DegeneracyError`), internal invariant breaches are 3
+(`InternalError`).  This is the one table of exit codes.
 """
 from __future__ import annotations
 
 
 class PLStratError(Exception):
     """Base class for all package errors."""
+    exit_code = 1
 
 
 class InputError(PLStratError):
@@ -30,6 +35,7 @@ class EmptyComplexError(StructuralError):
 class GenericityError(PLStratError):
     """The input is not in general position (ties, degenerate images,
     non-transverse crossings).  Never silently perturbed."""
+    exit_code = 2
 
 
 class DegeneracyError(GenericityError):
@@ -38,3 +44,4 @@ class DegeneracyError(GenericityError):
 
 class InternalError(PLStratError):
     """An internal invariant failed; indicates a bug, not bad input."""
+    exit_code = 3

@@ -53,10 +53,9 @@ from .arrangement import (CodomainStratification, _show,
                           build_codomain_stratification, edge_image_arrangement)
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      StructuralError)
-from .geometry import (canon_key, convex_hull_2d, format_frac, frac, vadd,
-                       vscale, vsub)
+from .geometry import convex_hull_2d, format_frac, frac, vadd, vscale, vsub
 from .jacobi import JacobiSet, PLMap, jacobi_set
-from .posets import (MonotoneMap, Poset, StratifiedSpace, check_stratified_map,
+from .posets import (Poset, StratifiedSpace, check_stratified_map,
                      connected_classes)
 
 
@@ -571,19 +570,6 @@ class ReebScaffold:
     counts: dict                # stratum label -> component count
     fine: FineCells             # the cells the scaffold is glued from
     cell_elements: dict         # fine cell -> element of each of its components
-
-    def projection(self) -> MonotoneMap:
-        """The forgetful map onto the occupied part of the codomain poset."""
-        occupied = sorted({s for s, _ in self.poset.elements})
-        sub = _induced_subposet(self.codomain.space.poset, occupied)
-        return MonotoneMap(source=self.poset, target=sub,
-                           mapping={e: e[0] for e in self.poset.elements})
-
-
-def _induced_subposet(p: Poset, elements) -> Poset:
-    keep = set(elements)
-    rel = [(a, b) for (a, b) in p.relation_pairs() if a in keep and b in keep]
-    return Poset(sorted(keep, key=canon_key), rel)
 
 
 def _stratum_samples(cs: CodomainStratification, label: str, n: int) -> list:

@@ -92,6 +92,16 @@ class TestPlanarArrangement:
         for p in arr.face_interior_samples(bounded[0].index, 4):
             assert arr.locate(p) == ("f", bounded[0].index)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_face_interior_samples_of_a_thin_face(self, n):
+        # 2^-70 high: the offset off the edge is halved past any fixed cap
+        a, b, c = (F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 2 ** 70))
+        arr = PlanarArrangement([(a, b), (b, c), (c, a)])
+        assert arr.faces[0].bounded
+        points = arr.face_interior_samples(0, n)
+        assert len(set(points)) == n
+        assert all(arr.locate(p) == ("f", 0) for p in points)
+
     def test_random_connected_arrangements(self, rng):
         for _ in range(5):
             _, arr = random_segments(rng, max_segments=8)

@@ -1,10 +1,12 @@
 """Serialization round-trips and the command line surface."""
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
 from helpers import naive_dumps
+from plstrat import errors
 from plstrat import (InputError, Simplex, build_codomain_stratification,
                      jacobi_set)
 from plstrat.cli import main
@@ -327,6 +329,60 @@ def test_samples_below_one_is_a_usage_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "--samples" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_one_parser_per_process_and_no_option_leaks(monkeypatch, capsys):
+    import plstrat.cli as cli
+    roots = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "plstrat":
+            roots.append(self)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    # as in a fresh process: no tree built yet
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    per_interval = []
+    for extra in (["--samples", "5"], [], ["--notion", "L"]):
+        assert main(["reeb", "--example", "torus_grid"] + extra) == 0
+        doc = json.loads(capsys.readouterr().out)
+        per_interval.append({len(s) for s in doc["fiber_audit"]["samples"]})
+    assert len(roots) == 1
+    assert per_interval == [{5}, {3}, {3}]
+
+
+_ERRORS = [(errors.PLStratError, 1), (errors.InputError, 1),
+           (errors.StructuralError, 1), (errors.NotAMemberError, 1),
+           (errors.EmptyComplexError, 1), (errors.GenericityError, 2),
+           (errors.DegeneracyError, 2), (errors.InternalError, 3)]
+
+
+@pytest.mark.parametrize("cls, code", _ERRORS,
+                         ids=[cls.__name__ for cls, _ in _ERRORS])
+def test_exit_code_is_the_error_class_code(monkeypatch, tmp_path, capsys,
+                                            cls, code):
+    import plstrat.cli as cli
+
+    def failing(*args, **kwargs):
+        raise cls("no locus at 1/2")
+    monkeypatch.setattr(cli, "jacobi_set", failing)
+    assert main(["jacobi", "--example", "octahedron"]) == code
+    assert capsys.readouterr().err == "error: no locus at 1/2\n"
+    assert main(["pipeline", "--example", "octahedron",
+                 "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == "error: stage jacobi: no locus at 1/2\n"
+    assert cls.exit_code == code
+
+
+def test_an_error_outside_the_package_propagates(monkeypatch):
+    import plstrat.cli as cli
+
+    def failing(*args, **kwargs):
+        raise ZeroDivisionError("not a package error")
+    monkeypatch.setattr(cli, "jacobi_set", failing)
+    with pytest.raises(ZeroDivisionError, match="not a package error"):
+        main(["jacobi", "--example", "octahedron"])
 
 
 class TestPipeline:

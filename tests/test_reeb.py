@@ -761,11 +761,6 @@ class TestScaffold:
         assert all(sc.counts[l] == 1 for l in bounded)
         assert sc.counts["f_out"] == 0
 
-    def test_projection_monotone_surjective(self, torus, tetra):
-        for f in (torus, tetra):
-            proj = reeb_scaffold(f).projection()
-            assert proj.is_surjective()
-
 
 class TestSteinSquare:
     def test_holds_on_goldens(self, torus, tetra):
