@@ -12,8 +12,7 @@ from .arrangement import (CodomainStratification, Face, LocusStratification,
                           stratum_dimension)
 from .complexes import (ManifoldReport, Simplex, SimplicialComplex,
                         euler_characteristic, face_poset, join, link,
-                        manifold_check, native_stratification, open_star,
-                        skeletal_filtration, sphere_verdict, star)
+                        manifold_check, open_star, sphere_verdict, star)
 from .errors import (DegeneracyError, EmptyComplexError, GenericityError,
                      InputError, InternalError, NotAMemberError, PLStratError,
                      StructuralError)
@@ -22,13 +21,12 @@ from .homology import (BettiVector, boundary_columns, is_h_nontrivial,
 from .jacobi import (CriticalityVerdict, GenericityReport, JacobiSet, PLMap,
                      check_generic, criticality_verdict, directional_links,
                      domain_stratification, h_side_verdicts, is_d_critical,
-                     is_h_critical, is_l_critical_surface, jacobi_set,
-                     stratify_domain_by_locus)
+                     is_h_critical, is_l_critical_surface, jacobi_set)
 from .posets import (MonotoneMap, Poset, StratifiedSpace, chain_poset,
                      check_stratified_map, collapse_to_point, is_partial_order,
                      is_refinement, left_cone, linear_subposets,
-                     poset_from_json_dict, poset_to_dot, poset_to_json_dict,
-                     product, right_cone, validate_poset, wedge_extend)
+                     poset_to_json_dict, product, right_cone, validate_poset,
+                     wedge_extend)
 from .reeb import (FiberAudit, ReebGraph, ReebScaffold, SteinReport,
                    check_stein_square, fiber_components, interval_fiber_audit,
                    reeb_graph, reeb_scaffold, stratum_fiber_audit)

@@ -642,9 +642,6 @@ class LocusStratification:
     marks: dict            # zero-cell label -> frozenset of mark kinds
     arrangement: PlanarArrangement
 
-    def zero_cells(self) -> list[str]:
-        return sorted(self.marks)
-
 
 def _strand_segments(strand, closed):
     pts = strand[:-1] if closed else strand

@@ -17,8 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyComplexError, NotAMemberError, StructuralError
 from .geometry import canon_key
-from .posets import (MonotoneMap, Poset, StratifiedSpace, chain_poset,
-                     connected_classes)
+from .posets import Poset, connected_classes
 
 
 class Simplex(tuple):
@@ -239,29 +238,10 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(out, check=False)
 
 
-def native_stratification(k: SimplicialComplex) -> StratifiedSpace:
-    """The face-order stratification: each point of the carrier belongs to the
-    lowest-dimensional simplex containing it, so cells are the simplices
-    themselves and the poset is the face order."""
-    k._require_nonempty()
-    poset = face_poset(k)
-    closure = frozenset((f, s) for s in k.simplices for f in s.faces() if f != s)
-    return StratifiedSpace(poset=poset, cells=frozenset(k.simplices),
-                           closure=closure,
-                           assignment={s: s for s in k.simplices})
-
-
 def face_poset(k: SimplicialComplex) -> Poset:
     k._require_nonempty()
     rel = [(f, s) for s in k.simplices for f in s.boundary()]
     return Poset(k.simplices, rel)
-
-
-def skeletal_filtration(k: SimplicialComplex) -> MonotoneMap:
-    """Dimension as a monotone map from the face poset onto 0..dim."""
-    k._require_nonempty()
-    target = chain_poset(range(k.dimension + 1))
-    return MonotoneMap(face_poset(k), target, {s: s.dim for s in k.simplices})
 
 
 # ---------------------------------------------------------------------------

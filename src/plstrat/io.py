@@ -79,16 +79,6 @@ def map_from_dict(data: dict) -> PLMap:
     return PLMap(domain=domain, k=k, values=parsed)
 
 
-def map_to_dict(f: PLMap) -> dict:
-    values = {}
-    for v in sorted(f.domain.vertices, key=canon_key):
-        val = f.values[v]
-        values[v] = format_frac(val[0]) if f.k == 1 else _encode_point(val)
-    return {"k": f.k,
-            "facets": [list(s) for s in sorted(f.domain.facets(), key=canon_key)],
-            "values": values}
-
-
 def load_map(path) -> PLMap:
     return map_from_dict(_load_json(path))
 
@@ -113,11 +103,6 @@ def locus_from_dict(data: dict) -> SingularLocus:
     except (TypeError, ValueError) as exc:
         raise InputError("cusps must be a list of [strand, vertex] pairs") from exc
     return SingularLocus(strands=tuple(parsed), cusp_marks=marks)
-
-
-def locus_to_dict(locus: SingularLocus) -> dict:
-    return {"strands": [[_encode_point(p) for p in s] for s in locus.strands],
-            "cusps": [list(m) for m in locus.cusp_marks]}
 
 
 def load_locus(path) -> SingularLocus:
@@ -330,8 +315,10 @@ def scaffold_to_dict(sc: ReebScaffold) -> dict:
 def stein_to_dict(report: SteinReport) -> dict:
     return {"passed": report.passed,
             "continuous": report.continuous,
-            "projection_monotone": report.projection_monotone,
-            "projection_surjective": report.projection_surjective,
+            # both projection checks come to `continuous` (see
+            # `reeb.check_stein_square`); the keys keep the bundle format
+            "projection_monotone": report.continuous,
+            "projection_surjective": report.continuous,
             "commutes": report.commutes,
             "notes": list(report.notes),
             "cell_map": sorted(report.cell_map.items(),
@@ -428,14 +415,14 @@ def example_names() -> list[str]:
 
 
 def load_example(name: str) -> dict:
-    root = resources.files("plstrat.data")
-    path = root / f"{name}.json"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
+    """The bundled example `name`, one of `example_names()`: any other
+    name, a path among them, is refused before a file is opened."""
+    names = example_names()
+    if name not in names:
         raise InputError(f"no bundled example named {name!r}; "
-                         f"try one of {', '.join(example_names())}") from exc
-    return json.loads(text)
+                         f"try one of {', '.join(names)}")
+    root = resources.files("plstrat.data")
+    return json.loads((root / f"{name}.json").read_text(encoding="utf-8"))
 
 
 def example_map(name: str) -> PLMap:

@@ -433,16 +433,20 @@ def jacobi_set(f: PLMap, notion: str = "H") -> JacobiSet:
     return JacobiSet(SimplicialComplex.from_facets(critical), notion, f.k)
 
 
-def stratify_domain_by_locus(x: SimplicialComplex, j: JacobiSet) -> StratifiedSpace:
-    """Stratify the domain by the simplices of a critical locus plus the
-    connected components of its complement.
+def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpace:
+    """Stratify the domain of f by the simplices of the critical locus `j`,
+    the H Jacobi set of f when omitted, plus the connected components of
+    its complement.
 
     Complement components are the classes of the simplices outside the
     locus, where two simplices communicate when one is a face of the other;
-    that matches topological connectivity of the open complement.
+    that matches topological connectivity of the open complement.  Each
+    component lies above the locus simplices in its closure; with an empty
+    locus the components are unrelated.
     """
+    jset = (jacobi_set(f) if j is None else j).complex.simplices
+    x = f.domain
     x._require_nonempty()
-    jset = j.complex.simplices
     for s in jset:
         if s not in x.simplices:
             raise NotAMemberError(f"locus simplex {tuple(s)!r} not in the domain")
@@ -451,32 +455,13 @@ def stratify_domain_by_locus(x: SimplicialComplex, j: JacobiSet) -> StratifiedSp
     # its cofaces are joined through codimension-one faces in between
     comps = connected_classes(rest, [(t, fc) for t in rest
                                      for fc in t.boundary() if fc not in jset])
-    comp_of = {t: i for i, comp in enumerate(comps) for t in comp}
-
     labels = [f"C{i}" for i in range(len(comps))]
-    if jset:
-        base = Poset(jset, [(fc, s) for s in jset for fc in s.boundary()])
-        pairs = set()
-        for idx, comp in enumerate(comps):
-            for t in comp:
-                for fc in t.faces():
-                    if fc in jset:
-                        pairs.add((fc, labels[idx]))
-        poset = wedge_extend(base, labels, sorted(
-            pairs, key=lambda p: (canon_key(p[0]), canon_key(p[1]))))
-    else:
-        # empty locus: components are mutually unreachable, so no relations
-        poset = Poset(labels, [])
+    assignment = {s: s for s in jset}
+    assignment.update((t, labels[i]) for i, comp in enumerate(comps) for t in comp)
 
-    assignment = {}
-    for s in x.simplices:
-        assignment[s] = s if s in jset else labels[comp_of[s]]
     closure = frozenset((fc, s) for s in x.simplices for fc in s.faces() if fc != s)
+    base = Poset(jset, [(fc, s) for s in jset for fc in s.boundary()])
+    poset = wedge_extend(base, labels, {(fc, assignment[s]) for fc, s in closure
+                                        if fc in jset and s not in jset})
     return StratifiedSpace(poset=poset, cells=frozenset(x.simplices),
                            closure=closure, assignment=assignment)
-
-
-def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpace:
-    """Stratification of the domain induced by the critical locus `j`, the
-    H Jacobi set of f when omitted."""
-    return stratify_domain_by_locus(f.domain, jacobi_set(f) if j is None else j)

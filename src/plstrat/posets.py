@@ -40,15 +40,10 @@ def _closure_upsets(elements, pairs):
 def is_partial_order(elements: Iterable[Label], pairs: Iterable[tuple]) -> bool:
     """Check whether the reflexive-transitive closure of the given relation
     is antisymmetric, i.e. generates a partial order on the elements."""
-    elements = set(elements)
     try:
-        up = _closure_upsets(elements, list(pairs))
-    except NotAMemberError:
+        Poset(elements, pairs)
+    except (NotAMemberError, StructuralError):
         return False
-    for a in elements:
-        for b in up[a]:
-            if a != b and a in up[b]:
-                return False
     return True
 
 
@@ -133,8 +128,8 @@ class Poset:
         return self._covers
 
     def minima(self) -> frozenset:
-        return frozenset(e for e in self.elements
-                         if not any(e in self._up[x] and x != e for x in self.elements))
+        """The elements strictly above nothing."""
+        return self.elements.difference(*(up - {x} for x, up in self._up.items()))
 
     def maxima(self) -> frozenset:
         return frozenset(e for e in self.elements if self._up[e] == frozenset({e}))
@@ -258,12 +253,8 @@ def collapse_to_point(p: Poset, subset: Iterable[Label], new_label: Label) -> Po
     return Poset(elements, rel)
 
 
-def linear_subposets(p: Poset, max_length: int | None = None) -> list[tuple]:
-    """All maximal chains, in deterministic label order.
-
-    A chain that would exceed max_length elements is truncated there, so the
-    parameter acts as an enumeration depth cap rather than a filter.
-    """
+def linear_subposets(p: Poset) -> list[tuple]:
+    """All maximal chains, in deterministic label order."""
     chains: list[tuple] = []
     covers_up: dict = {e: [] for e in p.elements}
     for a, b in p.covers:
@@ -272,9 +263,6 @@ def linear_subposets(p: Poset, max_length: int | None = None) -> list[tuple]:
         covers_up[e].sort(key=canon_key)
 
     def extend(chain: list):
-        if max_length is not None and len(chain) >= max_length:
-            chains.append(tuple(chain))
-            return
         nxt = covers_up[chain[-1]]
         if not nxt:
             chains.append(tuple(chain))
@@ -359,9 +347,6 @@ class StratifiedSpace:
             out[s].add(c)
         return out
 
-    def occupied(self) -> frozenset:
-        return frozenset(self.assignment.values())
-
 
 def check_stratified_map(cell_map: Mapping, source: StratifiedSpace,
                          target: StratifiedSpace):
@@ -406,12 +391,6 @@ def is_refinement(fine: StratifiedSpace, coarse: StratifiedSpace) -> bool:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _decode_label(x):
-    if isinstance(x, list):
-        return tuple(_decode_label(v) for v in x)
-    return x
-
-
 def poset_to_json_dict(p: Poset) -> dict:
     """Elements and cover pairs in `canon_key` order, labels as they are;
     `io.canonical_dumps` writes tuple labels as arrays."""
@@ -425,32 +404,3 @@ def sorted_pairs(pairs: Iterable[tuple], ordered: list) -> list:
     rank = {e: i for i, e in enumerate(ordered)}
     n = len(ordered)
     return sorted(pairs, key=lambda ab: rank[ab[0]] * n + rank[ab[1]])
-
-
-def poset_from_json_dict(data: dict) -> Poset:
-    els = [_decode_label(e) for e in data["elements"]]
-    rel = [( _decode_label(a), _decode_label(b)) for a, b in data["covers"]]
-    return Poset(els, rel)
-
-
-def _dot_id(x) -> str:
-    s = str(x).replace('"', r'\"')
-    return f'"{s}"'
-
-
-def poset_to_dot(p: Poset, grading: Mapping | None = None) -> str:
-    """GraphViz text; with a grading, elements of equal grade share a rank."""
-    lines = ["digraph poset {", "  rankdir=BT;"]
-    for e in p.sorted_elements():
-        lines.append(f"  {_dot_id(e)};")
-    for a, b in sorted(p.covers, key=lambda ab: (canon_key(ab[0]), canon_key(ab[1]))):
-        lines.append(f"  {_dot_id(a)} -> {_dot_id(b)};")
-    if grading is not None:
-        by_grade: dict = {}
-        for e in p.elements:
-            by_grade.setdefault(grading[e], []).append(e)
-        for g in sorted(by_grade, key=canon_key):
-            ids = " ".join(_dot_id(e) for e in sorted(by_grade[g], key=canon_key))
-            lines.append(f"  {{ rank=same; {ids} }}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -662,16 +662,13 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
 @dataclass(frozen=True)
 class SteinReport:
     continuous: bool
-    projection_monotone: bool
-    projection_surjective: bool
     commutes: bool
     cell_map: dict
     notes: tuple = ()
 
     @property
     def passed(self) -> bool:
-        return (self.continuous and self.projection_monotone
-                and self.projection_surjective and self.commutes)
+        return self.continuous and self.commutes
 
 
 def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinReport:
@@ -724,20 +721,22 @@ def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinR
     # test the scaffold's covers against the order of `cs`
     if not continuous:
         notes.append("projection onto occupied strata is not monotone")
-    return SteinReport(continuous=continuous, projection_monotone=continuous,
-                       projection_surjective=continuous, commutes=commutes,
+    return SteinReport(continuous=continuous, commutes=commutes,
                        cell_map=cell_map, notes=tuple(notes))
 
 
 def stratum_fiber_audit(f: PLMap, scaffold: ReebScaffold | None = None,
                         samples: int = 3):
     """Check that the fiber component count is constant across each
-    codomain stratum by sampling every stratum at several points."""
+    codomain stratum by sampling every stratum at several points.  Only
+    the scaffold's codomain is read: without a scaffold, the codomain is
+    stratified by the H Jacobi set of f."""
     if samples < 1:
         raise StructuralError(f"the audit needs at least one sample, got {samples}")
     if scaffold is None:
-        scaffold = reeb_scaffold(f)
-    cs = scaffold.codomain
+        cs = build_codomain_stratification(f, jacobi_set(f))
+    else:
+        cs = scaffold.codomain
     results: dict = {}
     ok = True
     for label in sorted(cs.space.cells):

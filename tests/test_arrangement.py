@@ -19,7 +19,7 @@ from plstrat import (GenericityError, InputError, JacobiSet, PLMap,
                      stratum_dimension, validate_poset)
 from plstrat.cli import main
 from plstrat.geometry import vadd, vsub
-from plstrat.io import example_locus, example_map, locus_to_dict, map_from_dict
+from plstrat.io import example_locus, example_map, map_from_dict
 
 F = Fraction
 
@@ -320,10 +320,9 @@ class TestGenericityMessages:
             PlanarArrangement(CROSS + [seg(-1, -1, 1, 1)])
 
     def test_contour_t_junction_exits_2_with_the_message(self, tmp_path, capsys):
-        locus = SingularLocus(strands=(((F(-2), F(0)), (F(2), F(1))),
-                                       ((F(0), F(1, 2)), (F(1), F(3)))))
         path = tmp_path / "contour.json"
-        path.write_text(json.dumps(locus_to_dict(locus)))
+        path.write_text(json.dumps({"strands": [[["-2", "0"], ["2", "1"]],
+                                                [["0", "1/2"], ["1", "3"]]]}))
         assert main(["morse2-locus", str(path)]) == 2
         assert ("endpoint (0, 1/2) of segment (0, 1/2)-(1, 3) lies interior "
                 "to segment (-2, 0)-(2, 1)") in capsys.readouterr().err
@@ -477,14 +476,14 @@ class TestLocusStratification:
         ls = stratify_singular_locus(oval)
         els = set(ls.space.poset.elements)
         assert els == {"z0", "z1", "c0", "c1", "f0", "f_out"}
-        assert all(ls.marks[z] == {"tangency"} for z in ls.zero_cells())
+        assert all(ls.marks[z] == {"tangency"} for z in sorted(ls.marks))
         assert validate_poset(ls.space.poset)
 
     def test_crossing_locus_counts(self):
         fig8 = example_locus("figure_eight_contour")
         ls = stratify_singular_locus(fig8)
-        kinds = [k for z in ls.zero_cells() for k in ls.marks[z]]
-        assert len(ls.zero_cells()) == 7
+        kinds = [k for z in sorted(ls.marks) for k in ls.marks[z]]
+        assert len(ls.marks) == 7
         assert kinds.count("crossing") == 1
         assert kinds.count("cusp") == 2
         assert kinds.count("endpoint") == 2

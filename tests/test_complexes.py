@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import closed_surfaces, random_complex
-from plstrat import (EmptyComplexError, MonotoneMap, NotAMemberError, Simplex,
+from plstrat import (EmptyComplexError, NotAMemberError, Simplex,
                      SimplicialComplex, StructuralError, euler_characteristic,
-                     face_poset, join, link, manifold_check,
-                     native_stratification, open_star, skeletal_filtration,
+                     face_poset, join, link, manifold_check, open_star,
                      sphere_verdict, star, validate_poset)
 from plstrat.geometry import canon_key
 
@@ -216,22 +215,11 @@ class TestJoin:
 
 
 class TestStratifications:
-    def test_native_stratification_validates(self):
-        space = native_stratification(octahedron())
-        assert validate_poset(space.poset)
-        assert len(space.cells) == len(octahedron())
-
     def test_face_poset_orders_by_inclusion(self):
         p = face_poset(circle())
         assert validate_poset(p)
         assert p.leq(Simplex((0,)), Simplex((0, 1)))
         assert not p.leq(Simplex((0, 1)), Simplex((0,)))
-
-    def test_skeletal_filtration_is_monotone_onto_dims(self):
-        f = skeletal_filtration(octahedron())
-        assert isinstance(f, MonotoneMap)
-        assert f.is_surjective()
-        assert f(Simplex(("m", "a", "b"))) == 2
 
 
 class TestGlobalInvariants:

@@ -1,20 +1,21 @@
 """Serialization round-trips and the command line surface."""
 import argparse
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
+import plstrat
 from helpers import naive_dumps
 from plstrat import errors
 from plstrat import (InputError, Simplex, build_codomain_stratification,
                      jacobi_set)
 from plstrat.cli import main
 from plstrat.io import (canonical_dumps, codomain_to_dict, example_input,
-                        example_locus, example_map, example_names,
-                        filtration_text, jacobi_report_dict, load_example,
-                        locus_from_dict, locus_to_dict, map_from_dict,
-                        map_to_dict, parse_fraction, reeb_to_dot)
+                        example_map, example_names, filtration_text,
+                        jacobi_report_dict, load_example, map_from_dict,
+                        parse_fraction, reeb_to_dot)
 
 F = Fraction
 
@@ -35,24 +36,14 @@ class TestFractions:
 
 
 class TestRoundTrips:
-    def test_map_round_trip(self):
-        for name in ("octahedron", "torus_grid", "solid_tetrahedron"):
-            f = example_map(name)
-            assert map_from_dict(map_to_dict(f)) == f
-
-    def test_locus_round_trip(self):
-        for name in ("oval_contour", "figure_eight_contour"):
-            loc = example_locus(name)
-            assert locus_from_dict(locus_to_dict(loc)) == loc
-
     def test_example_input_dispatch(self):
         from plstrat import PLMap, SingularLocus
         assert isinstance(example_input("octahedron"), PLMap)
         assert isinstance(example_input("oval_contour"), SingularLocus)
 
     def test_map_rejects_float_values(self):
-        data = map_to_dict(example_map("octahedron"))
-        data["values"]["m"] = [0.5]
+        data = load_example("octahedron")
+        data["values"]["m"] = 0.5
         with pytest.raises(InputError):
             map_from_dict(data)
 
@@ -166,6 +157,16 @@ class TestExamples:
         with pytest.raises(InputError):
             load_example("nope")
 
+    def test_a_relative_path_is_no_name(self, tmp_path):
+        # a JSON file outside the package, named relative to the examples
+        (tmp_path / "outside.json").write_text('{"kind": "map"}')
+        data = os.path.join(os.path.dirname(os.path.realpath(plstrat.__file__)),
+                            "data")
+        name = os.path.relpath(os.path.realpath(tmp_path / "outside"), data)
+        assert os.path.isfile(os.path.join(data, name + ".json"))
+        with pytest.raises(InputError, match="no bundled example named"):
+            load_example(name)
+
 
 class TestTextFormats:
     def test_reeb_dot_shape(self):
@@ -232,6 +233,14 @@ class TestCliCommands:
 
     def test_unknown_example_is_exit_1(self, capsys):
         assert main(["validate", "--example", "nope"]) == 1
+
+    @pytest.mark.parametrize("argv", [["validate", "--example"], ["example"]])
+    def test_a_path_to_an_example_is_exit_1(self, capsys, argv):
+        # it names the octahedron's file, but is not an example name
+        assert main(argv + ["../data/octahedron"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no bundled example named '../data/octahedron'" in err
 
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["no-such-command"]) == 1

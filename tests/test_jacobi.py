@@ -13,8 +13,7 @@ from plstrat import (GenericityError, PLMap, Simplex, SimplicialComplex,
                      StructuralError, check_generic, criticality_verdict,
                      directional_links, domain_stratification, h_side_verdicts,
                      is_d_critical, is_h_critical, is_l_critical_surface,
-                     jacobi_set, reduced_betti, sphere_verdict,
-                     stratify_domain_by_locus, validate_poset)
+                     jacobi_set, reduced_betti, sphere_verdict, validate_poset)
 from plstrat.geometry import canon_key, cone_is_full, vsub
 from plstrat.io import example_map, example_names, load_example
 
@@ -423,7 +422,7 @@ class TestDomainStratification:
     def test_empty_locus_single_stratum(self, octa):
         from plstrat import JacobiSet
         empty = JacobiSet(SimplicialComplex([]), "H", 1)
-        space = stratify_domain_by_locus(octa.domain, empty)
+        space = domain_stratification(octa, empty)
         assert len(space.poset) == 1
         assert set(space.assignment.values()) == {"C0"}
 

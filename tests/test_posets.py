@@ -7,8 +7,7 @@ from plstrat import (MonotoneMap, NotAMemberError, Poset, SimplicialComplex,
                      StratifiedSpace, StructuralError, chain_poset,
                      check_stratified_map, collapse_to_point, face_poset,
                      is_partial_order, is_refinement, left_cone,
-                     linear_subposets, poset_from_json_dict, poset_to_dot,
-                     poset_to_json_dict, product, right_cone, validate_poset,
+                     linear_subposets, product, right_cone, validate_poset,
                      wedge_extend)
 
 
@@ -32,6 +31,9 @@ class TestAxioms:
     def test_two_cycle_is_not(self):
         assert not is_partial_order({"a", "b"}, [("a", "b"), ("b", "a")])
 
+    def test_unknown_element_is_not(self):
+        assert not is_partial_order({"a"}, [("a", "b")])
+
     def test_octahedron_face_relation_is_partial_order(self):
         oct_ = SimplicialComplex.from_facets(
             [(t, a, b) for t in "mw" for a, b in
@@ -51,6 +53,14 @@ class TestAxioms:
     def test_random_posets_validate(self, rng):
         for _ in range(25):
             assert validate_poset(random_poset(rng))
+
+    def test_minima_match_the_definition(self, rng):
+        # minimal: no other element lies below
+        for _ in range(25):
+            p = random_poset(rng, max_elements=12)
+            assert p.minima() == {e for e in p.elements
+                                  if not any(x != e and p.leq(x, e)
+                                             for x in p.elements)}
 
 
 class TestTopology:
@@ -223,11 +233,6 @@ class TestChains:
         assert len(chains) == 2
         assert all(len(c) == 3 for c in chains)
 
-    def test_max_length_truncates(self):
-        p = chain_poset(range(5))
-        assert linear_subposets(p, max_length=2) == [(0, 1)]
-        assert linear_subposets(p, max_length=99) == [(0, 1, 2, 3, 4)]
-
     def test_chains_are_totally_ordered(self, rng):
         p = random_poset(rng)
         for chain in linear_subposets(p):
@@ -331,14 +336,3 @@ class TestStratifiedMaps:
         with pytest.raises(StructuralError):
             is_refinement(fine, other)
 
-
-class TestSerialization:
-    def test_json_round_trip(self, rng):
-        for _ in range(5):
-            p = random_poset(rng)
-            assert poset_from_json_dict(poset_to_json_dict(p)) == p
-
-    def test_dot_lists_every_cover(self):
-        p = diamond()
-        dot = poset_to_dot(p)
-        assert dot.count(" -> ") == len(p.covers)

@@ -17,7 +17,7 @@ from plstrat import (DegeneracyError, GenericityError, InternalError,
                      stratum_fiber_audit, validate_poset)
 from plstrat import reeb
 from plstrat.geometry import format_frac
-from plstrat.io import example_map, map_from_dict
+from plstrat.io import example_map, map_from_dict, stein_to_dict
 
 F = Fraction
 
@@ -767,8 +767,9 @@ class TestSteinSquare:
         for f in (example_map("octahedron"), torus, tetra):
             rep = check_stein_square(f)
             assert rep.passed, rep.notes
-            assert rep.continuous and rep.projection_monotone
-            assert rep.projection_surjective and rep.commutes
+            assert rep.continuous and rep.commutes
+            doc = stein_to_dict(rep)
+            assert doc["projection_monotone"] and doc["projection_surjective"]
             assert rep.notes == ()
 
     def test_cell_map_covers_domain(self, torus):
@@ -784,7 +785,9 @@ class TestSteinSquare:
         rep = check_stein_square(torus, scaffold=bad)
         assert not rep.passed
         assert not rep.continuous
-        assert not rep.projection_monotone and not rep.projection_surjective
+        doc = stein_to_dict(rep)
+        assert not doc["passed"]
+        assert not doc["projection_monotone"] and not doc["projection_surjective"]
         assert rep.notes == (
             "forgetting the component index is not a stratified map",
             "projection onto occupied strata is not monotone")
@@ -798,6 +801,18 @@ class TestStratumAudit:
             assert ok
             for counts in results.values():
                 assert len(set(counts)) == 1
+
+    def test_without_a_scaffold_builds_no_fine_cells(self, torus, tetra,
+                                                     monkeypatch):
+        # only the codomain is read, so the H codomain stands in for the
+        # scaffold and gives the same counts
+        maps = (tetra, torus)
+        expected = [stratum_fiber_audit(f, reeb_scaffold(f)) for f in maps]
+
+        def no_cells(f):
+            raise AssertionError("stratum_fiber_audit built FineCells")
+        monkeypatch.setattr(reeb, "FineCells", no_cells)
+        assert [stratum_fiber_audit(f) for f in maps] == expected
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_needs_a_sample(self, tetra, samples):
