@@ -48,8 +48,11 @@ def _write(path: str, text: str):
 
 def _load(args):
     """The map or drawn contour in the input file or the bundled example,
-    which must be of the kind the command reads (`args.kind`, None for
-    either)."""
+    exactly one of them, which must be of the kind the command reads
+    (`args.kind`, None for either)."""
+    if args.example is not None and args.input is not None:
+        raise InputError(f"give an input file or --example, not both "
+                         f"({args.input} and --example {args.example})")
     if args.example is not None:
         obj, source = fmt.example_input(args.example), f"example {args.example!r}"
     elif args.input is not None:

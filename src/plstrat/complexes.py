@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import EmptyComplexError, NotAMemberError, StructuralError
-from .geometry import canon_key
+from .geometry import canon_key, canon_sorted
 from .posets import Poset, connected_classes
 
 
@@ -102,10 +102,7 @@ class SimplicialComplex:
     @cached_property
     def index(self) -> ComplexIndex:
         """The complex's lookup tables, built on first use."""
-        vkey = {v: canon_key(v) for v in self.vertices}
-        # canon_key of a simplex, from the keys of its vertices
-        ranked = tuple(sorted(self.simplices,
-                              key=lambda s: (2, tuple(vkey[v] for v in s))))
+        ranked = tuple(canon_sorted(self.simplices))
         cofaces: dict = {}
         for s in ranked:
             for v in s:
@@ -239,7 +236,7 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
 
 
 def face_poset(k: SimplicialComplex) -> Poset:
-    k._require_nonempty()
+    """The simplices of k ordered by inclusion; empty for the empty complex."""
     rel = [(f, s) for s in k.simplices for f in s.boundary()]
     return Poset(k.simplices, rel)
 

@@ -16,7 +16,7 @@ the tests use it as the oracle for that sign test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 Point = tuple  # tuple[Fraction, ...]
@@ -255,3 +255,26 @@ def canon_key(label):
     if isinstance(label, tuple):
         return (2, tuple(canon_key(x) for x in label))
     return (3, repr(label))
+
+
+_STR = frozenset((str,))
+
+
+def canon_sorted(labels) -> list:
+    """`sorted(labels, key=canon_key)`, the one canonical sort.  Strs and
+    tuples of strs, the labels of every bundle, are sorted natively: the
+    strs first, then the tuples compared as tuples, which is the order
+    `canon_key` gives them; any other label falls back to `canon_key`."""
+    labels = list(labels)
+    kinds = set(map(type, labels))
+    if kinds <= _STR:
+        labels.sort()
+        return labels
+    strs = [x for x in labels if type(x) is str] if str in kinds else []
+    kinds.discard(str)
+    rest = [x for x in labels if type(x) is not str] if strs else labels
+    if (all(issubclass(t, tuple) and t.__lt__ is tuple.__lt__
+            and t.__gt__ is tuple.__gt__ for t in kinds)
+            and set(map(type, chain.from_iterable(rest))) <= _STR):
+        return sorted(strs) + sorted(rest)
+    return sorted(labels, key=canon_key)

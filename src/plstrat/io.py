@@ -6,9 +6,11 @@ sorted, fixed separators, one trailing newline, so equal objects produce
 byte-identical files.  `canonical_dumps` writes that text itself, in one
 pass, the same bytes as `json.dumps(obj, sort_keys=True, indent=2,
 separators=(",", ": "))` would.  The encoders hand it labels as they are
-(tuples and `Simplex` become arrays), sort labels by `canon_key` once and
-pairs of labels by those ranks.  It takes str keys and str, int, bool and None scalars only, and
-raises `TypeError` on anything else, such as a float, an int key or a set.
+(tuples and `Simplex` become arrays), sorted once by `canon_sorted`, and
+pairs of labels by those ranks; it writes a list of rows of labels from
+the text of each label, made once per document and indent.  It takes str
+keys and str, int, bool and None scalars only, and raises `TypeError` on
+anything else, such as a float, an int key or a set.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .arrangement import (CodomainStratification, LocusStratification,
                           SingularLocus, stratum_dimension)
 from .complexes import SimplicialComplex, Simplex
 from .errors import InputError
-from .geometry import canon_key, format_frac, frac
+from .geometry import canon_sorted, format_frac, frac
 from .jacobi import GenericityReport, JacobiSet, PLMap
 from .posets import StratifiedSpace, poset_to_json_dict, sorted_pairs
 from .reeb import ReebGraph, ReebScaffold, SteinReport
@@ -184,7 +186,7 @@ def _jsonable(x):
     if isinstance(x, Fraction):
         return format_frac(x)
     if isinstance(x, (Simplex, tuple, list, frozenset, set)):
-        items = sorted(x, key=canon_key) if isinstance(x, (set, frozenset)) else x
+        items = canon_sorted(x) if isinstance(x, (set, frozenset)) else x
         return [_jsonable(v) for v in items]
     return x
 
@@ -193,9 +195,8 @@ def manifold_to_dict(report) -> dict:
     return {"pure": report.is_pure,
             "weak_pseudomanifold": report.is_weak_pseudomanifold,
             "verdict": report.complex_verdict,
-            "links": {",".join(str(u) for u in v): verdict
-                      for v, verdict in sorted(report.link_checks.items(),
-                                               key=lambda kv: canon_key(kv[0]))},
+            "links": {",".join(map(str, v)): report.link_checks[v]
+                      for v in canon_sorted(report.link_checks)},
             "notes": list(report.notes)}
 
 
@@ -207,7 +208,7 @@ def fiber_audit_to_dict(audit) -> dict:
 
 
 def stratified_space_to_dict(space: StratifiedSpace) -> dict:
-    cells = sorted(space.cells, key=canon_key)
+    cells = canon_sorted(space.cells)
     assignment = space.assignment
     return {"poset": poset_to_json_dict(space.poset),
             "cells": cells,
@@ -321,8 +322,8 @@ def stein_to_dict(report: SteinReport) -> dict:
             "projection_surjective": report.continuous,
             "commutes": report.commutes,
             "notes": list(report.notes),
-            "cell_map": sorted(report.cell_map.items(),
-                               key=lambda kv: canon_key(kv[0]))}
+            "cell_map": [(c, report.cell_map[c])
+                         for c in canon_sorted(report.cell_map)]}
 
 
 def canonical_dumps(obj) -> str:
@@ -333,7 +334,7 @@ def canonical_dumps(obj) -> str:
     and None are written; anything else, a float or a non-str key among
     them, raises `TypeError`."""
     out: list[str] = []
-    _write(obj, out, "\n")
+    _write(obj, out, "\n", {})
     return "".join(out) + "\n"
 
 
@@ -342,9 +343,31 @@ _INT = frozenset((int,))
 _ARRAYS = frozenset((list, tuple, Simplex))
 
 
-def _write(o, out: list, nl: str):
+class _Labels(dict):
+    """The texts of labels, each a str or an array of strs, on a line
+    indented by `nl`; each text is made on first use."""
+
+    def __init__(self, nl: str):
+        self.nl = nl
+
+    def __missing__(self, label):
+        if type(label) is str:
+            text = _quote(label)
+        elif type(label) not in _ARRAYS or not set(map(type, label)) <= _STR:
+            raise TypeError("not a label")
+        elif label:
+            inner = self.nl + "  "
+            text = "[" + inner + ("," + inner).join(map(_quote, label)) + self.nl + "]"
+        else:
+            text = "[]"
+        self[label] = text
+        return text
+
+
+def _write(o, out: list, nl: str, memo: dict):
     """Append the text of `o` to `out`; `nl` is a newline and the indent
-    of the line `o` starts on."""
+    of the line `o` starts on, and `memo` holds the `_Labels` of each
+    indent met so far in the document."""
     if isinstance(o, str):
         out.append(_quote(o))
     elif isinstance(o, (list, tuple)):
@@ -361,21 +384,24 @@ def _write(o, out: list, nl: str):
             out.append("[" + inner + sep.join(map(int.__repr__, o)) + nl + "]")
             return
         if kinds <= _ARRAYS:
-            # a list of lists of strings, one join per level
+            # rows of labels, written from the texts of the labels
             inner2 = inner + "  "
-            sep2 = "," + inner2
-            close = inner + "]"
+            texts = memo.get(inner2)
+            if texts is None:
+                texts = memo[inner2] = _Labels(inner2)
+            text, sep2, close = texts.__getitem__, "," + inner2, inner + "]"
             try:
-                out.append("[" + inner + sep.join(
-                    ["[" + inner2 + sep2.join(map(_quote, x)) + close if x else "[]"
-                     for x in o]) + nl + "]")
-                return
+                rows = ["[" + inner2 + sep2.join(map(text, x)) + close if x else "[]"
+                        for x in o]
             except TypeError:
                 pass
+            else:
+                out.append("[" + inner + sep.join(rows) + nl + "]")
+                return
         lead = "[" + inner
         for x in o:
             out.append(lead)
-            _write(x, out, inner)
+            _write(x, out, inner, memo)
             lead = sep
         out.append(nl + "]")
     elif isinstance(o, dict):
@@ -391,7 +417,7 @@ def _write(o, out: list, nl: str):
         lead = "{" + inner
         for k, q in zip(keys, quoted):
             out.append(lead + q + ": ")
-            _write(o[k], out, inner)
+            _write(o[k], out, inner, memo)
             lead = "," + inner
         out.append(nl + "}")
     elif o is None:

@@ -38,12 +38,12 @@ from math import lcm
 from typing import Mapping, NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _edges, _is_connected,
-                        _is_single_cycle, link)
+                        _is_single_cycle, face_poset, link)
 from .errors import GenericityError, InternalError, NotAMemberError, StructuralError
-from .geometry import (affinely_independent, barycenter, canon_key, cone_is_full,
+from .geometry import (affinely_independent, barycenter, canon_sorted, cone_is_full,
                        det, dot, format_frac, frac, vsub)
 from .homology import is_h_nontrivial
-from .posets import Poset, StratifiedSpace, connected_classes, wedge_extend
+from .posets import StratifiedSpace, connected_classes, wedge_extend
 
 NOTIONS = ("H", "D", "L")
 
@@ -70,7 +70,7 @@ class PLMap:
             coerced[v] = tuple(frac(x) for x in val)
         extra = set(self.values) - set(coerced)
         if extra:
-            raise StructuralError(f"values given for unknown vertices {sorted(extra, key=canon_key)!r}")
+            raise StructuralError(f"values given for unknown vertices {canon_sorted(extra)!r}")
         object.__setattr__(self, "values", coerced)
 
     @cached_property
@@ -149,7 +149,7 @@ def check_generic(f: PLMap) -> GenericityReport:
             bad.append(("G1", s, "image not affinely independent"))
     if f.k == 1:
         seen: dict = {}
-        for v in sorted(dom.vertices, key=canon_key):
+        for v in canon_sorted(dom.vertices):
             val = image[v]
             if val in seen:
                 bad.append(("G2", (seen[val], v), "duplicate vertex value"))
@@ -188,7 +188,7 @@ def _split(image: dict, sigma: Simplex, vertices, u: tuple):
             lower.add(v)
         else:
             ties.append(v)
-    return frozenset(upper), frozenset(lower), tuple(sorted(ties, key=canon_key))
+    return frozenset(upper), frozenset(lower), tuple(canon_sorted(ties))
 
 
 class LocalEntry(NamedTuple):
@@ -331,7 +331,7 @@ def is_d_critical(f: PLMap, sigma) -> bool:
     star_vertices = {v for t in f.domain.cofaces(sigma) for v in t}
     star_vertices.difference_update(sigma)
     b = f.barycenter_image(sigma)
-    gens = [vsub(f.value(v), b) for v in sorted(star_vertices, key=canon_key)]
+    gens = [vsub(f.value(v), b) for v in canon_sorted(star_vertices)]
     for w in sigma:
         d = vsub(f.value(w), b)
         gens.append(d)
@@ -444,7 +444,8 @@ def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpa
     component lies above the locus simplices in its closure; with an empty
     locus the components are unrelated.
     """
-    jset = (jacobi_set(f) if j is None else j).complex.simplices
+    locus = (jacobi_set(f) if j is None else j).complex
+    jset = locus.simplices
     x = f.domain
     x._require_nonempty()
     for s in jset:
@@ -460,8 +461,8 @@ def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpa
     assignment.update((t, labels[i]) for i, comp in enumerate(comps) for t in comp)
 
     closure = frozenset((fc, s) for s in x.simplices for fc in s.faces() if fc != s)
-    base = Poset(jset, [(fc, s) for s in jset for fc in s.boundary()])
-    poset = wedge_extend(base, labels, {(fc, assignment[s]) for fc, s in closure
-                                        if fc in jset and s not in jset})
+    poset = wedge_extend(face_poset(locus), labels,
+                         {(fc, assignment[s]) for fc, s in closure
+                          if fc in jset and s not in jset})
     return StratifiedSpace(poset=poset, cells=frozenset(x.simplices),
                            closure=closure, assignment=assignment)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
 
 from .errors import NotAMemberError, StructuralError
-from .geometry import canon_key
+from .geometry import canon_sorted
 
 Label = Hashable
 
@@ -135,7 +135,7 @@ class Poset:
         return frozenset(e for e in self.elements if self._up[e] == frozenset({e}))
 
     def sorted_elements(self) -> list:
-        return sorted(self.elements, key=canon_key)
+        return canon_sorted(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -146,8 +146,8 @@ class Poset:
         return self.elements == other.elements and self._up == other._up
 
     def __hash__(self):
-        items = sorted(self._up.items(), key=lambda kv: canon_key(kv[0]))
-        return hash((self.elements, tuple(items)))
+        return hash((self.elements,
+                     tuple((e, self._up[e]) for e in canon_sorted(self._up))))
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
@@ -259,8 +259,8 @@ def linear_subposets(p: Poset) -> list[tuple]:
     covers_up: dict = {e: [] for e in p.elements}
     for a, b in p.covers:
         covers_up[a].append(b)
-    for e in covers_up:
-        covers_up[e].sort(key=canon_key)
+    for e, bs in covers_up.items():
+        covers_up[e] = canon_sorted(bs)
 
     def extend(chain: list):
         nxt = covers_up[chain[-1]]
@@ -270,10 +270,9 @@ def linear_subposets(p: Poset) -> list[tuple]:
         for b in nxt:
             extend(chain + [b])
 
-    for m in sorted(p.minima(), key=canon_key):
+    for m in canon_sorted(p.minima()):
         extend([m])
-    chains.sort(key=lambda c: tuple(canon_key(x) for x in c))
-    return chains
+    return canon_sorted(chains)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +288,7 @@ class MonotoneMap:
     def __post_init__(self):
         missing = set(self.source.elements) - set(self.mapping)
         if missing:
-            raise StructuralError(f"map not total, missing {sorted(missing, key=canon_key)!r}")
+            raise StructuralError(f"map not total, missing {canon_sorted(missing)!r}")
         for v in self.mapping.values():
             if v not in self.target.elements:
                 raise NotAMemberError(f"image {v!r} not in target poset")
@@ -366,7 +365,7 @@ def check_stratified_map(cell_map: Mapping, source: StratifiedSpace,
     strata = source.strata()
     empty = [e for e, cs in strata.items() if not cs]
     if empty:
-        raise StructuralError(f"source strata without cells: {sorted(empty, key=canon_key)!r}")
+        raise StructuralError(f"source strata without cells: {canon_sorted(empty)!r}")
     induced: dict = {}
     for e, cs in strata.items():
         images = {target.assignment[cell_map[c]] for c in cs}

@@ -221,6 +221,10 @@ class TestStratifications:
         assert p.leq(Simplex((0,)), Simplex((0, 1)))
         assert not p.leq(Simplex((0, 1)), Simplex((0,)))
 
+    def test_face_poset_of_the_empty_complex_is_empty(self):
+        p = face_poset(SimplicialComplex([]))
+        assert len(p) == 0 and not p.covers and validate_poset(p)
+
 
 class TestGlobalInvariants:
     def test_euler_characteristic(self):

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from plstrat import Simplex
 from plstrat.geometry import (affinely_independent, barycenter, canon_key,
-                              cone_is_full, convex_hull_2d, cross2, det, dot,
-                              format_frac, frac, matrix_rank, on_segment,
-                              orient, orthogonal_vector,
+                              canon_sorted, cone_is_full, convex_hull_2d,
+                              cross2, det, dot, format_frac, frac,
+                              matrix_rank, on_segment, orient,
+                              orthogonal_vector,
                               point_in_convex_hull_2d, proper_crossing,
                               segments_share_line_overlap, vadd, vscale, vsub)
 
@@ -162,6 +164,35 @@ def test_canon_key_orders_mixed_labels():
     ordered = sorted(labels, key=canon_key)
     assert sorted(ordered, key=canon_key) == ordered
     assert len(set(map(canon_key, labels))) == len(labels)
+
+
+class _Name(str):
+    pass
+
+
+def _random_label(rng, kind: int):
+    texts = ["", "a", "b", "ab", "b0", "\u00e9"]
+    words = [rng.choice(texts) for _ in range(rng.randrange(4))]
+    odd = [0, 1, -2, True, False, F(1, 2), F(-3, 4), ("a",), ((),)]
+    return [lambda: words[0] if words else "",
+            lambda: _Name(rng.choice(texts)),
+            lambda: tuple(words),
+            lambda: Simplex(set(words) or {"a"}),
+            lambda: tuple(words) + (rng.choice(odd),),
+            lambda: rng.choice(odd[:7])][kind]()
+
+
+def test_canon_sorted_is_the_canon_key_sort(rng):
+    # mixtures of strs, str subclasses, tuples and `Simplex` of strs,
+    # tuples holding numbers or tuples, and bare numbers; the same
+    # objects in the same order, so ties keep their input order
+    for _ in range(600):
+        kinds = rng.sample(range(6), rng.randrange(1, 4))
+        labels = [_random_label(rng, rng.choice(kinds))
+                  for _ in range(rng.randrange(12))]
+        want = sorted(labels, key=canon_key)
+        got = canon_sorted(iter(labels))
+        assert list(map(id, got)) == list(map(id, want)), labels
 
 
 def _exact(x) -> bool:

@@ -75,24 +75,63 @@ def _random_scalar(rng):
                        lambda: None])()
 
 
+def _random_texts(rng, n) -> list:
+    """Up to n distinct texts in an order drawn from `rng` alone, not
+    from the string hash."""
+    texts = sorted({_random_text(rng) for _ in range(n)})
+    rng.shuffle(texts)
+    return texts
+
+
 def _random_array(rng, n):
-    items = {_random_text(rng) for _ in range(n + 1)}
-    return rng.choice([list, tuple, Simplex])(items)
+    return rng.choice([list, tuple, Simplex])(_random_texts(rng, n + 1))
 
 
-def _random_document(rng, depth: int = 0):
+def _label_pool(rng) -> list:
+    """A few labels, strs and tuples and `Simplex` of strs and an empty
+    array, shared by one document so that a label recurs at several
+    indents."""
+    pool = [()]
+    for _ in range(4):
+        texts = _random_texts(rng, rng.randrange(1, 4))
+        pool.append(rng.choice([lambda: texts[0], lambda: tuple(texts),
+                                lambda: Simplex(texts)])())
+    return pool
+
+
+def _random_row(rng, pool):
+    """A row of labels from `pool`, at times with an empty list or a list
+    of strs among them."""
+    row = [rng.choice(pool) for _ in range(rng.choice([0, 1, 2, 2, 3]))]
+    if rng.random() < 0.1:
+        row.insert(rng.randrange(len(row) + 1),
+                   rng.choice([[], [_random_text(rng)]]))
+    return rng.choice([list, tuple])(row)
+
+
+def _odd_item(rng):
+    text = _random_text(rng)
+    return rng.choice([lambda: {text: text}, lambda: {text},
+                       lambda: frozenset({text}), lambda: 0.5,
+                       lambda: (text, [text])])()
+
+
+def _random_document(rng, depth: int = 0, pool=None):
     """Nested dicts, lists, tuples and `Simplex`, empty ones among them,
-    with runs of strings, of ints and of string arrays (the shapes the
-    writer joins at once), some with one odd item to break the run."""
+    with runs of strings, of ints, of string arrays and rows of labels
+    drawn from one pool per document (the shapes the writer writes at
+    once), some with one odd item to break the run."""
+    if pool is None:
+        pool = _label_pool(rng)
     if depth == 4:
         return _random_scalar(rng)
     n = rng.randrange(5)
-    kind = rng.randrange(8)
+    kind = rng.randrange(9)
     if kind == 0:
-        return {_random_text(rng): _random_document(rng, depth + 1)
+        return {_random_text(rng): _random_document(rng, depth + 1, pool)
                 for _ in range(n)}
     if kind in (1, 2):
-        items = [_random_document(rng, depth + 1) for _ in range(n)]
+        items = [_random_document(rng, depth + 1, pool) for _ in range(n)]
         return items if kind == 1 else tuple(items)
     if kind == 3:
         items = [_random_text(rng) for _ in range(n)]
@@ -103,6 +142,14 @@ def _random_document(rng, depth: int = 0):
                  for _ in range(n)]
     elif kind == 6:
         return _random_array(rng, n)
+    elif kind == 7:
+        items = [_random_row(rng, pool) for _ in range(n)]
+        if items and rng.random() < 0.3:
+            # one odd item in one row
+            i = rng.randrange(len(items))
+            row = list(items[i])
+            row.insert(rng.randrange(len(row) + 1), _odd_item(rng))
+            items[i] = row
     else:
         return _random_scalar(rng)
     if items and rng.random() < 0.3:
@@ -110,11 +157,25 @@ def _random_document(rng, depth: int = 0):
     return items
 
 
+def _writable(doc) -> bool:
+    """False when `doc` holds a float or a set, which `canonical_dumps`
+    refuses."""
+    if isinstance(doc, (float, set, frozenset)):
+        return False
+    if isinstance(doc, dict):
+        return all(map(_writable, doc.values()))
+    return not isinstance(doc, (list, tuple)) or all(map(_writable, doc))
+
+
 class TestCanonicalDumps:
     def test_random_documents_match_json_dumps(self, rng):
         for _ in range(2000):
             doc = _random_document(rng)
-            assert canonical_dumps(doc) == naive_dumps(doc), doc
+            if _writable(doc):
+                assert canonical_dumps(doc) == naive_dumps(doc), doc
+            else:
+                with pytest.raises(TypeError):
+                    canonical_dumps(doc)
 
     @pytest.mark.parametrize("example", example_names())
     def test_cli_documents_match_json_dumps(self, monkeypatch, tmp_path,
@@ -138,9 +199,11 @@ class TestCanonicalDumps:
 
     @pytest.mark.parametrize("doc", [
         0.5, [1, 2.0], {"a": [float("nan")]}, {1: "a"}, {"a": {2: "b"}},
-        {"a": 1, 2: "b"}, {"a"}, [frozenset()], F(1, 2)],
+        {"a": 1, 2: "b"}, {"a"}, [frozenset()], [("a", frozenset("b"))],
+        [(Simplex("a"), 0.5)], F(1, 2)],
         ids=["float", "float-item", "nan", "int-key", "nested-int-key",
-             "mixed-keys", "set", "frozenset-item", "fraction"])
+             "mixed-keys", "set", "frozenset-item", "frozenset-in-row",
+             "float-in-row", "fraction"])
     def test_refuses_what_it_cannot_write_exactly(self, doc):
         with pytest.raises(TypeError):
             canonical_dumps(doc)
@@ -244,6 +307,22 @@ class TestCliCommands:
 
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("command, example", [
+        ("validate", "octahedron"), ("morse2-locus", "oval_contour")])
+    def test_a_file_and_an_example_is_exit_1(self, monkeypatch, tmp_path,
+                                             capsys, command, example):
+        import plstrat.io
+
+        def unread(*args):
+            raise AssertionError("an input was read")
+        monkeypatch.setattr(plstrat.io, "_load_json", unread)
+        monkeypatch.setattr(plstrat.io, "load_example", unread)
+        missing = str(tmp_path / "missing.json")
+        assert main([command, missing, "--example", example]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert missing in err and f"--example {example}" in err
 
     @pytest.mark.parametrize("command, example", [
         ("validate", "oval_contour"), ("reeb", "figure_eight_contour"),
