@@ -7,12 +7,20 @@ order of its simplices.  Star and link then walk the cofaces of one vertex
 instead of the complex, and the complex keeps each link it is asked for,
 so callers share one link per simplex; the other operations return fresh
 objects.
+
+Incidence is also kept on integers: `face_ranks` and its transpose
+`coface_ranks` give, for each simplex by its rank in `canon_key` order,
+the ranks of its codimension-one faces and cofaces.  Whatever walks the
+whole complex reads these two tables: the facets, the manifold check and
+the sphere verdicts here, the domain stratification and the k=1 sweep.  A
+link of dimension at most one is decided on the coface table alone (see
+`_link_shape`); only a link of dimension two or more is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .errors import EmptyComplexError, NotAMemberError, StructuralError
@@ -117,11 +125,21 @@ class SimplicialComplex:
     def face_ranks(self) -> tuple:
         """The ranks of each simplex's codimension-one faces, by rank.
 
-        Built apart from `index` and only on request: fiber components
-        are taken on the complex of a map, never on a link or a star."""
+        Built apart from `index`, on the first request for it or for
+        `coface_ranks`; the lookups of a link or a star need neither."""
         rank = self.index.rank
         return tuple(tuple(rank[s[:i] + s[i + 1:]] for i in range(len(s)))
                      if len(s) > 1 else () for s in self.index.ranked)
+
+    @cached_property
+    def coface_ranks(self) -> tuple:
+        """The ranks of each simplex's codimension-one cofaces, by rank and
+        in increasing order: the transpose of `face_ranks`."""
+        up: list = [[] for _ in self.face_ranks]
+        for r, faces in enumerate(self.face_ranks):
+            for q in faces:
+                up[q].append(r)
+        return tuple(map(tuple, up))
 
     def cofaces(self, sigma: Simplex) -> Sequence[Simplex]:
         """The simplices containing sigma, sigma itself included, in
@@ -137,8 +155,8 @@ class SimplicialComplex:
     @cached_property
     def _facets(self) -> tuple:
         # a simplex with a coface is a face of one a dimension up
-        covered = {f for s in self.simplices for f in s.boundary()}
-        return tuple(s for s in self.index.ranked if s not in covered)
+        return tuple(s for s, up in zip(self.index.ranked, self.coface_ranks)
+                     if not up)
 
     def facets(self) -> list[Simplex]:
         """Maximal simplices, in `canon_key` order: those that are no
@@ -261,22 +279,8 @@ class ManifoldReport:
 
 def _edges(k: SimplicialComplex) -> list:
     """The edges of k in no particular order, without building its index:
-    the graph tests below only count and join them."""
+    the graph tests on small built complexes only count and join them."""
     return [s for s in k.simplices if len(s) == 2]
-
-
-def _is_single_cycle(k: SimplicialComplex) -> bool:
-    verts = k.vertices
-    edges = _edges(k)
-    if k.dimension != 1 or not verts or len(edges) != len(verts):
-        return False
-    deg: dict = {v: 0 for v in verts}
-    for e in edges:
-        deg[e[0]] += 1
-        deg[e[1]] += 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    return _is_connected(k)
 
 
 def _is_connected(k: SimplicialComplex) -> bool:
@@ -284,7 +288,62 @@ def _is_connected(k: SimplicialComplex) -> bool:
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
-    return sum((-1) ** s.dim for s in k.simplices)
+    # a simplex of odd dimension has an even number of vertices
+    return sum(-1 if len(s) % 2 == 0 else 1 for s in k.simplices)
+
+
+def _graph_shape(verts, edges, cofaces: tuple) -> tuple[bool, bool]:
+    """Whether a graph on ranks is a single cycle, and whether it is
+    connected.  Its vertices are the ranks `verts` and its edges the ranks
+    `edges`, which are their cofaces in the table `cofaces`, each joining
+    two of them; so the degree of a vertex is its number of cofaces."""
+    if verts and len(edges) == len(verts) and all(len(cofaces[q]) == 2 for q in verts):
+        # every degree is two, so the graph is a union of cycles, and one
+        # cycle when the walk from a vertex passes all of them; an edge's
+        # ends are xor-ed together, so either end gives the other
+        ends = dict.fromkeys(edges, 0)
+        for q in verts:
+            for t in cofaces[q]:
+                ends[t] ^= q
+        start = q = verts[0]
+        t, steps = cofaces[q][0], 1
+        while (q := q ^ ends[t]) != start:
+            a, b = cofaces[q]
+            t = b if t == a else a
+            steps += 1
+        return steps == len(verts), steps == len(verts)
+    return False, len(connected_classes(
+        chain(verts, edges), [(q, t) for q in verts for t in cofaces[q]])) == 1
+
+
+def _link_shape(cofaces: tuple, r: int):
+    """(dimension, sphere verdict, connected) of the link of the simplex of
+    rank r, read off the `coface_ranks` of its complex; None when the link
+    has dimension two or more, which only a built link decides.
+
+    The link's vertices are the codimension-one cofaces of the simplex and
+    its edges the codimension-two ones, each joining the two
+    codimension-one faces that contain the simplex.  So the link is the
+    empty sphere when there is no coface, a 0-sphere when it is exactly two
+    points, and a 1-sphere when it is a single cycle."""
+    link_verts = cofaces[r]
+    if not link_verts:
+        return -1, "sphere", False
+    link_edges = {t for q in link_verts for t in cofaces[q]}
+    if not link_edges:
+        return (0, "sphere" if len(link_verts) == 2 else "not-sphere",
+                len(link_verts) == 1)
+    if any(cofaces[t] for t in link_edges):
+        return None
+    cycle, connected = _graph_shape(link_verts, link_edges, cofaces)
+    return 1, "sphere" if cycle else "not-sphere", connected
+
+
+def _link_is_cycle(cofaces: tuple, r: int) -> bool:
+    """Whether the link of the simplex of rank r is a single cycle, on the
+    `coface_ranks` of its complex (`_link_shape`)."""
+    shape = _link_shape(cofaces, r)
+    return shape is not None and shape[0] == 1 and shape[1] == "sphere"
 
 
 def sphere_verdict(k: SimplicialComplex) -> str:
@@ -293,36 +352,32 @@ def sphere_verdict(k: SimplicialComplex) -> str:
     The empty complex counts as the (-1)-sphere, matching its role as the
     link of a facet in a closed pseudomanifold.
     """
-    return _sphere_verdict(k, lambda v: _is_single_cycle(link(k, (v,))))
+    return _sphere_verdict(k, lambda r: _link_is_cycle(k.coface_ranks, r))
 
 
 def _sphere_verdict(k: SimplicialComplex, cycle_link) -> str:
-    """`sphere_verdict`, told by `cycle_link(v)` whether the link of vertex
-    v is a single cycle; it is asked only in a pure 2-complex with two
-    triangles at every edge, where each vertex link is a nonempty graph
-    without isolated vertices, so a single cycle iff a 1-sphere."""
+    """`sphere_verdict` on the rank tables of k, told by `cycle_link(r)`
+    whether the link of the vertex of rank r is a single cycle; it is asked
+    only in a connected pure 2-complex with two triangles at every edge,
+    where each vertex link is a nonempty graph of degree two, so a single
+    cycle iff a 1-sphere."""
     d = k.dimension
     if d == -1:
         return "sphere"
     if d == 0:
         return "sphere" if len(k.simplices) == 2 else "not-sphere"
+    if d > 2:
+        return "undecided"
+    ranked, faces, cofaces = k.index.ranked, k.face_ranks, k.coface_ranks
+    verts = [r for r, s in enumerate(ranked) if len(s) == 1]
+    edges = [r for r, s in enumerate(ranked) if len(s) == 2]
     if d == 1:
-        return "sphere" if _is_single_cycle(k) else "not-sphere"
-    if d == 2:
-        if not k.is_pure():
-            return "not-sphere"
-        tri_per_edge: dict = {}
-        for t in k.simplices_of_dim(2):
-            for e in t.boundary():
-                tri_per_edge[e] = tri_per_edge.get(e, 0) + 1
-        if any(c != 2 for c in tri_per_edge.values()):
-            return "not-sphere"
-        if not _is_connected(k):
-            return "not-sphere"
-        if not all(cycle_link(v) for v in k.vertices):
-            return "not-sphere"
-        return "sphere" if euler_characteristic(k) == 2 else "not-sphere"
-    return "undecided"
+        return "sphere" if _graph_shape(verts, edges, cofaces)[0] else "not-sphere"
+    if (not k.is_pure() or any(len(cofaces[e]) != 2 for e in edges)
+            or len(connected_classes(verts, map(faces.__getitem__, edges))) != 1
+            or not all(map(cycle_link, verts))):
+        return "not-sphere"
+    return "sphere" if euler_characteristic(k) == 2 else "not-sphere"
 
 
 def manifold_check(k: SimplicialComplex) -> ManifoldReport:
@@ -330,10 +385,11 @@ def manifold_check(k: SimplicialComplex) -> ManifoldReport:
 
     Weak means: pure, every ridge in exactly two facets, all links connected.
     A non-pure complex is reported (never raised) with the failure noted.
-    Each link is built once: the links the complex already keeps (those of
-    the (k-1)-simplices of a map, which the criticality tests read) are
-    reused, the others are built here and not kept, and the verdict on the
-    complex reads its vertex-link verdicts.
+    Purity, the facets at each ridge and the verdict on every link of
+    dimension at most one are read off the coface table (`coface_ranks`,
+    `_link_shape`).  Only a link of dimension two or more is built, unless
+    the complex keeps it already, and it goes through `sphere_verdict`.
+    The verdict on the complex reads its vertex-link verdicts.
     """
     k._require_nonempty()
     notes: list[str] = []
@@ -341,34 +397,37 @@ def manifold_check(k: SimplicialComplex) -> ManifoldReport:
     if not pure:
         notes.append("complex is not pure")
     n = k.dimension
-    ridge_count: dict = {}
-    for f in k.simplices_of_dim(n):
-        for r in f.boundary():
-            ridge_count[r] = ridge_count.get(r, 0) + 1
-    closed = all(c == 2 for c in ridge_count.values())
+    ranked, cofaces = k.index.ranked, k.coface_ranks
+    # the cofaces of a ridge are the facets that hold it
+    closed = all(len(up) in (0, 2) for s, up in zip(ranked, cofaces) if len(s) == n)
     if not closed and pure:
         notes.append("some ridge is not shared by exactly two facets")
 
-    link_checks: dict = {}
+    verdicts: list[str] = []
     links_connected = True
     kept = k._links or {}
-    for s in k.sorted_simplices():
-        lk = kept.get(s)
-        if lk is None:
-            lk = _build_link(k, s)
-        verdict = link_checks[s] = sphere_verdict(lk)
-        # spheres of dimension one and up are connected
-        if (s.dim < n and lk.dimension >= 1 and verdict != "sphere"
-                and not _is_connected(lk)):
-            links_connected = False
+    for r, s in enumerate(ranked):
+        shape = _link_shape(cofaces, r)
+        if shape is None:
+            lk = kept.get(s)
+            if lk is None:
+                lk = _build_link(k, s)
+            verdict = sphere_verdict(lk)
+            # spheres of dimension one and up are connected
+            if verdict != "sphere" and not _is_connected(lk):
+                links_connected = False
+        else:
+            dim, verdict, connected = shape
+            if dim == 1 and not connected:
+                links_connected = False
+        verdicts.append(verdict)
     if not links_connected:
         notes.append("some link is disconnected")
 
     return ManifoldReport(
         is_pure=pure,
         is_weak_pseudomanifold=pure and closed and links_connected,
-        complex_verdict=_sphere_verdict(
-            k, lambda v: link_checks[(v,)] == "sphere"),
-        link_checks=link_checks,
+        complex_verdict=_sphere_verdict(k, lambda r: verdicts[r] == "sphere"),
+        link_checks=dict(zip(ranked, verdicts)),
         notes=tuple(notes),
     )

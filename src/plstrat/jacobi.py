@@ -38,7 +38,7 @@ from math import lcm
 from typing import Mapping, NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _edges, _is_connected,
-                        _is_single_cycle, face_poset, link)
+                        _link_is_cycle, face_poset, link)
 from .errors import GenericityError, InternalError, NotAMemberError, StructuralError
 from .geometry import (affinely_independent, barycenter, canon_sorted, cone_is_full,
                        det, dot, format_frac, frac, vsub)
@@ -370,10 +370,10 @@ def is_l_critical_surface(f: PLMap, v) -> bool | None:
     f.domain._require(v)
     if v.dim != 0:
         return None
-    e = f.local[v]
-    if not _is_single_cycle(e.link):
+    dom = f.domain
+    if not _link_is_cycle(dom.coface_ranks, dom.index.rank[v]):
         return None
-    upper, lower = _decided_sides(f, v, e)
+    upper, lower = _decided_sides(f, v, f.local[v])
     return not (_single_arc(upper) and _single_arc(lower))
 
 
@@ -442,7 +442,11 @@ def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpa
     locus, where two simplices communicate when one is a face of the other;
     that matches topological connectivity of the open complement.  Each
     component lies above the locus simplices in its closure; with an empty
-    locus the components are unrelated.
+    locus the components are unrelated.  Both are read off the domain's
+    `face_ranks`: the classes are taken on ranks and labelled `C0`, `C1`,
+    ... in the order of their least member by (dimension, `canon_key`), and
+    the proper faces of each simplex are the union of those of its
+    codimension-one faces, built up one dimension at a time.
     """
     locus = (jacobi_set(f) if j is None else j).complex
     jset = locus.simplices
@@ -451,18 +455,32 @@ def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpa
     for s in jset:
         if s not in x.simplices:
             raise NotAMemberError(f"locus simplex {tuple(s)!r} not in the domain")
-    rest = [s for s in x.sorted_simplices() if s not in jset]
+    ranked, rank, faces = x.index.ranked, x.index.rank, x.face_ranks
+    on = [False] * len(ranked)
+    for s in jset:
+        on[rank[s]] = True
+    # ranks by dimension, and by `canon_key` within one
+    by_dim = list(map(rank.__getitem__, x.index.order))
+    rest = [r for r in by_dim if not on[r]]
     # cofaces of a simplex off the locus are off it too, so a simplex and
     # its cofaces are joined through codimension-one faces in between
-    comps = connected_classes(rest, [(t, fc) for t in rest
-                                     for fc in t.boundary() if fc not in jset])
+    comps = connected_classes(rest, [(r, q) for r in rest for q in faces[r]
+                                     if not on[q]])
     labels = [f"C{i}" for i in range(len(comps))]
-    assignment = {s: s for s in jset}
-    assignment.update((t, labels[i]) for i, comp in enumerate(comps) for t in comp)
+    stratum: list = list(ranked)   # rank -> its stratum; a locus simplex is its own
+    for label, comp in zip(labels, comps):
+        for r in comp:
+            stratum[r] = label
 
-    closure = frozenset((fc, s) for s in x.simplices for fc in s.faces() if fc != s)
+    below: list = [None] * len(ranked)   # rank -> the ranks of its proper faces
+    for r in by_dim:
+        lower = below[r] = set(faces[r])
+        for q in faces[r]:
+            lower |= below[q]
+    closure = frozenset((ranked[q], ranked[r]) for r in by_dim for q in below[r])
     poset = wedge_extend(face_poset(locus), labels,
-                         {(fc, assignment[s]) for fc, s in closure
-                          if fc in jset and s not in jset})
+                         {(ranked[q], stratum[r]) for r in rest for q in below[r]
+                          if on[q]})
     return StratifiedSpace(poset=poset, cells=frozenset(x.simplices),
-                           closure=closure, assignment=assignment)
+                           closure=closure,
+                           assignment=dict(zip(ranked, stratum)))

@@ -164,20 +164,16 @@ class SweepIndex:
         return self.events, self.touched, self.holder
 
     def _fill(self):
-        ranked, faces = self.domain.index.ranked, self.domain.face_ranks
+        # the domain's own incidence tables, shared with every other reader
+        index = self.domain.index
+        ranked, rank, star = index.ranked, index.rank, index.vertex_cofaces
+        faces, cofaces = self.domain.face_ranks, self.domain.coface_ranks
         n = len(self.table)
         enter: list = [[] for _ in range(n)]
         leave: list = [[] for _ in range(n)]
         for r, (lo, hi) in enumerate(self.spans):
             enter[lo].append(r)
             leave[hi].append(r)
-        cofaces: list = [[] for _ in ranked]
-        star: dict = {}      # vertex -> the ranks of the simplices holding it
-        for r, s in enumerate(ranked):
-            for q in faces[r]:
-                cofaces[q].append(r)
-            for v in s:
-                star.setdefault(v, []).append(r)
         owner: list = [None] * len(ranked)    # rank -> id of its component
         members: dict = {}                    # id -> its set of ranks
         published: dict = {}                  # id -> (least rank, frozenset)
@@ -224,7 +220,8 @@ class SweepIndex:
                     changed.discard(c)
                 if changed:
                     rim = {t for r in leave[level - 1] if len(ranked[r]) == 1
-                           for t in star[ranked[r][0]] if owner[t] is not None}
+                           for t in map(rank.__getitem__, star[ranked[r][0]])
+                           if owner[t] is not None}
                     # the components holding two or more classes of the rim
                     held, suspect = set(), set()
                     for cls in connected_classes(rim, [(t, q) for t in rim

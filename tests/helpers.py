@@ -16,8 +16,11 @@ the json module's own indenting encoder; the local-table oracle decides
 genericity, the H, D and L verdicts and the directional links of each
 simplex one at a time on `Fraction` values, with links found by scanning
 the complex and homology by the dense oracle, instead of reading the
-map's integer table; and the generators rejection-sample until the
-exact-arithmetic validators accept the instance.
+map's integer table; the manifold-check and domain-stratification
+oracles build every link by scanning the complex and flood the complement
+on `Simplex` tuples, instead of reading the complex's rank tables; and
+the generators rejection-sample until the exact-arithmetic validators
+accept the instance.
 """
 from __future__ import annotations
 
@@ -28,10 +31,11 @@ from functools import cmp_to_key, lru_cache
 from itertools import combinations
 
 from plstrat import (CodomainStratification, DegeneracyError,
-                     GenericityError, InternalError, JacobiSet,
+                     EmptyComplexError, GenericityError, InternalError,
+                     JacobiSet, ManifoldReport, NotAMemberError,
                      PlanarArrangement, PLMap, Poset, ReebGraph, Simplex,
-                     SimplicialComplex, StructuralError, check_generic,
-                     jacobi_set)
+                     SimplicialComplex, StratifiedSpace, StructuralError,
+                     check_generic, face_poset, jacobi_set, wedge_extend)
 from plstrat.arrangement import Face
 from plstrat.geometry import (canon_key, cone_is_full, cross2, dot, format_frac,
                               frac, matrix_rank, on_segment, proper_crossing,
@@ -247,6 +251,115 @@ def naive_check_generic(f: PLMap) -> tuple:
             if not _naive_independent(f.image(s) + (f.value(v),)):
                 bad.append(("G3", (s, v), "link vertex on affine hull of image"))
     return tuple(bad)
+
+
+# ---------------------------------------------------------------------------
+# built-link oracles of the manifold check and the domain stratification
+
+def _naive_facets(k: SimplicialComplex) -> list:
+    covered = {Simplex(f) for s in k.simplices if len(s) > 1
+               for f in combinations(s, len(s) - 1)}
+    return [s for s in k.simplices if s not in covered]
+
+
+def _naive_is_cycle(k: SimplicialComplex) -> bool:
+    verts, edges, connected = _graph(k)
+    return (k.dimension == 1 and bool(verts) and len(edges) == len(verts)
+            and set(_degrees(verts, edges)) == {2} and connected)
+
+
+def naive_sphere_verdict(k: SimplicialComplex) -> str:
+    """The sphere verdict through dimension two on the complex itself,
+    with every vertex link built by `naive_link`."""
+    d = k.dimension
+    if d == -1:
+        return "sphere"
+    if d == 0:
+        return "sphere" if len(k.simplices) == 2 else "not-sphere"
+    if d == 1:
+        return "sphere" if _naive_is_cycle(k) else "not-sphere"
+    if d > 2:
+        return "undecided"
+    triangles = [s for s in k.simplices if len(s) == 3]
+    per_edge = {e: sum(set(e) < set(t) for t in triangles)
+                for e in k.simplices if len(e) == 2}
+    if (any(f.dim != 2 for f in _naive_facets(k)) or set(per_edge.values()) != {2}
+            or not _graph(k)[2]
+            or not all(_naive_is_cycle(naive_link(k, (v,))) for v in k.vertices)):
+        return "not-sphere"
+    chi = sum((-1) ** s.dim for s in k.simplices)
+    return "sphere" if chi == 2 else "not-sphere"
+
+
+def naive_manifold_check(k: SimplicialComplex) -> ManifoldReport:
+    """`manifold_check` with the link of every simplex built by scanning
+    the complex and decided by `naive_sphere_verdict`."""
+    if not k.simplices:
+        raise EmptyComplexError("operation undefined on the empty complex")
+    notes = []
+    n = k.dimension
+    pure = all(f.dim == n for f in _naive_facets(k))
+    if not pure:
+        notes.append("complex is not pure")
+    ridges: dict = {}
+    for f in k.simplices:
+        if f.dim == n > 0:
+            for r in combinations(f, n):
+                ridges[r] = ridges.get(r, 0) + 1
+    closed = all(c == 2 for c in ridges.values())
+    if not closed and pure:
+        notes.append("some ridge is not shared by exactly two facets")
+    link_checks = {}
+    links_connected = True
+    for s in k.simplices:
+        lk = naive_link(k, s)
+        verdict = link_checks[s] = naive_sphere_verdict(lk)
+        if lk.dimension >= 1 and verdict != "sphere" and not _graph(lk)[2]:
+            links_connected = False
+    if not links_connected:
+        notes.append("some link is disconnected")
+    return ManifoldReport(
+        is_pure=pure, is_weak_pseudomanifold=pure and closed and links_connected,
+        complex_verdict=naive_sphere_verdict(k), link_checks=link_checks,
+        notes=tuple(notes))
+
+
+def naive_domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpace:
+    """The domain stratification on `Simplex` tuples: complement classes by
+    flooding face incidence from each unreached simplex in (dimension,
+    `canon_key`) order, and closure pairs from every simplex's faces."""
+    locus = (jacobi_set(f) if j is None else j).complex
+    jset, x = locus.simplices, f.domain
+    if not x.simplices:
+        raise EmptyComplexError("operation undefined on the empty complex")
+    for s in jset:
+        if s not in x.simplices:
+            raise NotAMemberError(f"locus simplex {tuple(s)!r} not in the domain")
+    rest = sorted(x.simplices - jset, key=lambda s: (s.dim, canon_key(s)))
+    near: dict = {s: [] for s in rest}
+    for s in rest:
+        for fc in s.boundary():
+            if fc in near:
+                near[s].append(fc)
+                near[fc].append(s)
+    assignment = {s: s for s in jset}
+    labels = []
+    for s in rest:
+        if s in assignment:
+            continue
+        labels.append(label := f"C{len(labels)}")
+        todo = [s]
+        while todo:
+            t = todo.pop()
+            if t not in assignment:
+                assignment[t] = label
+                todo += near[t]
+    closure = frozenset((fc, s) for s in x.simplices for fc in s.faces() if fc != s)
+    poset = wedge_extend(face_poset(locus), labels,
+                         {(fc, assignment[s]) for fc, s in closure
+                          if fc in jset and s not in jset})
+    return StratifiedSpace(poset=poset, cells=frozenset(x.simplices),
+                           closure=closure, assignment=assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -723,17 +836,30 @@ def random_planar_map(rng: random.Random) -> PLMap:
                           for v in sorted(dom.vertices)})
 
 
+def grid_torus(n: int) -> SimplicialComplex:
+    """The n x n grid torus, two triangles per square, vertices `vi_j`."""
+    def label(i, j):
+        return f"v{i % n}_{j % n}"
+    return SimplicialComplex.from_facets(
+        [tri for i in range(n) for j in range(n)
+         for tri in ((label(i, j), label(i + 1, j), label(i + 1, j + 1)),
+                     (label(i, j), label(i, j + 1), label(i + 1, j + 1)))])
+
+
+def torus_height_map(rng: random.Random, n: int) -> PLMap:
+    """Distinct random integer heights on the n x n grid torus."""
+    dom = grid_torus(n)
+    verts = sorted(dom.vertices)
+    vals = rng.sample(range(100 * len(verts)), len(verts))
+    return PLMap(dom, 1, {v: (Fraction(x),) for v, x in zip(verts, vals)})
+
+
 def torus_projection(rng: random.Random, n: int = 3,
                      attempts: int = 200) -> PLMap:
     """A planar map of the n x n grid torus with integer images in
     [0, 1000)^2, drawn until the images of all its edges form an arrangement
     (`PlanarArrangement`) and the genericity audit passes."""
-    def label(i, j):
-        return f"v{i % n}_{j % n}"
-    facets = [tri for i in range(n) for j in range(n)
-              for tri in ((label(i, j), label(i + 1, j), label(i + 1, j + 1)),
-                          (label(i, j), label(i, j + 1), label(i + 1, j + 1)))]
-    dom = SimplicialComplex.from_facets(facets)
+    dom = grid_torus(n)
     for _ in range(attempts):
         f = PLMap(dom, 2, {v: (Fraction(rng.randrange(1000)),
                                Fraction(rng.randrange(1000)))

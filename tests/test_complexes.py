@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import closed_surfaces, random_complex
+from helpers import (closed_surfaces, grid_torus, naive_manifold_check,
+                     naive_sphere_verdict, random_complex)
 from plstrat import (EmptyComplexError, NotAMemberError, Simplex,
                      SimplicialComplex, StructuralError, euler_characteristic,
                      face_poset, join, link, manifold_check, open_star,
                      sphere_verdict, star, validate_poset)
 from plstrat.geometry import canon_key
+from plstrat.io import example_names, load_example, map_from_dict
 
 
 def octahedron() -> SimplicialComplex:
@@ -171,6 +173,14 @@ def _assert_index_matches_definitions(k: SimplicialComplex):
 
 
 class TestIndexAgreesWithDefinitions:
+    def test_coface_ranks_transpose_face_ranks(self, rng):
+        for k in [random_complex(rng) for _ in range(50)] + closed_surfaces():
+            ranked = k.index.ranked
+            for r, s in enumerate(ranked):
+                assert [ranked[q] for q in k.coface_ranks[r]] == [
+                    t for t in ranked if len(t) == len(s) + 1 and set(s) < set(t)]
+                assert {ranked[q] for q in k.face_ranks[r]} == set(s.boundary())
+
     def test_random_complexes(self):
         for seed in range(50):
             _assert_index_matches_definitions(random_complex(random.Random(seed)))
@@ -255,3 +265,126 @@ class TestGlobalInvariants:
     def test_manifold_check_rejects_empty(self):
         with pytest.raises(EmptyComplexError):
             manifold_check(SimplicialComplex([]))
+
+
+def _map_domains() -> list[SimplicialComplex]:
+    return [map_from_dict(load_example(n)).domain for n in example_names()
+            if load_example(n).get("kind") == "map"]
+
+
+class TestManifoldOracle:
+    """`manifold_check` and `sphere_verdict`, read off the coface table,
+    against the oracles in `helpers` that build every link by scanning."""
+
+    @staticmethod
+    def _check(k: SimplicialComplex):
+        assert manifold_check(k) == naive_manifold_check(k)
+        assert sphere_verdict(k) == naive_sphere_verdict(k)
+
+    def test_bundled_examples(self):
+        for k in _map_domains():
+            self._check(k)
+
+    def test_closed_surfaces(self):
+        for k in closed_surfaces():
+            self._check(k)
+
+    def test_random_complexes(self, rng):
+        for _ in range(200):
+            self._check(random_complex(rng))
+
+    def test_ten_by_ten_torus(self):
+        self._check(grid_torus(10))
+
+    def test_links_of_random_complexes(self, rng):
+        for _ in range(40):
+            k = random_complex(rng)
+            for s in k.simplices:
+                assert sphere_verdict(link(k, s)) == naive_sphere_verdict(link(k, s))
+
+
+def _disk(center, rim) -> list:
+    return [(center, a, b) for a, b in zip(rim, rim[1:] + rim[:1])]
+
+
+def _square_sphere(poles, rim) -> list:
+    return [f for p in poles for f in _disk(p, rim)]
+
+
+_RIDGE = "some ridge is not shared by exactly two facets"
+_DISCONNECTED = "some link is disconnected"
+_IMPURE = "complex is not pure"
+
+# (facets, pure, weak pseudomanifold, verdict, notes, {simplex: link verdict})
+_FIXTURES = {
+    # two disks glued at their centres: the link there is two 4-cycles,
+    # every degree is two and there are as many edges as vertices
+    "pinched_disks": (_disk("p", list("abcd")) + _disk("p", list("efgh")),
+                      True, False, "not-sphere", (_RIDGE, _DISCONNECTED),
+                      {("p",): "not-sphere", ("a",): "not-sphere",
+                       ("a", "p"): "sphere", ("a", "b"): "not-sphere"}),
+    "pinched_spheres": (_square_sphere("mw", list("abcd"))
+                        + _square_sphere("mz", list("efgh")),
+                        True, False, "not-sphere", (_DISCONNECTED,),
+                        {("m",): "not-sphere", ("w",): "sphere", ("a",): "sphere"}),
+    # the link of the edge is three points, that of a is a star graph
+    "edge_in_three_triangles": ([("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e")],
+                                True, False, "not-sphere", (_RIDGE,),
+                                {("a", "b"): "not-sphere", ("a",): "not-sphere",
+                                 ("c",): "not-sphere", ("a", "b", "c"): "sphere"}),
+    # a boundary vertex of a disk: its link is a path
+    "disk_boundary_vertex": (_disk("p", list("abcd")), True, False, "not-sphere",
+                             (_RIDGE,), {("a",): "not-sphere", ("p",): "sphere",
+                                         ("a", "b"): "not-sphere",
+                                         ("a", "p"): "sphere"}),
+    # the link of c is an edge and an isolated point
+    "dangling_edge": ([("a", "b", "c"), ("c", "d")], False, False, "not-sphere",
+                      (_IMPURE, _DISCONNECTED),
+                      {("c",): "not-sphere", ("d",): "not-sphere",
+                       ("c", "d"): "sphere", ("a", "b"): "not-sphere"}),
+    # every count of a 2-sphere holds and chi = 2 + 0, but it is two pieces
+    "sphere_beside_torus": (_square_sphere("mw", list("abcd"))
+                            + [tuple(f) for f in grid_torus(3).facets()],
+                            True, True, "not-sphere", (),
+                            {("m",): "sphere", ("v0_0",): "sphere"}),
+    "circle": ([(0, 1), (1, 2), (2, 3), (0, 3)], True, True, "sphere", (),
+               {(0,): "sphere", (0, 1): "sphere"}),
+    "one_vertex": ([("v",)], True, True, "not-sphere", (), {("v",): "sphere"}),
+    "two_vertices": ([("v",), ("w",)], True, True, "sphere", (),
+                     {("v",): "sphere", ("w",): "sphere"}),
+    # a vertex link is a triangle, a 2-complex: the one built link
+    "solid_tetrahedron": ([("a", "b", "c", "d")], True, False, "undecided", (_RIDGE,),
+                          {("a",): "not-sphere", ("a", "b"): "not-sphere",
+                           ("a", "b", "c"): "not-sphere",
+                           ("a", "b", "c", "d"): "sphere"}),
+}
+
+
+class TestManifoldFixtures:
+    """Complexes where a count could pass for a built link's verdict, with
+    the verdicts and notes pinned."""
+
+    @pytest.mark.parametrize("name", sorted(_FIXTURES))
+    def test_verdicts_and_notes(self, name):
+        facets, pure, weak, verdict, notes, links = _FIXTURES[name]
+        k = SimplicialComplex.from_facets(facets)
+        report = manifold_check(k)
+        assert (report.is_pure, report.is_weak_pseudomanifold,
+                report.complex_verdict, report.notes) == (pure, weak, verdict, notes)
+        for s, v in links.items():
+            assert report.link_checks[Simplex(s)] == v, s
+        assert set(report.link_checks) == k.simplices
+        assert report == naive_manifold_check(k)
+
+    def test_only_links_of_dimension_two_are_built(self, monkeypatch):
+        from plstrat import complexes
+        built = []
+        original = complexes._build_link
+
+        def spy(k, sigma):
+            built.append(tuple(sigma))
+            return original(k, sigma)
+        monkeypatch.setattr(complexes, "_build_link", spy)
+        for name in sorted(_FIXTURES):
+            manifold_check(SimplicialComplex.from_facets(_FIXTURES[name][0]))
+        assert built == [("a",), ("b",), ("c",), ("d",)]

@@ -1,16 +1,19 @@
 """Criticality notions, genericity and the critical locus."""
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from helpers import (naive_check_generic, naive_directional_links,
+from helpers import (closed_surfaces, naive_check_generic,
+                     naive_directional_links, naive_domain_stratification,
                      naive_h_side_verdicts, naive_is_d_critical,
                      naive_is_h_critical, naive_is_l_critical_surface,
                      naive_normal_direction, random_complex, random_planar_map,
-                     random_surface_map, torus_projection)
-from plstrat import (GenericityError, PLMap, Simplex, SimplicialComplex,
-                     StructuralError, check_generic, criticality_verdict,
+                     random_surface_map, torus_height_map, torus_projection)
+from plstrat import (GenericityError, JacobiSet, PLMap, Simplex,
+                     SimplicialComplex, StructuralError, check_generic,
+                     criticality_verdict,
                      directional_links, domain_stratification, h_side_verdicts,
                      is_d_critical, is_h_critical, is_l_critical_surface,
                      jacobi_set, reduced_betti, sphere_verdict, validate_poset)
@@ -425,6 +428,88 @@ class TestDomainStratification:
         space = domain_stratification(octa, empty)
         assert len(space.poset) == 1
         assert set(space.assignment.values()) == {"C0"}
+
+
+def _random_locus(rng: random.Random, f: PLMap) -> JacobiSet:
+    """The face closure of a random sample of the simplices of dimension
+    below k, so the sample may be empty or the whole candidate set."""
+    pool = [s for s in f.domain.sorted_simplices() if s.dim < f.k]
+    picked = rng.sample(pool, rng.randint(0, len(pool)))
+    return JacobiSet(SimplicialComplex.from_facets(picked), "H", f.k)
+
+
+def _assert_domain_matches_oracle(f: PLMap, j: JacobiSet | None):
+    got, want = domain_stratification(f, j), naive_domain_stratification(f, j)
+    assert got.poset == want.poset
+    assert got.cells == want.cells
+    assert got.closure == want.closure
+    assert got.assignment == want.assignment
+    assert got == want
+
+
+class TestDomainOracle:
+    """The domain stratification on rank tables against the `Simplex`
+    tuple construction in `helpers`, `C<i>` labels included, and the L
+    verdict, whose cycle test reads the coface table, against the
+    built-link oracle."""
+
+    @pytest.mark.parametrize("name", [n for n in example_names()
+                                      if load_example(n).get("kind") == "map"])
+    def test_bundled_maps_under_every_notion(self, name):
+        f = example_map(name)
+        for notion in ("H", "D", "L"):
+            try:
+                j = jacobi_set(f, notion)
+            except (GenericityError, StructuralError):
+                continue
+            _assert_domain_matches_oracle(f, j)
+
+    def test_closed_surfaces_under_h(self, rng):
+        for dom in closed_surfaces():
+            verts = sorted(dom.vertices)
+            vals = rng.sample(range(10 * len(verts)), len(verts))
+            _assert_domain_matches_oracle(
+                PLMap(dom, 1, {v: (F(x),) for v, x in zip(verts, vals)}), None)
+
+    def test_random_complexes_with_random_loci(self, rng):
+        for _ in range(200):
+            dom = random_complex(rng)
+            k = rng.randint(1, 3)
+            f = PLMap(dom, k, {v: tuple(F(rng.randint(-9, 9)) for _ in range(k))
+                               for v in dom.vertices})
+            _assert_domain_matches_oracle(f, _random_locus(rng, f))
+
+    def test_random_surface_maps_with_random_loci(self, rng):
+        for _ in range(40):
+            f = random_surface_map(rng)
+            _assert_domain_matches_oracle(f, _random_locus(rng, f))
+
+    def test_ten_by_ten_torus(self, rng):
+        f = torus_height_map(rng, 10)
+        _assert_domain_matches_oracle(f, None)
+        _assert_domain_matches_oracle(f, _random_locus(rng, f))
+
+    def test_l_verdict_on_random_cones_and_complexes(self, rng):
+        # vertex links of every shape: the apex of a cone over a random
+        # graph has that graph as its link (one cycle, two cycles, a path,
+        # a tree, isolated points), and random complexes add links of
+        # dimension zero and two
+        domains = list(closed_surfaces())
+        for _ in range(100):
+            edges = [e for e in combinations(range(6), 2) if rng.random() < 0.4]
+            domains.append(SimplicialComplex.from_facets(
+                [(9, *e) for e in edges] + [(9, rng.randrange(6))]))
+            domains.append(random_complex(rng))
+        seen = set()
+        for dom in domains:
+            verts = sorted(dom.vertices)
+            f = PLMap(dom, 1, {v: (F(x),) for v, x in
+                               zip(verts, rng.sample(range(50), len(verts)))})
+            for v in verts:
+                verdict = is_l_critical_surface(f, v)
+                assert verdict == naive_is_l_critical_surface(f, v), v
+                seen.add(verdict)
+        assert seen == {None, True, False}
 
 
 class TestMorseCount:
