@@ -8,13 +8,9 @@ instead of the complex, and the complex keeps each link it is asked for,
 so callers share one link per simplex; the other operations return fresh
 objects.
 
-Incidence is also kept on integers: `face_ranks` and its transpose
-`coface_ranks` give, for each simplex by its rank in `canon_key` order,
-the ranks of its codimension-one faces and cofaces.  Whatever walks the
-whole complex reads these two tables: the facets, the manifold check and
-the sphere verdicts here, the domain stratification and the k=1 sweep.  A
-link of dimension at most one is decided on the coface table alone (see
-`_link_shape`); only a link of dimension two or more is built.
+Whatever walks the whole complex reads its incidence on ranks instead,
+`face_ranks` and its transpose `coface_ranks`; a link of dimension at most
+one is decided on them alone (`_link_shape`).
 """
 from __future__ import annotations
 
@@ -288,38 +284,30 @@ def _is_connected(k: SimplicialComplex) -> bool:
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
-    # a simplex of odd dimension has an even number of vertices
-    return sum(-1 if len(s) % 2 == 0 else 1 for s in k.simplices)
+    return sum((-1) ** s.dim for s in k.simplices)
 
 
-def _graph_shape(verts, edges, cofaces: tuple) -> tuple[bool, bool]:
-    """Whether a graph on ranks is a single cycle, and whether it is
-    connected.  Its vertices are the ranks `verts` and its edges the ranks
-    `edges`, which are their cofaces in the table `cofaces`, each joining
-    two of them; so the degree of a vertex is its number of cofaces."""
-    if verts and len(edges) == len(verts) and all(len(cofaces[q]) == 2 for q in verts):
-        # every degree is two, so the graph is a union of cycles, and one
-        # cycle when the walk from a vertex passes all of them; an edge's
-        # ends are xor-ed together, so either end gives the other
-        ends = dict.fromkeys(edges, 0)
-        for q in verts:
-            for t in cofaces[q]:
-                ends[t] ^= q
-        start = q = verts[0]
-        t, steps = cofaces[q][0], 1
-        while (q := q ^ ends[t]) != start:
-            a, b = cofaces[q]
-            t = b if t == a else a
-            steps += 1
-        return steps == len(verts), steps == len(verts)
-    return False, len(connected_classes(
-        chain(verts, edges), [(q, t) for q in verts for t in cofaces[q]])) == 1
+def _graph_is_connected(verts, cofaces: tuple) -> bool:
+    """Whether a graph on ranks is connected.  Its vertices are the ranks
+    `verts` and its edges their cofaces in the table `cofaces`, each
+    joining two of them."""
+    joins = [(q, t) for q in verts for t in cofaces[q]]
+    return len(connected_classes(chain(verts, (t for _, t in joins)), joins)) == 1
+
+
+def _is_cycle(verts, edges, cofaces: tuple) -> bool:
+    """Whether the graph of `_graph_is_connected`, with the ranks `edges`
+    for its edges, is a single cycle: every vertex has two cofaces, so
+    there are as many edges as vertices, and the edges are one class when
+    each vertex joins its two."""
+    ends = [cofaces[q] for q in verts]
+    return all(len(up) == 2 for up in ends) and len(connected_classes(edges, ends)) == 1
 
 
 def _link_shape(cofaces: tuple, r: int):
-    """(dimension, sphere verdict, connected) of the link of the simplex of
-    rank r, read off the `coface_ranks` of its complex; None when the link
-    has dimension two or more, which only a built link decides.
+    """(dimension, sphere verdict) of the link of the simplex of rank r,
+    read off the `coface_ranks` of its complex; None when the link has
+    dimension two or more, which only a built link decides.
 
     The link's vertices are the codimension-one cofaces of the simplex and
     its edges the codimension-two ones, each joining the two
@@ -328,22 +316,13 @@ def _link_shape(cofaces: tuple, r: int):
     points, and a 1-sphere when it is a single cycle."""
     link_verts = cofaces[r]
     if not link_verts:
-        return -1, "sphere", False
+        return -1, "sphere"
     link_edges = {t for q in link_verts for t in cofaces[q]}
     if not link_edges:
-        return (0, "sphere" if len(link_verts) == 2 else "not-sphere",
-                len(link_verts) == 1)
+        return 0, "sphere" if len(link_verts) == 2 else "not-sphere"
     if any(cofaces[t] for t in link_edges):
         return None
-    cycle, connected = _graph_shape(link_verts, link_edges, cofaces)
-    return 1, "sphere" if cycle else "not-sphere", connected
-
-
-def _link_is_cycle(cofaces: tuple, r: int) -> bool:
-    """Whether the link of the simplex of rank r is a single cycle, on the
-    `coface_ranks` of its complex (`_link_shape`)."""
-    shape = _link_shape(cofaces, r)
-    return shape is not None and shape[0] == 1 and shape[1] == "sphere"
+    return 1, "sphere" if _is_cycle(link_verts, link_edges, cofaces) else "not-sphere"
 
 
 def sphere_verdict(k: SimplicialComplex) -> str:
@@ -352,7 +331,7 @@ def sphere_verdict(k: SimplicialComplex) -> str:
     The empty complex counts as the (-1)-sphere, matching its role as the
     link of a facet in a closed pseudomanifold.
     """
-    return _sphere_verdict(k, lambda r: _link_is_cycle(k.coface_ranks, r))
+    return _sphere_verdict(k, lambda r: _link_shape(k.coface_ranks, r) == (1, "sphere"))
 
 
 def _sphere_verdict(k: SimplicialComplex, cycle_link) -> str:
@@ -368,13 +347,13 @@ def _sphere_verdict(k: SimplicialComplex, cycle_link) -> str:
         return "sphere" if len(k.simplices) == 2 else "not-sphere"
     if d > 2:
         return "undecided"
-    ranked, faces, cofaces = k.index.ranked, k.face_ranks, k.coface_ranks
+    ranked, cofaces = k.index.ranked, k.coface_ranks
     verts = [r for r, s in enumerate(ranked) if len(s) == 1]
     edges = [r for r, s in enumerate(ranked) if len(s) == 2]
     if d == 1:
-        return "sphere" if _graph_shape(verts, edges, cofaces)[0] else "not-sphere"
+        return "sphere" if _is_cycle(verts, edges, cofaces) else "not-sphere"
     if (not k.is_pure() or any(len(cofaces[e]) != 2 for e in edges)
-            or len(connected_classes(verts, map(faces.__getitem__, edges))) != 1
+            or not _graph_is_connected(verts, cofaces)
             or not all(map(cycle_link, verts))):
         return "not-sphere"
     return "sphere" if euler_characteristic(k) == 2 else "not-sphere"
@@ -417,8 +396,10 @@ def manifold_check(k: SimplicialComplex) -> ManifoldReport:
             if verdict != "sphere" and not _is_connected(lk):
                 links_connected = False
         else:
-            dim, verdict, connected = shape
-            if dim == 1 and not connected:
+            dim, verdict = shape
+            # a graph that is no cycle may still be connected
+            if (dim == 1 and verdict != "sphere"
+                    and not _graph_is_connected(cofaces[r], cofaces)):
                 links_connected = False
         verdicts.append(verdict)
     if not links_connected:

@@ -38,7 +38,7 @@ from math import lcm
 from typing import Mapping, NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _edges, _is_connected,
-                        _link_is_cycle, face_poset, link)
+                        _link_shape, face_poset, link)
 from .errors import GenericityError, InternalError, NotAMemberError, StructuralError
 from .geometry import (affinely_independent, barycenter, canon_sorted, cone_is_full,
                        det, dot, format_frac, frac, vsub)
@@ -371,7 +371,7 @@ def is_l_critical_surface(f: PLMap, v) -> bool | None:
     if v.dim != 0:
         return None
     dom = f.domain
-    if not _link_is_cycle(dom.coface_ranks, dom.index.rank[v]):
+    if _link_shape(dom.coface_ranks, dom.index.rank[v]) != (1, "sphere"):
         return None
     upper, lower = _decided_sides(f, v, f.local[v])
     return not (_single_arc(upper) and _single_arc(lower))
@@ -442,11 +442,8 @@ def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpa
     locus, where two simplices communicate when one is a face of the other;
     that matches topological connectivity of the open complement.  Each
     component lies above the locus simplices in its closure; with an empty
-    locus the components are unrelated.  Both are read off the domain's
-    `face_ranks`: the classes are taken on ranks and labelled `C0`, `C1`,
-    ... in the order of their least member by (dimension, `canon_key`), and
-    the proper faces of each simplex are the union of those of its
-    codimension-one faces, built up one dimension at a time.
+    locus the components are unrelated.  Both are read off `face_ranks`;
+    the classes are labelled `C0`, `C1`, ... in (dimension, rank) order.
     """
     locus = (jacobi_set(f) if j is None else j).complex
     jset = locus.simplices
@@ -456,16 +453,14 @@ def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpa
         if s not in x.simplices:
             raise NotAMemberError(f"locus simplex {tuple(s)!r} not in the domain")
     ranked, rank, faces = x.index.ranked, x.index.rank, x.face_ranks
-    on = [False] * len(ranked)
-    for s in jset:
-        on[rank[s]] = True
+    on = set(map(rank.__getitem__, jset))
     # ranks by dimension, and by `canon_key` within one
     by_dim = list(map(rank.__getitem__, x.index.order))
-    rest = [r for r in by_dim if not on[r]]
+    rest = [r for r in by_dim if r not in on]
     # cofaces of a simplex off the locus are off it too, so a simplex and
     # its cofaces are joined through codimension-one faces in between
     comps = connected_classes(rest, [(r, q) for r in rest for q in faces[r]
-                                     if not on[q]])
+                                     if q not in on])
     labels = [f"C{i}" for i in range(len(comps))]
     stratum: list = list(ranked)   # rank -> its stratum; a locus simplex is its own
     for label, comp in zip(labels, comps):
@@ -480,7 +475,7 @@ def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpa
     closure = frozenset((ranked[q], ranked[r]) for r in by_dim for q in below[r])
     poset = wedge_extend(face_poset(locus), labels,
                          {(ranked[q], stratum[r]) for r in rest for q in below[r]
-                          if on[q]})
+                          if q in on})
     return StratifiedSpace(poset=poset, cells=frozenset(x.simplices),
                            closure=closure,
                            assignment=dict(zip(ranked, stratum)))

@@ -5,13 +5,10 @@ import pytest
 from helpers import random_poset
 from plstrat import (MonotoneMap, NotAMemberError, Poset, SimplicialComplex,
                      StratifiedSpace, StructuralError, chain_poset,
-                     check_stratified_map, collapse_to_point,
-                     domain_stratification, face_poset, is_partial_order,
-                     is_refinement, jacobi_set, left_cone, linear_subposets,
-                     product, right_cone, validate_poset, wedge_extend)
-from plstrat.geometry import canon_sorted
-from plstrat.io import example_map, example_names, load_example
-from plstrat.posets import sorted_pairs
+                     check_stratified_map, collapse_to_point, face_poset,
+                     is_partial_order, is_refinement, left_cone,
+                     linear_subposets, product, right_cone, validate_poset,
+                     wedge_extend)
 
 
 def nat_edge() -> Poset:
@@ -339,39 +336,3 @@ class TestStratifiedMaps:
         with pytest.raises(StructuralError):
             is_refinement(fine, other)
 
-
-
-def _lexicographic(pairs, ordered) -> list:
-    rank = {e: i for i, e in enumerate(ordered)}
-    n = len(ordered)
-    return sorted(pairs, key=lambda ab: rank[ab[0]] * n + rank[ab[1]])
-
-
-class TestSortedPairs:
-    """The writer's pair order against the sort by each pair's two ranks."""
-
-    def test_random_poset_covers(self, rng):
-        for _ in range(100):
-            p = random_poset(rng, max_elements=12)
-            els = p.sorted_elements()
-            assert sorted_pairs(p.covers, els) == _lexicographic(p.covers, els)
-
-    @pytest.mark.parametrize("name", [n for n in example_names()
-                                      if load_example(n).get("kind") == "map"])
-    def test_domain_closures_of_the_examples(self, name):
-        f = example_map(name)
-        for notion in ("H", "D", "L"):
-            try:
-                space = domain_stratification(f, jacobi_set(f, notion))
-            except StructuralError:
-                continue
-            cells = canon_sorted(space.cells)
-            assert (sorted_pairs(space.closure, cells)
-                    == _lexicographic(space.closure, cells))
-
-    def test_repeated_pairs_keep_their_order(self):
-        a, b = tuple(["x", 1]), tuple(["x", 1])
-        assert a == b and a is not b
-        got = sorted_pairs([("q", "p"), a, ("p", "q"), b], ["p", "q", "x", 1])
-        assert got == [("p", "q"), ("q", "p"), a, b]
-        assert got[2] is a and got[3] is b
