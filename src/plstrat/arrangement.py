@@ -654,16 +654,13 @@ def _strand_segments(strand, closed):
     return pts, segs
 
 
-def stratify_singular_locus(locus: SingularLocus,
-                            extra_cuts: Sequence[tuple] = ()) -> LocusStratification:
+def stratify_singular_locus(locus: SingularLocus) -> LocusStratification:
     """Stratify the plane by a singular locus.
 
     Zero-cells appear at strand endpoints, at marked birth/death vertices, at
     transverse crossings between strands, and at vertical tangencies, which
     are vertices where consecutive x-increments change sign strictly; a zero
-    x-increment (a vertical segment) is rejected as non-generic.  `extra_cuts`
-    exists so tests can inject unneeded 0-cells and watch the coarseness
-    check fail.
+    x-increment (a vertical segment) is rejected as non-generic.
     """
     special: dict[Point, set] = {}
 
@@ -697,9 +694,6 @@ def stratify_singular_locus(locus: SingularLocus,
     for si, vi in locus.cusp_marks:
         strand = locus.strands[si]
         mark(strand[vi], "cusp")
-    for si, vi in extra_cuts:
-        strand = locus.strands[si]
-        mark(strand[vi], "extra")
 
     arr = PlanarArrangement(all_segments)
     for p in arr.crossing_points:
@@ -757,8 +751,7 @@ def coarseness_check(ls: LocusStratification) -> tuple[bool, list[str]]:
             degree[p] = degree.get(p, 0) + 1
     removable = []
     for z in sorted(ls.marks):
-        kinds = ls.marks[z] - {"extra"}
-        if kinds:
+        if ls.marks[z]:
             continue
         if degree.get(ls.geometry[z], 0) == 2:
             removable.append(z)

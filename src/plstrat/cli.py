@@ -13,8 +13,8 @@ from . import io as fmt
 from .arrangement import (SingularLocus, build_codomain_stratification,
                           coarseness_check, render_svg,
                           stratify_singular_locus)
-from .complexes import manifold_check
-from .errors import InputError, PLStratError
+from .complexes import Simplex, manifold_check
+from .errors import GenericityError, InputError, PLStratError
 from .jacobi import PLMap, check_generic, domain_stratification, jacobi_set
 from .posets import linear_subposets
 from .reeb import (check_stein_square, interval_fiber_audit, reeb_graph,
@@ -79,6 +79,19 @@ def _validate_doc(f, gen, man) -> dict:
             "manifold": fmt.manifold_to_dict(man)}
 
 
+def _genericity_error(gen, stage: str = "") -> GenericityError:
+    """The error a failed genericity audit ends the run with, after its
+    report is written: the rule, detail and witness of the first violation
+    in the input's labels, a simplex in braces, and how many there are."""
+    rule, witness, detail = gen.violations[0]
+    parts = witness if type(witness) is tuple else (witness,)
+    at = " and ".join("{" + ", ".join(map(str, p)) + "}" if isinstance(p, Simplex)
+                      else str(p) for p in parts)
+    n = len(gen.violations)
+    return GenericityError(f"{stage}{rule} {detail} at {at} "
+                           f"({n} violation{'s' if n > 1 else ''})")
+
+
 def _locus_doc(ls) -> dict:
     coarse, removable = coarseness_check(ls)
     doc = fmt.locus_stratification_to_dict(ls)
@@ -97,7 +110,9 @@ def cmd_validate(args) -> int:
     gen = check_generic(f)
     man = manifold_check(f.domain)
     _emit(fmt.canonical_dumps(_validate_doc(f, gen, man)), args.out)
-    return 0 if gen.passed else 2
+    if not gen.passed:
+        raise _genericity_error(gen)
+    return 0
 
 
 def cmd_jacobi(args) -> int:
@@ -181,7 +196,7 @@ def cmd_pipeline(args) -> int:
     man = _stage("validate", lambda: manifold_check(f.domain))
     write("validate.json", fmt.canonical_dumps(_validate_doc(f, gen, man)))
     if not gen.passed:
-        return 2
+        raise _genericity_error(gen, "stage validate: ")
 
     j = _stage("jacobi", lambda: jacobi_set(f, args.notion))
     write("jacobi.json", fmt.canonical_dumps(fmt.jacobi_report_dict(f, j)))

@@ -3,14 +3,15 @@
 Simplices are sorted tuples of vertex labels; a complex is a face-closed
 finite set of simplices.  Everything is immutable, so each complex indexes
 itself once, on first use: the cofaces of every vertex and the `canon_key`
-order of its simplices.  Star and link then walk the cofaces of one vertex
-instead of the complex, and the complex keeps each link it is asked for,
-so callers share one link per simplex; the other operations return fresh
+order of its simplices.  Star and link walk the cofaces of one vertex
+instead of the complex; they and the other operations return fresh
 objects.
 
 Whatever walks the whole complex reads its incidence on ranks instead,
-`face_ranks` and its transpose `coface_ranks`; a link of dimension at most
-one is decided on them alone (`_link_shape`).
+`face_ranks` and its transpose `coface_ranks`.  One function decides the
+sphere shape of every link and of the complex itself on them (`_shape`):
+a link is the set of its simplex's cofaces and a complex the set of its
+vertices, so no link is built to be decided.
 """
 from __future__ import annotations
 
@@ -83,8 +84,6 @@ class SimplicialComplex:
                         raise StructuralError(
                             f"not face-closed: {f!r} missing under {s!r}")
         self.simplices = simp
-        # simplex -> its link, kept by `link`; made on the first call
-        self._links: dict | None = None
 
     @classmethod
     def from_facets(cls, facets: Iterable) -> "SimplicialComplex":
@@ -215,22 +214,9 @@ def open_star(k: SimplicialComplex, sigma) -> frozenset:
 
 
 def link(k: SimplicialComplex, sigma) -> SimplicialComplex:
-    """All simplices tau disjoint from sigma with tau + sigma in the complex.
-
-    The link is built on the first call for sigma and kept by the complex,
-    so the criticality tests and the manifold check share one link per
-    simplex."""
+    """All simplices tau disjoint from sigma with tau + sigma in the complex,
+    from the cofaces of sigma's first vertex."""
     sigma = Simplex(sigma)
-    if k._links is None:
-        k._links = {}
-    lk = k._links.get(sigma)
-    if lk is None:
-        lk = k._links[sigma] = _build_link(k, sigma)
-    return lk
-
-
-def _build_link(k: SimplicialComplex, sigma: Simplex) -> SimplicialComplex:
-    """The link of sigma, from the cofaces of its first vertex."""
     k._require(sigma)
     ss = set(sigma)
     return SimplicialComplex(
@@ -273,16 +259,6 @@ class ManifoldReport:
     notes: tuple = ()
 
 
-def _edges(k: SimplicialComplex) -> list:
-    """The edges of k in no particular order, without building its index:
-    the graph tests on small built complexes only count and join them."""
-    return [s for s in k.simplices if len(s) == 2]
-
-
-def _is_connected(k: SimplicialComplex) -> bool:
-    return len(connected_classes(k.vertices, _edges(k))) == 1
-
-
 def euler_characteristic(k: SimplicialComplex) -> int:
     return sum((-1) ** s.dim for s in k.simplices)
 
@@ -295,34 +271,36 @@ def _graph_is_connected(verts, cofaces: tuple) -> bool:
     return len(connected_classes(chain(verts, (t for _, t in joins)), joins)) == 1
 
 
-def _is_cycle(verts, edges, cofaces: tuple) -> bool:
-    """Whether the graph of `_graph_is_connected`, with the ranks `edges`
-    for its edges, is a single cycle: every vertex has two cofaces, so
-    there are as many edges as vertices, and the edges are one class when
-    each vertex joins its two."""
-    ends = [cofaces[q] for q in verts]
-    return all(len(up) == 2 for up in ends) and len(connected_classes(edges, ends)) == 1
+def _shape(cofaces: tuple, verts) -> tuple:
+    """(dimension, sphere verdict) of the complex whose vertices are the
+    ranks `verts` of the coface table `cofaces`, its edges their cofaces
+    and its triangles the edges' cofaces; the dimension is 3 for any of
+    three or more, whose verdict is "undecided".
 
-
-def _link_shape(cofaces: tuple, r: int):
-    """(dimension, sphere verdict) of the link of the simplex of rank r,
-    read off the `coface_ranks` of its complex; None when the link has
-    dimension two or more, which only a built link decides.
-
-    The link's vertices are the codimension-one cofaces of the simplex and
-    its edges the codimension-two ones, each joining the two
-    codimension-one faces that contain the simplex.  So the link is the
-    empty sphere when there is no coface, a 0-sphere when it is exactly two
-    points, and a 1-sphere when it is a single cycle."""
-    link_verts = cofaces[r]
-    if not link_verts:
+    The link of the simplex of rank r is the complex on `cofaces[r]`, and
+    a whole complex the one on its vertex ranks.  So is the link of a
+    vertex q inside such a complex, on `cofaces[q]`, and a 2-complex is
+    decided by counts: it is a sphere when every edge has two triangles,
+    chi = 2, it is connected (so every vertex has an edge) and every
+    vertex link is a cycle.  A graph is a cycle when every vertex has two
+    edges and it is connected; points are a sphere when there are two."""
+    if not verts:
         return -1, "sphere"
-    link_edges = {t for q in link_verts for t in cofaces[q]}
-    if not link_edges:
-        return 0, "sphere" if len(link_verts) == 2 else "not-sphere"
-    if any(cofaces[t] for t in link_edges):
-        return None
-    return 1, "sphere" if _is_cycle(link_verts, link_edges, cofaces) else "not-sphere"
+    edges = {t for q in verts for t in cofaces[q]}
+    if not edges:
+        return 0, "sphere" if len(verts) == 2 else "not-sphere"
+    triangles = {t for e in edges for t in cofaces[e]}
+    if not triangles:
+        cycle = (all(len(cofaces[q]) == 2 for q in verts)
+                 and _graph_is_connected(verts, cofaces))
+        return 1, "sphere" if cycle else "not-sphere"
+    if any(cofaces[t] for t in triangles):
+        return 3, "undecided"
+    sphere = (all(len(cofaces[e]) == 2 for e in edges)
+              and len(verts) - len(edges) + len(triangles) == 2
+              and _graph_is_connected(verts, cofaces)
+              and all(_shape(cofaces, cofaces[q]) == (1, "sphere") for q in verts))
+    return 2, "sphere" if sphere else "not-sphere"
 
 
 def sphere_verdict(k: SimplicialComplex) -> str:
@@ -331,32 +309,8 @@ def sphere_verdict(k: SimplicialComplex) -> str:
     The empty complex counts as the (-1)-sphere, matching its role as the
     link of a facet in a closed pseudomanifold.
     """
-    return _sphere_verdict(k, lambda r: _link_shape(k.coface_ranks, r) == (1, "sphere"))
-
-
-def _sphere_verdict(k: SimplicialComplex, cycle_link) -> str:
-    """`sphere_verdict` on the rank tables of k, told by `cycle_link(r)`
-    whether the link of the vertex of rank r is a single cycle; it is asked
-    only in a connected pure 2-complex with two triangles at every edge,
-    where each vertex link is a nonempty graph of degree two, so a single
-    cycle iff a 1-sphere."""
-    d = k.dimension
-    if d == -1:
-        return "sphere"
-    if d == 0:
-        return "sphere" if len(k.simplices) == 2 else "not-sphere"
-    if d > 2:
-        return "undecided"
-    ranked, cofaces = k.index.ranked, k.coface_ranks
-    verts = [r for r, s in enumerate(ranked) if len(s) == 1]
-    edges = [r for r, s in enumerate(ranked) if len(s) == 2]
-    if d == 1:
-        return "sphere" if _is_cycle(verts, edges, cofaces) else "not-sphere"
-    if (not k.is_pure() or any(len(cofaces[e]) != 2 for e in edges)
-            or not _graph_is_connected(verts, cofaces)
-            or not all(map(cycle_link, verts))):
-        return "not-sphere"
-    return "sphere" if euler_characteristic(k) == 2 else "not-sphere"
+    verts = [r for r, s in enumerate(k.index.ranked) if len(s) == 1]
+    return _shape(k.coface_ranks, verts)[1]
 
 
 def manifold_check(k: SimplicialComplex) -> ManifoldReport:
@@ -364,11 +318,9 @@ def manifold_check(k: SimplicialComplex) -> ManifoldReport:
 
     Weak means: pure, every ridge in exactly two facets, all links connected.
     A non-pure complex is reported (never raised) with the failure noted.
-    Purity, the facets at each ridge and the verdict on every link of
-    dimension at most one are read off the coface table (`coface_ranks`,
-    `_link_shape`).  Only a link of dimension two or more is built, unless
-    the complex keeps it already, and it goes through `sphere_verdict`.
-    The verdict on the complex reads its vertex-link verdicts.
+    Purity, the facets at each ridge, every link verdict and the verdict on
+    the complex are read off the coface table (`coface_ranks`, `_shape`);
+    no link is built.
     """
     k._require_nonempty()
     notes: list[str] = []
@@ -384,23 +336,11 @@ def manifold_check(k: SimplicialComplex) -> ManifoldReport:
 
     verdicts: list[str] = []
     links_connected = True
-    kept = k._links or {}
-    for r, s in enumerate(ranked):
-        shape = _link_shape(cofaces, r)
-        if shape is None:
-            lk = kept.get(s)
-            if lk is None:
-                lk = _build_link(k, s)
-            verdict = sphere_verdict(lk)
-            # spheres of dimension one and up are connected
-            if verdict != "sphere" and not _is_connected(lk):
-                links_connected = False
-        else:
-            dim, verdict = shape
-            # a graph that is no cycle may still be connected
-            if (dim == 1 and verdict != "sphere"
-                    and not _graph_is_connected(cofaces[r], cofaces)):
-                links_connected = False
+    for up in cofaces:
+        dim, verdict = _shape(cofaces, up)
+        # spheres of dimension one and up are connected, other links may be
+        if dim > 0 and verdict != "sphere" and not _graph_is_connected(up, cofaces):
+            links_connected = False
         verdicts.append(verdict)
     if not links_connected:
         notes.append("some link is disconnected")
@@ -408,7 +348,7 @@ def manifold_check(k: SimplicialComplex) -> ManifoldReport:
     return ManifoldReport(
         is_pure=pure,
         is_weak_pseudomanifold=pure and closed and links_connected,
-        complex_verdict=_sphere_verdict(k, lambda r: verdicts[r] == "sphere"),
+        complex_verdict=sphere_verdict(k),
         link_checks=dict(zip(ranked, verdicts)),
         notes=tuple(notes),
     )

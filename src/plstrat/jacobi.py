@@ -21,9 +21,12 @@ normal of its image and one split of the link vertices into upper, lower
 and tied.  Heights are compared on `PLMap.integer_image`, the vertex values
 times the common denominator of all coordinates, a positive scale that
 keeps every sign and order, so no comparison builds a `Fraction`.
-`check_generic` reads its G3 violations off the ties, H and L read the
-upper and lower links, D reads which sides are nonempty, and
-`directional_links` splits along any direction the same way.
+`check_generic` reads its G3 violations off the ties, H the homology of
+the upper and lower links, D which sides are nonempty, and
+`directional_links` splits along any direction the same way.  L builds
+no complex: the function of `complexes` that decides every link shape on
+the domain's coface table says whether the vertex link is a cycle, and
+each side is counted over the triangles at the vertex.
 
 Ties are never perturbed; any comparison that would need a tiebreak raises
 a genericity error with a witness.  The table records ties without raising,
@@ -37,8 +40,7 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, NamedTuple
 
-from .complexes import (Simplex, SimplicialComplex, _edges, _is_connected,
-                        _link_shape, face_poset, link)
+from .complexes import Simplex, SimplicialComplex, _shape, face_poset, link
 from .errors import GenericityError, InternalError, NotAMemberError, StructuralError
 from .geometry import (affinely_independent, barycenter, canon_sorted, cone_is_full,
                        det, dot, format_frac, frac, vsub)
@@ -242,13 +244,13 @@ def _tie_error(f: PLMap, sigma: Simplex, ties: tuple, u: tuple) -> GenericityErr
         f"at value {format_frac(level)} along direction {_format_vector(u)}")
 
 
-def _decided_sides(f: PLMap, sigma: Simplex, e: LocalEntry):
-    """The entry's link sides, or the tie error naming the normal of the
-    image in input units (the integer normal over scale^(k-1))."""
+def _untied(f: PLMap, sigma: Simplex, e: LocalEntry) -> LocalEntry:
+    """The entry, or the tie error naming the normal of the image in input
+    units (the integer normal over scale^(k-1))."""
     if e.ties:
         den = f.integer_image[0] ** (f.k - 1)
         raise _tie_error(f, sigma, e.ties, tuple(Fraction(c, den) for c in e.normal))
-    return _full_sides(e.link, e.upper, e.lower)
+    return e
 
 
 def directional_links(f: PLMap, sigma, u) -> tuple[SimplicialComplex, SimplicialComplex]:
@@ -281,7 +283,8 @@ def _h_sides(f: PLMap, sigma) -> tuple[SimplicialComplex, SimplicialComplex]:
     e = f.local[sigma]
     if not any(e.normal):
         raise GenericityError(f"degenerate image of {tuple(sigma)!r}")
-    return _decided_sides(f, sigma, e)
+    _untied(f, sigma, e)
+    return _full_sides(e.link, e.upper, e.lower)
 
 
 def is_h_critical(f: PLMap, sigma) -> bool:
@@ -339,25 +342,12 @@ def is_d_critical(f: PLMap, sigma) -> bool:
     return not cone_is_full(gens, f.k)
 
 
-def _single_arc(k: SimplicialComplex) -> bool:
-    """A nonempty connected graph that is a path (possibly one vertex)."""
-    verts = k.vertices
-    if not verts or k.dimension > 1:
-        return False
-    edges = _edges(k)
-    deg = {v: 0 for v in verts}
-    for e in edges:
-        deg[e[0]] += 1
-        deg[e[1]] += 1
-    if len(edges) != len(verts) - 1 or any(d > 2 for d in deg.values()):
-        return False
-    return _is_connected(k) if edges else len(verts) == 1
-
-
 def is_l_critical_surface(f: PLMap, v) -> bool | None:
     """Link-decomposition criticality at a vertex of a surface under a scalar
     map: the vertex is regular iff its upper and lower links are both single
-    nonempty arcs of the link circle.
+    nonempty arcs of the link circle.  A side U of the circle is one
+    nonempty arc iff |U| - e(U) = 1, where e(U) counts the triangles at the
+    vertex whose other two vertices lie in U: the link edges inside U.
 
     Returns None (undecided) when k > 1, v is not a vertex or the vertex
     link is not a single circle; the test is local, so vertices deep inside
@@ -371,10 +361,15 @@ def is_l_critical_surface(f: PLMap, v) -> bool | None:
     if v.dim != 0:
         return None
     dom = f.domain
-    if _link_shape(dom.coface_ranks, dom.index.rank[v]) != (1, "sphere"):
+    cofaces = dom.coface_ranks
+    if _shape(cofaces, cofaces[dom.index.rank[v]]) != (1, "sphere"):
         return None
-    upper, lower = _decided_sides(f, v, f.local[v])
-    return not (_single_arc(upper) and _single_arc(lower))
+    e = _untied(f, v, f.local[v])
+    ends = [set(t) - set(v) for t in dom.cofaces(v) if len(t) == 3]
+
+    def one_arc(side):
+        return len(side) - sum(map(side.issuperset, ends)) == 1
+    return not (one_arc(e.upper) and one_arc(e.lower))
 
 
 @dataclass(frozen=True)

@@ -333,10 +333,15 @@ class StratifiedSpace:
         for c, s in self.assignment.items():
             if s not in self.poset.elements:
                 raise NotAMemberError(f"stratum {s!r} of cell {c!r} not in the poset")
+        strata, up = self.assignment, self.poset._up
+        # the assignment's keys are the cells, so its lookup is the
+        # membership test, and the up-sets answer `leq` without its checks
         for lo, hi in self.closure:
-            if lo not in self.cells or hi not in self.cells:
-                raise NotAMemberError("closure pair mentions unknown cell")
-            if not self.poset.leq(self.assignment[lo], self.assignment[hi]):
+            try:
+                continuous = strata[hi] in up[strata[lo]]
+            except KeyError:
+                raise NotAMemberError("closure pair mentions unknown cell") from None
+            if not continuous:
                 raise StructuralError(
                     f"assignment not continuous on closure pair ({lo!r}, {hi!r})")
 

@@ -846,6 +846,22 @@ def grid_torus(n: int) -> SimplicialComplex:
                      (label(i, j), label(i, j + 1), label(i + 1, j + 1)))])
 
 
+def grid_3torus(n: int) -> SimplicialComplex:
+    """The n x n x n grid 3-torus, vertices `vi_j_l`: each cube cut into
+    the 6 tetrahedra along the orders of the three axes (Freudenthal)."""
+    def label(p):
+        return "v" + "_".join(str(c % n) for c in p)
+    tets = []
+    for corner in [(i, j, l) for i in range(n) for j in range(n) for l in range(n)]:
+        for axes in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+            p, tet = list(corner), [label(corner)]
+            for a in axes:
+                p[a] += 1
+                tet.append(label(p))
+            tets.append(tet)
+    return SimplicialComplex.from_facets(tets)
+
+
 def torus_height_map(rng: random.Random, n: int) -> PLMap:
     """Distinct random integer heights on the n x n grid torus."""
     dom = grid_torus(n)

@@ -1,4 +1,5 @@
 """Planar arrangements, image refinement and the two codomain stratifiers."""
+import dataclasses
 import json
 import os
 import re
@@ -519,12 +520,11 @@ class TestLocusStratification:
             assert ok and removable == []
 
     def test_spurious_cut_breaks_coarseness(self):
-        oval = example_locus("oval_contour")
-        ls = stratify_singular_locus(oval, extra_cuts=[(0, 1)])
-        ok, removable = coarseness_check(ls)
-        assert not ok
-        assert len(removable) == 1
-        assert ls.marks[removable[0]] == {"extra"}
+        # a degree-2 zero-cell of the oval without its tangency mark
+        ls = stratify_singular_locus(example_locus("oval_contour"))
+        assert ls.marks["z1"] == {"tangency"}
+        bare = dataclasses.replace(ls, marks={**ls.marks, "z1": frozenset()})
+        assert coarseness_check(bare) == (False, ["z1"])
 
 
 class TestSvg:

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (closed_surfaces, grid_torus, naive_manifold_check,
-                     naive_sphere_verdict, random_complex)
+from helpers import (closed_surfaces, grid_3torus, grid_torus,
+                     naive_manifold_check, naive_sphere_verdict, random_complex)
 from plstrat import (EmptyComplexError, NotAMemberError, Simplex,
                      SimplicialComplex, StructuralError, euler_characteristic,
                      face_poset, join, link, manifold_check, open_star,
@@ -296,6 +296,16 @@ class TestManifoldOracle:
     def test_ten_by_ten_torus(self):
         self._check(grid_torus(10))
 
+    def test_three_torus(self):
+        # 2-sphere vertex links inside a larger complex
+        k = grid_3torus(3)
+        assert len(k) == 702
+        report = manifold_check(k)
+        assert set(report.link_checks.values()) == {"sphere"}
+        assert report.is_pure and report.is_weak_pseudomanifold
+        assert (report.complex_verdict, report.notes) == ("undecided", ())
+        assert report == naive_manifold_check(k)
+
     def test_links_of_random_complexes(self, rng):
         for _ in range(40):
             k = random_complex(rng)
@@ -327,6 +337,13 @@ _FIXTURES = {
                         + _square_sphere("mz", list("efgh")),
                         True, False, "not-sphere", (_DISCONNECTED,),
                         {("m",): "not-sphere", ("w",): "sphere", ("a",): "sphere"}),
+    # two spheres glued at two poles: every edge has two triangles, it is
+    # connected and chi = 2, but the link of m is two 4-cycles
+    "spheres_glued_at_two_points": (_square_sphere("mw", list("abcd"))
+                                    + _square_sphere("mw", list("efgh")),
+                                    True, False, "not-sphere", (_DISCONNECTED,),
+                                    {("m",): "not-sphere", ("w",): "not-sphere",
+                                     ("a",): "sphere", ("a", "m"): "sphere"}),
     # the link of the edge is three points, that of a is a star graph
     "edge_in_three_triangles": ([("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e")],
                                 True, False, "not-sphere", (_RIDGE,),
@@ -352,7 +369,7 @@ _FIXTURES = {
     "one_vertex": ([("v",)], True, True, "not-sphere", (), {("v",): "sphere"}),
     "two_vertices": ([("v",), ("w",)], True, True, "sphere", (),
                      {("v",): "sphere", ("w",): "sphere"}),
-    # a vertex link is a triangle, a 2-complex: the one built link
+    # a vertex link is a triangle, a 2-complex with a boundary
     "solid_tetrahedron": ([("a", "b", "c", "d")], True, False, "undecided", (_RIDGE,),
                           {("a",): "not-sphere", ("a", "b"): "not-sphere",
                            ("a", "b", "c"): "not-sphere",
@@ -376,15 +393,18 @@ class TestManifoldFixtures:
         assert set(report.link_checks) == k.simplices
         assert report == naive_manifold_check(k)
 
-    def test_only_links_of_dimension_two_are_built(self, monkeypatch):
-        from plstrat import complexes
+    def test_manifold_check_builds_no_link(self, monkeypatch):
+        # the 2-complex vertex links of the solid tetrahedron and the
+        # 2-sphere links of the 3-torus are decided on ranks too
+        complexes = [SimplicialComplex.from_facets(_FIXTURES[name][0])
+                     for name in sorted(_FIXTURES)] + [grid_3torus(3)]
         built = []
-        original = complexes._build_link
+        original = SimplicialComplex.__init__
 
-        def spy(k, sigma):
-            built.append(tuple(sigma))
-            return original(k, sigma)
-        monkeypatch.setattr(complexes, "_build_link", spy)
-        for name in sorted(_FIXTURES):
-            manifold_check(SimplicialComplex.from_facets(_FIXTURES[name][0]))
-        assert built == [("a",), ("b",), ("c",), ("d",)]
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(SimplicialComplex, "__init__", spy)
+        for k in complexes:
+            manifold_check(k)
+        assert built == []

@@ -255,6 +255,23 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["genericity"]["passed"] is False
 
+    def test_genericity_failure_names_its_first_violation(self, tmp_path, capsys):
+        # validate.json is written and the exit code stays 2; stderr gets
+        # the rule and the first witness in the input's labels
+        assert main(["validate", "--example", "double_cone"]) == 2
+        assert capsys.readouterr().err == (
+            "error: G2 duplicate vertex value at e0 and e2 (3 violations)\n")
+        out = tmp_path / "bundle"
+        assert main(["pipeline", "--example", "double_cone", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: stage validate: G2 duplicate "
+                                           "vertex value at e0 and e2 (3 violations)\n")
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"k": 2, "facets": [["a", "b"]],
+                                    "values": {"a": [0, 0], "b": [0, 0]}}))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: G1 image not affinely independent at {a, b} (1 violation)\n")
+
     def test_shared_locus_image_names_labels_and_point(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(

@@ -379,6 +379,24 @@ class TestLCriticality:
     def test_undecided_outside_surface_case(self, tetra):
         assert is_l_critical_surface(tetra, Simplex(("a",))) is None
 
+    # heights of the rim a..f of a hexagonal disk around p, at height 0:
+    # the sides are counted as |U| - e(U) arcs, e(U) the rim edges inside U
+    @pytest.mark.parametrize("rim, critical", [
+        ((1, 2, 3, -1, -2, -3), False),
+        ((1, -1, -2, -3, 2, 3), False),    # the upper arc wraps past a
+        ((1, 2, -1, 3, 4, -2), True),      # two upper arcs of two vertices
+        ((1, 2, 3, 4, 5, 6), True),        # a minimum: upper is the circle
+        ((-1, -2, -3, -4, -5, -6), True)])
+    def test_counted_sides_on_a_hexagon(self, rim, critical):
+        f = PLMap(SimplicialComplex.from_facets(
+            [("p", a, b) for a, b in zip("abcdef", "bcdefa")]), 1,
+            {"p": 0, **dict(zip("abcdef", rim))})
+        assert is_l_critical_surface(f, "p") is critical
+        # a boundary vertex: its link is a path
+        assert is_l_critical_surface(f, "a") is None
+        for v in "pa":
+            assert naive_is_l_critical_surface(f, v) == is_l_critical_surface(f, v)
+
 
 class TestJacobiSet:
     def test_octahedron_poles_under_all_notions(self, octa):

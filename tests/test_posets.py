@@ -281,6 +281,23 @@ def two_cell_space(strata_for_cells, poset) -> StratifiedSpace:
                            assignment=strata_for_cells)
 
 
+class TestStratifiedSpaceChecks:
+    def test_discontinuous_assignment_names_a_failing_pair(self):
+        # three closure pairs go from stratum t down to s, against s < t
+        cells = frozenset({"a", "b", "c", "d"})
+        closure = frozenset({("b", "a"), ("b", "c"), ("d", "c"), ("a", "c")})
+        with pytest.raises(StructuralError,
+                           match=r"not continuous on closure pair \('(b', 'a|b', 'c|d', 'c)'\)"):
+            StratifiedSpace(poset=chain_poset(["s", "t"]), cells=cells,
+                            closure=closure,
+                            assignment={"a": "s", "b": "t", "c": "s", "d": "t"})
+
+    def test_closure_pair_on_an_unknown_cell(self):
+        with pytest.raises(NotAMemberError, match="unknown cell"):
+            StratifiedSpace(poset=chain_poset(["s", "t"]), cells=frozenset({"lo"}),
+                            closure=frozenset({("lo", "x")}), assignment={"lo": "s"})
+
+
 class TestStratifiedMaps:
     def test_identity_always_passes(self, rng):
         p = chain_poset(["s", "t"])
