@@ -55,6 +55,16 @@ def _point(p) -> Point:
     return tuple(frac(x) for x in p)
 
 
+def _line_point(y) -> Fraction:
+    """y as a point of the line: a scalar, or a tuple or list of one."""
+    if not isinstance(y, (tuple, list)):
+        return frac(y)
+    if len(y) != 1:
+        raise StructuralError(f"cannot locate {_show(_point(y))}: a point of "
+                              f"the line is one rational")
+    return frac(y[0])
+
+
 # ---------------------------------------------------------------------------
 # planar arrangements of segments
 
@@ -528,9 +538,10 @@ class CodomainStratification:
     refined: RefinedImage
 
     def locate(self, y) -> str:
-        """Label of the lowest-dimensional stratum containing y."""
+        """Label of the lowest-dimensional stratum containing y; a point of
+        the wrong length is a `StructuralError`."""
         if self.k == 1:
-            y = frac(y[0] if isinstance(y, (tuple, list)) else y)
+            y = _line_point(y)
             pts = self.refined.points
             i = bisect_left(pts, y)
             return f"p{i}" if i < len(pts) and pts[i] == y else f"i{i}"

@@ -16,17 +16,18 @@ interpolation over each simplex.  Three notions of criticality for a
         everything else reports None ("undecided").
 
 Every local test reads one table per map, `PLMap.local` (`local_table`):
-for each (k-1)-simplex its link, built once through `complexes.link`, the
-normal of its image and one split of the link vertices into upper, lower
-and tied.  Heights are compared on `PLMap.integer_image`, the vertex values
-times the common denominator of all coordinates, a positive scale that
-keeps every sign and order, so no comparison builds a `Fraction`.
-`check_generic` reads its G3 violations off the ties, H the homology of
-the upper and lower links, D which sides are nonempty, and
-`directional_links` splits along any direction the same way.  L builds
-no complex: the function of `complexes` that decides every link shape on
-the domain's coface table says whether the vertex link is a cycle, and
-each side is counted over the triangles at the vertex.
+for each (k-1)-simplex the normal of its image and one split of its link
+vertices, read off the domain's coface table, into upper, lower and tied.
+Heights are compared on `PLMap.integer_image`, the vertex values times the
+common denominator of all coordinates, a positive scale that keeps every
+sign and order, so no comparison builds a `Fraction`.  `check_generic`
+reads its G3 violations off the ties, D which sides are nonempty, and H
+the homology of the upper and lower links, built from the one link of the
+simplex it tests through `complexes.link`; `directional_links` splits
+along any direction the same way.  L builds no complex: the function of
+`complexes` that decides every link shape on the domain's coface table
+says whether the vertex link is a cycle, and each side is counted over
+the triangles at the vertex.
 
 Ties are never perturbed; any comparison that would need a tiebreak raises
 a genericity error with a witness.  The table records ties without raising,
@@ -195,7 +196,6 @@ def _split(image: dict, sigma: Simplex, vertices, u: tuple):
 
 class LocalEntry(NamedTuple):
     """What the local tests read about one (k-1)-simplex sigma."""
-    link: SimplicialComplex
     normal: tuple     # `_integer_normal` of sigma's integer image
     upper: frozenset  # link vertices strictly above the image along normal
     lower: frozenset  # ... and strictly below it
@@ -214,19 +214,21 @@ def _full_sides(lk: SimplicialComplex, upper: frozenset, lower: frozenset):
 
 
 def local_table(f: PLMap) -> dict:
-    """One pass over the (k-1)-simplices of a map: each one's link, built
-    once through `link`, the integer normal of its image and one split of
-    its link vertices into upper, lower and tied on the map's integer
-    image, as a `LocalEntry` per simplex.  A degenerate image has a zero
-    normal, so every link vertex ties.  Ties are recorded, not raised: the
-    tests that cannot decide with them raise, the D sign test counts them
-    on neither side."""
+    """One pass over the (k-1)-simplices of a map: the integer normal of
+    each one's image and one split of its link vertices, the apexes of its
+    codimension-one cofaces, into upper, lower and tied on the map's
+    integer image, as a `LocalEntry` per simplex.  A degenerate image has
+    a zero normal, so every link vertex ties.  Ties are recorded, not
+    raised: the tests that cannot decide with them raise, the D sign test
+    counts them on neither side."""
     image = f.integer_image[1]
+    dom = f.domain
+    ranked, rank, cofaces = dom.index.ranked, dom.index.rank, dom.coface_ranks
     table = {}
-    for s in f.domain.simplices_of_dim(f.k - 1):
-        lk = link(f.domain, s)
+    for s in dom.simplices_of_dim(f.k - 1):
+        apexes = [v for r in cofaces[rank[s]] for v in ranked[r] if v not in s]
         n = _integer_normal([image[v] for v in s])
-        table[s] = LocalEntry(lk, n, *_split(image, s, lk.vertices, n))
+        table[s] = LocalEntry(n, *_split(image, s, apexes, n))
     return table
 
 
@@ -284,7 +286,7 @@ def _h_sides(f: PLMap, sigma) -> tuple[SimplicialComplex, SimplicialComplex]:
     if not any(e.normal):
         raise GenericityError(f"degenerate image of {tuple(sigma)!r}")
     _untied(f, sigma, e)
-    return _full_sides(e.link, e.upper, e.lower)
+    return _full_sides(link(f.domain, sigma), e.upper, e.lower)
 
 
 def is_h_critical(f: PLMap, sigma) -> bool:

@@ -3,11 +3,14 @@ them, and stratified spaces assigning cells of a carrier to poset elements.
 
 Open sets are exactly the up-closed subsets, so monotone maps are the
 continuous ones and nothing here is Hausdorff in any interesting case.
-Posets are stored as generating relations plus a cached reflexive-transitive
-closure; covering relations are recovered by transitive reduction.
+A poset is stored as the up-set of each element, computed once from the
+generating pairs, or for a product, cone or wedge extension straight from
+the up-sets of its inputs; the covers of an element are its strict up-set
+minus the strict up-sets of the elements in it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
 
@@ -18,22 +21,30 @@ Label = Hashable
 
 
 def _closure_upsets(elements, pairs):
-    succ: dict = {e: set() for e in elements}
+    """The up-set of every element: one depth-first pass, each up-set the
+    union of its successors' up-sets in post-order.  A pair back into an
+    element still being expanded closes a cycle."""
+    succ: dict = {e: [] for e in elements}
     for a, b in pairs:
         if a not in succ or b not in succ:
             raise NotAMemberError(f"relation pair ({a!r}, {b!r}) mentions unknown element")
-        succ[a].add(b)
-    up: dict = {}
-    for e in elements:
-        seen = {e}
-        stack = [e]
-        while stack:
-            x = stack.pop()
-            for y in succ[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        up[e] = frozenset(seen)
+        if a != b:
+            succ[a].append(b)
+    up: dict = {}   # None while the element is being expanded
+    stack = [(None, iter(succ))]   # a root below every element
+    while stack:
+        x, todo = stack[-1]
+        for y in todo:
+            if y not in up:
+                up[y] = None
+                stack.append((y, iter(succ[y])))
+                break
+            if up[y] is None:
+                raise StructuralError("relation closure violates antisymmetry")
+        else:
+            stack.pop()
+            if stack:
+                up[x] = frozenset((x,)).union(*map(up.__getitem__, succ[x]))
     return up
 
 
@@ -84,14 +95,15 @@ class Poset:
 
     def __init__(self, elements: Iterable[Label], relations: Iterable[tuple] = ()):
         self.elements = frozenset(elements)
-        self._up = _closure_upsets(self.elements, list(relations))
-        if not self._antisymmetric():
-            raise StructuralError("relation closure violates antisymmetry")
+        self._up = _closure_upsets(self.elements, relations)
         self._covers: frozenset | None = None
 
-    def _antisymmetric(self) -> bool:
-        return all(a == b or a not in self._up[b]
-                   for a in self.elements for b in self._up[a])
+    @classmethod
+    def _of_upsets(cls, up: dict) -> "Poset":
+        """The poset whose up-sets `up` are already closed and antisymmetric."""
+        p = cls.__new__(cls)
+        p.elements, p._up, p._covers = frozenset(up), up, None
+        return p
 
     def leq(self, a: Label, b: Label) -> bool:
         if a not in self.elements or b not in self.elements:
@@ -118,13 +130,10 @@ class Poset:
     def covers(self) -> frozenset:
         """Covering pairs (a, b): a < b with nothing strictly between."""
         if self._covers is None:
-            out = set()
-            for a in self.elements:
-                strict = self._up[a] - {a}
-                for b in strict:
-                    if not any(c != b and b in self._up[c] for c in strict):
-                        out.add((a, b))
-            self._covers = frozenset(out)
+            strict = {a: up - {a} for a, up in self._up.items()}
+            self._covers = frozenset(
+                (a, b) for a, above in strict.items()
+                for b in above.difference(*map(strict.__getitem__, above)))
         return self._covers
 
     def minima(self) -> frozenset:
@@ -180,10 +189,8 @@ def chain_poset(values: Iterable[Label]) -> Poset:
 
 def product(p: Poset, q: Poset) -> Poset:
     """Categorical product: pairs ordered componentwise."""
-    elements = [(a, b) for a in p.elements for b in q.elements]
-    rel = [((a, b), (a2, b)) for (a, a2) in p.covers for b in q.elements]
-    rel += [((a, b), (a, b2)) for a in p.elements for (b, b2) in q.covers]
-    return Poset(elements, rel)
+    return Poset._of_upsets({(a, b): frozenset(itertools.product(ua, ub))
+                             for a, ua in p._up.items() for b, ub in q._up.items()})
 
 
 def _fresh_label(p: Poset, label: Label) -> Label:
@@ -195,15 +202,13 @@ def _fresh_label(p: Poset, label: Label) -> Label:
 def left_cone(p: Poset, label: Label = "cone_min") -> Poset:
     """Adjoin a new global minimum."""
     _fresh_label(p, label)
-    rel = list(p.covers) + [(label, e) for e in p.elements]
-    return Poset(set(p.elements) | {label}, rel)
+    return Poset._of_upsets({**p._up, label: p.elements | {label}})
 
 
 def right_cone(p: Poset, label: Label = "cone_max") -> Poset:
     """Adjoin a new global maximum."""
     _fresh_label(p, label)
-    rel = list(p.covers) + [(e, label) for e in p.elements]
-    return Poset(set(p.elements) | {label}, rel)
+    return wedge_extend(p, (label,), [(e, label) for e in p.elements])
 
 
 def wedge_extend(q: Poset, components: Iterable[Label],
@@ -218,18 +223,19 @@ def wedge_extend(q: Poset, components: Iterable[Label],
     comps = set(components)
     if comps & set(q.elements):
         raise StructuralError("component labels collide with base elements")
-    pairs = list(closure_pairs)
-    for l, a in pairs:
+    over: dict = {}
+    for l, a in closure_pairs:
         if l not in q.elements:
             raise NotAMemberError(f"closure pair base {l!r} not in the poset")
         if a not in comps:
             raise NotAMemberError(f"closure pair component {a!r} unknown")
-    rel = list(q.covers) + pairs
-    out = Poset(set(q.elements) | comps, rel)
-    bad = [a for a in comps if out.up_set(a) != frozenset({a})]
-    if bad:
-        raise StructuralError(f"components not maximal: {bad!r}")
-    return out
+        over.setdefault(l, set()).add(a)
+    up = {}
+    for x, ux in q._up.items():
+        extra = [over[l] for l in ux if l in over]
+        up[x] = ux.union(*extra) if extra else ux
+    up.update((a, frozenset((a,))) for a in comps)
+    return Poset._of_upsets(up)
 
 
 def collapse_to_point(p: Poset, subset: Iterable[Label], new_label: Label) -> Poset:
@@ -249,29 +255,23 @@ def collapse_to_point(p: Poset, subset: Iterable[Label], new_label: Label) -> Po
         return new_label if x in sub else x
 
     rel = {(cls(a), cls(b)) for a in p.elements for b in p.up_set(a)}
-    elements = {cls(e) for e in p.elements}
-    return Poset(elements, rel)
+    return Poset({cls(e) for e in p.elements}, rel)
 
 
 def linear_subposets(p: Poset) -> list[tuple]:
     """All maximal chains, in deterministic label order."""
     chains: list[tuple] = []
     covers_up: dict = {e: [] for e in p.elements}
-    for a, b in p.covers:
+    # depth first: each element's covers listed backwards, popped in order
+    for a, b in reversed(canon_sorted(p.covers)):
         covers_up[a].append(b)
-    for e, bs in covers_up.items():
-        covers_up[e] = canon_sorted(bs)
-
-    def extend(chain: list):
-        nxt = covers_up[chain[-1]]
-        if not nxt:
-            chains.append(tuple(chain))
-            return
-        for b in nxt:
-            extend(chain + [b])
-
-    for m in canon_sorted(p.minima()):
-        extend([m])
+    stack = [(m,) for m in reversed(canon_sorted(p.minima()))]
+    while stack:
+        chain = stack.pop()
+        if nxt := covers_up[chain[-1]]:
+            stack.extend(chain + (b,) for b in nxt)
+        else:
+            chains.append(chain)
     return canon_sorted(chains)
 
 

@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import count
 from math import lcm
 
-from .arrangement import (CodomainStratification, _show,
+from .arrangement import (CodomainStratification, _line_point, _show,
                           build_codomain_stratification, edge_image_arrangement)
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      StructuralError)
@@ -524,10 +524,11 @@ class FineCells:
 
     def locate(self, y):
         """The cell containing y, or None outside the range of a scalar
-        map, where the fiber is empty."""
+        map, where the fiber is empty; a point of the wrong length is a
+        `StructuralError`."""
         if self.arrangement is not None:
             return self.arrangement.locate(y)
-        level = self._sweep.level(frac(y[0]))
+        level = self._sweep.level(_line_point(y))
         return None if level is None else ("l", level)
 
     def attachments(self):

@@ -18,7 +18,10 @@ simplex one at a time on `Fraction` values, with links found by scanning
 the complex and homology by the dense oracle, instead of reading the
 map's integer table; the manifold-check and domain-stratification
 oracles build every link by scanning the complex and flood the complement
-on `Simplex` tuples, instead of reading the complex's rank tables; and
+on `Simplex` tuples, instead of reading the complex's rank tables; the
+poset oracle closes the relation by one search per element, checks
+antisymmetry in a second pass and tests each strict pair against every
+element between, instead of one post-order pass and set differences; and
 the generators rejection-sample until the exact-arithmetic validators
 accept the instance.
 """
@@ -783,6 +786,82 @@ def naive_arrangement(segments) -> PlanarArrangement:
 
 
 # ---------------------------------------------------------------------------
+# poset oracle
+
+def naive_upsets(elements, pairs) -> dict:
+    """The up-set of every element by its own depth-first search over the
+    pairs, with `Poset`'s errors: `NotAMemberError` for a pair on an
+    unknown element, `StructuralError` for a closure that is not
+    antisymmetric."""
+    succ: dict = {e: set() for e in elements}
+    for a, b in pairs:
+        if a not in succ or b not in succ:
+            raise NotAMemberError(f"relation pair ({a!r}, {b!r}) mentions unknown element")
+        succ[a].add(b)
+    up: dict = {}
+    for e in succ:
+        seen = {e}
+        stack = [e]
+        while stack:
+            x = stack.pop()
+            for y in succ[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        up[e] = frozenset(seen)
+    if not naive_antisymmetric(up):
+        raise StructuralError("relation closure violates antisymmetry")
+    return up
+
+
+def naive_antisymmetric(up: dict) -> bool:
+    return all(a == b or a not in up[b] for a in up for b in up[a])
+
+
+def naive_covers(up: dict) -> frozenset:
+    """Pairs a < b of the up-sets `up` with no other element of a's strict
+    up-set below b."""
+    out = set()
+    for a in up:
+        strict = up[a] - {a}
+        for b in strict:
+            if not any(c != b and b in up[c] for c in strict):
+                out.add((a, b))
+    return frozenset(out)
+
+
+def naive_product(p: Poset, q: Poset) -> dict:
+    """The up-sets of the componentwise order, closed from the covers of
+    both factors."""
+    cp, cq = naive_covers(p._up), naive_covers(q._up)
+    rel = [((a, b), (a2, b)) for a, a2 in cp for b in q.elements]
+    rel += [((a, b), (a, b2)) for a in p.elements for b, b2 in cq]
+    return naive_upsets([(a, b) for a in p.elements for b in q.elements], rel)
+
+
+def naive_wedge_extend(q: Poset, components, pairs) -> dict:
+    """The up-sets of q with the components above their paired elements,
+    closed from the covers of q and the pairs."""
+    return naive_upsets(set(q.elements) | set(components),
+                        list(naive_covers(q._up)) + list(pairs))
+
+
+def naive_cone(p: Poset, label, below: bool) -> dict:
+    """The up-sets of p with `label` adjoined below (or above) everything."""
+    rel = [(label, e) if below else (e, label) for e in p.elements]
+    return naive_upsets(set(p.elements) | {label},
+                        list(naive_covers(p._up)) + rel)
+
+
+def space_upsets(space: StratifiedSpace) -> dict:
+    """The up-sets of the order that a stratified space's closure pairs,
+    read through its assignment, generate on its strata."""
+    strata = space.assignment
+    return naive_upsets(space.poset.elements,
+                        {(strata[lo], strata[hi]) for lo, hi in space.closure})
+
+
+# ---------------------------------------------------------------------------
 # random instances
 
 def random_complex(rng: random.Random, max_simplices: int = 30) -> SimplicialComplex:
@@ -797,15 +876,19 @@ def random_complex(rng: random.Random, max_simplices: int = 30) -> SimplicialCom
             return k
 
 
-def random_poset(rng: random.Random, max_elements: int = 8) -> Poset:
-    # relations only point from lower to higher index, so the transitive
-    # closure of any sample is automatically antisymmetric
+def random_relation(rng: random.Random, max_elements: int = 8) -> tuple:
+    """Labels and pairs that only point from lower to higher index, so the
+    transitive closure of any sample is automatically antisymmetric."""
     n = rng.randint(1, max_elements)
     labels = [f"x{i}" for i in range(n)]
     rel = [(labels[i], labels[j])
            for i in range(n) for j in range(i + 1, n)
            if rng.random() < 0.3]
-    return Poset(labels, rel)
+    return labels, rel
+
+
+def random_poset(rng: random.Random, max_elements: int = 8) -> Poset:
+    return Poset(*random_relation(rng, max_elements))
 
 
 _SURFACES: list[SimplicialComplex] = []

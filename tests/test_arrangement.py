@@ -437,6 +437,15 @@ class TestCodomainStratification:
         assert cs.locate((lo - 5,)) == "i0"
         assert cs.locate((cs.refined.points[-1] + 5,)) == "i4"
 
+    def test_interval_locate_needs_one_coordinate(self):
+        torus = example_map("torus_grid")
+        cs = build_codomain_stratification(torus, jacobi_set(torus))
+        lo = cs.refined.points[0]
+        assert cs.locate(lo) == "p0"
+        for p in ((lo, 99), (), [lo, lo]):
+            with pytest.raises(StructuralError, match="line is one rational"):
+                cs.locate(p)
+
     def test_empty_image_single_stratum(self):
         from plstrat import RefinedImage
         r = RefinedImage(k=1, points=(), multiplicities=(), arrangement=None)

@@ -1,14 +1,21 @@
 """Order-theoretic core: axioms, cones, products, wedge extensions and
-stratified-map checks."""
+stratified-map checks, and every construction against the reference
+closure and covers of `helpers`."""
 import pytest
 
-from helpers import random_poset
-from plstrat import (MonotoneMap, NotAMemberError, Poset, SimplicialComplex,
-                     StratifiedSpace, StructuralError, chain_poset,
-                     check_stratified_map, collapse_to_point, face_poset,
-                     is_partial_order, is_refinement, left_cone,
-                     linear_subposets, product, right_cone, validate_poset,
-                     wedge_extend)
+from helpers import (naive_cone, naive_covers, naive_product, naive_upsets,
+                     naive_wedge_extend, random_poset, random_relation,
+                     random_segments, segments_as_map, space_upsets,
+                     torus_projection)
+from plstrat import (MonotoneMap, NotAMemberError, PLMap, Poset,
+                     SimplicialComplex, StratifiedSpace, StructuralError,
+                     build_codomain_stratification, chain_poset,
+                     check_stratified_map, collapse_to_point,
+                     domain_stratification, face_poset, is_partial_order,
+                     is_refinement, jacobi_set, left_cone, linear_subposets,
+                     product, right_cone, stratify_singular_locus,
+                     validate_poset, wedge_extend)
+from plstrat.io import example_input, example_names
 
 
 def nat_edge() -> Poset:
@@ -240,6 +247,9 @@ class TestChains:
                 for b in chain[i + 1:]:
                     assert p.leq(a, b) and a != b
 
+    def test_a_long_chain_is_walked_without_recursion(self):
+        assert linear_subposets(chain_poset(range(1200))) == [tuple(range(1200))]
+
 
 class TestMonotoneMaps:
     def test_rejects_partial_mapping(self):
@@ -353,3 +363,107 @@ class TestStratifiedMaps:
         with pytest.raises(StructuralError):
             is_refinement(fine, other)
 
+
+def assert_matches(p: Poset, up: dict):
+    """The poset's elements, up-sets and covers against reference up-sets,
+    element by element."""
+    assert p.elements == up.keys()
+    covers = naive_covers(up)
+    for e in up:
+        assert p.up_set(e) == up[e], e
+        assert {b for a, b in p.covers if a == e} == {b for a, b in covers if a == e}, e
+    assert validate_poset(p)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StructuralError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestPosetOracle:
+    """Constructed, derived and stratification posets against one search
+    per element, a second antisymmetry pass and the nested covers test."""
+
+    def test_random_relations(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            pairs = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 2 * n))]
+            want = outcome(naive_upsets, range(n), pairs)
+            got = outcome(Poset, range(n), pairs)
+            if isinstance(want, dict):
+                assert_matches(got, want)
+            else:
+                assert got == want
+
+    def test_random_posets_and_their_derived_posets(self, rng):
+        for _ in range(15):
+            labels, rel = random_relation(rng)
+            p, q = Poset(labels, rel), random_poset(rng, 5)
+            assert_matches(p, naive_upsets(labels, rel))
+            assert_matches(product(p, q), naive_product(p, q))
+            assert_matches(product(q, p), naive_product(q, p))
+            assert_matches(left_cone(p), naive_cone(p, "cone_min", True))
+            assert_matches(right_cone(p), naive_cone(p, "cone_max", False))
+            comps = [f"A{i}" for i in range(rng.randint(0, 3))]
+            pairs = [(e, a) for e in labels for a in comps if rng.random() < 0.3]
+            assert_matches(wedge_extend(p, comps, pairs),
+                           naive_wedge_extend(p, comps, pairs))
+
+    @pytest.mark.parametrize("name", example_names())
+    def test_bundled_examples(self, name):
+        x = example_input(name)
+        if not isinstance(x, PLMap):
+            space = stratify_singular_locus(x).space
+            assert_matches(space.poset, space_upsets(space))
+            return
+        for notion in "HDL":
+            try:
+                j = jacobi_set(x, notion)
+            except StructuralError:
+                continue   # L on a link that is no circle or a solid
+            locus = j.complex
+            assert_matches(face_poset(locus),
+                           {s: frozenset(t for t in locus.simplices if set(s) <= set(t))
+                            for s in locus.simplices})
+            for space in (domain_stratification(x, j),
+                          build_codomain_stratification(x, j).space):
+                assert_matches(space.poset, space_upsets(space))
+
+    def test_segment_arrangements(self, rng):
+        for _ in range(4):
+            space = build_codomain_stratification(
+                *segments_as_map(random_segments(rng)[0])).space
+            assert_matches(space.poset, space_upsets(space))
+
+    @pytest.mark.parametrize("draw", range(4))
+    def test_torus_projections(self, draw, rng):
+        f = torus_projection(rng, 3)
+        space = build_codomain_stratification(f, jacobi_set(f)).space
+        assert_matches(space.poset, space_upsets(space))
+
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_cycles_violate_antisymmetry(self, n):
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+        with pytest.raises(StructuralError, match="violates antisymmetry"):
+            Poset(range(n), pairs)
+        with pytest.raises(StructuralError, match="violates antisymmetry"):
+            naive_upsets(range(n), pairs)
+
+    def test_self_pairs_are_allowed(self):
+        pairs = [("a", "a"), ("a", "b"), ("b", "b"), ("c", "c")]
+        assert_matches(Poset("abc", pairs), naive_upsets("abc", pairs))
+
+    def test_a_long_chain_closes_without_recursion(self):
+        # twice the default recursion limit; the closure holds n^2 / 2 pairs
+        n = 2000
+        p = Poset(range(n), [(i + 1, i) for i in range(n - 1)])
+        assert p.up_set(n - 1) == frozenset(range(n))
+        assert p.up_set(0) == {0} and p.minima() == {n - 1}
+
+    def test_unknown_element(self):
+        for build in (Poset, naive_upsets):
+            with pytest.raises(NotAMemberError, match="unknown element"):
+                build({"a"}, [("a", "a"), ("a", "b")])

@@ -72,6 +72,13 @@ class TestFiberComponents:
         with pytest.raises(StructuralError, match=r"R\^2 .* 2 coordinates, got 1"):
             fiber_components(tetra, (F(0),))
 
+    def test_fine_cells_of_one_parameter_locate_one_coordinate(self, torus):
+        fine = reeb.FineCells(torus)
+        assert fine.locate(F(0)) == fine.locate((F(0),)) == ("l", 0)
+        for y in ((F(0), F(5)), (), [F(0), F(0)]):
+            with pytest.raises(StructuralError, match="line is one rational"):
+                fine.locate(y)
+
 
 class TestReebGraph:
     def test_torus_loop(self, torus):
