@@ -679,7 +679,6 @@ def stratify_singular_locus(locus: SingularLocus) -> LocusStratification:
         special.setdefault(p, set()).add(kind)
 
     all_segments: list[tuple] = []
-    seg_strand: list[int] = []
     for si, strand in enumerate(locus.strands):
         closed = locus.is_closed(si)
         pts, segs = _strand_segments(strand, closed)
@@ -696,12 +695,10 @@ def stratify_singular_locus(locus: SingularLocus) -> LocusStratification:
             mark(pts[-1], "endpoint")
         idxs = range(n) if closed else range(1, n - 1)
         for i in idxs:
-            before = dx[(i - 1) % len(dx)] if closed else dx[i - 1]
-            after = dx[i % len(dx)] if closed else dx[i]
-            if (before > 0) != (after > 0):
+            # open strands run i = 1..n-2, where the wrap does nothing
+            if (dx[(i - 1) % len(dx)] > 0) != (dx[i % len(dx)] > 0):
                 mark(pts[i], "tangency")
         all_segments.extend(segs)
-        seg_strand.extend(si for _ in segs)
     for si, vi in locus.cusp_marks:
         strand = locus.strands[si]
         mark(strand[vi], "cusp")

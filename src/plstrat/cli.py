@@ -16,7 +16,7 @@ from .arrangement import (SingularLocus, build_codomain_stratification,
 from .complexes import Simplex, manifold_check
 from .errors import GenericityError, InputError, PLStratError
 from .jacobi import PLMap, check_generic, domain_stratification, jacobi_set
-from .posets import linear_subposets
+from .posets import _maximal_chains
 from .reeb import (check_stein_square, interval_fiber_audit, reeb_graph,
                    reeb_scaffold, stratum_fiber_audit)
 
@@ -210,7 +210,7 @@ def cmd_pipeline(args) -> int:
         if args.svg:
             write("codomain_strat.svg", render_svg(cs))
         if args.filtration:
-            chain = linear_subposets(cs.space.poset)[0]
+            chain = next(_maximal_chains(cs.space.poset))
             write("filtration.txt", fmt.filtration_text(chain))
 
     if f.k == 1:
@@ -241,14 +241,14 @@ def cmd_filtration(args) -> int:
         if obj.k not in (1, 2):
             raise InputError("filtration export needs one or two parameters")
         space = build_codomain_stratification(obj, jacobi_set(obj, args.notion)).space
-    chains = linear_subposets(space.poset)
+    chains = _maximal_chains(space.poset)
     if args.chain:
         chain = tuple(args.chain.split(","))
         if chain not in chains:
             raise InputError(f"no maximal chain {args.chain!r} in the "
                              f"stratification poset")
     else:
-        chain = chains[0]
+        chain = next(chains)
     _emit(fmt.filtration_text(chain), args.out)
     return 0
 

@@ -44,7 +44,7 @@ from typing import Mapping, NamedTuple
 from .complexes import Simplex, SimplicialComplex, _shape, face_poset, link
 from .errors import GenericityError, InternalError, NotAMemberError, StructuralError
 from .geometry import (affinely_independent, barycenter, canon_sorted, cone_is_full,
-                       det, dot, format_frac, frac, vsub)
+                       dot, format_frac, frac, orthogonal_vector, vsub)
 from .homology import is_h_nontrivial
 from .posets import StratifiedSpace, connected_classes, wedge_extend
 
@@ -168,11 +168,12 @@ def _integer_normal(points) -> tuple:
     """The normal n of the hyperplane through k integer points p0..p(k-1)
     of Z^k for which <x - p0, n> = det(p1 - p0, ..., x - p0): (1,) for
     k = 1, (-dy, dx) for an edge of the plane, and zero when the points
-    are affinely dependent."""
+    are affinely dependent.  `orthogonal_vector` expands the determinant
+    with x - p0 in the first row, so moving it last is the sign (-1)^(k-1)."""
     k = len(points[0])
     rows = [tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]]
-    return tuple((-1) ** (k - 1 + j) * det([r[:j] + r[j + 1:] for r in rows])
-                 for j in range(k))
+    n = orthogonal_vector(rows, k)
+    return n if k % 2 else tuple(-c for c in n)
 
 
 def _split(image: dict, sigma: Simplex, vertices, u: tuple):

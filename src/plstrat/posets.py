@@ -258,21 +258,29 @@ def collapse_to_point(p: Poset, subset: Iterable[Label], new_label: Label) -> Po
     return Poset({cls(e) for e in p.elements}, rel)
 
 
-def linear_subposets(p: Poset) -> list[tuple]:
-    """All maximal chains, in deterministic label order."""
-    chains: list[tuple] = []
-    covers_up: dict = {e: [] for e in p.elements}
-    # depth first: each element's covers listed backwards, popped in order
-    for a, b in reversed(canon_sorted(p.covers)):
-        covers_up[a].append(b)
+def _maximal_chains(p: Poset):
+    """The maximal chains of p, yielded lazily in `canon_key` order: depth
+    first from the least minimum, each element's covers sorted once, when
+    the walk first reaches it.  No maximal chain is a prefix of another, so
+    the walk's order is the sorted one."""
+    covers: dict = {}
+    for a, b in p.covers:
+        covers.setdefault(a, []).append(b)
+    ordered: dict = {}    # element -> its covers, largest first
     stack = [(m,) for m in reversed(canon_sorted(p.minima()))]
     while stack:
         chain = stack.pop()
-        if nxt := covers_up[chain[-1]]:
-            stack.extend(chain + (b,) for b in nxt)
+        if (x := chain[-1]) not in ordered:
+            ordered[x] = canon_sorted(covers.get(x, ()))[::-1]
+        if ordered[x]:
+            stack.extend(chain + (b,) for b in ordered[x])
         else:
-            chains.append(chain)
-    return canon_sorted(chains)
+            yield chain
+
+
+def linear_subposets(p: Poset) -> list[tuple]:
+    """All maximal chains, in deterministic label order."""
+    return list(_maximal_chains(p))
 
 
 # ---------------------------------------------------------------------------

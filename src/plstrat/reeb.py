@@ -52,11 +52,10 @@ from math import lcm
 from .arrangement import (CodomainStratification, _line_point, _show,
                           build_codomain_stratification, edge_image_arrangement)
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
-                     StructuralError)
+                     NotAMemberError, StructuralError)
 from .geometry import convex_hull_2d, format_frac, frac, vadd, vscale, vsub
 from .jacobi import JacobiSet, PLMap, jacobi_set
-from .posets import (Poset, StratifiedSpace, check_stratified_map,
-                     connected_classes)
+from .posets import MonotoneMap, Poset, connected_classes
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +123,14 @@ class SweepIndex:
     component of the level below becomes, none when it ends, itself when
     it shrinks and fresh ones when it is joined again; the ids each level
     touched, with their least rank and frozenset; and the id holding each
-    vertex at its own level."""
+    vertex at its own level, the level kept in `vlevel`."""
 
     def __init__(self, f: PLMap):
         if f.k != 1:
             raise StructuralError("a sweep requires a single parameter")
         self.values = sorted({_scalar(f, v) for v in f.domain.vertices})
         level = {x: 2 * i for i, x in enumerate(self.values)}
-        vlevel = {v: level[_scalar(f, v)] for v in f.domain.vertices}
+        self.vlevel = vlevel = {v: level[_scalar(f, v)] for v in f.domain.vertices}
         self.domain = f.domain
         self.spans = [(min(vlevel[v] for v in s), max(vlevel[v] for v in s))
                       for s in f.domain.index.ranked]
@@ -344,10 +343,11 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     is an arc, open from the candidate it left until the candidate that
     absorbs it; the components no level touches lie inside arcs.  The
     candidates containing a vertex of the critical locus `jset` (the H
-    Jacobi set of f when omitted) at their level become nodes.  Every other
-    candidate has exactly two arcs, on either side, so the regular
-    components form chains between nodes, and each chain becomes one edge
-    between the nodes at its two ends.
+    Jacobi set of f when omitted) at their level, read off the sweep's
+    vertex levels, become nodes.  Every other candidate has exactly two
+    arcs, on either side, and joins them: the classes of arcs so joined are
+    the chains of regular components, and each becomes one edge between the
+    two nodes its arcs reach.
     """
     if f.k != 1:
         raise StructuralError("Reeb graph requires a single parameter")
@@ -357,7 +357,7 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         jset = jacobi_set(f)
     sweep = f.sweep
     events, touched, holder = sweep.record()
-    values, ranked = sweep.values, f.domain.index.ranked
+    values, vlevel, ranked = sweep.values, sweep.vlevel, f.domain.index.ranked
 
     def order(key):
         """(level, least rank): the order of the level's own tuple."""
@@ -376,7 +376,9 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     critical: dict = {}
     for s in jset.complex.simplices_of_dim(0):
         v = s[0]
-        critical.setdefault((sweep.level(_scalar(f, v)), holder[v]), []).append(v)
+        if v not in vlevel:
+            raise NotAMemberError(f"vertex {v!r} not in the domain")
+        critical.setdefault((vlevel[v], holder[v]), []).append(v)
 
     arcs: list = []          # (lower, upper) candidate of each gap id
     incident: dict = {}      # candidate (level, id) -> its arcs
@@ -407,29 +409,17 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         raise InternalError(f"regular {component(*key)} " + (
             f"has degree {degree}" if degree else "has no neighbours"))
 
-    # walk each chain of regular candidates from a node to the node at its
-    # other end, once
     kept = sorted(critical, key=order)
     label = {k: f"r{i}" for i, k in enumerate(kept)}
     edges = []
-    walked = [False] * len(arcs)
-    for start in kept:
-        for a in incident[start]:
-            if walked[a]:
-                continue
-            end = start
-            while True:
-                walked[a] = True
-                low, high = arcs[a]
-                end = high if end == low else low
-                if end in label:
-                    break
-                a = next(b for b in incident[end] if b != a)
-            edges.append(tuple(sorted((label[start], label[end]))))
-    if not all(walked):
-        # the chain closes into a cycle: a whole component of the space
-        # without a locus vertex
-        raise InternalError("contracted edge endpoint is not a node")
+    joins = [pair for key, pair in incident.items() if key not in label]
+    for chain in connected_classes(range(len(arcs)), joins):
+        ends = [label[key] for a in chain for key in arcs[a] if key in label]
+        if len(ends) < 2:
+            # the chain closes into a cycle: a whole component of the space
+            # without a locus vertex
+            raise InternalError("contracted edge endpoint is not a node")
+        edges.append(tuple(sorted(ends)))
     return ReebGraph(nodes=tuple(label[k] for k in kept),
                      node_value={label[k]: values[k[0] // 2] for k in kept},
                      node_critical={label[k]: tuple(sorted(critical[k]))
@@ -687,14 +677,14 @@ def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinR
     cs = scaffold.codomain
     notes = []
 
-    scaffold_space = StratifiedSpace(
-        poset=scaffold.poset,
-        cells=frozenset(scaffold.poset.elements),
-        closure=frozenset(scaffold.poset.relation_pairs()),
-        assignment={e: e for e in scaffold.poset.elements})
-    forget = {e: e[0] for e in scaffold.poset.elements}
-    continuous, _ = check_stratified_map(forget, scaffold_space, cs.space)
-    if not continuous:
+    # the images are the codomain's own labels, so the only error the map
+    # can raise is the one for a cover it does not keep
+    continuous = True
+    try:
+        MonotoneMap(scaffold.poset, cs.space.poset,
+                    {e: e[0] for e in scaffold.poset.elements})
+    except StructuralError:
+        continuous = False
         notes.append("forgetting the component index is not a stratified map")
 
     cell_map: dict = {}

@@ -21,8 +21,11 @@ oracles build every link by scanning the complex and flood the complement
 on `Simplex` tuples, instead of reading the complex's rank tables; the
 poset oracle closes the relation by one search per element, checks
 antisymmetry in a second pass and tests each strict pair against every
-element between, instead of one post-order pass and set differences; and
-the generators rejection-sample until the exact-arithmetic validators
+element between, instead of one post-order pass and set differences; the
+chain oracle lists every maximal chain and sorts the list, instead of
+trusting the order of a lazy walk; the normal oracle expands each
+coordinate's cofactor with its own sign, instead of reading
+`orthogonal_vector`; and the generators rejection-sample until the exact-arithmetic validators
 accept the instance.
 """
 from __future__ import annotations
@@ -40,9 +43,10 @@ from plstrat import (CodomainStratification, DegeneracyError,
                      SimplicialComplex, StratifiedSpace, StructuralError,
                      check_generic, face_poset, jacobi_set, wedge_extend)
 from plstrat.arrangement import Face
-from plstrat.geometry import (canon_key, cone_is_full, cross2, dot, format_frac,
-                              frac, matrix_rank, on_segment, proper_crossing,
-                              segments_share_line_overlap, vadd, vscale, vsub)
+from plstrat.geometry import (canon_key, canon_sorted, cone_is_full, cross2, det,
+                              dot, format_frac, frac, matrix_rank, on_segment,
+                              proper_crossing, segments_share_line_overlap, vadd,
+                              vscale, vsub)
 from plstrat.io import example_map
 from plstrat.reeb import _stratum_samples
 
@@ -111,6 +115,15 @@ def naive_link(k: SimplicialComplex, sigma) -> SimplicialComplex:
     return SimplicialComplex(
         [tuple(v for v in t if v not in ss) for t in k.simplices
          if ss < set(t)], check=False)
+
+
+def naive_integer_normal(points) -> tuple:
+    """The n with <x - p0, n> = det(p1 - p0, ..., x - p0) for k points of
+    Z^k, by the cofactor of each coordinate in the last row."""
+    k = len(points[0])
+    rows = [tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]]
+    return tuple((-1) ** (k - 1 + j) * det([r[:j] + r[j + 1:] for r in rows])
+                 for j in range(k))
 
 
 def naive_normal_direction(f: PLMap, sigma) -> tuple:
@@ -851,6 +864,22 @@ def naive_cone(p: Poset, label, below: bool) -> dict:
     rel = [(label, e) if below else (e, label) for e in p.elements]
     return naive_upsets(set(p.elements) | {label},
                         list(naive_covers(p._up)) + rel)
+
+
+def naive_maximal_chains(p: Poset) -> list[tuple]:
+    """Every maximal chain of p, listed depth first and then sorted."""
+    chains: list[tuple] = []
+    covers_up: dict = {e: [] for e in p.elements}
+    for a, b in reversed(canon_sorted(p.covers)):
+        covers_up[a].append(b)
+    stack = [(m,) for m in reversed(canon_sorted(p.minima()))]
+    while stack:
+        chain = stack.pop()
+        if nxt := covers_up[chain[-1]]:
+            stack.extend(chain + (b,) for b in nxt)
+        else:
+            chains.append(chain)
+    return canon_sorted(chains)
 
 
 def space_upsets(space: StratifiedSpace) -> dict:

@@ -628,9 +628,19 @@ class TestFiltrationExport:
                      "--chain", "p0,i1"]) == 0
         assert capsys.readouterr().out == "p0 0 0\ni1 1 1\n"
 
+    def test_the_last_chain_is_found(self, capsys):
+        assert main(["export-filtration", "--example", "torus_grid",
+                     "--chain", "p3,i4"]) == 0
+        assert capsys.readouterr().out == "p3 0 0\ni4 1 1\n"
+
     def test_unknown_chain_is_exit_1(self, capsys):
         assert main(["export-filtration", "--example", "torus_grid",
                      "--chain", "p0,i3"]) == 1
+
+    def test_a_prefix_of_a_chain_is_exit_1(self, capsys):
+        assert main(["export-filtration", "--example", "torus_grid",
+                     "--chain", "p0"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_locus_input_uses_locus_strata(self, capsys):
         assert main(["export-filtration", "--example", "oval_contour"]) == 0

@@ -8,9 +8,10 @@ import pytest
 from helpers import (closed_surfaces, naive_check_generic,
                      naive_directional_links, naive_domain_stratification,
                      naive_h_side_verdicts, naive_is_d_critical,
-                     naive_is_h_critical, naive_is_l_critical_surface,
-                     naive_normal_direction, random_complex, random_planar_map,
-                     random_surface_map, torus_height_map, torus_projection)
+                     naive_integer_normal, naive_is_h_critical,
+                     naive_is_l_critical_surface, naive_normal_direction,
+                     random_complex, random_planar_map, random_surface_map,
+                     torus_height_map, torus_projection)
 from plstrat import (GenericityError, JacobiSet, PLMap, Simplex,
                      SimplicialComplex, StructuralError, check_generic,
                      criticality_verdict,
@@ -19,6 +20,7 @@ from plstrat import (GenericityError, JacobiSet, PLMap, Simplex,
                      jacobi_set, reduced_betti, sphere_verdict, validate_poset)
 from plstrat.geometry import canon_key, cone_is_full, vsub
 from plstrat.io import example_map, example_names, load_example
+from plstrat.jacobi import _integer_normal
 
 F = Fraction
 
@@ -355,6 +357,27 @@ class TestLocalTable:
         assert is_d_critical(f, ("b",)) is True
         with pytest.raises(GenericityError, match=r"vertex 'c' ties with \('b',\)"):
             is_h_critical(f, ("b",))
+
+
+class TestIntegerNormal:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_against_the_cofactor_formula(self, k, rng):
+        # small coordinates, so repeated and collinear points come up often
+        for _ in range(60):
+            points = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(k)]
+            if k > 1 and rng.random() < 0.3:
+                # affinely dependent: the last point on the line through the
+                # first and the one before it, or on the first when k = 2
+                a, b, t = points[0], points[k - 2], rng.randint(-2, 2)
+                points[-1] = tuple(x + t * (y - x) for x, y in zip(a, b))
+            assert _integer_normal(points) == naive_integer_normal(points)
+
+    def test_fixed_cases(self):
+        # (1,) on the line, (-dy, dx) for an edge, zero when dependent
+        assert _integer_normal([(7,)]) == (1,)
+        assert _integer_normal([(0, 0), (3, 1)]) == (-1, 3)
+        assert _integer_normal([(4, 5), (4, 5)]) == (0, 0)
+        assert _integer_normal([(0, 0, 0), (1, 1, 1), (2, 2, 2)]) == (0, 0, 0)
 
 
 def _interior_weights(n: int):

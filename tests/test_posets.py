@@ -3,8 +3,9 @@ stratified-map checks, and every construction against the reference
 closure and covers of `helpers`."""
 import pytest
 
-from helpers import (naive_cone, naive_covers, naive_product, naive_upsets,
-                     naive_wedge_extend, random_poset, random_relation,
+from helpers import (naive_cone, naive_covers, naive_maximal_chains,
+                     naive_product, naive_upsets, naive_wedge_extend,
+                     random_poset, random_relation,
                      random_segments, segments_as_map, space_upsets,
                      torus_projection)
 from plstrat import (MonotoneMap, NotAMemberError, PLMap, Poset,
@@ -249,6 +250,42 @@ class TestChains:
 
     def test_a_long_chain_is_walked_without_recursion(self):
         assert linear_subposets(chain_poset(range(1200))) == [tuple(range(1200))]
+
+
+class TestChainOracle:
+    """The lazy walk's chains, in the order it yields them, against the
+    full list of maximal chains sorted afterwards."""
+
+    def test_random_posets_and_products(self, rng):
+        for _ in range(40):
+            p = random_poset(rng)
+            assert linear_subposets(p) == naive_maximal_chains(p)
+            q = product(p, random_poset(rng, 4))
+            assert linear_subposets(q) == naive_maximal_chains(q)
+
+    @pytest.mark.parametrize("name", example_names())
+    def test_bundled_examples(self, name):
+        x = example_input(name)
+        if not isinstance(x, PLMap):
+            posets = [stratify_singular_locus(x).space.poset]
+        else:
+            posets = []
+            for notion in "HDL":
+                try:
+                    j = jacobi_set(x, notion)
+                except StructuralError:
+                    continue   # L on a link that is no circle or a solid
+                posets += [face_poset(j.complex), domain_stratification(x, j).poset]
+                if x.k in (1, 2):
+                    posets.append(build_codomain_stratification(x, j).space.poset)
+        for p in posets:
+            assert linear_subposets(p) == naive_maximal_chains(p)
+
+    @pytest.mark.parametrize("draw", range(3))
+    def test_torus_projections(self, draw, rng):
+        f = torus_projection(rng, 3)
+        p = build_codomain_stratification(f, jacobi_set(f)).space.poset
+        assert linear_subposets(p) == naive_maximal_chains(p)
 
 
 class TestMonotoneMaps:

@@ -10,7 +10,7 @@ from helpers import (naive_fiber_components, naive_reeb_graph,
                      naive_sweep_levels, random_complex, random_planar_map,
                      random_surface_map, sampled_scaffold, torus_projection)
 from plstrat import (DegeneracyError, GenericityError, InternalError,
-                     JacobiSet, PLMap, SimplicialComplex,
+                     JacobiSet, NotAMemberError, PLMap, SimplicialComplex,
                      StructuralError, build_codomain_stratification,
                      check_generic, check_stein_square, fiber_components, interval_fiber_audit,
                      jacobi_set, reeb_graph, reeb_scaffold,
@@ -158,6 +158,12 @@ class TestReebGraph:
             reeb_graph(f, empty)
         top = JacobiSet(SimplicialComplex.from_facets([["c"]]), "H", 1)
         assert reeb_graph(f, top).edges == (("r0", "r0"),)
+
+
+    def test_locus_vertex_outside_the_domain(self, torus):
+        stray = JacobiSet(SimplicialComplex.from_facets([["zz"]]), "H", 1)
+        with pytest.raises(NotAMemberError, match="vertex 'zz' not in the domain"):
+            reeb_graph(torus, stray)
 
 
 def _merge_a_gap_level(f: PLMap):
