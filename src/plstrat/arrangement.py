@@ -249,17 +249,19 @@ class PlanarArrangement:
 
     def _check_euler(self):
         v, e, fcount = len(self.vertices), len(self.edges), len(self.faces)
+        # counted once here, read by `component_count`
+        self._components = len(connected_classes(range(v), self.edges))
         if v == 0:
             if e != 0 or fcount != 1:
                 raise InternalError("empty arrangement must be a single face")
             return
-        if v - e + fcount != 1 + self.component_count():
+        if v - e + fcount != 1 + self._components:
             raise InternalError("Euler relation V - E + F = 1 + C violated")
 
     # -- queries ------------------------------------------------------------
 
     def component_count(self) -> int:
-        return len(connected_classes(range(len(self.vertices)), self.edges))
+        return self._components
 
     def euler_lhs(self) -> int:
         """V - E + F, the unbounded face counted once."""

@@ -341,13 +341,18 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     component a vertex level touches is a candidate, with the gap ids it
     absorbed from below and the ids it becomes in the gap above.  A gap id
     is an arc, open from the candidate it left until the candidate that
-    absorbs it; the components no level touches lie inside arcs.  The
-    candidates containing a vertex of the critical locus `jset` (the H
-    Jacobi set of f when omitted) at their level, read off the sweep's
-    vertex levels, become nodes.  Every other candidate has exactly two
-    arcs, on either side, and joins them: the classes of arcs so joined are
-    the chains of regular components, and each becomes one edge between the
-    two nodes its arcs reach.
+    absorbs it; the components no level touches lie inside arcs.  A
+    candidate is a node of f's graph unless it has exactly one arc below
+    and one above; one containing a vertex of the critical locus `jset`
+    (the H Jacobi set of f when omitted) at its level stays a node too, so
+    the locus's degree-2 nodes survive.  Every other candidate joins its
+    two arcs: the classes of arcs so joined are the chains of regular
+    components, and each becomes one edge between the nodes at its ends,
+    which the least and the greatest candidate of every component are.
+
+    The locus stratifies the graph over the line exactly when every node
+    lies over one of its critical values; a node over a value where the
+    locus has no vertex is a `DegeneracyError`.
     """
     if f.k != 1:
         raise StructuralError("Reeb graph requires a single parameter")
@@ -383,6 +388,7 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     arcs: list = []          # (lower, upper) candidate of each gap id
     incident: dict = {}      # candidate (level, id) -> its arcs
     opened: dict = {}        # open gap id -> the candidate it left
+    nodes: list = []
     for level in range(0, len(events), 2):
         for c, gaps in events[level].items():
             key = (level, c)
@@ -396,33 +402,25 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
                 incident[low].append(len(arcs))
                 incident[key].append(len(arcs))
                 arcs.append((low, key))
-            if level + 1 < len(events):
-                opened.update((g, key) for g in events[level + 1][c])
+            above = events[level + 1][c] if level + 1 < len(events) else ()
+            opened.update((g, key) for g in above)
+            if len(gaps) != 1 or len(above) != 1 or key in critical:
+                nodes.append(key)
 
-    bad = [key for key, arcs_at in incident.items()
-           if len(arcs_at) != 2 and key not in critical]
-    if bad:
-        key = min(bad, key=order)
-        degree = len(incident[key])
-        # an isolated regular component can only be a whole component of
-        # the space with no critical vertex, which cannot happen
-        raise InternalError(f"regular {component(*key)} " + (
-            f"has degree {degree}" if degree else "has no neighbours"))
-
-    kept = sorted(critical, key=order)
+    kept = sorted(nodes, key=order)
+    levels = {level for level, _ in critical}
+    stray = next((key for key in kept if key[0] not in levels), None)
+    if stray is not None:
+        raise DegeneracyError(
+            f"{component(*stray)} is a node of the Reeb graph over no "
+            f"critical value of the {jset.notion} locus")
     label = {k: f"r{i}" for i, k in enumerate(kept)}
-    edges = []
     joins = [pair for key, pair in incident.items() if key not in label]
-    for chain in connected_classes(range(len(arcs)), joins):
-        ends = [label[key] for a in chain for key in arcs[a] if key in label]
-        if len(ends) < 2:
-            # the chain closes into a cycle: a whole component of the space
-            # without a locus vertex
-            raise InternalError("contracted edge endpoint is not a node")
-        edges.append(tuple(sorted(ends)))
+    edges = [tuple(sorted(label[key] for a in chain for key in arcs[a] if key in label))
+             for chain in connected_classes(range(len(arcs)), joins)]
     return ReebGraph(nodes=tuple(label[k] for k in kept),
                      node_value={label[k]: values[k[0] // 2] for k in kept},
-                     node_critical={label[k]: tuple(sorted(critical[k]))
+                     node_critical={label[k]: tuple(sorted(critical.get(k, ())))
                                     for k in kept},
                      node_members={label[k]: touched[k[0]][k[1]][1] for k in kept},
                      edges=tuple(sorted(edges)))

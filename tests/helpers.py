@@ -458,10 +458,14 @@ def naive_sweep_levels(f: PLMap) -> list[Fraction]:
 
 def naive_reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     """The Reeb graph from a full rescan of the complex at every sweep
-    level, contracting regular components one at a time."""
+    level, contracting regular components one at a time.  A component of a
+    vertex level is a node when it meets other than one component of the
+    gap below or of the gap above, or when it holds a locus vertex; a node
+    over a value where the locus has no vertex is a `DegeneracyError`."""
     if jset is None:
         jset = jacobi_set(f)
     critical_vertices = {s[0] for s in jset.complex.simplices}
+    critical_values = {f.value(v)[0] for v in critical_vertices}
     levels = naive_sweep_levels(f)
     layer = [naive_fiber_components(f, t) for t in levels]
     is_node: dict = {}
@@ -472,7 +476,17 @@ def naive_reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
                 v for v in critical_vertices
                 if f.value(v)[0] == t and Simplex((v,)) in comp)
             crit_at[(li, ci)] = tuple(hits)
-            is_node[(li, ci)] = bool(hits)
+            meets = [sum(bool(comp & c) for c in layer[lj])
+                     if 0 <= lj < len(levels) else 0 for lj in (li - 1, li + 1)]
+            is_node[(li, ci)] = li % 2 == 0 and (bool(hits) or meets != [1, 1])
+    kept = sorted(k for k, node in is_node.items() if node)
+    for li, ci in kept:
+        if levels[li] not in critical_values:
+            least = min(layer[li][ci], key=canon_key)
+            raise DegeneracyError(
+                "fiber component through {" + ", ".join(map(str, least))
+                + f"}} at value {format_frac(levels[li])} is a node of the Reeb "
+                f"graph over no critical value of the {jset.notion} locus")
     edges: dict = {}
     adj: dict = {key: [] for key in is_node}
     for li in range(len(levels) - 1):
@@ -485,24 +499,14 @@ def naive_reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     if any(key[0] % 2 and len(adj[key]) != 2 for key in is_node):
         raise InternalError("midpoint component must bridge exactly two levels")
     for key in sorted(k for k, node in is_node.items() if not node):
-        incident = sorted(adj[key])
-        if len(incident) != 2:
-            li, ci = key
-            least = min(layer[li][ci], key=canon_key)
-            where = (f"at value {format_frac(levels[li])}" if li % 2 == 0 else
-                     f"between values {format_frac(levels[li - 1])} "
-                     f"and {format_frac(levels[li + 1])}")
-            raise InternalError(
-                "regular fiber component through {" + ", ".join(map(str, least))
-                + f"}} {where} has degree {len(incident)}")
-        e1, e2 = incident
+        # one edge below and one above, by the node rule and the check above
+        e1, e2 = sorted(adj[key])
         a = edges[e1][0] if edges[e1][1] == key else edges[e1][1]
         b = edges[e2][0] if edges[e2][1] == key else edges[e2][1]
         del edges[e2]
         edges[e1] = (min(a, b), max(a, b))
         for n in (a, b):
             adj[n] = sorted({e1 if e == e2 else e for e in adj[n]})
-    kept = sorted(k for k, node in is_node.items() if node)
     label = {k: f"r{i}" for i, k in enumerate(kept)}
     return ReebGraph(
         nodes=tuple(label[k] for k in kept),

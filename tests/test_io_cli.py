@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import plstrat
-from helpers import naive_dumps
+from helpers import (naive_dumps, random_planar_map, random_surface_map,
+                     torus_projection)
 from plstrat import errors
 from plstrat import (InputError, Simplex, build_codomain_stratification,
                      jacobi_set)
@@ -412,16 +413,73 @@ def test_tie_names_the_value_and_direction(tmp_path, capsys, notion):
     ("double_cone", "{e0, e1} at value 0", "(2, 0)")])
 def test_reeb_internal_error_names_value_and_simplex(capsys, example,
                                                      component, key):
-    # the D locus misses a vertex where the fiber changes, which the
-    # Reeb graph reports as an internal invariant failure: the whole line,
-    # with the component's degree, in input labels, not as the internal
-    # (level, index) key
-    degree = {"torus_grid": 3, "saddle_patch": 4, "double_cone": 4}[example]
-    assert main(["reeb", "--example", example, "--notion", "D"]) == 3
+    # the D locus misses a vertex where the fiber changes, so a node of the
+    # Reeb graph lies over no critical value: a degeneracy, exit 2, named
+    # in one line in input labels, not as the internal (level, index) key
+    assert main(["reeb", "--example", example, "--notion", "D"]) == 2
     err = capsys.readouterr().err
-    assert err == (f"error: regular fiber component through {component} "
-                   f"has degree {degree}\n"), err
+    assert err == (f"error: fiber component through {component} is a node "
+                   "of the Reeb graph over no critical value of the D "
+                   "locus\n"), err
     assert key not in err
+
+
+@pytest.mark.parametrize("command", ["reeb", "pipeline"])
+@pytest.mark.parametrize("notion", ["H", "D", "L"])
+def test_no_bundled_map_exits_3(tmp_path, capsys, command, notion):
+    # every scalar and planar example ends with a result or a clean failure
+    for name in example_names():
+        if load_example(name).get("kind") == "locus":
+            continue
+        out = ["--out", str(tmp_path / name)] if command == "pipeline" else []
+        code = main([command, "--example", name, "--notion", notion, *out])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (name, err)
+        assert (code == 0) == (err == ""), (name, err)
+
+
+@pytest.mark.parametrize("example", ["torus_grid", "saddle_patch"])
+def test_pipeline_stops_at_reeb_when_a_node_lies_over_no_critical_value(
+        tmp_path, capsys, example):
+    out = tmp_path / "bundle"
+    assert main(["pipeline", "--example", example, "--notion", "D",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage reeb: fiber component through ")
+    assert err.count("\n") == 1, err
+    assert (out / "codomain_strat.json").exists()
+    assert not (out / "reeb.json").exists() and not (out / "audit.json").exists()
+
+
+def _map_document(f) -> dict:
+    """The input document of a map, values as rational strings."""
+    def value(v):
+        point = [str(c) for c in f.value(v)]
+        return point[0] if f.k == 1 else point
+    return {"kind": "map", "k": f.k,
+            "facets": [list(s) for s in f.domain.facets()],
+            "values": {v: value(v) for v in sorted(f.domain.vertices)}}
+
+
+class TestExitCodeFuzz:
+    def test_random_maps_exit_0_1_or_2_and_say_why(self, rng, tmp_path, capsys):
+        # scalar maps of closed surfaces, planar maps that may be far from
+        # generic, and a generic torus projection, under every notion
+        maps = ([random_surface_map(rng) for _ in range(6)]
+                + [random_planar_map(rng) for _ in range(4)]
+                + [torus_projection(rng, 3)])
+        for i, f in enumerate(maps):
+            path = tmp_path / f"map{i}.json"
+            path.write_text(json.dumps(_map_document(f)))
+            for notion in ("H", "D", "L"):
+                out = str(tmp_path / f"bundle{i}{notion}")
+                for argv in (["reeb", str(path)], ["pipeline", str(path), "--out", out]):
+                    code = main([*argv, "--notion", notion])
+                    err = capsys.readouterr().err
+                    assert code in (0, 1, 2), (argv, notion, err)
+                    if code:
+                        assert any(line.startswith("error: ")
+                                   for line in err.splitlines()), (argv, notion, err)
 
 
 @pytest.mark.parametrize("command", ["reeb", "pipeline"])

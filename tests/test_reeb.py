@@ -1,12 +1,13 @@
 """Fibers, Reeb graphs, the component scaffold and the Stein-square check."""
 import dataclasses
+import random
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import (naive_fiber_components, naive_reeb_graph,
+from helpers import (grid_3torus, naive_fiber_components, naive_reeb_graph,
                      naive_sweep_levels, random_complex, random_planar_map,
                      random_surface_map, sampled_scaffold, torus_projection)
 from plstrat import (DegeneracyError, GenericityError, InternalError,
@@ -146,24 +147,88 @@ class TestReebGraph:
             assert len(calls) == filled
 
     def test_chain_closed_into_a_cycle_is_internal(self):
-        # a square with a hand-made empty locus: its regular components
-        # close into a cycle with no node on it; with one locus vertex the
-        # cycle is a loop at that node
+        # a square with a hand-made locus, empty or the maximum c alone: the
+        # minimum a is a node of f's graph over no critical value, so no
+        # chain closes into a cycle without a node; the locus is degenerate
         dom = SimplicialComplex.from_facets([["a", "b"], ["b", "c"],
                                              ["c", "d"], ["d", "a"]])
         f = PLMap(dom, 1, {"a": (F(0),), "b": (F(1),), "c": (F(2),),
                            "d": (F(1),)})
-        empty = JacobiSet(SimplicialComplex.from_facets([]), "H", 1)
-        with pytest.raises(InternalError, match="endpoint is not a node"):
-            reeb_graph(f, empty)
-        top = JacobiSet(SimplicialComplex.from_facets([["c"]]), "H", 1)
-        assert reeb_graph(f, top).edges == (("r0", "r0"),)
-
+        message = re.escape("fiber component through {a} at value 0 is a node "
+                            "of the Reeb graph over no critical value of the "
+                            "H locus") + "$"
+        for locus in ([], [["c"]]):
+            j = JacobiSet(SimplicialComplex.from_facets(locus), "H", 1)
+            for graph in (reeb_graph, naive_reeb_graph):
+                with pytest.raises(DegeneracyError, match=message):
+                    graph(f, j)
 
     def test_locus_vertex_outside_the_domain(self, torus):
         stray = JacobiSet(SimplicialComplex.from_facets([["zz"]]), "H", 1)
         with pytest.raises(NotAMemberError, match="vertex 'zz' not in the domain"):
             reeb_graph(torus, stray)
+
+    def test_3torus_locus_missing_a_saddle_is_degenerate(self):
+        # a height map of the 3x3x3 grid 3-torus: H gives f's graph, and
+        # the D locus misses a node of it
+        dom = grid_3torus(3)
+        f = PLMap(dom, 1, {v: (F(x),) for v, x in zip(
+            sorted(dom.vertices), random.Random(1).sample(range(1000), 27))})
+        assert reeb_graph(f).cycle_rank() == 0
+        with pytest.raises(DegeneracyError, match=re.escape(
+                "fiber component through {v0_0_0, v0_0_1} at value 214 is a "
+                "node of the Reeb graph over no critical value of the D locus")):
+            reeb_graph(f, jacobi_set(f, "D"))
+
+    def test_d_graph_is_the_h_graph_without_subdivisions(self, rng):
+        # D-critical implies H-critical, so where D succeeds its nodes are
+        # H nodes, and the two graphs agree once degree-2 nodes are contracted
+        compared = 0
+        for f in [example_map("octahedron")] + [random_surface_map(rng)
+                                                for _ in range(20)]:
+            try:
+                d = reeb_graph(f, jacobi_set(f, "D"))
+            except DegeneracyError:
+                continue
+            h = reeb_graph(f, jacobi_set(f, "H"))
+            assert set(_node_keys(d).values()) <= set(_node_keys(h).values())
+            assert _without_subdivisions(d) == _without_subdivisions(h)
+            compared += 1
+        assert compared >= 2
+
+    def test_a_locus_vertex_where_f_is_regular_stays_a_node(self):
+        # on the path a-m-b, m joins one arc below to one above: a node of
+        # degree 2 when the locus holds it, contracted when it does not
+        f = _scalar_map([["a", "m"], ["m", "b"]], {"a": 0, "m": 1, "b": 2})
+        loci = [JacobiSet(SimplicialComplex.from_facets(vs), "H", 1)
+                for vs in ([["a"], ["b"]], [["a"], ["m"], ["b"]])]
+        ends, path = (reeb_graph(f, j) for j in loci)
+        assert ends.edges == (("r0", "r1"),)
+        assert [path.degree(n) for n in path.nodes] == [1, 2, 1]
+        assert _without_subdivisions(path) == _without_subdivisions(ends)
+        for j in loci:
+            assert _graph(reeb_graph(f, j)) == _graph(naive_reeb_graph(f, j))
+
+
+def _node_keys(rg) -> dict:
+    """Each node's (value, support), which names it across notions."""
+    return {n: (rg.node_value[n], rg.node_members[n]) for n in rg.nodes}
+
+
+def _without_subdivisions(rg) -> tuple:
+    """The graph's node keys and the multiset of its edges, each the set of
+    its ends' keys, with every degree-2 node that joins two other nodes
+    contracted."""
+    key = _node_keys(rg)
+    nodes = set(key.values())
+    edges = [frozenset(map(key.get, e)) for e in rg.edges]
+    for node in key.values():
+        ends = [e for e in edges if node in e]
+        if len(ends) == 2 and all(len(e) == 2 for e in ends):
+            nodes.remove(node)
+            edges = [e for e in edges if node not in e]
+            edges.append(frozenset(x for e in ends for x in e if x != node))
+    return nodes, Counter(edges)
 
 
 def _merge_a_gap_level(f: PLMap):
@@ -283,7 +348,7 @@ class TestSweepOracle:
 
     @pytest.mark.parametrize("notion", ["H", "D"])
     def test_reeb_graph_agrees_beyond_closed_surfaces(self, rng, notion):
-        compared = failed = 0
+        compared = missed = 0
         for f in _scalar_maps_beyond_surfaces(rng):
             try:
                 j = jacobi_set(f, notion)
@@ -291,23 +356,25 @@ class TestSweepOracle:
                 continue
             try:
                 expected = naive_reeb_graph(f, j)
-            except InternalError as err:
-                with pytest.raises(InternalError) as got:
+            except DegeneracyError as err:
+                with pytest.raises(DegeneracyError) as got:
                     reeb_graph(f, j)
                 assert str(got.value) == str(err)
-                failed += 1
+                missed += 1
                 continue
             rg = reeb_graph(f, j)
             assert (rg.nodes, rg.node_value, rg.node_critical,
                     rg.node_members, rg.edges) == (
                 expected.nodes, expected.node_value, expected.node_critical,
                 expected.node_members, expected.edges)
+            missed += any(not rg.node_critical[n] for n in rg.nodes)
             compared += 1
         assert compared >= 10
         # a vertex with acyclic strict lower and upper links joins one arc
-        # below to one above, so only D leaves a regular component with
-        # other than two neighbours; on these complexes it does
-        assert (failed > 0) == (notion == "D")
+        # below to one above, so every node of f's graph holds an H vertex;
+        # the D locus misses some on these complexes, and a node it misses
+        # is degenerate, or kept bare beside a locus vertex at its value
+        assert (missed > 0) == (notion == "D")
 
     def test_one_query_fills_every_level_once(self, rng, monkeypatch):
         # one call at each vertex value and at most one at each gap
@@ -405,8 +472,8 @@ class TestSweepOracle:
             j = jacobi_set(f, notion)
             try:
                 expected = naive_reeb_graph(f, j)
-            except InternalError as err:
-                with pytest.raises(InternalError) as got:
+            except DegeneracyError as err:
+                with pytest.raises(DegeneracyError) as got:
                     reeb_graph(f, j)
                 assert str(got.value) == str(err)
                 continue
@@ -435,13 +502,16 @@ class TestSweepOracle:
                                         {"a": 1, "m": 0, "b": 1}])
     def test_regular_component_with_both_arcs_on_one_side(self, values):
         # a locus without the maximum (or the minimum) m of the path a-m-b:
-        # m's component has both arcs below (or above) and is contracted,
-        # so the two ends are joined by one edge
+        # m's component has both arcs below (or above), so it is a node of
+        # f's graph over no critical value, never contracted silently
         f = _scalar_map([["a", "m"], ["m", "b"]], values)
         ends = JacobiSet(SimplicialComplex.from_facets([["a"], ["b"]]), "H", 1)
-        rg = reeb_graph(f, ends)
-        assert _graph(rg) == _graph(naive_reeb_graph(f, ends))
-        assert rg.edges == (("r0", "r1"),)
+        message = re.escape(
+            f"fiber component through {{a, m}} at value {values['m']} is a "
+            "node of the Reeb graph over no critical value of the H locus") + "$"
+        for graph in (reeb_graph, naive_reeb_graph):
+            with pytest.raises(DegeneracyError, match=message):
+                graph(f, ends)
 
 
 def _graph(rg) -> tuple:
