@@ -10,8 +10,9 @@ tangential, overlapping or concurrent beyond two segments is rejected as
 non-generic, never repaired.
 
 `PlanarArrangement` decides planar incidence once, while it is built: its
-vertex index, crossing points and cell incidences are what the refined
-image, both stratifiers and the fiber scaffold read.
+crossing vertex ids and cell incidences are what the refined image, both
+stratifiers and the fiber scaffold read; the stratifiers' orders are
+graded, so their up-sets and covers come off the incidences unclosed.
 
 Every decision runs on Python ints, not on the `Fraction` predicates of
 `geometry`.  Construction multiplies every input coordinate by the common
@@ -24,12 +25,12 @@ the three, so equal points are equal triples; cut order along a segment,
 the rotation at a vertex, the face areas and the inside test are integer
 determinants whose sign is unchanged by the positive W.  Points become
 `Fraction`s only where they leave the arrangement: `vertices` (still in
-rational lexicographic order), `vertex_id`, `crossing_points` and
-`Face.area2` are `Fraction`-valued, and `Fraction` is the only number type
-they hold.  `locate` turns its query and the vertices back into
-homogeneous integer points, each over the lcm of its own two
-denominators, and decides edges and faces with the same determinants;
-`face_interior_samples` asks `locate`.
+rational lexicographic order), `vertex_id` and `crossing_points` (built
+on first read) and `Face.area2` are `Fraction`-valued, and `Fraction` is
+the only number type they hold.  `locate` turns its query and the
+vertices back into homogeneous integer points, each over the lcm of its
+own two denominators, and decides edges and faces with the same
+determinants; `face_interior_samples` asks `locate`.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from .errors import (GenericityError, InputError, InternalError,
 from .geometry import (canon_key, format_frac, frac, on_segment,
                        proper_crossing, segments_share_line_overlap, vadd,
                        vscale, vsub)
-from .posets import Poset, StratifiedSpace, connected_classes, wedge_extend
+from .posets import Poset, StratifiedSpace, connected_classes
 
 Point = tuple
 
@@ -158,9 +159,7 @@ class PlanarArrangement:
         hom = sorted({p for seg in cuts for _, _, p in seg}, key=_BY_POSITION)
         index = {p: n for n, p in enumerate(hom)}
         self.vertices: list[Point] = [_rational(p, scale) for p in hom]
-        self.vertex_id: dict[Point, int] = {p: n for n, p in enumerate(self.vertices)}
-        self.crossing_points = frozenset(self.vertices[index[p]]
-                                         for p in crossing_pairs)
+        self._crossings = frozenset(index[p] for p in crossing_pairs)   # vertex ids
         edges: dict[tuple[int, int], int] = {}
         for i, seg in enumerate(cuts):
             seg.sort(key=_BY_PARAM)
@@ -259,6 +258,14 @@ class PlanarArrangement:
             raise InternalError("Euler relation V - E + F = 1 + C violated")
 
     # -- queries ------------------------------------------------------------
+
+    @cached_property
+    def vertex_id(self) -> dict[Point, int]:
+        return {p: n for n, p in enumerate(self.vertices)}
+
+    @cached_property
+    def crossing_points(self) -> frozenset:
+        return frozenset(map(self.vertices.__getitem__, self._crossings))
 
     def component_count(self) -> int:
         return self._components
@@ -500,7 +507,7 @@ def refine_image(f, j) -> RefinedImage:
                 f"point {_show(p)}")
         images[p] = s[0]
     arr = edge_image_arrangement(f, jc)
-    mult = tuple(2 if p in arr.crossing_points else 1 for p in arr.vertices)
+    mult = tuple(2 if n in arr._crossings else 1 for n in range(len(arr.vertices)))
     return RefinedImage(k=2, points=tuple(arr.vertices), multiplicities=mult,
                         arrangement=arr)
 
@@ -576,10 +583,13 @@ def stratification_from_refined(refined: RefinedImage) -> CodomainStratification
         bounds = (None,) + pts + (None,)
         geometry = dict(zip(pcells, pts))
         geometry.update((c, bounds[i:i + 2]) for i, c in enumerate(icells))
-        cells = frozenset(pcells) | frozenset(icells)
-        space = StratifiedSpace(poset=wedge_extend(Poset(pcells), icells, pairs),
-                                cells=cells, closure=frozenset(pairs),
-                                assignment={c: c for c in cells})
+        # graded too: the pairs, point i below intervals i and i + 1, are the covers
+        up = {c: frozenset((c,)) for c in icells}
+        up.update((p, frozenset((p, icells[i], icells[i + 1])))
+                  for i, p in enumerate(pcells))
+        space = StratifiedSpace(poset=Poset._of_upsets(up, frozenset(pairs)),
+                                cells=frozenset(up), closure=frozenset(pairs),
+                                assignment={c: c for c in up})
         return CodomainStratification(k=1, space=space, geometry=geometry,
                                       refined=refined)
 
@@ -598,20 +608,31 @@ def _plane_space(arr: PlanarArrangement, vlabel: list, elabel: list) -> Stratifi
     """The plane stratified by the cells of `arr`: vertex i stands for the
     cell `vlabel[i]`, edge i for `elabel[i]` and each face for its own
     cell.  A vertex labelled None lies inside the cell of its edges and
-    adds no cell and no pair.  Pairs keep the order of `incidences()`."""
+    adds no cell and no pair.  The order is graded, vertex < edge < face,
+    so one pass over `incidences()` gives the up-sets and the covers: every
+    (vertex, edge) and (edge, face) pair, and a (vertex, face) pair when no
+    edge of the vertex lies below the face."""
     fcells = [_face_label(face) for face in arr.faces]
     label = {"v": vlabel, "e": elabel, "f": fcells}
-    incidence: dict = {}
-    wedge_pairs: dict = {}
+    pairs: dict = {}
+    # each vertex and edge cell -> (the edges, the faces) it lies below
+    above = {c: ([], []) for c in (*vlabel, *elabel) if c is not None}
     for (lk, li), (hk, hi) in arr.incidences():
         if (low := label[lk][li]) is not None:
-            (incidence if hk == "e" else wedge_pairs)[(low, label[hk][hi])] = None
-    lower = [c for c in vlabel if c is not None] + list(dict.fromkeys(elabel))
-    poset = wedge_extend(Poset(lower, incidence), fcells, wedge_pairs)
-    cells = frozenset(lower) | frozenset(fcells)
-    return StratifiedSpace(poset=poset, cells=cells,
-                           closure=frozenset(incidence) | frozenset(wedge_pairs),
-                           assignment={c: c for c in cells})
+            if (pair := (low, label[hk][hi])) not in pairs:
+                pairs[pair] = None
+                above[low][hk == "f"].append(pair[1])
+    up = {c: frozenset((c,)) for c in fcells}
+    covers = []
+    for c in reversed(above):   # the edge cells first: vertices read their up-sets
+        edges, faces = above[c]
+        below = frozenset().union(*map(up.__getitem__, edges))
+        faces = [f for f in faces if f not in below]
+        up[c] = below.union((c, *faces))
+        covers += [(c, h) for h in (*edges, *faces)]
+    return StratifiedSpace(poset=Poset._of_upsets(up, frozenset(covers)),
+                           cells=frozenset(up), closure=frozenset(pairs),
+                           assignment={c: c for c in up})
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ Heights are compared on `PLMap.integer_image`, the vertex values times the
 common denominator of all coordinates, a positive scale that keeps every
 sign and order, so no comparison builds a `Fraction`.  `check_generic`
 reads its G3 violations off the ties, D which sides are nonempty, and H
-the homology of the upper and lower links, built from the one link of the
-simplex it tests through `complexes.link`; `directional_links` splits
-along any direction the same way.  L builds no complex: the function of
-`complexes` that decides every link shape on the domain's coface table
-says whether the vertex link is a cycle, and each side is counted over
-the triangles at the vertex.
+how many points each side holds on a link of points, or else the
+homology of the sides of the one link it builds (`complexes.link`);
+`directional_links` splits along any direction the same way.  L builds
+no complex: the function of `complexes` that decides every link shape on
+the domain's coface table says whether the vertex link is a cycle, and
+each side is counted over the triangles at the vertex.
 
 Ties are never perturbed; any comparison that would need a tiebreak raises
 a genericity error with a witness.  The table records ties without raising,
@@ -274,9 +274,12 @@ def directional_links(f: PLMap, sigma, u) -> tuple[SimplicialComplex, Simplicial
     return _full_sides(lk, upper, lower)
 
 
-def _h_sides(f: PLMap, sigma) -> tuple[SimplicialComplex, SimplicialComplex]:
-    """The upper and lower links of a (k-1)-simplex along the normal of
-    its image."""
+def _h_verdicts(f: PLMap, sigma):
+    """The one-sided H verdicts of a (k-1)-simplex along the normal of its
+    image, upper first, each decided when read.  When no codimension-one
+    coface of sigma has a coface (every edge of a surface under k = 2), the
+    link is a set of points and a side is nontrivial unless it holds one;
+    a link of dimension one or more is built and its sides' homology read."""
     sigma = Simplex(sigma)
     f.domain._require(sigma)
     if sigma.dim != f.k - 1:
@@ -287,7 +290,13 @@ def _h_sides(f: PLMap, sigma) -> tuple[SimplicialComplex, SimplicialComplex]:
     if not any(e.normal):
         raise GenericityError(f"degenerate image of {tuple(sigma)!r}")
     _untied(f, sigma, e)
-    return _full_sides(link(f.domain, sigma), e.upper, e.lower)
+    cofaces = f.domain.coface_ranks
+    if any(map(cofaces.__getitem__, cofaces[f.domain.index.rank[sigma]])):
+        upper, lower = _full_sides(link(f.domain, sigma), e.upper, e.lower)
+        yield is_h_nontrivial(upper)
+        yield is_h_nontrivial(lower)
+    else:
+        yield from (len(e.upper) != 1, len(e.lower) != 1)
 
 
 def is_h_critical(f: PLMap, sigma) -> bool:
@@ -299,16 +308,14 @@ def is_h_critical(f: PLMap, sigma) -> bool:
     across a boundary only one side may witness criticality (an empty upper
     link, with its nontrivial degree -1, flags extrema either way).
     """
-    upper, lower = _h_sides(f, sigma)
-    return is_h_nontrivial(upper) or is_h_nontrivial(lower)
+    return any(_h_verdicts(f, sigma))
 
 
 def h_side_verdicts(f: PLMap, sigma) -> tuple[bool, bool]:
     """The two one-sided H verdicts of a (k-1)-simplex (along +u and -u);
     equal on closed manifolds, where either one decides criticality on
     its own."""
-    upper, lower = _h_sides(f, sigma)
-    return is_h_nontrivial(upper), is_h_nontrivial(lower)
+    return tuple(_h_verdicts(f, sigma))
 
 
 def is_d_critical(f: PLMap, sigma) -> bool:

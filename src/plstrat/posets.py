@@ -6,7 +6,8 @@ continuous ones and nothing here is Hausdorff in any interesting case.
 A poset is stored as the up-set of each element, computed once from the
 generating pairs, or for a product, cone or wedge extension straight from
 the up-sets of its inputs; the covers of an element are its strict up-set
-minus the strict up-sets of the elements in it.
+minus the strict up-sets of the elements in it, unless a graded
+stratification hands them over with its up-sets.
 """
 from __future__ import annotations
 
@@ -99,10 +100,11 @@ class Poset:
         self._covers: frozenset | None = None
 
     @classmethod
-    def _of_upsets(cls, up: dict) -> "Poset":
-        """The poset whose up-sets `up` are already closed and antisymmetric."""
+    def _of_upsets(cls, up: dict, covers: frozenset | None = None) -> "Poset":
+        """The poset whose up-sets `up` are already closed and antisymmetric,
+        and whose covers are `covers` when the caller already knows them."""
         p = cls.__new__(cls)
-        p.elements, p._up, p._covers = frozenset(up), up, None
+        p.elements, p._up, p._covers = frozenset(up), up, covers
         return p
 
     def leq(self, a: Label, b: Label) -> bool:

@@ -396,6 +396,15 @@ class TestRefineImage:
             crossings += len(r.arrangement.crossing_points)
         assert compared > 2 and crossings
 
+    def test_multiplicities_read_off_the_crossing_ids(self, rng):
+        maps = [segments_as_map(random_segments(rng)[0]) for _ in range(4)]
+        maps += [(f, jacobi_set(f)) for f in (torus_projection(rng, 3) for _ in range(2))]
+        for f, j in maps:
+            r = refine_image(f, j)
+            crossings = r.arrangement.crossing_points
+            assert r.multiplicities == tuple(2 if p in crossings else 1
+                                             for p in r.arrangement.vertices)
+
 
 class TestCodomainStratification:
     def test_interval_strata_and_order(self):

@@ -162,6 +162,59 @@ class TestHCriticality:
             assert (up, low) == (low2, up2)
 
 
+def _edge_map(apexes: dict, a=(0, 0), b=(4, 0)) -> PLMap:
+    """A planar map on the triangles abv, one per apex v, or on the edge ab
+    alone without apexes."""
+    dom = SimplicialComplex.from_facets([("a", "b", v) for v in apexes] or [("a", "b")])
+    return PLMap(dom, 2, {"a": a, "b": b, **apexes})
+
+
+class TestHOnLinksOfPoints:
+    """H on an edge whose link is a set of points is read off the counts of
+    the local table; the cases where counting and building the link could
+    disagree, against the built-link oracle."""
+
+    @pytest.mark.parametrize("apexes, sides", [
+        ({"c": (1, 2)}, (False, True)),                            # boundary edge
+        ({"c": (1, 2), "d": (3, -1)}, (False, False)),             # interior edge
+        ({"c": (1, 2), "d": (3, 1), "e": (2, -3)}, (True, False)),  # three triangles, 2/1
+        ({"c": (1, 2), "d": (3, 1), "e": (2, 3)}, (True, True)),    # three triangles, 3/0
+        ({}, (True, True)),                                        # no coface
+    ])
+    def test_counts_match_the_built_link(self, apexes, sides):
+        f, ab = _edge_map(apexes), Simplex(("a", "b"))
+        assert h_side_verdicts(f, ab) == naive_h_side_verdicts(f, ab) == sides
+        assert is_h_critical(f, ab) == naive_is_h_critical(f, ab) == any(sides)
+
+    @pytest.mark.parametrize("apexes, a, text", [
+        ({"c": (6, 0), "d": (1, 2)}, (0, 0),
+         "vertex 'c' ties with ('a', 'b') at value 0 along direction (0, 4)"),
+        ({"c": (1, 2)}, (4, 0), "degenerate image of ('a', 'b')"),
+    ])
+    def test_ties_and_degenerate_images_raise_first(self, apexes, a, text):
+        f, ab = _edge_map(apexes, a), Simplex(("a", "b"))
+        for test, oracle in _VERDICTS[:2]:
+            assert _outcome(test, f, ab) == _outcome(oracle, f, ab) == (
+                "GenericityError", text)
+
+    def test_surface_edges_build_no_link(self, monkeypatch, rng):
+        # every edge of a surface under k = 2 has a link of points, while
+        # the octahedron's vertex links under k = 1 are 4-cycles
+        projection, octa = torus_projection(rng, 3), example_map("octahedron")
+        built = []
+        original = SimplicialComplex.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(SimplicialComplex, "__init__", spy)
+        j = jacobi_set(projection, "H")
+        assert len(built) == 1 and built[0] is j.complex
+        built.clear()
+        j = jacobi_set(octa, "H")
+        assert len(built) > 1 and built[-1] is j.complex
+
+
 class TestDCriticality:
     def test_octahedron_extremum(self, octa):
         assert is_d_critical(octa, Simplex(("m",)))

@@ -1,6 +1,8 @@
 """Order-theoretic core: axioms, cones, products, wedge extensions and
 stratified-map checks, and every construction against the reference
 closure and covers of `helpers`."""
+import json
+
 import pytest
 
 from helpers import (naive_cone, naive_covers, naive_maximal_chains,
@@ -16,7 +18,9 @@ from plstrat import (MonotoneMap, NotAMemberError, PLMap, Poset,
                      is_refinement, jacobi_set, left_cone, linear_subposets,
                      product, right_cone, stratify_singular_locus,
                      validate_poset, wedge_extend)
-from plstrat.io import example_input, example_names
+from plstrat.cli import main
+from plstrat.io import (codomain_to_dict, example_input, example_names,
+                        locus_stratification_to_dict)
 
 
 def nat_edge() -> Poset:
@@ -504,3 +508,48 @@ class TestPosetOracle:
         for build in (Poset, naive_upsets):
             with pytest.raises(NotAMemberError, match="unknown element"):
                 build({"a"}, [("a", "a"), ("a", "b")])
+
+
+class TestGradedCovers:
+    """Codomain and contour posets are graded and come with their covers, so
+    neither the writer nor the default filtration chain reduces up-sets to
+    covers; the covers are still the reduction's."""
+
+    @pytest.fixture
+    def reduced(self, monkeypatch):
+        """The posets whose covers were computed from their up-sets."""
+        out = []
+        original = Poset.covers.fget
+
+        def spy(p):
+            if p._covers is None:
+                out.append(p)
+            return original(p)
+        monkeypatch.setattr(Poset, "covers", property(spy))
+        return out
+
+    @pytest.mark.parametrize("name", ["torus_grid", "projection", "figure_eight_contour"])
+    def test_writer_and_default_chain_reduce_nothing(self, name, reduced, rng,
+                                                     tmp_path, capsys):
+        if name == "projection":
+            f = torus_projection(rng, 3)
+            path = tmp_path / "map.json"
+            path.write_text(json.dumps({
+                "k": 2, "facets": [list(t) for t in f.domain.facets()],
+                "values": {v: [str(c) for c in p] for v, p in f.values.items()}}))
+            source = [str(path)]
+        else:
+            f, source = example_input(name), ["--example", name]
+        if isinstance(f, PLMap):
+            strat = build_codomain_stratification(f, jacobi_set(f))
+            doc = codomain_to_dict(strat)
+        else:
+            strat = stratify_singular_locus(f)
+            doc = locus_stratification_to_dict(strat)
+        assert main(["export-filtration", *source]) == 0
+        chain = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert reduced == []
+        poset = strat.space.poset
+        covers = doc["stratification"]["poset"]["covers"]
+        assert {tuple(c) for c in covers} == naive_covers(poset._up)
+        assert tuple(chain) == naive_maximal_chains(poset)[0]
