@@ -274,28 +274,19 @@ class PlanarArrangement:
         """V - E + F, the unbounded face counted once."""
         return len(self.vertices) - len(self.edges) + len(self.faces)
 
-    def face_boundary(self, index: int) -> tuple[set, set]:
-        """Vertex indices and edge keys appearing on the face's cycles."""
-        face = self.faces[index]
-        vs: set[int] = set()
-        es: set[tuple[int, int]] = set()
-        for walk in face.cycles:
-            for u, v in walk:
-                vs.add(u)
-                vs.add(v)
-                es.add((min(u, v), max(u, v)))
-        return vs, es
-
     def incidences(self) -> list[tuple[tuple, tuple]]:
         """Every pair (lower, higher) of cells with the lower one in the
         closure of the higher, keyed as `locate` returns them: vertex < edge
-        in edge order, then per face its vertices and its edges."""
+        in edge order, then per face its vertices and its edges, read off
+        its cycles, each in increasing index."""
+        half = {(v, u): i for (u, v), i in self.edge_index.items()} | self.edge_index
         pairs = [(("v", u), ("e", i)) for i, e in enumerate(self.edges) for u in e]
         for face in self.faces:
-            vs, es = self.face_boundary(face.index)
-            pairs += [(("v", u), ("f", face.index)) for u in sorted(vs)]
-            pairs += [(("e", self.edge_index[e]), ("f", face.index))
-                      for e in sorted(es)]
+            cell = ("f", face.index)
+            walk = [h for cycle in face.cycles for h in cycle]
+            # a cycle is closed, so its tails are all of its vertices
+            pairs += [(("v", u), cell) for u in sorted({u for u, _ in walk})]
+            pairs += [(("e", i), cell) for i in sorted({half[h] for h in walk})]
         return pairs
 
     @cached_property
@@ -351,7 +342,7 @@ class PlanarArrangement:
         if not self.faces[index].bounded:
             _, _, x1, y1 = self.bounding_box()
             return [(x1 + 1 + i, y1 + 1 + i) for i in range(n)]
-        u, v = min(self.face_boundary(index)[1])
+        u, v = min((min(h), max(h)) for c in self.faces[index].cycles for h in c)
         a, b = self.vertices[u], self.vertices[v]
         d = vsub(b, a)
         normal = (-d[1], d[0])

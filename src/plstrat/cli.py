@@ -150,10 +150,10 @@ def cmd_reeb(args) -> int:
     else:
         sc = reeb_scaffold(f, build_codomain_stratification(f, j))
         stein = check_stein_square(f, sc)
-        ok, per_stratum = stratum_fiber_audit(f, sc, samples=args.samples)
-        doc = {"scaffold": fmt.scaffold_to_dict(sc),
+        audit = stratum_fiber_audit(f, sc, samples=args.samples)
+        doc = {"scaffold": fmt.scaffold_to_dict(sc, fmt.codomain_to_dict(sc.codomain)),
                "stein": fmt.stein_to_dict(stein),
-               "fiber_audit": _stratum_audit_doc(ok, per_stratum)}
+               "fiber_audit": _stratum_audit_doc(*audit)}
     _emit(fmt.canonical_dumps(doc), args.out)
     return 0
 
@@ -206,7 +206,8 @@ def cmd_pipeline(args) -> int:
 
     if f.k in (1, 2):
         cs = _stage("codomain", lambda: build_codomain_stratification(f, j))
-        write("codomain_strat.json", fmt.canonical_dumps(fmt.codomain_to_dict(cs)))
+        cdoc = fmt.codomain_to_dict(cs)
+        write("codomain_strat.json", fmt.canonical_dumps(cdoc))
         if args.svg:
             write("codomain_strat.svg", render_svg(cs))
         if args.filtration:
@@ -214,6 +215,7 @@ def cmd_pipeline(args) -> int:
             write("filtration.txt", fmt.filtration_text(chain))
 
     if f.k == 1:
+        del cdoc    # only the scaffold reads it; free it before the sweep
         rg = _stage("reeb", lambda: reeb_graph(f, j))
         write("reeb.json", fmt.canonical_dumps(fmt.reeb_to_dict(rg)))
         if args.dot:
@@ -224,12 +226,11 @@ def cmd_pipeline(args) -> int:
     elif f.k == 2:
         sc = _stage("scaffold", lambda: reeb_scaffold(f, cs))
         stein = _stage("scaffold", lambda: check_stein_square(f, sc))
-        sdoc = fmt.scaffold_to_dict(sc)
+        sdoc = fmt.scaffold_to_dict(sc, cdoc)
         sdoc["stein"] = fmt.stein_to_dict(stein)
         write("scaffold.json", fmt.canonical_dumps(sdoc))
-        ok, per_stratum = _stage("audit", lambda: stratum_fiber_audit(
-            f, sc, samples=args.samples))
-        write("audit.json", fmt.canonical_dumps(_stratum_audit_doc(ok, per_stratum)))
+        audit = _stage("audit", lambda: stratum_fiber_audit(f, sc, samples=args.samples))
+        write("audit.json", fmt.canonical_dumps(_stratum_audit_doc(*audit)))
     return 0
 
 
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="accepted for compatibility; has no effect")
         if samples:
             sub.add_argument("--samples", type=_positive_int, default=3,
-                             help="probe points per interval or stratum")
+                             help="times audit.json repeats each constant count")
         if svg:
             sub.add_argument("--svg", help="also write an SVG picture here")
         sub.set_defaults(kind=kind)

@@ -305,12 +305,13 @@ def filtration_text(chain) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def scaffold_to_dict(sc: ReebScaffold) -> dict:
+def scaffold_to_dict(sc: ReebScaffold, codomain: dict) -> dict:
+    """`codomain` is the `codomain_to_dict` document of `sc.codomain`."""
     return {"poset": poset_to_json_dict(sc.poset),
             "counts": {s: sc.counts[s] for s in sorted(sc.counts)},
             "representatives": {s: _encode_point(sc.representatives[s])
                                 for s in sorted(sc.representatives)},
-            "codomain": codomain_to_dict(sc.codomain)}
+            "codomain": codomain}
 
 
 def stein_to_dict(report: SteinReport) -> dict:

@@ -32,7 +32,8 @@ every cell whose closure holds it, so each component over the higher cell
 lies in exactly one component over the lower one, with no sampling between
 them; `FineCells.attachments` yields these pairs and is the one place that
 rule is checked.  The scaffold, a poset of fiber components over the
-strata, joins the pairs inside and across the strata.
+strata, joins the pairs inside and across the strata.  A stratum is a
+union of cells, so both fiber audits read its counts off its cells.
 
 Two parameters need the edge images in general position: transverse
 crossings only, no three through one point, no overlaps.  A fiber over a
@@ -50,10 +51,11 @@ from itertools import count
 from math import lcm
 
 from .arrangement import (CodomainStratification, _line_point, _show,
-                          build_codomain_stratification, edge_image_arrangement)
+                          build_codomain_stratification, edge_image_arrangement,
+                          stratum_dimension)
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      NotAMemberError, StructuralError)
-from .geometry import convex_hull_2d, format_frac, frac, vadd, vscale, vsub
+from .geometry import convex_hull_2d, format_frac, frac, vadd, vscale
 from .jacobi import JacobiSet, PLMap, jacobi_set
 from .posets import MonotoneMap, Poset, connected_classes
 
@@ -438,29 +440,34 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
                          samples: int = 3) -> FiberAudit:
     """Check that the fiber component count is constant on every open
     interval between consecutive critical values of the locus `jset` (the H
-    Jacobi set of f when omitted), and report the counts."""
+    Jacobi set of f when omitted), and report the counts: the count at
+    `_interval_sample`, and in `detail` the counts over the sweep levels
+    inside the interval and, when it is unbounded, the empty fiber."""
     if f.k != 1:
         raise StructuralError("interval audit requires a single parameter")
     if samples < 1:
         raise StructuralError(f"the audit needs at least one sample, got {samples}")
     if jset is None:
         jset = jacobi_set(f)
-    crit = sorted({_scalar(f, s[0]) for s in jset.complex.simplices_of_dim(0)})
+    locus = [s[0] for s in jset.complex.simplices_of_dim(0)]
+    crit = sorted({_scalar(f, v) for v in locus})
     if not crit:
         raise InternalError("a nonempty compact domain must have critical values")
-    probes = [_interval_samples(bounds, samples)
-              for bounds in zip([None] + crit, crit + [None])]
-    counts = []
-    detail = []
-    ok = True
-    for pts in probes:
-        cs = [len(fiber_components(f, t)) for t in pts]
-        counts.append(cs[0])
-        detail.append(tuple(cs))
-        if len(set(cs)) != 1:
-            ok = False
+    sweep, counts, detail = f.sweep, [], []
+    ends = [-1] + sorted({sweep.vlevel[v] for v in locus}) + [len(sweep.table)]
+    for lo, hi, a, b in zip([None] + crit, crit + [None], ends, ends[1:]):
+        found = {len(sweep.components(l)) for l in range(a + 1, b)}
+        found |= {0} if None in (lo, hi) else set()
+        counts.append(len(fiber_components(f, _interval_sample((lo, hi)))))
+        detail.append(_reported(found, samples))
     return FiberAudit(boundaries=tuple(crit), counts=tuple(counts),
-                      passed=ok, detail=tuple(detail))
+                      passed=all(len(set(d)) == 1 for d in detail),
+                      detail=tuple(detail))
+
+
+def _reported(found: set, n: int) -> tuple:
+    """n copies of a constant count, else each count once, increasing."""
+    return tuple(found) * n if len(found) == 1 else tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +526,10 @@ class FineCells:
         level = self._sweep.level(_line_point(y))
         return None if level is None else ("l", level)
 
+    def strata(self, cs: CodomainStratification) -> dict:
+        """The stratum of `cs` holding each cell, at its sample point."""
+        return {c: cs.locate(y) for c, y in self.samples.items()}
+
     def attachments(self):
         """Yield ((low, j), (high, i)) for every incidence (low, high) and
         every component i over high: j is the component over low that
@@ -555,22 +566,20 @@ class ReebScaffold:
     supports: dict              # element -> support simplices over the sample
     counts: dict                # stratum label -> component count
     fine: FineCells             # the cells the scaffold is glued from
+    stratum: dict               # fine cell -> the stratum holding it
     cell_elements: dict         # fine cell -> element of each of its components
 
 
-def _stratum_samples(cs: CodomainStratification, label: str, n: int) -> list:
-    """n points inside the stratum `label` of `cs`, or its one point when
-    the stratum is a point."""
+def _stratum_sample(cs: CodomainStratification, label: str) -> tuple:
+    """A point inside the stratum `label` of `cs`."""
     g = cs.geometry[label]
     if cs.k == 1:
-        return [(g,)] if label.startswith("p") else _interval_samples(g, n)
+        return (g,) if label.startswith("p") else _interval_sample(g)
     if label.startswith("v"):
-        return [g]
+        return g
     if label.startswith("e"):
-        a, b = g
-        return [vadd(a, vscale(Fraction(j, n + 1), vsub(b, a)))
-                for j in range(1, n + 1)]
-    return cs.refined.arrangement.face_interior_samples(g.index, n)
+        return vscale(Fraction(1, 2), vadd(*g))
+    return cs.refined.arrangement.face_interior_samples(g.index)[0]
 
 
 def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebScaffold:
@@ -597,13 +606,13 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
     if cs is None:
         cs = build_codomain_stratification(f, jacobi_set(f))
     fine = FineCells(f)
-    stratum = {c: cs.locate(y) for c, y in fine.samples.items()}
+    stratum = fine.strata(cs)
 
     reps: dict = {}
     rep_cell: dict = {}
     comps: dict = {}
     for label in sorted(cs.space.cells):
-        y = _stratum_samples(cs, label, 1)[0]
+        y = _stratum_sample(cs, label)
         if cs.locate(y) != label:
             raise InternalError(f"sample for stratum {label} landed elsewhere")
         reps[label] = y
@@ -637,7 +646,7 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
     return ReebScaffold(
         codomain=cs, poset=Poset(elements, relations), representatives=reps,
         supports={(s, i): comps[s][i] for s, i in elements},
-        counts={s: len(comps[s]) for s in comps}, fine=fine,
+        counts={s: len(comps[s]) for s in comps}, fine=fine, stratum=stratum,
         cell_elements={c: tuple(element[(c, i)] for i in range(len(cc)))
                        for c, cc in fine.components.items()})
 
@@ -714,35 +723,32 @@ def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinR
 def stratum_fiber_audit(f: PLMap, scaffold: ReebScaffold | None = None,
                         samples: int = 3):
     """Check that the fiber component count is constant across each
-    codomain stratum by sampling every stratum at several points.  Only
-    the scaffold's codomain is read: without a scaffold, the codomain is
-    stratified by the H Jacobi set of f."""
+    codomain stratum, a union of the scaffold's fine cells, and report the
+    counts over its cells and, for an unbounded interval, the empty fiber.
+    Without a scaffold the fine cells of f are built, which for two
+    parameters needs the edge images in general position, and the codomain
+    is stratified by the H Jacobi set of f."""
     if samples < 1:
         raise StructuralError(f"the audit needs at least one sample, got {samples}")
     if scaffold is None:
-        cs = build_codomain_stratification(f, jacobi_set(f))
+        cs, fine = build_codomain_stratification(f, jacobi_set(f)), FineCells(f)
+        stratum = fine.strata(cs)
     else:
-        cs = scaffold.codomain
-    results: dict = {}
-    ok = True
-    for label in sorted(cs.space.cells):
-        counts = []
-        for y in _stratum_samples(cs, label, samples):
-            if cs.locate(y) != label:
-                raise InternalError(f"audit sample for {label} landed elsewhere")
-            counts.append(len(fiber_components(f, y)))
-        results[label] = tuple(counts)
-        if len(set(counts)) != 1:
-            ok = False
-    return ok, results
+        cs, fine, stratum = scaffold.codomain, scaffold.fine, scaffold.stratum
+    found: dict = {label: set() for label in cs.space.cells}
+    for c, label in stratum.items():
+        found[label].add(len(fine.components[c]))
+    if cs.k == 1:   # the first and last intervals reach past every vertex value
+        found["i0"].add(0)
+        found[f"i{len(cs.refined.points)}"].add(0)
+    results = {label: _reported(counts, 1 if stratum_dimension(label) == 0 else samples)
+               for label, counts in sorted(found.items())}
+    return all(len(set(r)) == 1 for r in results.values()), results
 
 
-def _interval_samples(bounds, n: int) -> list:
+def _interval_sample(bounds) -> tuple:
+    """A point inside the interval `bounds`, whose ends may be None."""
     lo, hi = bounds
-    if lo is None and hi is None:
-        return [(Fraction(j),) for j in range(n)]
     if lo is None:
-        return [(hi - j - 1,) for j in range(n)]
-    if hi is None:
-        return [(lo + j + 1,) for j in range(n)]
-    return [(lo + (hi - lo) * Fraction(j, n + 1),) for j in range(1, n + 1)]
+        return (Fraction(0) if hi is None else hi - 1,)
+    return (lo + 1 if hi is None else (lo + hi) / 2,)

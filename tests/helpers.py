@@ -1,5 +1,5 @@
 """Shared random generators and the independent homology, sweep, scaffold,
-multiplicity, arrangement and point-location oracles.
+audit, multiplicity, arrangement and point-location oracles.
 
 Everything here is deliberately low-tech: the homology oracle uses dense
 0/1 row matrices and textbook elimination so that it shares no code path
@@ -8,15 +8,18 @@ re-sorts the whole complex at every level instead of reading a level
 index, and decides a planar fiber by Carathéodory on vertex images
 instead of the package's hull predicate; the scaffold oracle attaches
 strata by walking sample points toward each other instead of gluing the
-cells of an arrangement; the multiplicity oracle scans every locus edge at
-every image point instead of reading the arrangement's crossings; the
-arrangement and point-location oracles work on `Fraction` points with the
-`geometry` predicates instead of the integer kernel; the JSON oracle is
-the json module's own indenting encoder; the local-table oracle decides
-genericity, the H, D and L verdicts and the directional links of each
-simplex one at a time on `Fraction` values, with links found by scanning
-the complex and homology by the dense oracle, instead of reading the
-map's integer table; the manifold-check and domain-stratification
+cells of an arrangement; the audit oracles count the fiber components at
+a few sample points of each stratum instead of reading the counts off the
+fine cells; the multiplicity oracle scans every locus edge at every image
+point instead of reading the arrangement's crossings; the arrangement and
+point-location oracles work on `Fraction` points with the `geometry`
+predicates instead of the integer kernel, and the incidence oracle
+collects each face's vertex set and edge keys instead of walking its
+cycles once; the JSON oracle is the json module's own indenting encoder;
+the local-table oracle decides genericity, the H, D and L verdicts and
+the directional links of each simplex one at a time on `Fraction` values,
+with links found by scanning the complex and homology by the dense
+oracle, instead of reading the map's integer table; the manifold-check and domain-stratification
 oracles build every link by scanning the complex and flood the complement
 on `Simplex` tuples, instead of reading the complex's rank tables; the
 poset oracle closes the relation by one search per element, checks
@@ -37,18 +40,19 @@ from functools import cmp_to_key, lru_cache
 from itertools import combinations
 
 from plstrat import (CodomainStratification, DegeneracyError,
-                     EmptyComplexError, GenericityError, InternalError,
-                     JacobiSet, ManifoldReport, NotAMemberError,
-                     PlanarArrangement, PLMap, Poset, ReebGraph, Simplex,
-                     SimplicialComplex, StratifiedSpace, StructuralError,
-                     check_generic, face_poset, jacobi_set, wedge_extend)
+                     EmptyComplexError, FiberAudit, GenericityError,
+                     InternalError, JacobiSet, ManifoldReport,
+                     NotAMemberError, PlanarArrangement, PLMap, Poset,
+                     ReebGraph, ReebScaffold, Simplex, SimplicialComplex,
+                     StratifiedSpace, StructuralError,
+                     build_codomain_stratification, check_generic, face_poset,
+                     fiber_components, jacobi_set, wedge_extend)
 from plstrat.arrangement import Face
 from plstrat.geometry import (canon_key, canon_sorted, cone_is_full, cross2, det,
                               dot, format_frac, frac, matrix_rank, on_segment,
                               proper_crossing, segments_share_line_overlap, vadd,
                               vscale, vsub)
 from plstrat.io import example_map
-from plstrat.reeb import _stratum_samples
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +522,70 @@ def naive_reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
 
 
 # ---------------------------------------------------------------------------
+# sampled fiber-audit oracles
+
+def _interval_samples(bounds, n: int) -> list:
+    """n points inside an open interval of the line, an end None when the
+    interval is unbounded on that side."""
+    lo, hi = bounds
+    if lo is None and hi is None:
+        return [(Fraction(j),) for j in range(n)]
+    if lo is None:
+        return [(hi - j - 1,) for j in range(n)]
+    if hi is None:
+        return [(lo + j + 1,) for j in range(n)]
+    return [(lo + (hi - lo) * Fraction(j, n + 1),) for j in range(1, n + 1)]
+
+
+def _stratum_samples(cs: CodomainStratification, label: str, n: int) -> list:
+    """n points inside the stratum `label` of `cs`, or its one point when
+    the stratum is a point."""
+    g = cs.geometry[label]
+    if cs.k == 1:
+        return [(g,)] if label.startswith("p") else _interval_samples(g, n)
+    if label.startswith("v"):
+        return [g]
+    if label.startswith("e"):
+        a, b = g
+        return [vadd(a, vscale(Fraction(j, n + 1), vsub(b, a)))
+                for j in range(1, n + 1)]
+    return cs.refined.arrangement.face_interior_samples(g.index, n)
+
+
+def sampled_interval_audit(f: PLMap, jset: JacobiSet | None = None,
+                           samples: int = 3) -> FiberAudit:
+    """`interval_fiber_audit` by sampling: the fiber counts at `samples`
+    points of each interval between consecutive critical values, the
+    first of them reported as the interval's count."""
+    if jset is None:
+        jset = jacobi_set(f)
+    crit = sorted({f.value(s[0])[0] for s in jset.complex.simplices_of_dim(0)})
+    detail = [tuple(len(fiber_components(f, t)) for t in _interval_samples(bounds, samples))
+              for bounds in zip([None] + crit, crit + [None])]
+    return FiberAudit(boundaries=tuple(crit), counts=tuple(d[0] for d in detail),
+                      passed=all(len(set(d)) == 1 for d in detail),
+                      detail=tuple(detail))
+
+
+def sampled_stratum_audit(f: PLMap, scaffold: ReebScaffold | None = None,
+                          samples: int = 3):
+    """`stratum_fiber_audit` by sampling: the fiber counts at `samples`
+    points of each stratum of the scaffold's codomain (of the H codomain
+    without a scaffold), at its one point for a point stratum."""
+    if scaffold is None:
+        cs = build_codomain_stratification(f, jacobi_set(f))
+    else:
+        cs = scaffold.codomain
+    results = {}
+    for label in sorted(cs.space.cells):
+        points = _stratum_samples(cs, label, samples)
+        if any(cs.locate(y) != label for y in points):
+            raise InternalError(f"audit sample for {label} landed elsewhere")
+        results[label] = tuple(len(fiber_components(f, y)) for y in points)
+    return all(len(set(c)) == 1 for c in results.values()), results
+
+
+# ---------------------------------------------------------------------------
 # sampling scaffold oracle
 
 _NEAR_CAP = 40
@@ -800,6 +868,21 @@ class _NaiveArrangement(PlanarArrangement):
 def naive_arrangement(segments) -> PlanarArrangement:
     """The arrangement of the segments, built by the `Fraction` oracle."""
     return _NaiveArrangement(segments)
+
+
+def naive_incidences(arr: PlanarArrangement) -> list:
+    """`PlanarArrangement.incidences` from each face's set of vertices and
+    set of edge keys, each sorted, the keys looked up in `edge_index`."""
+    pairs = [(("v", u), ("e", i)) for i, e in enumerate(arr.edges) for u in e]
+    for face in arr.faces:
+        vs, keys = set(), set()
+        for walk in face.cycles:
+            for u, v in walk:
+                vs |= {u, v}
+                keys.add((min(u, v), max(u, v)))
+        pairs += [(("v", u), ("f", face.index)) for u in sorted(vs)]
+        pairs += [(("e", arr.edge_index[e]), ("f", face.index)) for e in sorted(keys)]
+    return pairs
 
 
 # ---------------------------------------------------------------------------

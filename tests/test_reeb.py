@@ -9,10 +9,12 @@ import pytest
 
 from helpers import (grid_3torus, naive_fiber_components, naive_reeb_graph,
                      naive_sweep_levels, random_complex, random_planar_map,
-                     random_surface_map, sampled_scaffold, torus_projection)
+                     random_surface_map, sampled_interval_audit, sampled_scaffold,
+                     sampled_stratum_audit, torus_projection)
 from plstrat import (DegeneracyError, GenericityError, InternalError,
-                     JacobiSet, NotAMemberError, PLMap, SimplicialComplex,
-                     StructuralError, build_codomain_stratification,
+                     JacobiSet, NotAMemberError, PlanarArrangement, PLMap,
+                     SimplicialComplex, StructuralError,
+                     build_codomain_stratification,
                      check_generic, check_stein_square, fiber_components, interval_fiber_audit,
                      jacobi_set, reeb_graph, reeb_scaffold,
                      stratum_fiber_audit, validate_poset)
@@ -635,6 +637,16 @@ class TestHullIndex:
         assert not hasattr(reeb, "_contains_point")
 
 
+def _twice_wound_disk() -> PLMap:
+    """A generic disk whose boundary winds twice around the image of c: the
+    two fiber components near c trade places around it."""
+    return map_from_dict({
+        "k": 2, "facets": [["c", f"a{i}", f"a{(i + 1) % 6}"] for i in range(6)],
+        "values": {"c": ["0", "0"], "a0": ["4", "0"], "a1": ["-2", "3"],
+                   "a2": ["-2", "-4"], "a3": ["2", "3"], "a4": ["-5", "0"],
+                   "a5": ["1", "-5"]}})
+
+
 class TestFineCellScaffold:
     """The scaffold glued from fine cells against the sampling walk, the
     Reeb graph and the Euler relation."""
@@ -692,13 +704,7 @@ class TestFineCellScaffold:
 
     @pytest.mark.parametrize("notion", ["H", "D"])
     def test_degeneracy_names_the_sample_point(self, notion):
-        # a generic disk whose boundary winds twice around the image of c:
-        # the two fiber components near c trade places around it
-        f = map_from_dict({
-            "k": 2, "facets": [["c", f"a{i}", f"a{(i + 1) % 6}"] for i in range(6)],
-            "values": {"c": ["0", "0"], "a0": ["4", "0"], "a1": ["-2", "3"],
-                       "a2": ["-2", "-4"], "a3": ["2", "3"], "a4": ["-5", "0"],
-                       "a5": ["1", "-5"]}})
+        f = _twice_wound_disk()
         assert check_generic(f).passed
         cs = build_codomain_stratification(f, jacobi_set(f, notion))
         with pytest.raises(DegeneracyError, match=re.escape(
@@ -885,17 +891,20 @@ class TestStratumAudit:
             for counts in results.values():
                 assert len(set(counts)) == 1
 
-    def test_without_a_scaffold_builds_no_fine_cells(self, torus, tetra,
-                                                     monkeypatch):
-        # only the codomain is read, so the H codomain stands in for the
-        # scaffold and gives the same counts
-        maps = (tetra, torus)
-        expected = [stratum_fiber_audit(f, reeb_scaffold(f)) for f in maps]
+    def test_without_a_scaffold_reads_the_cells_of_the_h_scaffold(
+            self, torus, tetra, monkeypatch):
+        # the fine cells and their strata are built once, by the helper the
+        # scaffold uses, and give the H scaffold's counts
+        expected = [stratum_fiber_audit(f, reeb_scaffold(f)) for f in (tetra, torus)]
+        built = []
+        strata = reeb.FineCells.strata
 
-        def no_cells(f):
-            raise AssertionError("stratum_fiber_audit built FineCells")
-        monkeypatch.setattr(reeb, "FineCells", no_cells)
-        assert [stratum_fiber_audit(f) for f in maps] == expected
+        def recorded(fine, cs):
+            built.append(cs)
+            return strata(fine, cs)
+        monkeypatch.setattr(reeb.FineCells, "strata", recorded)
+        assert [stratum_fiber_audit(f) for f in (tetra, torus)] == expected
+        assert len(built) == 2
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_needs_a_sample(self, tetra, samples):
@@ -903,20 +912,137 @@ class TestStratumAudit:
             stratum_fiber_audit(tetra, samples=samples)
 
     @pytest.mark.parametrize("samples", [3, 5])
-    def test_edge_strata_get_distinct_points(self, tetra, samples, monkeypatch):
-        sc = reeb_scaffold(tetra)
-        points = []
+    def test_a_constant_count_is_repeated_samples_times(self, tetra, torus, samples):
+        for f in (tetra, torus):
+            sc = reeb_scaffold(f)
+            ok, results = stratum_fiber_audit(f, sc, samples=samples)
+            assert ok
+            for label, counts in results.items():
+                n = 1 if label[0] in "pv" else samples
+                assert counts == (sc.counts[label],) * n, label
+
+
+def _passed(audit) -> bool:
+    """The verdict of an interval audit or of a stratum audit's pair."""
+    return audit.passed if isinstance(audit, reeb.FiberAudit) else audit[0]
+
+
+def _agree(exact, sampled) -> bool:
+    """Where the exact audit passes, the sampled one passes with the same
+    results; where the sampled one fails, the exact one fails.  Returns
+    whether the exact one passes."""
+    if _passed(exact):
+        assert sampled == exact
+    if not _passed(sampled):
+        assert not _passed(exact)
+    return _passed(exact)
+
+
+def _compare_audits(f: PLMap, j: JacobiSet | None = None, samples: int = 3) -> Counter:
+    """Both audits of f under the locus j against the sampled oracles: the
+    interval audit for one parameter, the stratum audit with a scaffold
+    over the codomain of j when it builds and, when j is None (the H
+    locus), without one too.  Counts the exact audits that pass and fail."""
+    seen: Counter = Counter()
+    if f.k == 1:
+        seen[_agree(interval_fiber_audit(f, j, samples),
+                    sampled_interval_audit(f, j, samples))] += 1
+    scaffolds = [None] if j is None else []
+    try:
+        scaffolds.append(reeb_scaffold(
+            f, None if j is None else build_codomain_stratification(f, j)))
+    except DegeneracyError:
+        pass
+    for sc in scaffolds:
+        seen[_agree(stratum_fiber_audit(f, sc, samples),
+                    sampled_stratum_audit(f, sc, samples))] += 1
+    return seen
+
+
+class TestExactAudit:
+    """The audits read off the fine cells against the sampled oracles, the
+    inputs on which sampling misses a count the cells hold, and the
+    queries the audits no longer make."""
+
+    @pytest.mark.parametrize("notion", ["H", "D", "L"])
+    def test_examples_agree_with_sampling(self, notion):
+        seen: Counter = Counter()
+        for name in ("double_cone", "octahedron", "saddle_patch",
+                     "solid_tetrahedron", "torus_grid"):
+            f = example_map(name)
+            try:
+                j = jacobi_set(f, notion)
+            except StructuralError:
+                continue    # L on saddle_patch and solid_tetrahedron
+            seen += _compare_audits(f, j, samples=5)
+        assert seen[True]
+
+    def test_random_maps_agree_with_sampling(self, rng):
+        seen: Counter = Counter()
+        for _ in range(60):
+            f = random_surface_map(rng)
+            seen += _compare_audits(f) + _compare_audits(f, jacobi_set(f, "D"))
+        planar = 0
+        for _ in range(30):
+            try:
+                seen += _compare_audits(random_planar_map(rng))
+            except GenericityError:
+                continue    # edge images out of general position
+            planar += 1
+        assert seen[True] and planar
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_torus_projections_agree_with_sampling(self, seed):
+        assert _compare_audits(torus_projection(random.Random(seed), 3))
+
+    def test_torus_grid_under_d(self, torus):
+        # the D locus holds only the extrema: sampling sees 2 components at
+        # its three points of i1, the levels next to either extremum hold 1
+        j = jacobi_set(torus, "D")
+        assert sampled_interval_audit(torus, j).passed
+        audit = interval_fiber_audit(torus, j)
+        assert not audit.passed
+        assert audit.detail == ((0, 0, 0), (1, 2), (0, 0, 0))
+
+    def test_branch_point_of_a_torus_projection(self):
+        # the seed-1 map of `test_torus_projection_finishes_and_passes`:
+        # its branch vertex lies over f5, where the count goes from 5 to 6
+        f = torus_projection(random.Random("1:test_torus_projection_finishes_and_passes"), 3)
+        assert sampled_stratum_audit(f)[0]
+        ok, results = stratum_fiber_audit(f)
+        assert not ok and results["f5"] == (5, 6)
+
+    def test_twice_wound_disk(self):
+        f = _twice_wound_disk()
+        assert sampled_stratum_audit(f)[0]
+        ok, results = stratum_fiber_audit(f)
+        assert not ok and results["f2"] == (1, 2)
+
+    def test_reads_the_cells_without_a_query(self, torus, tetra, monkeypatch):
+        scaffolds = [reeb_scaffold(f) for f in (torus, tetra)]
+        expected = [stratum_fiber_audit(f, sc) for f, sc in zip((torus, tetra), scaffolds)]
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the audit made a point query")
+        monkeypatch.setattr(reeb, "fiber_components", banned)
+        monkeypatch.setattr(reeb.CodomainStratification, "locate", banned)
+        monkeypatch.setattr(reeb.FineCells, "locate", banned)
+        monkeypatch.setattr(PlanarArrangement, "locate", banned)
+        monkeypatch.setattr(PlanarArrangement, "face_interior_samples", banned)
+        assert [stratum_fiber_audit(f, sc) for f, sc in
+                zip((torus, tetra), scaffolds)] == expected
+
+    @pytest.mark.parametrize("samples", [1, 5])
+    def test_interval_audit_queries_once_per_interval(self, rng, samples,
+                                                      monkeypatch):
+        calls = []
         query = reeb.fiber_components
 
-        def recorded(f, y):
-            points.append(y)
+        def counted(f, y):
+            calls.append(y)
             return query(f, y)
-        monkeypatch.setattr(reeb, "fiber_components", recorded)
-        stratum_fiber_audit(tetra, sc, samples=samples)
-        monkeypatch.undo()
-        cs = sc.codomain
-        edges = sorted(c for c in cs.space.cells if c.startswith("e"))
-        assert edges
-        for label in edges:
-            here = [y for y in points if cs.locate(y) == label]
-            assert len(here) == len(set(here)) == samples, label
+        monkeypatch.setattr(reeb, "fiber_components", counted)
+        for f in [example_map("torus_grid")] + [random_surface_map(rng) for _ in range(5)]:
+            calls.clear()
+            audit = interval_fiber_audit(f, samples=samples)
+            assert len(calls) == len(audit.boundaries) + 1
