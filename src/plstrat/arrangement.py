@@ -11,8 +11,9 @@ non-generic, never repaired.
 
 `PlanarArrangement` decides planar incidence once, while it is built: its
 crossing vertex ids and cell incidences are what the refined image, both
-stratifiers and the fiber scaffold read; the stratifiers' orders are
-graded, so their up-sets and covers come off the incidences unclosed.
+stratifiers and the fiber scaffold read.  Every codomain and contour order
+is graded, so one builder, `_plane_space`, reads its up-sets and covers off
+the incidences unclosed, off the line's cuts as off the plane's cells.
 
 Every decision runs on Python ints, not on the `Fraction` predicates of
 `geometry`.  Construction multiplies every input coordinate by the common
@@ -27,9 +28,9 @@ determinants whose sign is unchanged by the positive W.  Points become
 `Fraction`s only where they leave the arrangement: `vertices` (still in
 rational lexicographic order), `vertex_id` and `crossing_points` (built
 on first read) and `Face.area2` are `Fraction`-valued, and `Fraction` is
-the only number type they hold.  `locate` turns its query and the
-vertices back into homogeneous integer points, each over the lcm of its
-own two denominators, and decides edges and faces with the same
+the only number type they hold.  `locate` reads the integer vertices
+`_build` keeps, scales its query once by the same common denominator into
+a homogeneous point, and decides edges and faces with the same
 determinants; `face_interior_samples` asks `locate`.
 """
 from __future__ import annotations
@@ -157,6 +158,7 @@ class PlanarArrangement:
                     f"{', '.join(names[:-1])} and {names[-1]}")
 
         hom = sorted({p for seg in cuts for _, _, p in seg}, key=_BY_POSITION)
+        self._hom, self._scale = hom, scale     # `locate` reads the same ints
         index = {p: n for n, p in enumerate(hom)}
         self.vertices: list[Point] = [_rational(p, scale) for p in hom]
         self._crossings = frozenset(index[p] for p in crossing_pairs)   # vertex ids
@@ -289,11 +291,6 @@ class PlanarArrangement:
             pairs += [(("e", i), cell) for i in sorted({half[h] for h in walk})]
         return pairs
 
-    @cached_property
-    def _hom(self) -> list[tuple]:
-        """The vertices as homogeneous integer points (X, Y, W), W > 0."""
-        return [_homogeneous(p) for p in self.vertices]
-
     def locate(self, p) -> tuple:
         """The lowest-dimensional cell containing the point: ("v", i),
         ("e", i) or ("f", i)."""
@@ -304,7 +301,7 @@ class PlanarArrangement:
         if p in self.vertex_id:
             return ("v", self.vertex_id[p])
         hom = self._hom
-        q = _homogeneous(p)
+        q = _homogeneous(p, self._scale)
         xq, yq, wq = q
         for i, (u, v) in enumerate(self.edges):
             (xa, ya, wa), (xb, yb, wb) = hom[u], hom[v]
@@ -406,12 +403,13 @@ def _area2(walk, hom, scale) -> Fraction:
     return Fraction(s, (d * scale) ** 2)
 
 
-def _homogeneous(p: Point) -> tuple:
-    """A rational point as (X, Y, W) over the lcm W of its denominators."""
+def _homogeneous(p: Point, scale: int) -> tuple:
+    """A rational point at `scale` times the input as (X, Y, W), W the lcm
+    of its denominators."""
     x, y = p
     w = lcm(x.denominator, y.denominator)
-    return (x.numerator * (w // x.denominator),
-            y.numerator * (w // y.denominator), w)
+    return (x.numerator * (w // x.denominator) * scale,
+            y.numerator * (w // y.denominator) * scale, w)
 
 
 def _ray_parity_h(p, hom, walk) -> bool:
@@ -550,6 +548,23 @@ class CodomainStratification:
             return _face_label(self.refined.arrangement.faces[idx])
         return f"{kind}{idx}"
 
+    def sample(self, label: str) -> tuple:
+        """A point inside the stratum `label`."""
+        g, dim = self.geometry[label], stratum_dimension(label)
+        if self.k == 1:
+            return (g,) if dim == 0 else _interval_sample(g)
+        if dim < 2:
+            return g if dim == 0 else vscale(Fraction(1, 2), vadd(*g))
+        return self.refined.arrangement.face_interior_samples(g.index)[0]
+
+
+def _interval_sample(bounds) -> tuple:
+    """A point inside the interval `bounds`, whose ends may be None."""
+    lo, hi = bounds
+    if lo is None:
+        return (Fraction(0) if hi is None else hi - 1,)
+    return (lo + 1 if hi is None else (lo + hi) / 2,)
+
 
 def build_codomain_stratification(f, j) -> CodomainStratification:
     refined = refine_image(f, j)
@@ -565,55 +580,50 @@ def stratum_dimension(label: str) -> int:
 
 
 def stratification_from_refined(refined: RefinedImage) -> CodomainStratification:
+    pts = refined.points
     if refined.k == 1:
-        pts = refined.points
-        pcells = [f"p{i}" for i in range(len(pts))]
-        icells = [f"i{i}" for i in range(len(pts) + 1)]
-        pairs = [(p, icells[i + d]) for i, p in enumerate(pcells) for d in (0, 1)]
+        vcells, ecells = [f"p{i}" for i in range(len(pts))], []
+        fcells = [f"i{i}" for i in range(len(pts) + 1)]
         # interval i runs from point i - 1 to point i, unbounded at the ends
         bounds = (None,) + pts + (None,)
-        geometry = dict(zip(pcells, pts))
-        geometry.update((c, bounds[i:i + 2]) for i, c in enumerate(icells))
-        # graded too: the pairs, point i below intervals i and i + 1, are the covers
-        up = {c: frozenset((c,)) for c in icells}
-        up.update((p, frozenset((p, icells[i], icells[i + 1])))
-                  for i, p in enumerate(pcells))
-        space = StratifiedSpace(poset=Poset._of_upsets(up, frozenset(pairs)),
-                                cells=frozenset(up), closure=frozenset(pairs),
-                                assignment={c: c for c in up})
-        return CodomainStratification(k=1, space=space, geometry=geometry,
-                                      refined=refined)
-
-    arr = refined.arrangement
-    vcells = [f"v{i}" for i in range(len(arr.vertices))]
-    ecells = [f"e{i}" for i in range(len(arr.edges))]
-    geometry = dict(zip(vcells, arr.vertices))
-    geometry.update((c, (arr.vertices[u], arr.vertices[v]))
-                    for c, (u, v) in zip(ecells, arr.edges))
-    geometry.update((_face_label(face), face) for face in arr.faces)
-    return CodomainStratification(k=2, space=_plane_space(arr, vcells, ecells),
-                                  geometry=geometry, refined=refined)
+        geometry = dict(zip(fcells, zip(bounds, bounds[1:])))
+        # the line's cuts: point i lies below intervals i and i + 1
+        incidences = [(("v", i), ("f", i + d)) for i in range(len(pts)) for d in (0, 1)]
+    else:
+        arr = refined.arrangement
+        vcells = [f"v{i}" for i in range(len(pts))]
+        ecells = [f"e{i}" for i in range(len(arr.edges))]
+        fcells = [_face_label(face) for face in arr.faces]
+        geometry = {c: (pts[u], pts[v]) for c, (u, v) in zip(ecells, arr.edges)}
+        geometry.update(zip(fcells, arr.faces))
+        incidences = arr.incidences()
+    geometry.update(zip(vcells, pts))
+    return CodomainStratification(
+        k=refined.k, space=_plane_space(incidences, vcells, ecells, fcells),
+        geometry=geometry, refined=refined)
 
 
-def _plane_space(arr: PlanarArrangement, vlabel: list, elabel: list) -> StratifiedSpace:
-    """The plane stratified by the cells of `arr`: vertex i stands for the
-    cell `vlabel[i]`, edge i for `elabel[i]` and each face for its own
-    cell.  A vertex labelled None lies inside the cell of its edges and
-    adds no cell and no pair.  The order is graded, vertex < edge < face,
-    so one pass over `incidences()` gives the up-sets and the covers: every
-    (vertex, edge) and (edge, face) pair, and a (vertex, face) pair when no
-    edge of the vertex lies below the face."""
-    fcells = [_face_label(face) for face in arr.faces]
-    label = {"v": vlabel, "e": elabel, "f": fcells}
+def _plane_space(incidences: list, vlabel: list, elabel: list,
+                 top: list) -> StratifiedSpace:
+    """The line or the plane stratified by the cells whose `incidences`
+    are keyed as `PlanarArrangement.incidences` gives them: vertex i
+    stands for the cell `vlabel[i]`, edge i for `elabel[i]` and face i for
+    `top[i]`; the line's cuts are vertices and its intervals faces.  A
+    vertex labelled None lies inside the cell of its edges and adds no
+    cell and no pair.  The order is graded, vertex < edge < face, so one
+    pass over the incidences gives the up-sets and the covers: every
+    (vertex, edge) and (edge, face) pair, and a (vertex, face) pair when
+    no edge of the vertex lies below the face."""
+    label = {"v": vlabel, "e": elabel, "f": top}
     pairs: dict = {}
     # each vertex and edge cell -> (the edges, the faces) it lies below
     above = {c: ([], []) for c in (*vlabel, *elabel) if c is not None}
-    for (lk, li), (hk, hi) in arr.incidences():
+    for (lk, li), (hk, hi) in incidences:
         if (low := label[lk][li]) is not None:
             if (pair := (low, label[hk][hi])) not in pairs:
                 pairs[pair] = None
                 above[low][hk == "f"].append(pair[1])
-    up = {c: frozenset((c,)) for c in fcells}
+    up = {c: frozenset((c,)) for c in top}
     covers = []
     for c in reversed(above):   # the edge cells first: vertices read their up-sets
         edges, faces = above[c]
@@ -750,12 +760,14 @@ def stratify_singular_locus(locus: SingularLocus) -> LocusStratification:
             chain_of_edge[i] = cell
 
     # a vertex stands for its zero-cell, if marked, and an edge for its chain
-    space = _plane_space(arr, [zid.get(p) for p in arr.vertices], chain_of_edge)
+    fcells = [_face_label(face) for face in arr.faces]
+    space = _plane_space(arr.incidences(), [zid.get(p) for p in arr.vertices],
+                         chain_of_edge, fcells)
     geometry: dict = {z: p for p, z in zid.items()}
     for n, eis in enumerate(chain_lists):
         geometry[f"c{n}"] = tuple((arr.vertices[arr.edges[i][0]],
                                    arr.vertices[arr.edges[i][1]]) for i in eis)
-    geometry.update((_face_label(face), face) for face in arr.faces)
+    geometry.update(zip(fcells, arr.faces))
     return LocusStratification(space=space, geometry=geometry, marks=marks,
                                arrangement=arr)
 

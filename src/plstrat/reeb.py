@@ -2,8 +2,9 @@
 stratified codomain.
 
 For a single parameter the fiber changes only where a vertex value is
-crossed, so it lives on 2V-1 sweep levels: level 2i is the i-th smallest
-vertex value and level 2i+1 the open gap above it.  A closed simplex meets
+crossed, so it lives on the sweep levels -1 to 2V-1: level 2i is the i-th
+smallest vertex value and level 2i+1 the open gap or ray above it, and the
+rays -1 and 2V-1 carry the empty fiber.  A closed simplex meets
 the levels of one interval, its span.  Each map holds a `SweepIndex`, which
 fills the fiber components of every level in one pass on first use: a
 simplex enters the support at the level where its span starts and leaves
@@ -24,16 +25,18 @@ O(m log m) time algorithm for the Reeb graph", 2012).
 
 The scaffold, the analogue of the Reeb graph over a stratified codomain, is
 glued from `FineCells`: finitely many cells on which the fiber support is
-constant, the sweep levels for one parameter, and for two the cells of the
-arrangement of the images of all domain edges (Edelsbrunner-Harer-Patel,
-"Reeb spaces of piecewise linear mappings", 2008; Carr-Duke, "Joint
-contour nets", 2014).  The support over a cell contains the support over
-every cell whose closure holds it, so each component over the higher cell
-lies in exactly one component over the lower one, with no sampling between
-them; `FineCells.attachments` yields these pairs and is the one place that
-rule is checked.  The scaffold, a poset of fiber components over the
-strata, joins the pairs inside and across the strata.  A stratum is a
-union of cells, so both fiber audits read its counts off its cells.
+constant and which cover all of R^k: the sweep levels and the two rays
+for one parameter, and for two the cells of the arrangement of the images
+of all domain edges (Edelsbrunner-Harer-Patel, "Reeb spaces of piecewise
+linear mappings", 2008; Carr-Duke, "Joint contour nets", 2014).  The
+support over a cell contains the support over every cell whose closure
+holds it, so each component over the higher cell lies in exactly one
+component over the lower one, with no sampling between them;
+`FineCells.attachments` yields these pairs and is the one place that rule
+is checked.  The scaffold, a poset of fiber components over the strata,
+joins the pairs inside and across the strata.  A stratum is a union of
+cells, so both fiber audits read its counts off its cells, the empty rays
+of the line too.
 
 Two parameters need the edge images in general position: transverse
 crossings only, no three through one point, no overlaps.  A fiber over a
@@ -50,9 +53,9 @@ from fractions import Fraction
 from itertools import count
 from math import lcm
 
-from .arrangement import (CodomainStratification, _line_point, _show,
-                          build_codomain_stratification, edge_image_arrangement,
-                          stratum_dimension)
+from .arrangement import (CodomainStratification, _interval_sample, _line_point,
+                          _show, build_codomain_stratification,
+                          edge_image_arrangement, stratum_dimension)
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      NotAMemberError, StructuralError)
 from .geometry import convex_hull_2d, format_frac, frac, vadd, vscale
@@ -141,17 +144,16 @@ class SweepIndex:
         self.touched: list = [None] * len(self.table)
         self.holder: dict = {}
 
-    def level(self, t: Fraction) -> int | None:
-        """The level of value t; None outside the range of vertex values,
-        where the fiber is empty."""
+    def level(self, t: Fraction) -> int:
+        """The level of value t: -1 below every vertex value and 2V - 1
+        above them, the two unbounded rays, where the fiber is empty."""
         i = bisect_left(self.values, t)
-        if i < len(self.values) and self.values[i] == t:
-            return 2 * i
-        if 0 < i < len(self.values):
-            return 2 * i - 1
-        return None
+        return 2 * i if i < len(self.values) and self.values[i] == t else 2 * i - 1
 
     def components(self, level: int) -> tuple[frozenset, ...]:
+        """The fiber components over a level, none over a ray."""
+        if not 0 <= level < len(self.table):
+            return ()
         if self.table[level] is None:
             self._fill()
         return self.table[level]
@@ -306,8 +308,7 @@ def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
     """
     y = _point(f, y)
     if f.k == 1:
-        level = f.sweep.level(y[0])
-        return () if level is None else f.sweep.components(level)
+        return f.sweep.components(f.sweep.level(y[0]))
     ranked = f.domain.index.ranked
     return tuple(frozenset(map(ranked.__getitem__, c))
                  for c in _components(f.hulls.support(y), f.domain.face_ranks))
@@ -442,7 +443,7 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
     interval between consecutive critical values of the locus `jset` (the H
     Jacobi set of f when omitted), and report the counts: the count at
     `_interval_sample`, and in `detail` the counts over the sweep levels
-    inside the interval and, when it is unbounded, the empty fiber."""
+    inside the interval, the empty rays of an unbounded one among them."""
     if f.k != 1:
         raise StructuralError("interval audit requires a single parameter")
     if samples < 1:
@@ -454,10 +455,10 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
     if not crit:
         raise InternalError("a nonempty compact domain must have critical values")
     sweep, counts, detail = f.sweep, [], []
-    ends = [-1] + sorted({sweep.vlevel[v] for v in locus}) + [len(sweep.table)]
+    # the rays -1 and 2V - 1 are levels too
+    ends = [-2] + sorted({sweep.vlevel[v] for v in locus}) + [2 * len(sweep.values)]
     for lo, hi, a, b in zip([None] + crit, crit + [None], ends, ends[1:]):
         found = {len(sweep.components(l)) for l in range(a + 1, b)}
-        found |= {0} if None in (lo, hi) else set()
         counts.append(len(fiber_components(f, _interval_sample((lo, hi)))))
         detail.append(_reported(found, samples))
     return FiberAudit(boundaries=tuple(crit), counts=tuple(counts),
@@ -479,9 +480,11 @@ class FineCells:
 
     For one parameter these are the sweep levels, keyed ("l", level), and
     their components are read off the map's `SweepIndex`; level l lies in
-    the closure of levels l - 1 and l + 1 when l is even.  For two they are
-    the vertices, open edges and faces of the arrangement of the images of
-    all domain edges, keyed and paired as the arrangement's `locate` and
+    the closure of levels l - 1 and l + 1 when l is even.  They run from
+    -1 to 2V - 1, the two rays with the empty fiber included, so they cover
+    the line; an empty domain is the one cell -1.  For two they are the
+    vertices, open edges and faces of the arrangement of the images of all
+    domain edges, keyed and paired as the arrangement's `locate` and
     `incidences` give them, and the components over each come from
     `fiber_components` at its sample point.  A simplex image is the hull of
     its vertex images, bounded by the images of its edges, so every open
@@ -498,13 +501,14 @@ class FineCells:
         self.rank = f.domain.index.rank
         if f.k == 1:
             self.arrangement, self._sweep = None, f.sweep
-            values, n = f.sweep.values, len(f.sweep.table)
-            # a vertex value at even levels, a gap midpoint at odd ones
-            self.samples = {("l", l): ((values[l // 2] + values[(l + 1) // 2]) / 2,)
-                            for l in range(n)}
+            # a vertex value at even levels, a gap or a ray at odd ones
+            ends, n = (None, *f.sweep.values, None), 2 * len(f.sweep.values)
+            self.samples = {("l", l): _interval_sample((ends[(l + 2) // 2],
+                                                        ends[(l + 3) // 2]))
+                            for l in range(-1, n)}
             self.incidences = [(("l", l), ("l", l + d)) for l in range(0, n, 2)
-                               for d in (-1, 1) if 0 <= l + d < n]
-            self.components = {("l", l): f.sweep.components(l) for l in range(n)}
+                               for d in (-1, 1)]
+            self.components = {("l", l): f.sweep.components(l) for l in range(-1, n)}
         else:
             self.arrangement = arr = edge_image_arrangement(f, f.domain)
             self.samples = {("v", i): p for i, p in enumerate(arr.vertices)}
@@ -518,13 +522,11 @@ class FineCells:
                                for c, y in self.samples.items()}
 
     def locate(self, y):
-        """The cell containing y, or None outside the range of a scalar
-        map, where the fiber is empty; a point of the wrong length is a
+        """The cell containing y; a point of the wrong length is a
         `StructuralError`."""
         if self.arrangement is not None:
             return self.arrangement.locate(y)
-        level = self._sweep.level(_line_point(y))
-        return None if level is None else ("l", level)
+        return ("l", self._sweep.level(_line_point(y)))
 
     def strata(self, cs: CodomainStratification) -> dict:
         """The stratum of `cs` holding each cell, at its sample point."""
@@ -570,18 +572,6 @@ class ReebScaffold:
     cell_elements: dict         # fine cell -> element of each of its components
 
 
-def _stratum_sample(cs: CodomainStratification, label: str) -> tuple:
-    """A point inside the stratum `label` of `cs`."""
-    g = cs.geometry[label]
-    if cs.k == 1:
-        return (g,) if label.startswith("p") else _interval_sample(g)
-    if label.startswith("v"):
-        return g
-    if label.startswith("e"):
-        return vscale(Fraction(1, 2), vadd(*g))
-    return cs.refined.arrangement.face_interior_samples(g.index)[0]
-
-
 def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebScaffold:
     """Build the component poset over the stratified codomain `cs` of a one-
     or two-parameter map; when omitted, the codomain is stratified by the H
@@ -612,12 +602,12 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
     rep_cell: dict = {}
     comps: dict = {}
     for label in sorted(cs.space.cells):
-        y = _stratum_sample(cs, label)
+        y = cs.sample(label)
         if cs.locate(y) != label:
             raise InternalError(f"sample for stratum {label} landed elsewhere")
         reps[label] = y
         rep_cell[label] = cell = fine.locate(y)
-        comps[label] = fine.components.get(cell, ())
+        comps[label] = fine.components[cell]
 
     covers = cs.space.poset.covers
     same, across = [], []
@@ -724,10 +714,10 @@ def stratum_fiber_audit(f: PLMap, scaffold: ReebScaffold | None = None,
                         samples: int = 3):
     """Check that the fiber component count is constant across each
     codomain stratum, a union of the scaffold's fine cells, and report the
-    counts over its cells and, for an unbounded interval, the empty fiber.
-    Without a scaffold the fine cells of f are built, which for two
-    parameters needs the edge images in general position, and the codomain
-    is stratified by the H Jacobi set of f."""
+    counts over its cells, the empty rays of the line among them.  Without
+    a scaffold the fine cells of f are built, which for two parameters
+    needs the edge images in general position, and the codomain is
+    stratified by the H Jacobi set of f."""
     if samples < 1:
         raise StructuralError(f"the audit needs at least one sample, got {samples}")
     if scaffold is None:
@@ -738,17 +728,7 @@ def stratum_fiber_audit(f: PLMap, scaffold: ReebScaffold | None = None,
     found: dict = {label: set() for label in cs.space.cells}
     for c, label in stratum.items():
         found[label].add(len(fine.components[c]))
-    if cs.k == 1:   # the first and last intervals reach past every vertex value
-        found["i0"].add(0)
-        found[f"i{len(cs.refined.points)}"].add(0)
     results = {label: _reported(counts, 1 if stratum_dimension(label) == 0 else samples)
                for label, counts in sorted(found.items())}
     return all(len(set(r)) == 1 for r in results.values()), results
 
-
-def _interval_sample(bounds) -> tuple:
-    """A point inside the interval `bounds`, whose ends may be None."""
-    lo, hi = bounds
-    if lo is None:
-        return (Fraction(0) if hi is None else hi - 1,)
-    return (lo + 1 if hi is None else (lo + hi) / 2,)

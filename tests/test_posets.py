@@ -2,6 +2,7 @@
 stratified-map checks, and every construction against the reference
 closure and covers of `helpers`."""
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,14 +11,14 @@ from helpers import (naive_cone, naive_covers, naive_maximal_chains,
                      random_poset, random_relation,
                      random_segments, segments_as_map, space_upsets,
                      torus_projection)
-from plstrat import (MonotoneMap, NotAMemberError, PLMap, Poset,
+from plstrat import (MonotoneMap, NotAMemberError, PLMap, Poset, RefinedImage,
                      SimplicialComplex, StratifiedSpace, StructuralError,
                      build_codomain_stratification, chain_poset,
                      check_stratified_map, collapse_to_point,
                      domain_stratification, face_poset, is_partial_order,
                      is_refinement, jacobi_set, left_cone, linear_subposets,
-                     product, right_cone, stratify_singular_locus,
-                     validate_poset, wedge_extend)
+                     product, right_cone, stratification_from_refined,
+                     stratify_singular_locus, validate_poset, wedge_extend)
 from plstrat.cli import main
 from plstrat.io import (codomain_to_dict, example_input, example_names,
                         locus_stratification_to_dict)
@@ -553,3 +554,20 @@ class TestGradedCovers:
         covers = doc["stratification"]["poset"]["covers"]
         assert {tuple(c) for c in covers} == naive_covers(poset._up)
         assert tuple(chain) == naive_maximal_chains(poset)[0]
+
+    def test_line_cuts_against_the_closure_and_reduction(self, reduced, rng):
+        # k=1 refined images on random value sets, the empty one first; the
+        # reference pairs come from the geometry: a point lies below each
+        # interval it bounds
+        for n in [0] + [rng.randint(1, 12) for _ in range(20)]:
+            d = rng.randint(1, 3)
+            points = tuple(sorted(Fraction(x, d) for x in rng.sample(range(-60, 60), n)))
+            cs = stratification_from_refined(RefinedImage(
+                k=1, points=points, multiplicities=(1,) * n, arrangement=None))
+            cells = [f"p{a}" for a in range(n)] + [f"i{b}" for b in range(n + 1)]
+            pairs = [(f"p{a}", f"i{b}") for a in range(n) for b in range(n + 1)
+                     if points[a] in cs.geometry[f"i{b}"]]
+            up = naive_upsets(cells, pairs)
+            assert_matches(cs.space.poset, up)   # the covers too, by naive_covers
+            assert cs.space.closure == frozenset(pairs)
+        assert reduced == []

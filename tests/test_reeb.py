@@ -20,7 +20,8 @@ from plstrat import (DegeneracyError, GenericityError, InternalError,
                      stratum_fiber_audit, validate_poset)
 from plstrat import reeb
 from plstrat.geometry import format_frac
-from plstrat.io import example_map, map_from_dict, stein_to_dict
+from plstrat.io import (example_input, example_map, example_names, map_from_dict,
+                        stein_to_dict)
 
 F = Fraction
 
@@ -807,6 +808,49 @@ def _contract_non_nodes(sc, rg):
     # each path between two nodes is walked once from either end
     assert all(c % 2 == 0 for c in walks.values())
     return list(node.values()), Counter({e: c // 2 for e, c in walks.items()})
+
+
+class TestLineCover:
+    """The scalar fine cells cover the whole line, as the planar ones cover
+    the plane: the rays below and above every vertex value are cells with
+    the empty fiber, so the cells' Euler characteristic is the line's, -1,
+    and an empty domain is one cell."""
+
+    def _maps(self, rng) -> list[PLMap]:
+        bundled = [f for f in map(example_input, example_names())
+                   if isinstance(f, PLMap) and f.k == 1]
+        assert len(bundled) == 4
+        return (bundled + [random_surface_map(rng) for _ in range(20)]
+                + [PLMap(SimplicialComplex([]), 1, {})])
+
+    def test_the_cells_have_the_euler_characteristic_of_the_line(self, rng):
+        for f in self._maps(rng):
+            fine = reeb.FineCells(f)
+            values = {f.value(v)[0] for v in f.domain.vertices}
+            # a cell whose sample is a vertex value is a point, else an interval
+            assert sum(1 if y[0] in values else -1
+                       for y in fine.samples.values()) == -1
+
+    def test_past_every_value_is_a_ray_with_no_components(self, rng):
+        for f in self._maps(rng):
+            fine = reeb.FineCells(f)
+            values = sorted({f.value(v)[0] for v in f.domain.vertices})
+            top = 2 * len(values) - 1
+            lo, hi = (values[0], values[-1]) if values else (F(0), F(0))
+            for d in (F(1, 3), F(1), F(1000)):
+                for y, level in ((lo - d, -1), (hi + d, top)):
+                    assert f.sweep.level(y) == level
+                    assert fine.locate(y) == ("l", level)
+                    assert fine.components[("l", level)] == ()
+                    assert f.sweep.components(level) == ()
+                    assert fiber_components(f, y) == ()
+
+    def test_an_empty_domain_is_one_cell(self):
+        f = PLMap(SimplicialComplex([]), 1, {})
+        fine = reeb.FineCells(f)
+        assert fine.components == {("l", -1): ()}
+        assert fine.incidences == []
+        assert {fine.locate(y) for y in (F(-5), F(0), F(7, 2))} == {("l", -1)}
 
 
 class TestIntervalAudit:
