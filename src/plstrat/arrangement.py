@@ -13,7 +13,8 @@ non-generic, never repaired.
 crossing vertex ids and cell incidences are what the refined image, both
 stratifiers and the fiber scaffold read.  Every codomain and contour order
 is graded, so one builder, `_plane_space`, reads its up-sets and covers off
-the incidences unclosed, off the line's cuts as off the plane's cells.
+the incidences unclosed, off the line's cuts as off the plane's cells, and
+the label table it reads is the one every stratification keeps.
 
 Every decision runs on Python ints, not on the `Fraction` predicates of
 `geometry`.  Construction multiplies every input coordinate by the common
@@ -31,7 +32,8 @@ on first read) and `Face.area2` are `Fraction`-valued, and `Fraction` is
 the only number type they hold.  `locate` reads the integer vertices
 `_build` keeps, scales its query once by the same common denominator into
 a homogeneous point, and decides edges and faces with the same
-determinants; `face_interior_samples` asks `locate`.
+determinants (`_on_edge`, `_in_face`); `face_interior_samples` asks them
+of the face's own cycles only, as no other cell meets an open face.
 """
 from __future__ import annotations
 
@@ -302,22 +304,12 @@ class PlanarArrangement:
             return ("v", self.vertex_id[p])
         hom = self._hom
         q = _homogeneous(p, self._scale)
-        xq, yq, wq = q
-        for i, (u, v) in enumerate(self.edges):
-            (xa, ya, wa), (xb, yb, wb) = hom[u], hom[v]
-            # q inside ab: the 3x3 determinant of a, b, q is 0 and
-            # (q - a).(q - b) < 0, each scaled by positive W's
-            if (xa * (yb * wq - wb * yq) - ya * (xb * wq - wb * xq)
-                    + wa * (xb * yq - yb * xq) == 0
-                    and (xq * wa - xa * wq) * (xq * wb - xb * wq)
-                    + (yq * wa - ya * wq) * (yq * wb - yb * wq) < 0):
-                return ("e", i)
+        if (i := _on_edge(q, hom, self.edges)) is not None:
+            return ("e", i)
         # off every vertex and edge, q is inside exactly one face; the
         # unbounded face comes last
         for face in self.faces[:-1]:
-            outer, *holes = face.cycles
-            if (_ray_parity_h(q, hom, outer)
-                    and not any(_ray_parity_h(q, hom, h) for h in holes)):
+            if _in_face(q, hom, face.cycles):
                 return ("f", face.index)
         return ("f", self.faces[-1].index)
 
@@ -331,15 +323,17 @@ class PlanarArrangement:
 
         Bounded faces: n points off the least boundary edge, at j/(n+1) of
         its length, each moved along the edge normal by 1/2, 1/4, ... of
-        its length, to either side, until location confirms the face.  The
-        face lies on a side of the edge, so the halving ends, and the
-        points differ along the edge.  The unbounded face walks away from
-        the bounding box.
+        its length, to either side, until the face's own cycles hold it off
+        their edges, as no other cell meets the open face.  The face lies on
+        a side of the edge, so the halving ends, and the points differ along
+        the edge.  The unbounded face walks away from the bounding box.
         """
+        cycles, hom = self.faces[index].cycles, self._hom
         if not self.faces[index].bounded:
             _, _, x1, y1 = self.bounding_box()
             return [(x1 + 1 + i, y1 + 1 + i) for i in range(n)]
-        u, v = min((min(h), max(h)) for c in self.faces[index].cycles for h in c)
+        walk = [h for c in cycles for h in c]
+        u, v = min((min(h), max(h)) for h in walk)
         a, b = self.vertices[u], self.vertices[v]
         d = vsub(b, a)
         normal = (-d[1], d[0])
@@ -350,7 +344,8 @@ class PlanarArrangement:
             while found is None:
                 for cand in (vadd(base, vscale(step, normal)),
                              vadd(base, vscale(-step, normal))):
-                    if self.locate(cand) == ("f", index):
+                    q = _homogeneous(cand, self._scale)
+                    if _on_edge(q, hom, walk) is None and _in_face(q, hom, cycles):
                         found = cand
                         break
                 step /= 2
@@ -412,6 +407,21 @@ def _homogeneous(p: Point, scale: int) -> tuple:
             y.numerator * (w // y.denominator) * scale, w)
 
 
+def _on_edge(q, hom, edges) -> int | None:
+    """The position of the first of `edges`, pairs of ids into `hom`, whose
+    closed segment holds the homogeneous point q, or None: the 3x3
+    determinant of a, b, q is 0 and (q - a).(q - b) <= 0, scaled by W's."""
+    xq, yq, wq = q
+    for i, (u, v) in enumerate(edges):
+        (xa, ya, wa), (xb, yb, wb) = hom[u], hom[v]
+        if (xa * (yb * wq - wb * yq) - ya * (xb * wq - wb * xq)
+                + wa * (xb * yq - yb * xq) == 0
+                and (xq * wa - xa * wq) * (xq * wb - xb * wq)
+                + (yq * wa - ya * wq) * (yq * wb - yb * wq) <= 0):
+            return i
+    return None
+
+
 def _ray_parity_h(p, hom, walk) -> bool:
     """Even-odd test on homogeneous integer points: whether a rightward
     ray from p crosses the closed walk of directed edges (u, v) over `hom`
@@ -431,6 +441,13 @@ def _ray_parity_h(p, hom, walk) -> bool:
             if (o > 0 if up else o < 0):
                 cnt ^= 1
     return cnt == 1
+
+
+def _in_face(q, hom, cycles) -> bool:
+    """Whether a homogeneous point off the edges of a bounded face's
+    `cycles` lies inside the first, the outer one, and outside the rest."""
+    outer, *holes = cycles
+    return _ray_parity_h(q, hom, outer) and not any(_ray_parity_h(q, hom, h) for h in holes)
 
 
 def _face_label(face: Face) -> str:
@@ -529,11 +546,13 @@ def containment_comparable(r: RefinedImage) -> bool:
 @dataclass(frozen=True, eq=False)
 class CodomainStratification:
     """Stratification of R^k by the refined critical-value cells and the
-    connected components of their complement."""
+    connected components of their complement; `labels[kind][i]` names the
+    stratum of cell i of kind "v", "e" or "f", as `_plane_space` reads it."""
     k: int
     space: StratifiedSpace
     geometry: dict
     refined: RefinedImage
+    labels: dict
 
     def locate(self, y) -> str:
         """Label of the lowest-dimensional stratum containing y; a point of
@@ -542,11 +561,9 @@ class CodomainStratification:
             y = _line_point(y)
             pts = self.refined.points
             i = bisect_left(pts, y)
-            return f"p{i}" if i < len(pts) and pts[i] == y else f"i{i}"
+            return self.labels["v" if i < len(pts) and pts[i] == y else "f"][i]
         kind, idx = self.refined.arrangement.locate(y)
-        if kind == "f":
-            return _face_label(self.refined.arrangement.faces[idx])
-        return f"{kind}{idx}"
+        return self.labels[kind][idx]
 
     def sample(self, label: str) -> tuple:
         """A point inside the stratum `label`."""
@@ -582,48 +599,46 @@ def stratum_dimension(label: str) -> int:
 def stratification_from_refined(refined: RefinedImage) -> CodomainStratification:
     pts = refined.points
     if refined.k == 1:
-        vcells, ecells = [f"p{i}" for i in range(len(pts))], []
-        fcells = [f"i{i}" for i in range(len(pts) + 1)]
+        labels = {"v": [f"p{i}" for i in range(len(pts))], "e": [],
+                  "f": [f"i{i}" for i in range(len(pts) + 1)]}
         # interval i runs from point i - 1 to point i, unbounded at the ends
         bounds = (None,) + pts + (None,)
-        geometry = dict(zip(fcells, zip(bounds, bounds[1:])))
+        geometry = dict(zip(labels["f"], zip(bounds, bounds[1:])))
         # the line's cuts: point i lies below intervals i and i + 1
         incidences = [(("v", i), ("f", i + d)) for i in range(len(pts)) for d in (0, 1)]
     else:
         arr = refined.arrangement
-        vcells = [f"v{i}" for i in range(len(pts))]
-        ecells = [f"e{i}" for i in range(len(arr.edges))]
-        fcells = [_face_label(face) for face in arr.faces]
-        geometry = {c: (pts[u], pts[v]) for c, (u, v) in zip(ecells, arr.edges)}
-        geometry.update(zip(fcells, arr.faces))
+        labels = {"v": [f"v{i}" for i in range(len(pts))],
+                  "e": [f"e{i}" for i in range(len(arr.edges))],
+                  "f": [_face_label(face) for face in arr.faces]}
+        geometry = {c: (pts[u], pts[v]) for c, (u, v) in zip(labels["e"], arr.edges)}
+        geometry.update(zip(labels["f"], arr.faces))
         incidences = arr.incidences()
-    geometry.update(zip(vcells, pts))
+    geometry.update(zip(labels["v"], pts))
     return CodomainStratification(
-        k=refined.k, space=_plane_space(incidences, vcells, ecells, fcells),
-        geometry=geometry, refined=refined)
+        k=refined.k, space=_plane_space(incidences, labels),
+        geometry=geometry, refined=refined, labels=labels)
 
 
-def _plane_space(incidences: list, vlabel: list, elabel: list,
-                 top: list) -> StratifiedSpace:
+def _plane_space(incidences: list, labels: dict) -> StratifiedSpace:
     """The line or the plane stratified by the cells whose `incidences`
-    are keyed as `PlanarArrangement.incidences` gives them: vertex i
-    stands for the cell `vlabel[i]`, edge i for `elabel[i]` and face i for
-    `top[i]`; the line's cuts are vertices and its intervals faces.  A
-    vertex labelled None lies inside the cell of its edges and adds no
-    cell and no pair.  The order is graded, vertex < edge < face, so one
-    pass over the incidences gives the up-sets and the covers: every
-    (vertex, edge) and (edge, face) pair, and a (vertex, face) pair when
-    no edge of the vertex lies below the face."""
-    label = {"v": vlabel, "e": elabel, "f": top}
+    are keyed as `PlanarArrangement.incidences` gives them: cell i of kind
+    "v", "e" or "f" stands for the stratum `labels[kind][i]`; the line's
+    cuts are vertices and its intervals faces.  A vertex labelled None
+    lies inside the stratum of its edges and adds no stratum and no pair.
+    The order is graded, vertex < edge < face, so one pass over the
+    incidences gives the up-sets and the covers: every (vertex, edge) and
+    (edge, face) pair, and a (vertex, face) pair when no edge of the
+    vertex lies below the face."""
     pairs: dict = {}
     # each vertex and edge cell -> (the edges, the faces) it lies below
-    above = {c: ([], []) for c in (*vlabel, *elabel) if c is not None}
+    above = {c: ([], []) for c in (*labels["v"], *labels["e"]) if c is not None}
     for (lk, li), (hk, hi) in incidences:
-        if (low := label[lk][li]) is not None:
-            if (pair := (low, label[hk][hi])) not in pairs:
+        if (low := labels[lk][li]) is not None:
+            if (pair := (low, labels[hk][hi])) not in pairs:
                 pairs[pair] = None
                 above[low][hk == "f"].append(pair[1])
-    up = {c: frozenset((c,)) for c in top}
+    up = {c: frozenset((c,)) for c in labels["f"]}
     covers = []
     for c in reversed(above):   # the edge cells first: vertices read their up-sets
         edges, faces = above[c]
@@ -676,6 +691,7 @@ class LocusStratification:
     geometry: dict
     marks: dict            # zero-cell label -> frozenset of mark kinds
     arrangement: PlanarArrangement
+    labels: dict           # "v", "e", "f" -> the stratum of each cell, None inside a chain
 
 
 def _strand_segments(strand, closed):
@@ -753,23 +769,23 @@ def stratify_singular_locus(locus: SingularLocus) -> LocusStratification:
                 f"unmarked point {_show(arr.vertices[u])} has degree {len(eis)}")
         joins.append(eis)
     chain_lists = sorted(connected_classes(range(len(arr.edges)), joins))
-    chain_cells = [f"c{n}" for n in range(len(chain_lists))]
+    geometry: dict = {z: p for p, z in zid.items()}
     chain_of_edge: list = [None] * len(arr.edges)
-    for cell, eis in zip(chain_cells, chain_lists):
+    for n, eis in enumerate(chain_lists):
+        cell = f"c{n}"
+        geometry[cell] = tuple((arr.vertices[arr.edges[i][0]],
+                                arr.vertices[arr.edges[i][1]]) for i in eis)
         for i in eis:
             chain_of_edge[i] = cell
 
     # a vertex stands for its zero-cell, if marked, and an edge for its chain
     fcells = [_face_label(face) for face in arr.faces]
-    space = _plane_space(arr.incidences(), [zid.get(p) for p in arr.vertices],
-                         chain_of_edge, fcells)
-    geometry: dict = {z: p for p, z in zid.items()}
-    for n, eis in enumerate(chain_lists):
-        geometry[f"c{n}"] = tuple((arr.vertices[arr.edges[i][0]],
-                                   arr.vertices[arr.edges[i][1]]) for i in eis)
+    labels = {"v": [zid.get(p) for p in arr.vertices], "e": chain_of_edge,
+              "f": fcells}
     geometry.update(zip(fcells, arr.faces))
-    return LocusStratification(space=space, geometry=geometry, marks=marks,
-                               arrangement=arr)
+    return LocusStratification(space=_plane_space(arr.incidences(), labels),
+                               geometry=geometry, marks=marks,
+                               arrangement=arr, labels=labels)
 
 
 def coarseness_check(ls: LocusStratification) -> tuple[bool, list[str]]:
@@ -813,10 +829,10 @@ def render_svg(strat) -> str:
     pad = max((x1 - x0), (y1 - y0), Fraction(1)) / 10
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
     w, h = x1 - x0, y1 - y0
-    labels = sorted(strat.space.cells)
-    color = {c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(labels)}
+    color = {c: _PALETTE[i % len(_PALETTE)]
+             for i, c in enumerate(sorted(strat.space.cells))}
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_f(x0)} {_f(-y1)} {_f(w)} {_f(h)}">']
-    lines.append(f'  <rect x="{_f(x0)}" y="{_f(-y1)}" width="{_f(w)}" height="{_f(h)}" fill="{color.get("f_out", "#ffffff")}" fill-opacity="0.15"/>')
+    lines.append(f'  <rect x="{_f(x0)}" y="{_f(-y1)}" width="{_f(w)}" height="{_f(h)}" fill="{color[strat.labels["f"][-1]]}" fill-opacity="0.15"/>')
     # each vertex's coordinates are formatted once, indexed like arr.vertices
     xs = [_f(p[0]) for p in arr.vertices]
     ys = [_f(-p[1]) for p in arr.vertices]
@@ -824,7 +840,7 @@ def render_svg(strat) -> str:
         if not face.bounded:
             continue
         pts = " ".join(f"{xs[u]},{ys[u]}" for u, _ in face.cycles[0])
-        lines.append(f'  <polygon points="{pts}" fill="{color.get(f"f{face.index}", "#dddddd")}" fill-opacity="0.35" stroke="none"/>')
+        lines.append(f'  <polygon points="{pts}" fill="{color[strat.labels["f"][face.index]]}" fill-opacity="0.35" stroke="none"/>')
     stroke = _f(pad / 8)
     for u, v in arr.edges:
         lines.append(f'  <line x1="{xs[u]}" y1="{ys[u]}" x2="{xs[v]}" y2="{ys[v]}" stroke="#333333" stroke-width="{stroke}"/>')
@@ -843,14 +859,13 @@ def _render_line_svg(strat: CodomainStratification) -> str:
         lo = hi = Fraction(0)
     pad = max(hi - lo, Fraction(1)) / 4
     x0, x1 = lo - pad, hi + pad
-    labels = sorted(strat.space.cells)
-    color = {c: _PALETTE[i % len(_PALETTE)] for i, c in enumerate(labels)}
+    color = {c: _PALETTE[i % len(_PALETTE)]
+             for i, c in enumerate(sorted(strat.space.cells))}
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_f(x0)} -1 {_f(x1 - x0)} 2">']
     bounds = [x0] + list(pts) + [x1]
-    for i in range(len(bounds) - 1):
-        a, b = bounds[i], bounds[i + 1]
-        lines.append(f'  <line x1="{_f(a)}" y1="0" x2="{_f(b)}" y2="0" stroke="{color.get(f"i{i}", "#999999")}" stroke-width="0.12"/>')
-    for i, p in enumerate(pts):
-        lines.append(f'  <circle cx="{_f(p)}" cy="0" r="0.18" fill="{color.get(f"p{i}", "#111111")}"/>')
+    for a, b, c in zip(bounds, bounds[1:], strat.labels["f"]):
+        lines.append(f'  <line x1="{_f(a)}" y1="0" x2="{_f(b)}" y2="0" stroke="{color[c]}" stroke-width="0.12"/>')
+    for p, c in zip(pts, strat.labels["v"]):
+        lines.append(f'  <circle cx="{_f(p)}" cy="0" r="0.18" fill="{color[c]}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -96,7 +96,7 @@ class PLMap:
     @cached_property
     def sweep(self):
         """The sweep levels of a scalar map and its fiber components over
-        each, held by the map and filled on first use (`reeb.SweepIndex`)."""
+        each, held by the map and built whole on first use (`reeb.SweepIndex`)."""
         from .reeb import SweepIndex
         return SweepIndex(self)
 

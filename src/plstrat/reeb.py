@@ -5,15 +5,15 @@ For a single parameter the fiber changes only where a vertex value is
 crossed, so it lives on the sweep levels -1 to 2V-1: level 2i is the i-th
 smallest vertex value and level 2i+1 the open gap or ray above it, and the
 rays -1 and 2V-1 carry the empty fiber.  A closed simplex meets
-the levels of one interval, its span.  Each map holds a `SweepIndex`, which
-fills the fiber components of every level in one pass on first use: a
-simplex enters the support at the level where its span starts and leaves
-it at the gap after the level where its span ends.  The components are
-carried from level to level, and only those the level's vertices touch
-change: the entering simplices merge the gap components they meet, and a
-component that loses simplices is joined again only when the rest of the
-star of the level's vertices falls apart inside it.  Every k=1 fiber query
-reads that one table.
+the levels of one interval, its span.  Each map builds one `SweepIndex`
+when first asked, and the index fills the fiber components of every level
+in one pass as it is built: a simplex enters the support at the level where
+its span starts and leaves it at the gap after the level where its span
+ends.  The components are carried from level to level, and only those the
+level's vertices touch change: the entering simplices merge the gap
+components they meet, and a component that loses simplices is joined
+again only when the rest of the star of the level's vertices falls apart
+inside it.  Every k=1 fiber query reads that one table.
 
 The same pass records its events: the gap ids each component of a vertex
 level absorbs, and the ids each component it touched becomes in the gap
@@ -103,9 +103,9 @@ class SweepIndex:
 
     A closed simplex meets the fiber over level l exactly when l lies in its
     span [2 rank(min), 2 rank(max)], ranks taken among the distinct vertex
-    values.  The first request fills the table of every level in one pass
-    over the levels that carries the components from level to level, each
-    with an id, and updates only those the level's vertices touch:
+    values.  Construction fills the table of every level in one pass over
+    the levels that carries the components from level to level, each with
+    an id, and updates only those the level's vertices touch:
 
     - at level 2i the simplices whose span starts there enter.  Their own
       pieces under face incidence are joined to the components of the gap
@@ -122,61 +122,36 @@ class SweepIndex:
 
     Components no level touches keep their frozenset from level to level;
     each level's tuple is sorted by least rank.  The pass also keeps its
-    record (`record`), which the Reeb graph replays: for each vertex level,
-    the gap ids each touched component absorbed, itself among them when it
-    continues an id of the gap below; for each gap, the ids each touched
-    component of the level below becomes, none when it ends, itself when
-    it shrinks and fresh ones when it is joined again; the ids each level
-    touched, with their least rank and frozenset; and the id holding each
-    vertex at its own level, the level kept in `vlevel`."""
+    record, which the Reeb graph replays: in `events`, for each vertex
+    level, the gap ids each touched component absorbed, itself among them
+    when it continues an id of the gap below, and for each gap, the ids
+    each touched component of the level below becomes, none when it ends,
+    itself when it shrinks and fresh ones when it is joined again; in
+    `touched`, the ids each level touched, with their least rank and
+    frozenset; and in `holder`, the id holding each vertex at its own
+    level, the level kept in `vlevel`."""
 
     def __init__(self, f: PLMap):
         if f.k != 1:
             raise StructuralError("a sweep requires a single parameter")
         self.values = sorted({_scalar(f, v) for v in f.domain.vertices})
-        level = {x: 2 * i for i, x in enumerate(self.values)}
-        self.vlevel = vlevel = {v: level[_scalar(f, v)] for v in f.domain.vertices}
-        self.domain = f.domain
-        self.spans = [(min(vlevel[v] for v in s), max(vlevel[v] for v in s))
-                      for s in f.domain.index.ranked]
-        self.table: list = [None] * max(2 * len(self.values) - 1, 0)
-        self.events: list = [None] * len(self.table)
-        self.touched: list = [None] * len(self.table)
+        level_of = {x: 2 * i for i, x in enumerate(self.values)}
+        self.vlevel = vlevel = {v: level_of[_scalar(f, v)] for v in f.domain.vertices}
+        n = max(2 * len(self.values) - 1, 0)
+        self.table: list = [None] * n
+        self.events: list = [None] * n
+        self.touched: list = [None] * n
         self.holder: dict = {}
-
-    def level(self, t: Fraction) -> int:
-        """The level of value t: -1 below every vertex value and 2V - 1
-        above them, the two unbounded rays, where the fiber is empty."""
-        i = bisect_left(self.values, t)
-        return 2 * i if i < len(self.values) and self.values[i] == t else 2 * i - 1
-
-    def components(self, level: int) -> tuple[frozenset, ...]:
-        """The fiber components over a level, none over a ray."""
-        if not 0 <= level < len(self.table):
-            return ()
-        if self.table[level] is None:
-            self._fill()
-        return self.table[level]
-
-    def record(self) -> tuple[list, list, dict]:
-        """The fill's record, filled on first use: the events of each level,
-        the ids each level touched with their (least rank, frozenset), and
-        the id holding each vertex at its own level."""
-        if self.table and self.table[0] is None:
-            self._fill()
-        return self.events, self.touched, self.holder
-
-    def _fill(self):
         # the domain's own incidence tables, shared with every other reader
-        index = self.domain.index
+        index = f.domain.index
         ranked, rank, star = index.ranked, index.rank, index.vertex_cofaces
-        faces, cofaces = self.domain.face_ranks, self.domain.coface_ranks
-        n = len(self.table)
+        faces, cofaces = f.domain.face_ranks, f.domain.coface_ranks
         enter: list = [[] for _ in range(n)]
         leave: list = [[] for _ in range(n)]
-        for r, (lo, hi) in enumerate(self.spans):
-            enter[lo].append(r)
-            leave[hi].append(r)
+        for r, s in enumerate(ranked):
+            enter[min(vlevel[v] for v in s)].append(r)
+            leave[max(vlevel[v] for v in s)].append(r)
+
         owner: list = [None] * len(ranked)    # rank -> id of its component
         members: dict = {}                    # id -> its set of ranks
         published: dict = {}                  # id -> (least rank, frozenset)
@@ -251,6 +226,16 @@ class SweepIndex:
                 touched[c] = published[c] = (
                     min(members[c]), frozenset(map(ranked.__getitem__, members[c])))
             self.table[level] = tuple(comp for _, comp in sorted(published.values()))
+
+    def level(self, t: Fraction) -> int:
+        """The level of value t: -1 below every vertex value and 2V - 1
+        above them, the two unbounded rays, where the fiber is empty."""
+        i = bisect_left(self.values, t)
+        return 2 * i if i < len(self.values) and self.values[i] == t else 2 * i - 1
+
+    def components(self, level: int) -> tuple[frozenset, ...]:
+        """The fiber components over a level, none over a ray."""
+        return self.table[level] if 0 <= level < len(self.table) else ()
 
 
 class HullIndex:
@@ -364,7 +349,7 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     if jset is None:
         jset = jacobi_set(f)
     sweep = f.sweep
-    events, touched, holder = sweep.record()
+    events, touched, holder = sweep.events, sweep.touched, sweep.holder
     values, vlevel, ranked = sweep.values, sweep.vlevel, f.domain.index.ranked
 
     def order(key):

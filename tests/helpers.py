@@ -13,7 +13,9 @@ a few sample points of each stratum instead of reading the counts off the
 fine cells; the multiplicity oracle scans every locus edge at every image
 point instead of reading the arrangement's crossings; the arrangement and
 point-location oracles work on `Fraction` points with the `geometry`
-predicates instead of the integer kernel, and the incidence oracle
+predicates instead of the integer kernel, the face-sample oracle confirms
+each candidate by that point location instead of the face's own cycles,
+and the incidence oracle
 collects each face's vertex set and edge keys instead of walking its
 cycles once; the JSON oracle is the json module's own indenting encoder;
 the local-table oracle decides genericity, the H, D and L verdicts and
@@ -722,6 +724,33 @@ def naive_locate(arr: PlanarArrangement, p) -> tuple:
         if _ray_parity(p, arr.vertices, face.cycles[0]):
             return ("f", face.index)
     return ("f", arr.faces[-1].index)
+
+
+def naive_face_samples(arr: PlanarArrangement, index: int, n: int) -> list:
+    """`PlanarArrangement.face_interior_samples` by its halving rule, each
+    candidate confirmed by `naive_locate` instead of the face's own
+    cycles."""
+    face = arr.faces[index]
+    if not face.bounded:
+        _, _, x1, y1 = arr.bounding_box()
+        return [(x1 + 1 + i, y1 + 1 + i) for i in range(n)]
+    u, v = min((min(h), max(h)) for c in face.cycles for h in c)
+    a, b = arr.vertices[u], arr.vertices[v]
+    d = vsub(b, a)
+    normal = (-d[1], d[0])
+    out = []
+    for j in range(1, n + 1):
+        base = vadd(a, vscale(Fraction(j, n + 1), d))
+        step, found = Fraction(1, 2), None
+        while found is None:
+            for cand in (vadd(base, vscale(step, normal)),
+                         vadd(base, vscale(-step, normal))):
+                if naive_locate(arr, cand) == ("f", index):
+                    found = cand
+                    break
+            step /= 2
+        out.append(found)
+    return out
 
 
 @lru_cache(maxsize=1)

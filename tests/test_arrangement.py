@@ -2,15 +2,16 @@
 import dataclasses
 import json
 import os
+import random
 import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import (naive_arrangement, naive_incidences, naive_locate,
-                     naive_multiplicities, random_planar_map, random_segments,
-                     segments_as_map, torus_projection)
+from helpers import (naive_arrangement, naive_face_samples, naive_incidences,
+                     naive_locate, naive_multiplicities, random_planar_map,
+                     random_segments, segments_as_map, torus_projection)
 from plstrat import (GenericityError, InputError, JacobiSet, PLMap,
                      PlanarArrangement, SimplicialComplex, SingularLocus,
                      StructuralError, build_codomain_stratification,
@@ -18,8 +19,9 @@ from plstrat import (GenericityError, InputError, JacobiSet, PLMap,
                      jacobi_set, refine_image, render_svg,
                      stratification_from_refined, stratify_singular_locus,
                      stratum_dimension, validate_poset)
+from plstrat.arrangement import _homogeneous, _on_edge, edge_image_arrangement
 from plstrat.cli import main
-from plstrat.geometry import vadd, vsub
+from plstrat.geometry import on_segment, vadd, vsub
 from plstrat.io import example_locus, example_map, map_from_dict
 
 F = Fraction
@@ -297,6 +299,63 @@ class TestIntegerKernel:
     def test_zero_length_segment_rejected(self, segs):
         with pytest.raises(StructuralError):
             PlanarArrangement(segs)
+
+
+def _sampler_arrangements(rng) -> list:
+    """The fine and coarse arrangements of `solid_tetrahedron`, the general
+    position draws among 30 random planar maps, and the seed 0-3 3x3 and
+    seed-1 4x4 torus projections."""
+    tetra = example_map("solid_tetrahedron")
+    arrs = [edge_image_arrangement(tetra, tetra.domain),
+            build_codomain_stratification(tetra, jacobi_set(tetra)).refined.arrangement]
+    for _ in range(30):
+        f = random_planar_map(rng)
+        try:
+            arrs.append(edge_image_arrangement(f, f.domain))
+        except (GenericityError, StructuralError):
+            pass
+    for seed, n in [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4)]:
+        f = torus_projection(random.Random(seed), n)
+        arrs.append(edge_image_arrangement(f, f.domain))
+    return arrs
+
+
+class TestSamplerOracle:
+    def test_samples_match_the_located_halving(self, rng):
+        arrs = _sampler_arrangements(rng)
+        assert len(arrs) > 8
+        for arr in arrs:
+            for face in arr.faces:
+                for n in (1, 3):
+                    assert arr.face_interior_samples(face.index, n) == \
+                        naive_face_samples(arr, face.index, n), (face.index, n)
+
+    def test_samples_never_locate(self, rng, monkeypatch):
+        arrs = _sampler_arrangements(rng)[:8]
+        want = [[arr.face_interior_samples(face.index, 3) for face in arr.faces]
+                for arr in arrs]
+
+        def no_locate(self, p):
+            raise AssertionError("face_interior_samples called locate")
+        monkeypatch.setattr(PlanarArrangement, "locate", no_locate)
+        assert [[arr.face_interior_samples(face.index, 3) for face in arr.faces]
+                for arr in arrs] == want
+
+    def test_on_edge_against_on_segment(self, rng):
+        arrs = _sampler_arrangements(rng)
+        for arr in arrs[:2] + arrs[-2:]:
+            pts = arr.vertices
+            for p in _locate_probes(arr, 32):
+                q = _homogeneous(p, arr._scale)
+                want = next((i for i, (u, v) in enumerate(arr.edges)
+                             if on_segment(p, pts[u], pts[v], closed=True)), None)
+                assert _on_edge(q, arr._hom, arr.edges) == want, p
+                # a face's own walk, as the sampler passes it
+                for face in _spread(arr.faces, 4):
+                    walk = [h for c in face.cycles for h in c]
+                    want = next((i for i, (u, v) in enumerate(walk)
+                                 if on_segment(p, pts[u], pts[v], closed=True)), None)
+                    assert _on_edge(q, arr._hom, walk) == want, p
 
 
 class TestGenericityMessages:

@@ -15,8 +15,9 @@ from plstrat import (InputError, Simplex, build_codomain_stratification,
 from plstrat.cli import main
 from plstrat.io import (canonical_dumps, codomain_to_dict, example_input,
                         example_map, example_names, filtration_text,
-                        jacobi_report_dict, load_example, map_from_dict,
-                        parse_fraction, reeb_to_dot)
+                        input_from_dict, jacobi_report_dict, load_example,
+                        locus_from_dict, map_from_dict, parse_fraction,
+                        reeb_to_dot)
 
 F = Fraction
 
@@ -705,6 +706,103 @@ class TestFiltrationExport:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("z") and lines[-1].split()[1] == "2"
+
+
+@pytest.mark.parametrize("example", example_names())
+def test_stratify_domain_writes_the_bundles_document(tmp_path, capsys, example):
+    # under each notion whose pipeline gets as far as domain_strat.json
+    reached = 0
+    for notion in ("H", "D", "L"):
+        bundle = tmp_path / f"bundle_{notion}"
+        main(["pipeline", "--example", example, "--notion", notion,
+              "--out", str(bundle)])
+        if not (bundle / "domain_strat.json").exists():
+            continue
+        out = tmp_path / f"domain_{notion}.json"
+        assert main(["stratify-domain", "--example", example, "--notion",
+                     notion, "--out", str(out)]) == 0
+        assert out.read_bytes() == (bundle / "domain_strat.json").read_bytes()
+        reached += 1
+    # a contour has no domain, and double_cone fails validation
+    assert reached or example.endswith("_contour") or example == "double_cone"
+
+
+@pytest.mark.parametrize("example", [n for n in example_names()
+                                     if n.endswith("_contour")])
+def test_locus_svg_is_the_bundles_picture(tmp_path, capsys, example):
+    assert main(["pipeline", "--example", example, "--out",
+                 str(tmp_path / "b")]) == 0
+    assert main(["morse2-locus", "--example", example, "--svg",
+                 str(tmp_path / "o.svg")]) == 0
+    assert (tmp_path / "o.svg").read_bytes() == \
+        (tmp_path / "b" / "codomain_strat.svg").read_bytes()
+
+
+def test_filtration_of_three_parameters_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps({"k": 3, "facets": [["a", "b", "c"]],
+                                "values": {"a": ["0", "0", "0"],
+                                           "b": ["1", "0", "0"],
+                                           "c": ["0", "1", "0"]}}))
+    assert main(["export-filtration", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: filtration export needs one or two parameters\n")
+
+
+_EDGE = '"facets": [["a", "b"]]'
+_BAD_INPUTS = [
+    ("not-an-object", '[1, 2]', "expected a JSON object"),
+    ("missing-field", '{"k": 1, ' + _EDGE + '}', "missing field 'values'"),
+    ("k-zero", '{"k": 0, ' + _EDGE + ', "values": {}}', "k must be a positive"),
+    ("k-string", '{"k": "1", ' + _EDGE + ', "values": {}}', "k must be a positive"),
+    ("k-true", '{"k": true, ' + _EDGE + ', "values": {}}', "k must be a positive"),
+    ("facets-not-lists", '{"k": 1, "facets": ["ab"], "values": {}}',
+     "facets must be a list of label lists"),
+    ("facets-object", '{"k": 1, "facets": {"a": ["b"]}, "values": {}}',
+     "facets must be a list of label lists"),
+    ("values-list", '{"k": 1, ' + _EDGE + ', "values": ["0", "1"]}',
+     "values must map vertex labels"),
+    ("value-too-short", '{"k": 2, ' + _EDGE + ', "values": {"a": ["0"]}}',
+     "value of 'a' must be a list of 2 rationals"),
+    ("value-scalar", '{"k": 2, ' + _EDGE + ', "values": {"a": "0"}}',
+     "value of 'a' must be a list of 2 rationals"),
+    ("strands-not-list", '{"kind": "locus", "strands": 5}',
+     "strands must be a list of polylines"),
+    ("strand-not-points", '{"strands": [5]}', "each strand must be a list of points"),
+    ("cusps-not-pairs", '{"strands": [[[0, 0], [1, 1]]], "cusps": 5}',
+     "cusps must be a list of [strand, vertex] pairs"),
+    ("cusp-triple", '{"strands": [[[0, 0], [1, 1]]], "cusps": [[0, 1, 1]]}',
+     "cusps must be a list of [strand, vertex] pairs"),
+    ("unknown-kind", '{"kind": "surface"}', "unknown input kind 'surface'"),
+    ("invalid-json", '{"k": 1,', "invalid JSON in "),
+]
+
+
+@pytest.mark.parametrize("text, message", [p[1:] for p in _BAD_INPUTS],
+                         ids=[p[0] for p in _BAD_INPUTS])
+def test_each_bad_document_is_exit_1_with_one_error_line(tmp_path, capsys,
+                                                         text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["export-filtration", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err, err
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_an_unreadable_path_is_exit_1_with_one_error_line(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    assert main(["export-filtration", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("parse", [map_from_dict, locus_from_dict, input_from_dict])
+def test_a_document_that_is_no_object_is_an_input_error(parse):
+    with pytest.raises(InputError, match="^expected a JSON object$"):
+        parse(["k", 1])
 
 
 @pytest.mark.parametrize("argv", [

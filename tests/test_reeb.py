@@ -122,7 +122,7 @@ class TestReebGraph:
         # is corrupted so the gap id of the first edge also continues into
         # the component of the second
         f = _scalar_map([["a", "b"], ["c", "d"]], {"a": 0, "c": 0, "b": 1, "d": 1})
-        events, _, holder = f.sweep.record()
+        events, holder = f.sweep.events, f.sweep.holder
         first, second = holder["b"], holder["d"]
         events[2][second].append(first)
         with pytest.raises(InternalError, match=re.escape(
@@ -924,6 +924,22 @@ class TestSteinSquare:
         assert rep.notes == (
             "forgetting the component index is not a stratified map",
             "projection onto occupied strata is not monotone")
+
+    def test_a_cell_in_the_wrong_stratum_does_not_commute(self, tetra):
+        # the components over the cell of a barycenter are moved, indices
+        # kept, to a stratum that does not hold the barycenter
+        sc = reeb_scaffold(tetra)
+        s = tetra.domain.sorted_simplices()[0]
+        y = tetra.barycenter_image(s)
+        cell, right = sc.fine.locate(y), sc.codomain.locate(y)
+        wrong = next(label for label in sorted(sc.codomain.space.cells) if label != right)
+        moved = {**sc.cell_elements,
+                 cell: tuple((wrong, i) for _, i in sc.cell_elements[cell])}
+        rep = check_stein_square(tetra, dataclasses.replace(sc, cell_elements=moved))
+        assert rep.continuous and not rep.commutes and not rep.passed
+        assert rep.cell_map[s][0] == wrong
+        assert f"composite sends {s!r} to {wrong!r}, not {right!r}" in rep.notes
+        assert not stein_to_dict(rep)["passed"]
 
 
 class TestStratumAudit:
