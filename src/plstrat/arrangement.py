@@ -47,26 +47,11 @@ from typing import Sequence
 
 from .errors import (GenericityError, InputError, InternalError,
                      StructuralError)
-from .geometry import (canon_key, format_frac, frac, on_segment,
-                       proper_crossing, segments_share_line_overlap, vadd,
-                       vscale, vsub)
+from .geometry import (_show, as_point, canon_key, on_segment, proper_crossing,
+                       segments_share_line_overlap, vadd, vscale, vsub)
 from .posets import Poset, StratifiedSpace, connected_classes
 
 Point = tuple
-
-
-def _point(p) -> Point:
-    return tuple(frac(x) for x in p)
-
-
-def _line_point(y) -> Fraction:
-    """y as a point of the line: a scalar, or a tuple or list of one."""
-    if not isinstance(y, (tuple, list)):
-        return frac(y)
-    if len(y) != 1:
-        raise StructuralError(f"cannot locate {_show(_point(y))}: a point of "
-                              f"the line is one rational")
-    return frac(y[0])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +72,7 @@ class PlanarArrangement:
     def __init__(self, segments: Sequence[tuple]):
         segs = []
         for p, q in segments:
-            p, q = _point(p), _point(q)
+            p, q = as_point(p, 2), as_point(q, 2)
             if p == q:
                 raise StructuralError("zero-length segment")
             segs.append((p, q))
@@ -164,15 +149,14 @@ class PlanarArrangement:
         index = {p: n for n, p in enumerate(hom)}
         self.vertices: list[Point] = [_rational(p, scale) for p in hom]
         self._crossings = frozenset(index[p] for p in crossing_pairs)   # vertex ids
+        # segments sharing a sub-segment overlap along a line, rejected
+        # above, so every sub-segment comes from one segment
         edges: dict[tuple[int, int], int] = {}
         for i, seg in enumerate(cuts):
             seg.sort(key=_BY_PARAM)
             for (_, _, p), (_, _, q) in zip(seg, seg[1:]):
                 u, v = index[p], index[q]
-                key = (min(u, v), max(u, v))
-                if key in edges:
-                    raise GenericityError("duplicate sub-segment between two points")
-                edges[key] = i
+                edges[(min(u, v), max(u, v))] = i
         self.edges: list[tuple[int, int]] = sorted(edges)
         self.edge_index: dict[tuple[int, int], int] = {
             e: i for i, e in enumerate(self.edges)}
@@ -296,10 +280,7 @@ class PlanarArrangement:
     def locate(self, p) -> tuple:
         """The lowest-dimensional cell containing the point: ("v", i),
         ("e", i) or ("f", i)."""
-        p = _point(p)
-        if len(p) != 2:
-            raise StructuralError(f"cannot locate {_show(p)}: a point of the "
-                                  f"plane is a pair of rationals")
+        p = as_point(p, 2)
         if p in self.vertex_id:
             return ("v", self.vertex_id[p])
         hom = self._hom
@@ -353,10 +334,6 @@ class PlanarArrangement:
         return out
 
 
-def _show(p) -> str:
-    return "(" + ", ".join(format_frac(c) for c in p) + ")"
-
-
 def _show_segment(seg) -> str:
     return f"{_show(seg[0])}-{_show(seg[1])}"
 
@@ -400,7 +377,8 @@ def _area2(walk, hom, scale) -> Fraction:
 
 def _homogeneous(p: Point, scale: int) -> tuple:
     """A rational point at `scale` times the input as (X, Y, W), W the lcm
-    of its denominators."""
+    of its denominators: every query point of `locate`, the face sampler
+    and `reeb.HullIndex.support`."""
     x, y = p
     w = lcm(x.denominator, y.denominator)
     return (x.numerator * (w // x.denominator) * scale,
@@ -558,7 +536,7 @@ class CodomainStratification:
         """Label of the lowest-dimensional stratum containing y; a point of
         the wrong length is a `StructuralError`."""
         if self.k == 1:
-            y = _line_point(y)
+            y = as_point(y, 1)[0]
             pts = self.refined.points
             i = bisect_left(pts, y)
             return self.labels["v" if i < len(pts) and pts[i] == y else "f"][i]
@@ -664,12 +642,12 @@ class SingularLocus:
     cusp_marks: tuple = ()
 
     def __post_init__(self):
-        strands = tuple(tuple(_point(p) for p in s) for s in self.strands)
-        for s in strands:
+        for s in self.strands:
             if len(s) < 2:
                 raise InputError("each strand needs at least two points")
             if any(len(p) != 2 for p in s):
                 raise InputError("each point of a strand must be a pair of rationals")
+        strands = tuple(tuple(as_point(p, 2) for p in s) for s in self.strands)
         marks = tuple((i, v) for i, v in self.cusp_marks)
         for i, v in marks:
             if not all(type(x) is int for x in (i, v)):

@@ -8,10 +8,12 @@ instead of the complex; they and the other operations return fresh
 objects.
 
 Whatever walks the whole complex reads its incidence on ranks instead,
-`face_ranks` and its transpose `coface_ranks`.  One function decides the
-sphere shape of every link and of the complex itself on them (`_shape`):
-a link is the set of its simplex's cofaces and a complex the set of its
-vertices, so no link is built to be decided.
+`face_ranks` and its transpose `coface_ranks`.  One function splits a set
+of ranks into its components under face incidence (`rank_components`),
+for the fibers and the domain stratification alike.  One function decides
+the sphere shape of every link and of the complex itself on them
+(`_shape`): a link is the set of its simplex's cofaces and a complex the
+set of its vertices, so no link is built to be decided.
 """
 from __future__ import annotations
 
@@ -233,6 +235,24 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
         for t in b.simplices:
             out.add(Simplex(tuple(s) + tuple(t)))
     return SimplicialComplex(out, check=False)
+
+
+def rank_components(ranks, faces) -> list[list[int]]:
+    """Connected components under face incidence of a set of simplices
+    given as ranks, each as the list of its ranks in the order of `ranks`;
+    classes come in the order of their first member.
+
+    Each member is joined only to its codimension-one faces, `faces[rank]`,
+    so every member must reach its class through faces among the members:
+    with a face and a coface, the set holds every simplex between them.  A
+    fiber support is upward-closed in the face order, since a coface's image
+    contains its face's image, and so is every union of its components and
+    the complement of a subcomplex.  The simplices whose least vertex value
+    is one value are closed between a face and a coface too: all of them
+    hold the face's least vertex."""
+    members = set(ranks)
+    return connected_classes(ranks, [(r, q) for r in ranks for q in faces[r]
+                                     if q in members])
 
 
 def face_poset(k: SimplicialComplex) -> Poset:

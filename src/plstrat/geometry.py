@@ -3,11 +3,12 @@
 Every coordinate in this package is a `fractions.Fraction`, so each predicate
 below is an exact decision; there are no epsilons anywhere.  Floats are
 rejected at the door because they would silently destroy that guarantee.
-Coordinates are made exact once, by `frac` where input is read, so the
-vector helpers add and multiply what they are given without re-wrapping
-it; on `int` coordinates they stay on `int`s, and the one division, in
-`proper_crossing`, builds a `Fraction`.  `PlanarArrangement` is built
-without these predicates, on its own integer kernel in `arrangement`.
+Coordinates are made exact once, by `frac` where input is read, and a
+point of R^k once, by `as_point`, so the vector helpers add and multiply
+what they are given without re-wrapping it; on `int` coordinates they
+stay on `int`s, and a division, in `proper_crossing` and `barycenter`,
+builds a `Fraction`.  `PlanarArrangement` is built without these
+predicates, on its own integer kernel in `arrangement`.
 `cone_is_full` is the general D-criticality test: `jacobi.is_d_critical`
 decides a (k-1)-simplex with a nondegenerate image by a sign test and
 calls it only for lower simplices, a degenerate image and k > 2, and
@@ -18,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Sequence
+
+from .errors import StructuralError
 
 Point = tuple  # tuple[Fraction, ...]
 
@@ -42,6 +45,22 @@ def format_frac(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _show(p) -> str:
+    """A point as text, its coordinates as `format_frac` writes them."""
+    return "(" + ", ".join(map(format_frac, p)) + ")"
+
+
+def as_point(y, k: int) -> Point:
+    """y as a point of R^k, a tuple of k `Fraction`s: a tuple or a list of
+    coordinates, or a scalar, which stands for a point of the line.  Any
+    other number of coordinates is a `StructuralError`."""
+    p = tuple(map(frac, y)) if isinstance(y, (tuple, list)) else (frac(y),)
+    if len(p) != k:
+        raise StructuralError(f"a point of R^{k} has {k} coordinates, "
+                              f"got {len(p)}: {_show(p)}")
+    return p
+
+
 def vsub(a: Sequence, b: Sequence) -> Point:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -52,7 +71,7 @@ def vadd(a: Sequence, b: Sequence) -> Point:
 
 def vscale(t, a: Sequence) -> Point:
     t = Fraction(t)
-    return tuple(t * Fraction(x) for x in a)
+    return tuple(t * x for x in a)
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
@@ -70,9 +89,8 @@ def orient(a: Sequence, b: Sequence, c: Sequence) -> int:
 
 
 def barycenter(points: Sequence[Sequence]) -> Point:
-    n = len(points)
-    k = len(points[0])
-    return tuple(sum((Fraction(p[i]) for p in points), Fraction(0)) / n for i in range(k))
+    n = Fraction(len(points))
+    return tuple(sum(p[i] for p in points) / n for i in range(len(points[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -177,18 +177,9 @@ def jacobi_report_dict(f: PLMap, j: JacobiSet) -> dict:
 def genericity_to_dict(report: GenericityReport) -> dict:
     return {"passed": report.passed,
             "violations": [{"rule": code,
-                            "witness": _jsonable(witness),
+                            "witness": witness,
                             "detail": detail}
                            for code, witness, detail in report.violations]}
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return format_frac(x)
-    if isinstance(x, (Simplex, tuple, list, frozenset, set)):
-        items = canon_sorted(x) if isinstance(x, (set, frozenset)) else x
-        return [_jsonable(v) for v in items]
-    return x
 
 
 def manifold_to_dict(report) -> dict:

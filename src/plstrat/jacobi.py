@@ -41,12 +41,13 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, NamedTuple
 
-from .complexes import Simplex, SimplicialComplex, _shape, face_poset, link
+from .complexes import (Simplex, SimplicialComplex, _shape, face_poset, link,
+                        rank_components)
 from .errors import GenericityError, InternalError, NotAMemberError, StructuralError
-from .geometry import (affinely_independent, barycenter, canon_sorted, cone_is_full,
-                       dot, format_frac, frac, orthogonal_vector, vsub)
+from .geometry import (affinely_independent, as_point, barycenter, canon_sorted,
+                       cone_is_full, dot, format_frac, frac, orthogonal_vector, vsub)
 from .homology import is_h_nontrivial
-from .posets import StratifiedSpace, connected_classes, wedge_extend
+from .posets import StratifiedSpace, wedge_extend
 
 NOTIONS = ("H", "D", "L")
 
@@ -65,12 +66,10 @@ class PLMap:
         for v in self.domain.vertices:
             if v not in self.values:
                 raise StructuralError(f"no value for vertex {v!r}")
-            val = self.values[v]
-            val = (val,) if not isinstance(val, (tuple, list)) else tuple(val)
-            if len(val) != self.k:
-                raise StructuralError(
-                    f"value for {v!r} has length {len(val)}, expected {self.k}")
-            coerced[v] = tuple(frac(x) for x in val)
+            try:
+                coerced[v] = as_point(self.values[v], self.k)
+            except StructuralError as exc:
+                raise StructuralError(f"value for {v!r}: {exc}") from None
         extra = set(self.values) - set(coerced)
         if extra:
             raise StructuralError(f"values given for unknown vertices {canon_sorted(extra)!r}")
@@ -261,8 +260,8 @@ def directional_links(f: PLMap, sigma, u) -> tuple[SimplicialComplex, Simplicial
     subcomplexes of the link spanned by vertices mapping strictly above /
     below the image of sigma along u."""
     sigma = Simplex(sigma)
-    u = tuple(frac(x) for x in u)
-    if len(u) != f.k or all(x == 0 for x in u):
+    u = as_point(u, f.k)
+    if not any(u):
         raise StructuralError("direction must be a nonzero vector in R^k")
     lk = link(f.domain, sigma)
     # u times the common denominator of its coordinates, on the integers
@@ -464,8 +463,7 @@ def domain_stratification(f: PLMap, j: JacobiSet | None = None) -> StratifiedSpa
     rest = [r for r in by_dim if r not in on]
     # cofaces of a simplex off the locus are off it too, so a simplex and
     # its cofaces are joined through codimension-one faces in between
-    comps = connected_classes(rest, [(r, q) for r in rest for q in faces[r]
-                                     if q not in on])
+    comps = rank_components(rest, faces)
     labels = [f"C{i}" for i in range(len(comps))]
     stratum: list = list(ranked)   # rank -> its stratum; a locus simplex is its own
     for label, comp in zip(labels, comps):

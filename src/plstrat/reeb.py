@@ -51,14 +51,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import lcm
 
-from .arrangement import (CodomainStratification, _interval_sample, _line_point,
-                          _show, build_codomain_stratification,
-                          edge_image_arrangement, stratum_dimension)
+from .arrangement import (CodomainStratification, _homogeneous, _interval_sample,
+                          build_codomain_stratification, edge_image_arrangement,
+                          stratum_dimension)
+from .complexes import rank_components
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      NotAMemberError, StructuralError)
-from .geometry import convex_hull_2d, format_frac, frac, vadd, vscale
+from .geometry import _show, as_point, convex_hull_2d, format_frac, vadd, vscale
 from .jacobi import JacobiSet, PLMap, jacobi_set
 from .posets import MonotoneMap, Poset, connected_classes
 
@@ -70,32 +70,9 @@ def _scalar(f: PLMap, v) -> Fraction:
     return f.value(v)[0]
 
 
-def _point(f: PLMap, y) -> tuple:
-    """y as a point of R^k; a scalar stands for a point of the line."""
-    if not isinstance(y, (tuple, list)):
-        y = (y,)
-    if len(y) != f.k:
-        raise StructuralError(
-            f"a fiber of a map to R^{f.k} needs a point with {f.k} "
-            f"coordinates, got {len(y)}")
-    return tuple(frac(c) for c in y)
-
-
-def _components(support, faces) -> list[list[int]]:
-    """Connected components under face incidence of a set of simplices
-    given as ranks, each as the list of its ranks in the order of
-    `support`; classes come in the order of their first member.
-
-    Each member is joined only to its codimension-one faces, `faces[rank]`,
-    so every member must reach its class through faces among the members:
-    with a face and a coface, the set holds every simplex between them.  A
-    fiber support is upward-closed in the face order, since a coface's image
-    contains its face's image, and so is every union of its components.  The
-    simplices whose least vertex value is one value are closed between a
-    face and a coface too: all of them hold the face's least vertex."""
-    members = set(support)
-    return connected_classes(support, [(r, q) for r in support for q in faces[r]
-                                       if q in members])
+# the name the sweep's level pieces, its re-splits and the plane fibers
+# call: perfbench's trace wraps it to count the sweep levels
+_components = rank_components
 
 
 class SweepIndex:
@@ -200,10 +177,11 @@ class SweepIndex:
                     rim = {t for r in leave[level - 1] if len(ranked[r]) == 1
                            for t in map(rank.__getitem__, star[ranked[r][0]])
                            if owner[t] is not None}
-                    # the components holding two or more classes of the rim
+                    # the components holding two or more classes of the rim;
+                    # the rim is no level, so it bypasses the `_components`
+                    # name that level counts are read through
                     held, suspect = set(), set()
-                    for cls in connected_classes(rim, [(t, q) for t in rim
-                                                       for q in faces[t] if q in rim]):
+                    for cls in rank_components(rim, faces):
                         c = owner[cls[0]]
                         if c in held:
                             suspect.add(c)
@@ -270,8 +248,7 @@ class HullIndex:
     def support(self, y) -> list[int]:
         """The ranks, in increasing order, of the simplices whose image
         holds the point y, a pair of `Fraction`s."""
-        w = lcm(y[0].denominator, y[1].denominator)
-        x, yy = (c.numerator * (w // c.denominator) * self.scale for c in y)
+        x, yy, w = _homogeneous(y, self.scale)
         # the box test on ints: x0 <= x / w <= x1 exactly when
         # x0 <= floor(x / w) and ceil(x / w) <= x1, the bounds being ints
         fx, cx, fy, cy = x // w, -(-x // w), yy // w, -(-yy // w)
@@ -291,7 +268,7 @@ def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
     `SweepIndex`; for two it is a pair, and the support is read off the
     map's `HullIndex`.  A point of another length is a `StructuralError`.
     """
-    y = _point(f, y)
+    y = as_point(y, f.k)
     if f.k == 1:
         return f.sweep.components(f.sweep.level(y[0]))
     ranked = f.domain.index.ranked
@@ -511,7 +488,7 @@ class FineCells:
         `StructuralError`."""
         if self.arrangement is not None:
             return self.arrangement.locate(y)
-        return ("l", self._sweep.level(_line_point(y)))
+        return ("l", self._sweep.level(as_point(y, 1)[0]))
 
     def strata(self, cs: CodomainStratification) -> dict:
         """The stratum of `cs` holding each cell, at its sample point."""

@@ -67,6 +67,18 @@ def naive_dumps(obj) -> str:
                       separators=(",", ": "), ensure_ascii=True) + "\n"
 
 
+def naive_witness(x):
+    """A genericity witness as plain JSON values, the reference conversion:
+    a `Fraction` as its rational text, a set as a list sorted by
+    `canon_key`, a tuple or list element by element."""
+    if isinstance(x, Fraction):
+        return format_frac(x)
+    if isinstance(x, (Simplex, tuple, list, frozenset, set)):
+        items = canon_sorted(x) if isinstance(x, (set, frozenset)) else x
+        return [naive_witness(v) for v in items]
+    return x
+
+
 # ---------------------------------------------------------------------------
 # naive GF(2) homology oracle
 

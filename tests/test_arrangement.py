@@ -83,7 +83,8 @@ class TestPlanarArrangement:
     @pytest.mark.parametrize("p", [(1,), (1, 0, 5)])
     def test_locate_needs_a_pair(self, p):
         arr = PlanarArrangement([seg(0, 0, 2, 0), seg(1, -1, 1, 1)])
-        with pytest.raises(StructuralError, match="pair"):
+        with pytest.raises(StructuralError,
+                           match=rf"a point of R\^2 has 2 coordinates, got {len(p)}: "):
             arr.locate(p)
 
     def test_face_interior_samples_stay_inside(self):
@@ -363,9 +364,14 @@ class TestGenericityMessages:
     endpoints."""
 
     def test_overlap_names_both_segments(self):
-        with pytest.raises(GenericityError, match=re.escape(
-                "segments (0, 0)-(2, 0) and (1, 0)-(3, 0) overlap along a line")):
-            PlanarArrangement([seg(0, 0, 2, 0), seg(1, 0, 3, 0)])
+        # a partial overlap, and segments that share a whole sub-segment:
+        # an identical pair, a reversed one and a segment inside the other
+        for a, b in (((0, 0, 2, 0), (1, 0, 3, 0)), ((0, 0, 4, 0), (0, 0, 4, 0)),
+                     ((0, 0, 4, 0), (4, 0, 0, 0)), ((0, 0, 4, 0), (1, 0, 2, 0))):
+            shown = [f"({ax}, {ay})-({bx}, {by})" for ax, ay, bx, by in (a, b)]
+            with pytest.raises(GenericityError, match=re.escape(
+                    f"segments {shown[0]} and {shown[1]} overlap along a line")):
+                PlanarArrangement([seg(*a), seg(*b)])
 
     def test_endpoint_interior_names_point_and_segments(self):
         with pytest.raises(GenericityError, match=re.escape(
@@ -511,7 +517,8 @@ class TestCodomainStratification:
         lo = cs.refined.points[0]
         assert cs.locate(lo) == "p0"
         for p in ((lo, 99), (), [lo, lo]):
-            with pytest.raises(StructuralError, match="line is one rational"):
+            with pytest.raises(StructuralError,
+                               match=rf"a point of R\^1 has 1 coordinates, got {len(p)}: "):
                 cs.locate(p)
 
     def test_empty_image_single_stratum(self):

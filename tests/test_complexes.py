@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (closed_surfaces, grid_3torus, grid_torus,
+from helpers import (_naive_components, closed_surfaces, grid_3torus, grid_torus,
                      naive_manifold_check, naive_sphere_verdict, random_complex)
 from plstrat import (EmptyComplexError, NotAMemberError, Simplex,
                      SimplicialComplex, StructuralError, euler_characteristic,
                      face_poset, join, link, manifold_check, open_star,
                      sphere_verdict, star, validate_poset)
+from plstrat import reeb
+from plstrat.complexes import rank_components
 from plstrat.geometry import canon_key
 from plstrat.io import example_names, load_example, map_from_dict
 
@@ -201,6 +203,48 @@ class TestIndexAgreesWithDefinitions:
             [(3, "b", (0, 1)), ("a", 10), (2,), ((0, 1), (0, 2), "a")])
         _assert_index_matches_definitions(k)
         _assert_index_matches_definitions(SimplicialComplex([]))
+
+
+def _assert_rank_components_match_oracle(k: SimplicialComplex, ranks: list):
+    """The classes of `rank_components` against the scan of
+    `_naive_components`, each class in the order of `ranks` and the
+    classes in the order of their first members."""
+    ranked = k.index.ranked
+    classes = rank_components(ranks, k.face_ranks)
+    assert ({frozenset(map(ranked.__getitem__, c)) for c in classes}
+            == set(_naive_components(map(ranked.__getitem__, ranks))))
+    position = {r: i for i, r in enumerate(ranks)}
+    for c in classes:
+        assert [position[r] for r in c] == sorted(position[r] for r in c)
+    assert [position[c[0]] for c in classes] == sorted(position[c[0]] for c in classes)
+
+
+class TestRankComponentsOracle:
+    """Components of a set of ranks closed between a face and a coface: the
+    complement of a subcomplex, and an upward-closed set, in random order."""
+
+    def test_complements_of_random_subcomplexes(self, rng):
+        for _ in range(100):
+            k = random_complex(rng)
+            ranked = k.index.ranked
+            sub = SimplicialComplex.from_facets(
+                rng.sample(ranked, rng.randint(0, len(ranked)))).simplices
+            ranks = [r for r, s in enumerate(ranked) if s not in sub]
+            rng.shuffle(ranks)
+            _assert_rank_components_match_oracle(k, ranks)
+
+    def test_random_upward_closed_sets(self, rng):
+        for _ in range(100):
+            k = random_complex(rng)
+            ranked = k.index.ranked
+            seeds = rng.sample(ranked, rng.randint(0, len(ranked)))
+            ranks = [r for r, t in enumerate(ranked)
+                     if any(set(s) <= set(t) for s in seeds)]
+            rng.shuffle(ranks)
+            _assert_rank_components_match_oracle(k, ranks)
+
+    def test_the_sweep_counts_calls_through_the_one_function(self):
+        assert reeb._components is rank_components
 
 
 class TestJoin:

@@ -1,15 +1,19 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from plstrat import Simplex
-from plstrat.geometry import (affinely_independent, barycenter, canon_key,
-                              canon_sorted, cone_is_full, convex_hull_2d,
-                              cross2, det, dot, format_frac, frac,
-                              matrix_rank, on_segment, orient,
+from plstrat import (PLMap, PlanarArrangement, Simplex, SimplicialComplex,
+                     StructuralError, build_codomain_stratification,
+                     directional_links, jacobi_set)
+from plstrat.geometry import (affinely_independent, as_point, barycenter,
+                              canon_key, canon_sorted, cone_is_full,
+                              convex_hull_2d, cross2, det, dot, format_frac,
+                              frac, matrix_rank, on_segment, orient,
                               orthogonal_vector,
                               point_in_convex_hull_2d, proper_crossing,
                               segments_share_line_overlap, vadd, vscale, vsub)
+from plstrat.io import example_map
 
 F = Fraction
 
@@ -245,3 +249,59 @@ def test_three_planar_points_match_the_rank_test(rng):
                 F(rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(3)]
         diffs = [vsub(p, pts[0]) for p in pts[1:]]
         assert affinely_independent(pts) == (matrix_rank(diffs) == 2)
+
+
+def _wrong_length(k: int, coords: str, n: int) -> str:
+    """The one message for a point of R^k given n coordinates, as a
+    pattern for the whole text."""
+    return "^" + re.escape(f"a point of R^{k} has {k} coordinates, got {n}: ({coords})") + "$"
+
+
+class TestPoint:
+    """`as_point` is the one reading of a point of R^k, and each entry
+    point that takes one gives its message on a wrong length; the fiber
+    queries and the line's point location are checked beside their own
+    tests."""
+
+    def test_scalar_tuple_list_and_str_coordinates(self):
+        for y, k, want in ((3, 1, (F(3),)), ("-1/2", 1, (F(-1, 2),)),
+                           (F(5, 3), 1, (F(5, 3),)), ((1, "2/3"), 2, (F(1), F(2, 3))),
+                           ([F(1, 2), 0, "7"], 3, (F(1, 2), F(0), F(7))),
+                           ((), 0, ())):
+            p = as_point(y, k)
+            assert p == want and type(p) is tuple
+            assert all(type(c) is Fraction for c in p)
+
+    @pytest.mark.parametrize("y, k, coords, n", [
+        ((1, 2, "1/2"), 2, "1, 2, 1/2", 3), (3, 2, "3", 1), ((), 1, "", 0),
+        ([F(-1, 3), 4], 1, "-1/3, 4", 2)], ids=["triple", "scalar", "empty", "list"])
+    def test_a_wrong_length_is_the_one_message(self, y, k, coords, n):
+        with pytest.raises(StructuralError, match=_wrong_length(k, coords, n)):
+            as_point(y, k)
+
+    def test_plane_stratification_locate(self):
+        f = example_map("solid_tetrahedron")
+        cs = build_codomain_stratification(f, jacobi_set(f))
+        with pytest.raises(StructuralError, match=_wrong_length(2, "1, 2, 3", 3)):
+            cs.locate((1, 2, 3))
+
+    def test_planar_arrangement_locates_no_scalar(self):
+        arr = PlanarArrangement([((0, 0), (2, 0)), ((1, -1), (1, 1))])
+        with pytest.raises(StructuralError, match=_wrong_length(2, "3", 1)):
+            arr.locate(3)
+
+    def test_a_segment_endpoint_of_three_coordinates(self):
+        with pytest.raises(StructuralError, match=_wrong_length(2, "2, 1, 1", 3)):
+            PlanarArrangement([((0, 0), (2, 1, 1)), ((1, -1), (1, 1))])
+
+    def test_directional_links(self):
+        f = example_map("torus_grid")
+        v = min(f.domain.vertices)
+        with pytest.raises(StructuralError, match=_wrong_length(1, "1, 0", 2)):
+            directional_links(f, Simplex((v,)), (1, 0))
+
+    def test_pl_map_names_the_vertex(self):
+        dom = SimplicialComplex.from_facets([("a", "b")])
+        message = _wrong_length(2, "1", 1).replace("^", "^value for 'b': ", 1)
+        with pytest.raises(StructuralError, match=message):
+            PLMap(dom, 2, {"a": (0, 0), "b": (F(1),)})

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 import plstrat
-from helpers import (naive_dumps, random_planar_map, random_surface_map,
-                     torus_projection)
+from helpers import (naive_dumps, naive_witness, random_planar_map,
+                     random_surface_map, torus_projection)
 from plstrat import errors
 from plstrat import (InputError, Simplex, build_codomain_stratification,
-                     jacobi_set)
+                     check_generic, jacobi_set, manifold_check)
 from plstrat.cli import main
 from plstrat.io import (canonical_dumps, codomain_to_dict, example_input,
                         example_map, example_names, filtration_text,
@@ -393,6 +393,36 @@ def test_comma_in_a_vertex_label_is_exit_1(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+# one map per genericity rule: a triangle with collinear vertex images
+# (G1), two vertices at one value (G2), and an apex on the line of the
+# image of its edge (G3)
+_NON_GENERIC = {
+    "G1": {"k": 2, "facets": [["a", "b", "c"]],
+           "values": {"a": ["0", "0"], "b": ["1", "1"], "c": ["3", "3"]}},
+    "G2": {"k": 1, "facets": [["a", "b"], ["b", "c"]],
+           "values": {"a": "0", "b": "1", "c": "0"}},
+    "G3": {"k": 2, "facets": [["a", "b", "c"], ["a", "b", "d"]],
+           "values": {"a": ["0", "0"], "b": ["2", "0"], "c": ["1", "1"],
+                      "d": ["3", "0"]}}}
+
+
+@pytest.mark.parametrize("rule", sorted(_NON_GENERIC))
+def test_validate_writes_each_witness_as_json_dumps_would(tmp_path, rule):
+    """The writer takes the witnesses as `check_generic` gives them and
+    writes the bytes `json.dumps` writes for them as arrays."""
+    from plstrat.cli import _validate_doc
+    path, out = tmp_path / "map.json", tmp_path / "validate.json"
+    path.write_text(json.dumps(_NON_GENERIC[rule]))
+    assert main(["validate", str(path), "--out", str(out)]) == 2
+    f = map_from_dict(_NON_GENERIC[rule])
+    gen = check_generic(f)
+    assert rule in {code for code, _, _ in gen.violations}
+    doc = _validate_doc(f, gen, manifold_check(f.domain))
+    for row in doc["genericity"]["violations"]:
+        row["witness"] = naive_witness(row["witness"])
+    assert out.read_text() == naive_dumps(doc)
+
+
 @pytest.mark.parametrize("notion", ["H", "L"])
 def test_tie_names_the_value_and_direction(tmp_path, capsys, notion):
     # the boundary of a tetrahedron, with b and c at one height
@@ -632,9 +662,10 @@ def test_each_artifact_is_computed_once(monkeypatch, tmp_path, command, example,
 
 @pytest.mark.parametrize("notion", ["H", "L"])
 def test_sweep_levels_and_h_tests_run_once(monkeypatch, tmp_path, notion):
-    """A k=1 pipeline extracts the components of each sweep level at most
-    once, for the Reeb graph and the interval audit together, and runs the
-    H test once per candidate."""
+    """A k=1 pipeline splits into components once per vertex value and
+    once per gap where the sweep joins a component again, for the Reeb
+    graph and the interval audit together, and runs the H test once per
+    candidate."""
     import importlib
     calls = {"_components": 0, "is_h_critical": 0}
     for mod, name in (("reeb", "_components"), ("jacobi", "is_h_critical")):
@@ -647,9 +678,15 @@ def test_sweep_levels_and_h_tests_run_once(monkeypatch, tmp_path, notion):
     f = example_map("torus_grid")
     assert main(["pipeline", "--example", "torus_grid", "--notion", notion,
                  "--out", str(tmp_path / "out")]) == 0
-    n_values = len({f.value(v) for v in f.domain.vertices})
-    assert 1 <= calls["_components"] <= 2 * n_values - 1
-    assert calls["is_h_critical"] == len(f.domain.simplices_of_dim(0))
+    made = dict(calls)   # building `f.sweep` below calls the patch too
+    # the gaps where the sweep's record turns some component into fresh
+    # ids, neither itself nor nothing
+    events = f.sweep.events
+    rejoined = sum(any(ids not in ([], [c]) for c, ids in events[level].items())
+                   for level in range(1, len(events), 2))
+    assert rejoined
+    assert made["_components"] == len(f.sweep.values) + rejoined
+    assert made["is_h_critical"] == len(f.domain.simplices_of_dim(0))
 
 
 @pytest.mark.parametrize("notion, test", [("D", "is_d_critical"),
