@@ -11,9 +11,9 @@ Whatever walks the whole complex reads its incidence on ranks instead,
 `face_ranks` and its transpose `coface_ranks`.  One function splits a set
 of ranks into its components under face incidence (`rank_components`),
 for the fibers and the domain stratification alike.  One function decides
-the sphere shape of every link and of the complex itself on them
-(`_shape`): a link is the set of its simplex's cofaces and a complex the
-set of its vertices, so no link is built to be decided.
+the sphere shape of every link, once per complex (`link_shapes`), and of
+the complex itself on them (`_shape`): a link is the set of its simplex's
+cofaces and a complex the set of its vertices, so no link is built.
 """
 from __future__ import annotations
 
@@ -137,6 +137,11 @@ class SimplicialComplex:
             for q in faces:
                 up[q].append(r)
         return tuple(map(tuple, up))
+
+    @cached_property
+    def link_shapes(self) -> tuple:
+        """The `_shape` of each simplex's link by rank, decided once."""
+        return tuple(_shape(self.coface_ranks, up) for up in self.coface_ranks)
 
     def cofaces(self, sigma: Simplex) -> Sequence[Simplex]:
         """The simplices containing sigma, sigma itself included, in
@@ -356,8 +361,7 @@ def manifold_check(k: SimplicialComplex) -> ManifoldReport:
 
     verdicts: list[str] = []
     links_connected = True
-    for up in cofaces:
-        dim, verdict = _shape(cofaces, up)
+    for up, (dim, verdict) in zip(cofaces, k.link_shapes):
         # spheres of dimension one and up are connected, other links may be
         if dim > 0 and verdict != "sphere" and not _graph_is_connected(up, cofaces):
             links_connected = False

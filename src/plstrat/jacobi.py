@@ -25,9 +25,9 @@ reads its G3 violations off the ties, D which sides are nonempty, and H
 how many points each side holds on a link of points, or else the
 homology of the sides of the one link it builds (`complexes.link`);
 `directional_links` splits along any direction the same way.  L builds
-no complex: the function of `complexes` that decides every link shape on
-the domain's coface table says whether the vertex link is a cycle, and
-each side is counted over the triangles at the vertex.
+no complex: the domain's table of link shapes, which the manifold check
+reads too, says whether the vertex link is a cycle, and each side is
+counted over the triangles at the vertex.
 
 Ties are never perturbed; any comparison that would need a tiebreak raises
 a genericity error with a witness.  The table records ties without raising,
@@ -41,10 +41,9 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, NamedTuple
 
-from .complexes import (Simplex, SimplicialComplex, _shape, face_poset, link,
-                        rank_components)
+from .complexes import Simplex, SimplicialComplex, face_poset, link, rank_components
 from .errors import GenericityError, InternalError, NotAMemberError, StructuralError
-from .geometry import (affinely_independent, as_point, barycenter, canon_sorted,
+from .geometry import (_show, affinely_independent, as_point, barycenter, canon_sorted,
                        cone_is_full, dot, format_frac, frac, orthogonal_vector, vsub)
 from .homology import is_h_nontrivial
 from .posets import StratifiedSpace, wedge_extend
@@ -62,10 +61,10 @@ class PLMap:
     def __post_init__(self):
         if self.k < 1:
             raise StructuralError("target dimension must be at least 1")
-        coerced = {}
-        for v in self.domain.vertices:
-            if v not in self.values:
-                raise StructuralError(f"no value for vertex {v!r}")
+        vertices, coerced = self.domain.vertices, {}
+        if missing := vertices.difference(self.values):
+            raise StructuralError(f"no value for vertex {canon_sorted(missing)[0]!r}")
+        for v in vertices:
             try:
                 coerced[v] = as_point(self.values[v], self.k)
             except StructuralError as exc:
@@ -232,18 +231,13 @@ def local_table(f: PLMap) -> dict:
     return table
 
 
-def _format_vector(u) -> str:
-    parts = [format_frac(x) for x in u]
-    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
-
-
 def _tie_error(f: PLMap, sigma: Simplex, ties: tuple, u: tuple) -> GenericityError:
     """The error for link vertices level with sigma along the rational
     direction u, naming the first of them, the value and u."""
     level = dot(f.barycenter_image(sigma), u)
     return GenericityError(
         f"vertex {ties[0]!r} ties with {tuple(sigma)!r} "
-        f"at value {format_frac(level)} along direction {_format_vector(u)}")
+        f"at value {format_frac(level)} along direction {_show(u)}")
 
 
 def _untied(f: PLMap, sigma: Simplex, e: LocalEntry) -> LocalEntry:
@@ -370,8 +364,7 @@ def is_l_critical_surface(f: PLMap, v) -> bool | None:
     if v.dim != 0:
         return None
     dom = f.domain
-    cofaces = dom.coface_ranks
-    if _shape(cofaces, cofaces[dom.index.rank[v]]) != (1, "sphere"):
+    if dom.link_shapes[dom.index.rank[v]] != (1, "sphere"):
         return None
     e = _untied(f, v, f.local[v])
     ends = [set(t) - set(v) for t in dom.cofaces(v) if len(t) == 3]

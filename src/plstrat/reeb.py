@@ -53,8 +53,8 @@ from fractions import Fraction
 from itertools import count
 
 from .arrangement import (CodomainStratification, _homogeneous, _interval_sample,
-                          build_codomain_stratification, edge_image_arrangement,
-                          stratum_dimension)
+                          _show_segment, build_codomain_stratification,
+                          edge_image_arrangement, stratum_dimension)
 from .complexes import rank_components
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      NotAMemberError, StructuralError)
@@ -490,9 +490,37 @@ class FineCells:
             return self.arrangement.locate(y)
         return ("l", self._sweep.level(as_point(y, 1)[0]))
 
-    def strata(self, cs: CodomainStratification) -> dict:
-        """The stratum of `cs` holding each cell, at its sample point."""
-        return {c: cs.locate(y) for c, y in self.samples.items()}
+    def strata(self, cs: CodomainStratification) -> tuple[dict, dict, dict]:
+        """The stratum of `cs` holding each cell, each stratum's sample and
+        its cell.  A stratum is a class of incident cells of one codomain
+        dimension (0 on a refined image point, 1 on a locus segment, else 2)
+        holding its sample, and `cs` is cut by vertex values and edge images."""
+        reps = {label: cs.sample(label) for label in sorted(cs.space.cells)}
+        rep_cell = {label: self.locate(y) for label, y in reps.items()}
+        points = set(cs.refined.points)
+        if self.arrangement is None:
+            if stray := points.difference(self._sweep.values):
+                raise StructuralError(f"value {format_frac(min(stray))} is no vertex value")
+            dim = {("l", l): 1 if l % 2 or self._sweep.values[l // 2] not in points else 0
+                   for _, l in self.components}
+        else:
+            arr, segs = self.arrangement, cs.refined.arrangement.segments
+            source = {frozenset(seg): i for i, seg in enumerate(arr.segments)}
+            if stray := [seg for seg in segs if frozenset(seg) not in source]:
+                raise StructuralError(f"segment {_show_segment(stray[0])} is no edge image")
+            locus = {source[frozenset(seg)] for seg in segs}
+            dim = dict.fromkeys(self.components, 2)
+            dim.update((("e", i), 1) for i, s in enumerate(arr.edge_source) if s in locus)
+            dim.update((low, 1) for low, high in self.incidences if dim[high] == 1)
+            dim.update((("v", arr.vertex_id[p]), 0) for p in points)
+        stratum: dict = {}
+        same = [(a, b) for a, b in self.incidences if dim[a] == dim[b]]
+        for cls in connected_classes([*dim, *rep_cell], same + list(rep_cell.items())):
+            if len(labels := [c for c in cls if c in rep_cell]) != 1:
+                raise InternalError(f"the fine cells through {_show(self.samples[cls[0]])}"
+                                    f" hold {len(labels)} samples")
+            stratum.update((c, labels[0]) for c in cls if c in dim)
+        return stratum, reps, rep_cell
 
     def attachments(self):
         """Yield ((low, j), (high, i)) for every incidence (low, high) and
@@ -540,7 +568,7 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
     Jacobi set of f.
 
     The scaffold is glued from the `FineCells` of f, each in the stratum
-    of `cs` that holds its sample point.  Joining their `attachments`
+    of `cs` that holds it (`FineCells.strata`).  Joining their `attachments`
     inside each stratum gives the components over the stratum, indexed by
     the fibers at its sample point; the pairs across a covering pair s < t
     of strata put a component over s below a component over t.  A class
@@ -558,18 +586,8 @@ def reeb_scaffold(f: PLMap, cs: CodomainStratification | None = None) -> ReebSca
     if cs is None:
         cs = build_codomain_stratification(f, jacobi_set(f))
     fine = FineCells(f)
-    stratum = fine.strata(cs)
-
-    reps: dict = {}
-    rep_cell: dict = {}
-    comps: dict = {}
-    for label in sorted(cs.space.cells):
-        y = cs.sample(label)
-        if cs.locate(y) != label:
-            raise InternalError(f"sample for stratum {label} landed elsewhere")
-        reps[label] = y
-        rep_cell[label] = cell = fine.locate(y)
-        comps[label] = fine.components[cell]
+    stratum, reps, rep_cell = fine.strata(cs)
+    comps = {label: fine.components[cell] for label, cell in rep_cell.items()}
 
     covers = cs.space.poset.covers
     same, across = [], []
@@ -677,14 +695,14 @@ def stratum_fiber_audit(f: PLMap, scaffold: ReebScaffold | None = None,
     """Check that the fiber component count is constant across each
     codomain stratum, a union of the scaffold's fine cells, and report the
     counts over its cells, the empty rays of the line among them.  Without
-    a scaffold the fine cells of f are built, which for two parameters
-    needs the edge images in general position, and the codomain is
-    stratified by the H Jacobi set of f."""
+    a scaffold the fine cells of f and their strata are built as the
+    scaffold builds them, which for two parameters needs the edge images in
+    general position, and the codomain is stratified by the H Jacobi set."""
     if samples < 1:
         raise StructuralError(f"the audit needs at least one sample, got {samples}")
     if scaffold is None:
         cs, fine = build_codomain_stratification(f, jacobi_set(f)), FineCells(f)
-        stratum = fine.strata(cs)
+        stratum = fine.strata(cs)[0]
     else:
         cs, fine, stratum = scaffold.codomain, scaffold.fine, scaffold.stratum
     found: dict = {label: set() for label in cs.space.cells}

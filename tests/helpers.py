@@ -10,8 +10,10 @@ instead of the package's hull predicate; the scaffold oracle attaches
 strata by walking sample points toward each other instead of gluing the
 cells of an arrangement; the audit oracles count the fiber components at
 a few sample points of each stratum instead of reading the counts off the
-fine cells; the multiplicity oracle scans every locus edge at every image
-point instead of reading the arrangement's crossings; the arrangement and
+fine cells; the strata oracle locates every fine cell's sample point in the
+codomain instead of joining incident cells of one codomain dimension; the
+multiplicity oracle scans every locus edge at every image point instead of
+reading the arrangement's crossings; the arrangement and
 point-location oracles work on `Fraction` points with the `geometry`
 predicates instead of the integer kernel, the face-sample oracle confirms
 each candidate by that point location instead of the face's own cycles,
@@ -158,8 +160,7 @@ def naive_normal_direction(f: PLMap, sigma) -> tuple:
 
 
 def _naive_vector(u) -> str:
-    parts = [format_frac(x) for x in u]
-    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+    return "(" + ", ".join(format_frac(x) for x in u) + ")"
 
 
 def _naive_split(f: PLMap, sigma, lk: SimplicialComplex, u):
@@ -685,6 +686,12 @@ def sampled_scaffold(f: PLMap, cs: CodomainStratification) -> tuple[Poset, dict]
             raise DegeneracyError(f"cannot identify a component over {stratum}")
         cell_map[s] = (stratum, ti)
     return Poset(elements, relations), cell_map
+
+
+def naive_strata(fine, cs: CodomainStratification) -> dict:
+    """The stratum of `cs` holding each fine cell, by point location of the
+    cell's sample point in the codomain."""
+    return {c: cs.locate(y) for c, y in fine.samples.items()}
 
 
 # ---------------------------------------------------------------------------

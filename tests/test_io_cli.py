@@ -2,17 +2,21 @@
 import argparse
 import json
 import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import plstrat
 from helpers import (naive_dumps, naive_witness, random_planar_map,
-                     random_surface_map, torus_projection)
+                     random_surface_map, torus_height_map, torus_projection)
 from plstrat import errors
 from plstrat import (InputError, Simplex, build_codomain_stratification,
                      check_generic, jacobi_set, manifold_check)
 from plstrat.cli import main
+from plstrat.geometry import format_frac
 from plstrat.io import (canonical_dumps, codomain_to_dict, example_input,
                         example_map, example_names, filtration_text,
                         input_from_dict, jacobi_report_dict, load_example,
@@ -423,6 +427,21 @@ def test_validate_writes_each_witness_as_json_dumps_would(tmp_path, rule):
     assert out.read_text() == naive_dumps(doc)
 
 
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3"])
+def test_a_missing_value_names_the_least_vertex_under_any_hash_seed(tmp_path, hash_seed):
+    # the domain's vertices are a frozenset of strs, whose order follows the
+    # string hash seed, so each seed runs in a process of its own
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"k": 1, "facets": [["a", "b", "c"], ["c", "d"]],
+                                "values": {"a": "0"}}))
+    src = os.path.dirname(os.path.dirname(os.path.realpath(plstrat.__file__)))
+    run = subprocess.run([sys.executable, "-m", "plstrat.cli", "validate", str(path)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src})
+    assert (run.returncode, run.stdout, run.stderr) == (
+        1, "", "error: no value for vertex 'b'\n")
+
+
 @pytest.mark.parametrize("notion", ["H", "L"])
 def test_tie_names_the_value_and_direction(tmp_path, capsys, notion):
     # the boundary of a tetrahedron, with b and c at one height
@@ -434,7 +453,7 @@ def test_tie_names_the_value_and_direction(tmp_path, capsys, notion):
         "values": {"a": 0, "b": "1/2", "c": "1/2", "d": 1}}))
     assert main(["jacobi", str(path), "--notion", notion]) == 2
     err = capsys.readouterr().err
-    assert ("vertex 'c' ties with ('b',) at value 1/2 along direction (1,)"
+    assert ("error: vertex 'c' ties with ('b',) at value 1/2 along direction (1)\n"
             in err), err
 
 
@@ -687,6 +706,28 @@ def test_sweep_levels_and_h_tests_run_once(monkeypatch, tmp_path, notion):
     assert rejoined
     assert made["_components"] == len(f.sweep.values) + rejoined
     assert made["is_h_critical"] == len(f.domain.simplices_of_dim(0))
+
+
+def test_each_link_shape_is_decided_once(monkeypatch, tmp_path):
+    """A k=1 pipeline on a 10x10 torus decides the shape of each of its 600
+    links once, in the table the manifold check and the L verdicts share,
+    plus the shape of the whole complex: each of the 100 vertex links is
+    a cycle, whose one connectivity test is the only one made."""
+    from plstrat import complexes
+    f = torus_height_map(random.Random(1), 10)
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({
+        "k": 1, "facets": [list(s) for s in f.domain.facets()],
+        "values": {v: format_frac(x) for v, (x,) in f.values.items()}}))
+    calls = {"_shape": 0, "_graph_is_connected": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(complexes, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(complexes, name, counted)
+    assert main(["pipeline", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(f.domain) == 600
+    assert calls == {"_shape": 601, "_graph_is_connected": 100}
 
 
 @pytest.mark.parametrize("notion, test", [("D", "is_d_critical"),

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (grid_3torus, naive_fiber_components, naive_reeb_graph,
-                     naive_sweep_levels, random_complex, random_planar_map,
-                     random_surface_map, sampled_interval_audit, sampled_scaffold,
-                     sampled_stratum_audit, torus_projection)
+                     naive_strata, naive_sweep_levels, random_complex,
+                     random_planar_map, random_surface_map, sampled_interval_audit,
+                     sampled_scaffold, sampled_stratum_audit, torus_projection)
 from plstrat import (DegeneracyError, GenericityError, InternalError,
                      JacobiSet, NotAMemberError, PlanarArrangement, PLMap,
                      SimplicialComplex, StructuralError,
@@ -701,11 +701,9 @@ class TestFineCellScaffold:
     def test_locus_missing_the_saddles_is_degenerate(self, torus):
         # with only the extrema cut out, the fibers over the one bounded
         # interval go from one component to two and back
-        ends = sorted(torus.domain.vertices, key=torus.value)
-        locus = JacobiSet(SimplicialComplex.from_facets(
-            [(ends[0],), (ends[-1],)]), "H", 1)
         with pytest.raises(DegeneracyError):
-            reeb_scaffold(torus, build_codomain_stratification(torus, locus))
+            reeb_scaffold(torus, build_codomain_stratification(
+                torus, _saddles_left_out(torus)))
 
     @pytest.mark.parametrize("notion", ["H", "D"])
     def test_degeneracy_names_the_sample_point(self, notion):
@@ -782,6 +780,97 @@ class TestAttachments:
         shown = "(" + ", ".join(format_frac(c) for c in p) + ")"
         with pytest.raises(InternalError, match=re.escape(
                 f"does not lie in one component over {shown}") + "$"):
+            reeb_scaffold(f, cs)
+
+
+def _saddles_left_out(torus: PLMap) -> JacobiSet:
+    """A locus of the torus holding only its two extrema."""
+    ends = sorted(torus.domain.vertices, key=torus.value)
+    return JacobiSet(SimplicialComplex.from_facets([(ends[0],), (ends[-1],)]), "H", 1)
+
+
+class TestStrataOracle:
+    """`FineCells.strata`, the strata joined from the fine cells' own
+    incidences, against locating every fine cell's sample point in the
+    codomain (`helpers.naive_strata`)."""
+
+    def _agree(self, f: PLMap, j: JacobiSet | None = None) -> bool:
+        try:
+            cs = build_codomain_stratification(f, jacobi_set(f) if j is None else j)
+            fine = reeb.FineCells(f)
+        except GenericityError:
+            return False    # edge or locus images out of general position
+        stratum, reps, rep_cell = fine.strata(cs)
+        assert stratum == naive_strata(fine, cs)
+        assert reps == {label: cs.sample(label) for label in sorted(cs.space.cells)}
+        assert all(stratum[rep_cell[label]] == label for label in reps)
+        return True
+
+    @pytest.mark.parametrize("notion", ["H", "D"])
+    def test_examples(self, notion):
+        maps = [f for f in map(example_input, example_names()) if isinstance(f, PLMap)]
+        assert sum(self._agree(f, jacobi_set(f, notion)) for f in maps) == len(maps)
+
+    def test_random_maps(self, rng):
+        planar = sum(self._agree(random_planar_map(rng)) for _ in range(12))
+        assert planar and all(self._agree(random_surface_map(rng)) for _ in range(8))
+
+    @pytest.mark.parametrize("seed, n", [(0, 3), (1, 3), (2, 3), (3, 3), (1, 4)])
+    def test_torus_projections(self, seed, n):
+        assert self._agree(torus_projection(random.Random(seed), n))
+
+    def test_torus_with_the_saddles_left_out(self, torus):
+        assert self._agree(torus, _saddles_left_out(torus))
+
+    def test_scaffold_locates_once_per_stratum(self, tetra, monkeypatch):
+        calls = []
+        locate = PlanarArrangement.locate
+
+        def counted(arr, p):
+            calls.append(p)
+            return locate(arr, p)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the scaffold located a point in the codomain")
+        for f in (tetra, torus_projection(random.Random(0), 3)):
+            cs = build_codomain_stratification(f, jacobi_set(f))
+            calls.clear()
+            monkeypatch.setattr(PlanarArrangement, "locate", counted)
+            monkeypatch.setattr(reeb.CodomainStratification, "locate", banned)
+            sc = reeb_scaffold(f, cs)
+            monkeypatch.undo()
+            assert len(calls) == len(cs.space.cells) == len(sc.counts)
+
+    def test_a_foreign_codomain_is_structural(self, tetra, torus):
+        moved = PLMap(tetra.domain, 2, {**tetra.values, "d": (F(-7), F(-9))})
+        cs = build_codomain_stratification(moved, jacobi_set(moved))
+        with pytest.raises(StructuralError, match=r"^segment \(.*\)-\(.*\) is no edge image$"):
+            reeb_scaffold(tetra, cs)
+        shifted = PLMap(torus.domain, 1, {v: (x + F(1, 3),) for v, (x,) in torus.values.items()})
+        with pytest.raises(StructuralError, match=r"^value \S+ is no vertex value$"):
+            reeb_scaffold(torus, build_codomain_stratification(shifted, jacobi_set(shifted)))
+        with pytest.raises(StructuralError, match=re.escape(
+                "a point of R^1 has 1 coordinates, got 2")):
+            reeb_scaffold(torus, build_codomain_stratification(tetra, jacobi_set(tetra)))
+        with pytest.raises(StructuralError, match=re.escape(
+                "a point of R^2 has 2 coordinates, got 1")):
+            reeb_scaffold(tetra, build_codomain_stratification(torus, jacobi_set(torus)))
+
+    @pytest.mark.parametrize("name, count", [("torus_grid", 2), ("solid_tetrahedron", 0)])
+    def test_a_sample_in_another_stratum_is_internal(self, name, count, monkeypatch):
+        # one stratum's sample is moved to another's point, so that the
+        # first class of cells holds two samples, or none
+        f = example_map(name)
+        cs = build_codomain_stratification(f, jacobi_set(f))
+        fine = reeb.FineCells(f)
+        first = naive_strata(fine, cs)[next(iter(fine.components))]
+        other = next(label for label in sorted(cs.space.cells) if label != first)
+        moved, to = (other, first) if count == 2 else (first, other)
+        sample = reeb.CodomainStratification.sample
+        monkeypatch.setattr(reeb.CodomainStratification, "sample", lambda self, label:
+                            sample(self, to if label == moved else label))
+        with pytest.raises(InternalError, match=(
+                rf"^the fine cells through \(.*\) hold {count} samples$")):
             reeb_scaffold(f, cs)
 
 
@@ -964,11 +1053,13 @@ class TestStratumAudit:
         strata = reeb.FineCells.strata
 
         def recorded(fine, cs):
-            built.append(cs)
-            return strata(fine, cs)
+            built.append((fine, cs, strata(fine, cs)))
+            return built[-1][2]
         monkeypatch.setattr(reeb.FineCells, "strata", recorded)
         assert [stratum_fiber_audit(f) for f in (tetra, torus)] == expected
         assert len(built) == 2
+        for fine, cs, (stratum, _, _) in built:
+            assert stratum == naive_strata(fine, cs)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_needs_a_sample(self, tetra, samples):
