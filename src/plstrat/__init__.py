@@ -4,8 +4,9 @@ Exact rational tools for the critical locus of a PL map into the line or
 the plane, the arrangement its image cuts in the codomain, and the poset of
 fiber components lying over it.
 """
-from .arrangement import (CodomainStratification, Face, LocusStratification,
-                          PlanarArrangement, RefinedImage, SingularLocus,
+from .arrangement import (CodomainStratification, Face, LineCuts,
+                          LocusStratification, PlanarArrangement,
+                          RefinedImage, SingularLocus,
                           build_codomain_stratification, coarseness_check,
                           containment_comparable, refine_image, render_svg,
                           stratification_from_refined, stratify_singular_locus,

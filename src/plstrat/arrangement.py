@@ -1,20 +1,22 @@
 """Refinement of critical-value sets in the codomain and the stratification
 of the plane they induce.
 
-For k = 1 the image of the critical locus is a finite set of values and the
-complement decomposes into open intervals.  For k = 2 the image is a set of
-segments; after splitting at pairwise transverse crossings the result is an
-honest one-complex embedded in the plane, and faces of the subdivision are
-extracted with a half-edge walk using exact orientation tests.  Anything
-tangential, overlapping or concurrent beyond two segments is rejected as
-non-generic, never repaired.
+For k = 1 the image of the critical locus is a finite set of values, and
+`LineCuts` cuts the line at them into points and open intervals.  For k = 2
+the image is a set of segments; after splitting at pairwise transverse
+crossings the result is an honest one-complex embedded in the plane, and
+faces of the subdivision are extracted with a half-edge walk using exact
+orientation tests.  Anything tangential, overlapping or concurrent beyond
+two segments is rejected as non-generic, never repaired.
 
 `PlanarArrangement` decides planar incidence once, while it is built: its
 crossing vertex ids and cell incidences are what the refined image, both
-stratifiers and the fiber scaffold read.  Every codomain and contour order
-is graded, so one builder, `_plane_space`, reads its up-sets and covers off
-the incidences unclosed, off the line's cuts as off the plane's cells, and
-the label table it reads is the one every stratification keeps.
+stratifiers and the fiber scaffold read.  `LineCuts` answers the same
+queries on the line (`cells`, `incidences`, `locate`, `sample`), keyed
+alike, so the codomain stratification and the fine cells read either one
+the same way.  Every codomain and contour order is graded, so one builder,
+`_plane_space`, reads its up-sets and covers off the incidences unclosed,
+and the label table it reads is the one every stratification keeps.
 
 Every decision runs on Python ints, not on the `Fraction` predicates of
 `geometry`.  Construction multiplies every input coordinate by the common
@@ -294,6 +296,22 @@ class PlanarArrangement:
                 return ("f", face.index)
         return ("f", self.faces[-1].index)
 
+    def cells(self) -> list[tuple]:
+        """Every cell, keyed as `locate` returns them."""
+        sizes = {"v": len(self.vertices), "e": len(self.edges), "f": len(self.faces)}
+        return [(kind, i) for kind, n in sizes.items() for i in range(n)]
+
+    def sample(self, cell) -> Point:
+        """A point inside the cell: the vertex, the edge's midpoint, or the
+        face's first interior sample."""
+        kind, i = cell
+        if kind == "v":
+            return self.vertices[i]
+        if kind == "e":
+            u, v = self.edges[i]
+            return vscale(Fraction(1, 2), vadd(self.vertices[u], self.vertices[v]))
+        return self.face_interior_samples(i)[0]
+
     def bounding_box(self):
         xs = [p[0] for p in self.vertices] or [Fraction(0)]
         ys = [p[1] for p in self.vertices] or [Fraction(0)]
@@ -434,6 +452,46 @@ def _face_label(face: Face) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the line cut at values
+
+class LineCuts:
+    """The line cut at increasing `values`, with the cell interface of
+    `PlanarArrangement`: ("v", i) is the i-th value and ("f", i) the open
+    interval or ray below it, ("f", n) the ray above all n values, so no
+    cuts leave the one face ("f", 0).  It has no segments and no edges."""
+
+    segments = edges = edge_source = ()
+
+    def __init__(self, values: Sequence[Fraction]):
+        self.values, self.vertices = values, [(x,) for x in values]
+        self.vertex_id = {p: n for n, p in enumerate(self.vertices)}
+
+    def cells(self) -> list[tuple]:
+        n = len(self.values)
+        return [*(("v", i) for i in range(n)), *(("f", i) for i in range(n + 1))]
+
+    def incidences(self) -> list[tuple[tuple, tuple]]:
+        """Each value below the interval or ray on either side of it."""
+        return [(("v", i), ("f", i + d)) for i in range(len(self.values)) for d in (0, 1)]
+
+    def locate(self, y) -> tuple:
+        t, values = as_point(y, 1)[0], self.values
+        i = bisect_left(values, t)
+        return ("v" if i < len(values) and values[i] == t else "f", i)
+
+    def sample(self, cell) -> Point:
+        """The value, the midpoint of a bounded interval, 1 past the end of
+        a ray, or 0 on the uncut line."""
+        kind, i = cell
+        if kind == "v":
+            return self.vertices[i]
+        lo, hi = (self.values[j] if 0 <= j < len(self.values) else None for j in (i - 1, i))
+        if lo is None:
+            return (Fraction(0) if hi is None else hi - 1,)
+        return (lo + 1 if hi is None else (lo + hi) / 2,)
+
+
+# ---------------------------------------------------------------------------
 # refined image of a critical locus
 
 @dataclass(frozen=True, eq=False)
@@ -525,45 +583,34 @@ def containment_comparable(r: RefinedImage) -> bool:
 class CodomainStratification:
     """Stratification of R^k by the refined critical-value cells and the
     connected components of their complement; `labels[kind][i]` names the
-    stratum of cell i of kind "v", "e" or "f", as `_plane_space` reads it."""
+    stratum of cell i of kind "v", "e" or "f" of `cuts`, the `LineCuts` at
+    the refined points for k = 1 and the refined arrangement for k = 2."""
     k: int
     space: StratifiedSpace
     geometry: dict
     refined: RefinedImage
     labels: dict
+    cuts: LineCuts | PlanarArrangement
+
+    @cached_property
+    def cell(self) -> dict:
+        """The cell of `cuts` each stratum label names."""
+        return {label: (kind, i) for kind, names in self.labels.items()
+                for i, label in enumerate(names)}
 
     def locate(self, y) -> str:
         """Label of the lowest-dimensional stratum containing y; a point of
         the wrong length is a `StructuralError`."""
-        if self.k == 1:
-            y = as_point(y, 1)[0]
-            pts = self.refined.points
-            i = bisect_left(pts, y)
-            return self.labels["v" if i < len(pts) and pts[i] == y else "f"][i]
-        kind, idx = self.refined.arrangement.locate(y)
-        return self.labels[kind][idx]
+        kind, i = self.cuts.locate(y)
+        return self.labels[kind][i]
 
     def sample(self, label: str) -> tuple:
-        """A point inside the stratum `label`."""
-        g, dim = self.geometry[label], stratum_dimension(label)
-        if self.k == 1:
-            return (g,) if dim == 0 else _interval_sample(g)
-        if dim < 2:
-            return g if dim == 0 else vscale(Fraction(1, 2), vadd(*g))
-        return self.refined.arrangement.face_interior_samples(g.index)[0]
-
-
-def _interval_sample(bounds) -> tuple:
-    """A point inside the interval `bounds`, whose ends may be None."""
-    lo, hi = bounds
-    if lo is None:
-        return (Fraction(0) if hi is None else hi - 1,)
-    return (lo + 1 if hi is None else (lo + hi) / 2,)
+        """A point inside the stratum `label`: its cell's sample."""
+        return self.cuts.sample(self.cell[label])
 
 
 def build_codomain_stratification(f, j) -> CodomainStratification:
-    refined = refine_image(f, j)
-    return stratification_from_refined(refined)
+    return stratification_from_refined(refine_image(f, j))
 
 
 # label prefixes fix the cell dimension across every stratification here
@@ -577,25 +624,23 @@ def stratum_dimension(label: str) -> int:
 def stratification_from_refined(refined: RefinedImage) -> CodomainStratification:
     pts = refined.points
     if refined.k == 1:
+        cuts = LineCuts(pts)
         labels = {"v": [f"p{i}" for i in range(len(pts))], "e": [],
                   "f": [f"i{i}" for i in range(len(pts) + 1)]}
         # interval i runs from point i - 1 to point i, unbounded at the ends
         bounds = (None,) + pts + (None,)
         geometry = dict(zip(labels["f"], zip(bounds, bounds[1:])))
-        # the line's cuts: point i lies below intervals i and i + 1
-        incidences = [(("v", i), ("f", i + d)) for i in range(len(pts)) for d in (0, 1)]
     else:
-        arr = refined.arrangement
+        cuts = refined.arrangement
         labels = {"v": [f"v{i}" for i in range(len(pts))],
-                  "e": [f"e{i}" for i in range(len(arr.edges))],
-                  "f": [_face_label(face) for face in arr.faces]}
-        geometry = {c: (pts[u], pts[v]) for c, (u, v) in zip(labels["e"], arr.edges)}
-        geometry.update(zip(labels["f"], arr.faces))
-        incidences = arr.incidences()
+                  "e": [f"e{i}" for i in range(len(cuts.edges))],
+                  "f": [_face_label(face) for face in cuts.faces]}
+        geometry = {c: (pts[u], pts[v]) for c, (u, v) in zip(labels["e"], cuts.edges)}
+        geometry.update(zip(labels["f"], cuts.faces))
     geometry.update(zip(labels["v"], pts))
     return CodomainStratification(
-        k=refined.k, space=_plane_space(incidences, labels),
-        geometry=geometry, refined=refined, labels=labels)
+        k=refined.k, space=_plane_space(cuts.incidences(), labels),
+        geometry=geometry, refined=refined, labels=labels, cuts=cuts)
 
 
 def _plane_space(incidences: list, labels: dict) -> StratifiedSpace:
@@ -672,17 +717,6 @@ class LocusStratification:
     labels: dict           # "v", "e", "f" -> the stratum of each cell, None inside a chain
 
 
-def _strand_segments(strand, closed):
-    pts = strand[:-1] if closed else strand
-    n = len(pts)
-    segs = []
-    count = n if closed else n - 1
-    for i in range(count):
-        a, b = pts[i], pts[(i + 1) % n]
-        segs.append((a, b))
-    return pts, segs
-
-
 def stratify_singular_locus(locus: SingularLocus) -> LocusStratification:
     """Stratify the plane by a singular locus.
 
@@ -699,23 +733,18 @@ def stratify_singular_locus(locus: SingularLocus) -> LocusStratification:
     all_segments: list[tuple] = []
     for si, strand in enumerate(locus.strands):
         closed = locus.is_closed(si)
-        pts, segs = _strand_segments(strand, closed)
-        n = len(pts)
-        dx = []
-        for a, b in segs:
-            d = b[0] - a[0]
-            if d == 0:
+        if not closed:
+            mark(strand[0], "endpoint")
+            mark(strand[-1], "endpoint")
+        # a closed strand repeats its first point, so its last segment
+        # comes before its first
+        segs = list(zip(strand, strand[1:]))
+        for prev, (a, b) in zip((segs[-1] if closed else None, *segs), segs):
+            if a[0] == b[0]:
                 raise GenericityError(
                     f"vertical segment in strand {si}; tangency direction undefined")
-            dx.append(d)
-        if not closed:
-            mark(pts[0], "endpoint")
-            mark(pts[-1], "endpoint")
-        idxs = range(n) if closed else range(1, n - 1)
-        for i in idxs:
-            # open strands run i = 1..n-2, where the wrap does nothing
-            if (dx[(i - 1) % len(dx)] > 0) != (dx[i % len(dx)] > 0):
-                mark(pts[i], "tangency")
+            if prev and (a[0] > prev[0][0]) != (b[0] > a[0]):
+                mark(a, "tangency")
         all_segments.extend(segs)
     for si, vi in locus.cusp_marks:
         strand = locus.strands[si]
@@ -831,10 +860,7 @@ def render_svg(strat) -> str:
 
 def _render_line_svg(strat: CodomainStratification) -> str:
     pts = strat.refined.points
-    if pts:
-        lo, hi = min(pts), max(pts)
-    else:
-        lo = hi = Fraction(0)
+    lo, hi = (pts[0], pts[-1]) if pts else (Fraction(0), Fraction(0))
     pad = max(hi - lo, Fraction(1)) / 4
     x0, x1 = lo - pad, hi + pad
     color = {c: _PALETTE[i % len(_PALETTE)]

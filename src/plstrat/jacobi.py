@@ -61,14 +61,17 @@ class PLMap:
     def __post_init__(self):
         if self.k < 1:
             raise StructuralError("target dimension must be at least 1")
-        vertices, coerced = self.domain.vertices, {}
+        vertices, coerced, errors = self.domain.vertices, {}, {}
         if missing := vertices.difference(self.values):
             raise StructuralError(f"no value for vertex {canon_sorted(missing)[0]!r}")
         for v in vertices:
             try:
                 coerced[v] = as_point(self.values[v], self.k)
             except StructuralError as exc:
-                raise StructuralError(f"value for {v!r}: {exc}") from None
+                errors[v] = exc
+        if errors:
+            v = canon_sorted(errors)[0]    # the least, whatever the set order
+            raise StructuralError(f"value for {v!r}: {errors[v]}")
         extra = set(self.values) - set(coerced)
         if extra:
             raise StructuralError(f"values given for unknown vertices {canon_sorted(extra)!r}")

@@ -25,18 +25,18 @@ O(m log m) time algorithm for the Reeb graph", 2012).
 
 The scaffold, the analogue of the Reeb graph over a stratified codomain, is
 glued from `FineCells`: finitely many cells on which the fiber support is
-constant and which cover all of R^k: the sweep levels and the two rays
-for one parameter, and for two the cells of the arrangement of the images
-of all domain edges (Edelsbrunner-Harer-Patel, "Reeb spaces of piecewise
-linear mappings", 2008; Carr-Duke, "Joint contour nets", 2014).  The
-support over a cell contains the support over every cell whose closure
-holds it, so each component over the higher cell lies in exactly one
-component over the lower one, with no sampling between them;
-`FineCells.attachments` yields these pairs and is the one place that rule
-is checked.  The scaffold, a poset of fiber components over the strata,
-joins the pairs inside and across the strata.  A stratum is a union of
-cells, so both fiber audits read its counts off its cells, the empty rays
-of the line too.
+constant and which cover all of R^k, read alike for both parameters: the
+line cut at the vertex values, whose points and intervals are the sweep
+levels and the two rays, or the arrangement of the images of all domain
+edges (Edelsbrunner-Harer-Patel, "Reeb spaces of piecewise linear
+mappings", 2008; Carr-Duke, "Joint contour nets", 2014).  The support over
+a cell contains the support over every cell whose closure holds it, so
+each component over the higher cell lies in exactly one component over the
+lower one, with no sampling between them; `FineCells.attachments` yields
+these pairs and is the one place that rule is checked.  The scaffold, a
+poset of fiber components over the strata, joins the pairs inside and
+across the strata.  A stratum is a union of cells, so both fiber audits
+read its counts off its cells, the empty rays of the line too.
 
 Two parameters need the edge images in general position: transverse
 crossings only, no three through one point, no overlaps.  A fiber over a
@@ -47,18 +47,17 @@ position of the images.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .arrangement import (CodomainStratification, _homogeneous, _interval_sample,
+from .arrangement import (CodomainStratification, LineCuts, _homogeneous,
                           _show_segment, build_codomain_stratification,
                           edge_image_arrangement, stratum_dimension)
 from .complexes import rank_components
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      NotAMemberError, StructuralError)
-from .geometry import _show, as_point, convex_hull_2d, format_frac, vadd, vscale
+from .geometry import _show, as_point, convex_hull_2d, format_frac
 from .jacobi import JacobiSet, PLMap, jacobi_set
 from .posets import MonotoneMap, Poset, connected_classes
 
@@ -97,28 +96,27 @@ class SweepIndex:
       its face pairs; only the components over which S falls apart are
       joined again, in one call.
 
-    Components no level touches keep their frozenset from level to level;
-    each level's tuple is sorted by least rank.  The pass also keeps its
-    record, which the Reeb graph replays: in `events`, for each vertex
-    level, the gap ids each touched component absorbed, itself among them
-    when it continues an id of the gap below, and for each gap, the ids
-    each touched component of the level below becomes, none when it ends,
-    itself when it shrinks and fresh ones when it is joined again; in
-    `touched`, the ids each level touched, with their least rank and
-    frozenset; and in `holder`, the id holding each vertex at its own
-    level, the level kept in `vlevel`."""
+    Components no level touches keep their frozenset from level to level:
+    `table[level]` maps the id of each component over the level to its
+    least rank and its frozenset, and `components` orders them by least
+    rank.  The pass also keeps its record, which the Reeb graph replays: in
+    `events`, for each vertex level, the gap ids each touched component
+    absorbed, itself among them when it continues an id of the gap below,
+    and for each gap, the ids each touched component of the level below
+    becomes, none when it ends, itself when it shrinks and fresh ones when
+    it is joined again.  Each vertex's own level is kept in `vlevel`, and
+    `level` locates a value in the line cut at the vertex values, `cuts`."""
 
     def __init__(self, f: PLMap):
         if f.k != 1:
             raise StructuralError("a sweep requires a single parameter")
         self.values = sorted({_scalar(f, v) for v in f.domain.vertices})
-        level_of = {x: 2 * i for i, x in enumerate(self.values)}
-        self.vlevel = vlevel = {v: level_of[_scalar(f, v)] for v in f.domain.vertices}
+        self.cuts = LineCuts(self.values)
+        self.vlevel = vlevel = {v: 2 * self.cuts.vertex_id[f.value(v)]
+                                for v in f.domain.vertices}
         n = max(2 * len(self.values) - 1, 0)
         self.table: list = [None] * n
         self.events: list = [None] * n
-        self.touched: list = [None] * n
-        self.holder: dict = {}
         # the domain's own incidence tables, shared with every other reader
         index = f.domain.index
         ranked, rank, star = index.ranked, index.rank, index.vertex_cofaces
@@ -157,8 +155,6 @@ class SweepIndex:
                     members[c].update(piece)
                     for r in piece:
                         owner[r] = c
-                self.holder.update((ranked[r][0], owner[r]) for r in enter[level]
-                                   if len(ranked[r]) == 1)
             else:
                 changed = set()
                 for r in leave[level - 1]:
@@ -199,21 +195,21 @@ class SweepIndex:
                             for r in piece:
                                 owner[r] = c
                             changed.add(c)
-            touched = self.touched[level] = {}
             for c in changed:
-                touched[c] = published[c] = (
-                    min(members[c]), frozenset(map(ranked.__getitem__, members[c])))
-            self.table[level] = tuple(comp for _, comp in sorted(published.values()))
+                published[c] = (min(members[c]),
+                                frozenset(map(ranked.__getitem__, members[c])))
+            self.table[level] = dict(published)
 
     def level(self, t: Fraction) -> int:
         """The level of value t: -1 below every vertex value and 2V - 1
         above them, the two unbounded rays, where the fiber is empty."""
-        i = bisect_left(self.values, t)
-        return 2 * i if i < len(self.values) and self.values[i] == t else 2 * i - 1
+        kind, i = self.cuts.locate(t)
+        return 2 * i if kind == "v" else 2 * i - 1
 
     def components(self, level: int) -> tuple[frozenset, ...]:
-        """The fiber components over a level, none over a ray."""
-        return self.table[level] if 0 <= level < len(self.table) else ()
+        """The fiber components over a level, by least rank, none over a ray."""
+        table = self.table[level] if 0 <= level < len(self.table) else {}
+        return tuple(comp for _, comp in sorted(table.values()))
 
 
 class HullIndex:
@@ -326,17 +322,15 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     if jset is None:
         jset = jacobi_set(f)
     sweep = f.sweep
-    events, touched, holder = sweep.events, sweep.touched, sweep.holder
+    events, table = sweep.events, sweep.table
     values, vlevel, ranked = sweep.values, sweep.vlevel, f.domain.index.ranked
 
     def order(key):
-        """(level, least rank): the order of the level's own tuple."""
-        return key[0], touched[key[0]][key[1]][0]
+        """(level, least rank): the order of the level's `components`."""
+        return key[0], table[key[0]][key[1]][0]
 
     def component(level, c) -> str:
-        # an id keeps its members until a level touches it again
-        at = next(l for l in range(level, -1, -1) if c in touched[l])
-        least = ranked[touched[at][c][0]]
+        least = ranked[table[level][c][0]]
         lo, hi = (format_frac(values[i]) for i in (level // 2, (level + 1) // 2))
         return ("fiber component through {" + ", ".join(map(str, least)) + "} "
                 + (f"at value {lo}" if level % 2 == 0
@@ -348,7 +342,8 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         v = s[0]
         if v not in vlevel:
             raise NotAMemberError(f"vertex {v!r} not in the domain")
-        critical.setdefault((vlevel[v], holder[v]), []).append(v)
+        c = next(c for c, (_, comp) in table[vlevel[v]].items() if s in comp)
+        critical.setdefault((vlevel[v], c), []).append(v)
 
     arcs: list = []          # (lower, upper) candidate of each gap id
     incident: dict = {}      # candidate (level, id) -> its arcs
@@ -387,7 +382,7 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
                      node_value={label[k]: values[k[0] // 2] for k in kept},
                      node_critical={label[k]: tuple(sorted(critical.get(k, ())))
                                     for k in kept},
-                     node_members={label[k]: touched[k[0]][k[1]][1] for k in kept},
+                     node_members={label[k]: table[k[0]][k[1]][1] for k in kept},
                      edges=tuple(sorted(edges)))
 
 
@@ -403,9 +398,10 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
                          samples: int = 3) -> FiberAudit:
     """Check that the fiber component count is constant on every open
     interval between consecutive critical values of the locus `jset` (the H
-    Jacobi set of f when omitted), and report the counts: the count at
-    `_interval_sample`, and in `detail` the counts over the sweep levels
-    inside the interval, the empty rays of an unbounded one among them."""
+    Jacobi set of f when omitted), and report the counts: the count at the
+    interval's sample in the line cut at the critical values, and in
+    `detail` the counts over the sweep levels inside the interval, the
+    empty rays of an unbounded one among them."""
     if f.k != 1:
         raise StructuralError("interval audit requires a single parameter")
     if samples < 1:
@@ -416,12 +412,12 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
     crit = sorted({_scalar(f, v) for v in locus})
     if not crit:
         raise InternalError("a nonempty compact domain must have critical values")
-    sweep, counts, detail = f.sweep, [], []
+    sweep, cuts, counts, detail = f.sweep, LineCuts(crit), [], []
     # the rays -1 and 2V - 1 are levels too
     ends = [-2] + sorted({sweep.vlevel[v] for v in locus}) + [2 * len(sweep.values)]
-    for lo, hi, a, b in zip([None] + crit, crit + [None], ends, ends[1:]):
+    for i, (a, b) in enumerate(zip(ends, ends[1:])):
         found = {len(sweep.components(l)) for l in range(a + 1, b)}
-        counts.append(len(fiber_components(f, _interval_sample((lo, hi)))))
+        counts.append(len(fiber_components(f, cuts.sample(("f", i)))))
         detail.append(_reported(found, samples))
     return FiberAudit(boundaries=tuple(crit), counts=tuple(counts),
                       passed=all(len(set(d)) == 1 for d in detail),
@@ -440,79 +436,52 @@ class FineCells:
     """The cells of the codomain on which the fiber support is constant,
     with the fiber components over each and the one rule that glues them.
 
-    For one parameter these are the sweep levels, keyed ("l", level), and
-    their components are read off the map's `SweepIndex`; level l lies in
-    the closure of levels l - 1 and l + 1 when l is even.  They run from
-    -1 to 2V - 1, the two rays with the empty fiber included, so they cover
-    the line; an empty domain is the one cell -1.  For two they are the
-    vertices, open edges and faces of the arrangement of the images of all
-    domain edges, keyed and paired as the arrangement's `locate` and
-    `incidences` give them, and the components over each come from
-    `fiber_components` at its sample point.  A simplex image is the hull of
-    its vertex images, bounded by the images of its edges, so every open
-    cell lies inside it or outside it.
-
-    Each cell carries a sample point and the fiber components over it;
-    `incidences` pairs each cell with the cells whose closure contains it,
-    lower cell first, so the support over the lower cell contains the
-    support over the higher one, and `attachments` names the component
-    over the lower cell that holds each component over the higher one.
+    The cells are those of `arrangement`, chosen once: the sweep's
+    `LineCuts` for one parameter, whose cells are the sweep levels with
+    the two empty rays, and for two the arrangement of the images of all
+    domain edges; a simplex image is the hull of its vertex images, so
+    every open cell lies inside it or outside it.  Both cover R^k, and
+    from there on both are read alike: each cell, keyed as `locate`
+    gives it, carries its `sample` and the fiber components over it, and
+    `incidences` pairs it with the cells whose closure contains it, lower
+    cell first.  The support over the lower cell contains the support over
+    the higher one, and `attachments` names the component over the lower
+    cell that holds each component over the higher one.
     """
 
     def __init__(self, f: PLMap):
         self.rank = f.domain.index.rank
-        if f.k == 1:
-            self.arrangement, self._sweep = None, f.sweep
-            # a vertex value at even levels, a gap or a ray at odd ones
-            ends, n = (None, *f.sweep.values, None), 2 * len(f.sweep.values)
-            self.samples = {("l", l): _interval_sample((ends[(l + 2) // 2],
-                                                        ends[(l + 3) // 2]))
-                            for l in range(-1, n)}
-            self.incidences = [(("l", l), ("l", l + d)) for l in range(0, n, 2)
-                               for d in (-1, 1)]
-            self.components = {("l", l): f.sweep.components(l) for l in range(-1, n)}
-        else:
-            self.arrangement = arr = edge_image_arrangement(f, f.domain)
-            self.samples = {("v", i): p for i, p in enumerate(arr.vertices)}
-            pts = arr.vertices
-            self.samples.update((("e", i), vscale(Fraction(1, 2), vadd(pts[u], pts[v])))
-                                for i, (u, v) in enumerate(arr.edges))
-            self.samples.update((("f", i), arr.face_interior_samples(i, 1)[0])
-                                for i in range(len(arr.faces)))
-            self.incidences = arr.incidences()
-            self.components = {c: fiber_components(f, y)
-                               for c, y in self.samples.items()}
+        self.arrangement = arr = (f.sweep.cuts if f.k == 1
+                                  else edge_image_arrangement(f, f.domain))
+        self.samples = {c: arr.sample(c) for c in arr.cells()}
+        self.incidences = arr.incidences()
+        self.components = {c: fiber_components(f, y) for c, y in self.samples.items()}
 
     def locate(self, y):
         """The cell containing y; a point of the wrong length is a
         `StructuralError`."""
-        if self.arrangement is not None:
-            return self.arrangement.locate(y)
-        return ("l", self._sweep.level(as_point(y, 1)[0]))
+        return self.arrangement.locate(y)
 
     def strata(self, cs: CodomainStratification) -> tuple[dict, dict, dict]:
         """The stratum of `cs` holding each cell, each stratum's sample and
         its cell.  A stratum is a class of incident cells of one codomain
-        dimension (0 on a refined image point, 1 on a locus segment, else 2)
+        dimension (0 on a cut point of `cs`, 1 on a locus segment, else 2)
         holding its sample, and `cs` is cut by vertex values and edge images."""
         reps = {label: cs.sample(label) for label in sorted(cs.space.cells)}
         rep_cell = {label: self.locate(y) for label, y in reps.items()}
-        points = set(cs.refined.points)
-        if self.arrangement is None:
-            if stray := points.difference(self._sweep.values):
-                raise StructuralError(f"value {format_frac(min(stray))} is no vertex value")
-            dim = {("l", l): 1 if l % 2 or self._sweep.values[l // 2] not in points else 0
-                   for _, l in self.components}
-        else:
-            arr, segs = self.arrangement, cs.refined.arrangement.segments
-            source = {frozenset(seg): i for i, seg in enumerate(arr.segments)}
-            if stray := [seg for seg in segs if frozenset(seg) not in source]:
-                raise StructuralError(f"segment {_show_segment(stray[0])} is no edge image")
-            locus = {source[frozenset(seg)] for seg in segs}
-            dim = dict.fromkeys(self.components, 2)
-            dim.update((("e", i), 1) for i, s in enumerate(arr.edge_source) if s in locus)
-            dim.update((low, 1) for low, high in self.incidences if dim[high] == 1)
-            dim.update((("v", arr.vertex_id[p]), 0) for p in points)
+        arr, cuts = self.arrangement, cs.cuts
+        source = {frozenset(seg): i for i, seg in enumerate(arr.segments)}
+        if stray := [seg for seg in cuts.segments if frozenset(seg) not in source]:
+            raise StructuralError(f"segment {_show_segment(stray[0])} is no edge image")
+        # the plane's cut points end or cross its segments: only the line's can miss
+        if stray := [p for p in cuts.vertices if p not in arr.vertex_id]:
+            raise StructuralError(f"value {', '.join(map(format_frac, min(stray)))}"
+                                  f" is no vertex value")
+        locus = {source[frozenset(seg)] for seg in cuts.segments}
+        dim = dict.fromkeys(self.components, 2)
+        dim.update((("e", i), 1) for i, s in enumerate(arr.edge_source) if s in locus)
+        dim.update((low, 1) for low, high in self.incidences if dim[high] == 1)
+        dim.update((("v", arr.vertex_id[p]), 0) for p in cuts.vertices)
         stratum: dict = {}
         same = [(a, b) for a, b in self.incidences if dim[a] == dim[b]]
         for cls in connected_classes([*dim, *rep_cell], same + list(rep_cell.items())):

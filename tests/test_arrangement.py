@@ -9,11 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (naive_arrangement, naive_face_samples, naive_incidences,
-                     naive_locate, naive_multiplicities, random_planar_map,
-                     random_segments, segments_as_map, torus_projection)
-from plstrat import (GenericityError, InputError, JacobiSet, PLMap,
-                     PlanarArrangement, SimplicialComplex, SingularLocus,
+from helpers import (_stratum_samples, naive_arrangement, naive_face_samples,
+                     naive_incidences, naive_locate, naive_multiplicities,
+                     random_planar_map, random_segments, random_surface_map,
+                     segments_as_map, torus_projection)
+from plstrat import (DegeneracyError, GenericityError, InputError, JacobiSet,
+                     LineCuts, PLMap, PlanarArrangement, SimplicialComplex,
+                     SingularLocus,
                      StructuralError, build_codomain_stratification,
                      check_generic, coarseness_check, containment_comparable,
                      jacobi_set, refine_image, render_svg,
@@ -22,7 +24,8 @@ from plstrat import (GenericityError, InputError, JacobiSet, PLMap,
 from plstrat.arrangement import _homogeneous, _on_edge, edge_image_arrangement
 from plstrat.cli import main
 from plstrat.geometry import on_segment, vadd, vsub
-from plstrat.io import example_locus, example_map, map_from_dict
+from plstrat.io import (example_input, example_locus, example_map, example_names,
+                        locus_stratification_to_dict, map_from_dict)
 
 F = Fraction
 
@@ -538,6 +541,98 @@ class TestCodomainStratification:
         assert stratum_dimension("f_out") == 2
 
 
+def _naive_line_cell(values, t) -> tuple:
+    """The cell of the line cut at `values` holding t, by a scan."""
+    if t in values:
+        return ("v", values.index(t))
+    return ("f", sum(x < t for x in values))
+
+
+class TestLineCuts:
+    """The line cut at values, against a scan of the values."""
+
+    def _value_sets(self, rng) -> list:
+        sets = []
+        for n in [0, 1] + [rng.randint(0, 12) for _ in range(30)]:
+            d = rng.randint(1, 3)
+            sets.append(sorted(F(x, d) for x in rng.sample(range(-40, 40), n)))
+        return sets
+
+    def test_locate_against_a_scan(self, rng):
+        for values in self._value_sets(rng):
+            cuts = LineCuts(values)
+            probes = [F(rng.randint(-100, 100), rng.randint(1, 6)) for _ in range(20)]
+            for x in values:
+                probes += [x, x - F(1, 7), x + F(1, 7)]
+            for t in probes:
+                assert cuts.locate(t) == cuts.locate((t,)) == _naive_line_cell(values, t)
+
+    def test_each_sample_lies_in_its_cell(self, rng):
+        for values in self._value_sets(rng):
+            cuts = LineCuts(values)
+            n = len(values)
+            assert cuts.cells() == ([("v", i) for i in range(n)]
+                                    + [("f", i) for i in range(n + 1)])
+            for c in cuts.cells():
+                assert cuts.locate(cuts.sample(c)) == c
+                assert _naive_line_cell(values, cuts.sample(c)[0]) == c
+
+    def test_each_value_lies_below_the_cells_on_either_side(self, rng):
+        for values in self._value_sets(rng):
+            cuts = LineCuts(values)
+            # less than half of every gap, so x - eps and x + eps flank x only
+            eps = min((b - a for a, b in zip(values, values[1:])), default=F(2)) / 3
+            pairs = sorted((("v", i), _naive_line_cell(values, x + d))
+                           for i, x in enumerate(values) for d in (-eps, eps))
+            assert sorted(cuts.incidences()) == pairs
+
+    def test_no_cuts_leave_one_face(self):
+        cuts = LineCuts([])
+        assert cuts.cells() == [("f", 0)]
+        assert cuts.incidences() == []
+        assert cuts.sample(("f", 0)) == (F(0),)
+        assert {cuts.locate(t) for t in (F(-5), F(0), F(7, 2))} == {("f", 0)}
+        assert (cuts.segments, cuts.edge_source, cuts.vertices, cuts.vertex_id) == ((), (), [], {})
+
+    def test_a_point_of_the_wrong_length_is_structural(self):
+        cuts = LineCuts([F(0), F(1)])
+        for p in ((F(0), F(5)), (), [F(0), F(0)]):
+            with pytest.raises(StructuralError,
+                               match=rf"^a point of R\^1 has 1 coordinates, got {len(p)}: "):
+                cuts.locate(p)
+
+
+def _codomains(rng) -> list:
+    """The H and D codomains of every bundled map and of random surface and
+    planar maps, each that builds."""
+    maps = [f for f in map(example_input, example_names()) if isinstance(f, PLMap)]
+    maps += [random_surface_map(rng) for _ in range(6)]
+    maps += [random_planar_map(rng) for _ in range(6)]
+    out = []
+    for f in maps:
+        for notion in ("H", "D"):
+            try:
+                out.append(build_codomain_stratification(f, jacobi_set(f, notion)))
+            except (GenericityError, DegeneracyError):
+                pass
+    return out
+
+
+class TestCodomainSampleOracle:
+    """Each stratum's sample against the audit oracle's first sample, and
+    located back in the stratum."""
+
+    def test_sample_is_the_oracles_and_locates_back(self, rng):
+        built = {1: 0, 2: 0}
+        for cs in _codomains(rng):
+            for label in sorted(cs.space.cells):
+                y = cs.sample(label)
+                assert y == _stratum_samples(cs, label, 1)[0], label
+                assert cs.locate(y) == label
+            built[cs.k] += 1
+        assert built[1] >= 8 and built[2] >= 2
+
+
 class TestSingularLocus:
     def test_short_strand_rejected(self):
         with pytest.raises(InputError):
@@ -602,6 +697,28 @@ class TestLocusStratification:
             ls = stratify_singular_locus(example_locus(name))
             ok, removable = coarseness_check(ls)
             assert ok and removable == []
+
+    def test_rotating_a_closed_strand_changes_nothing(self):
+        # each closed strand started at another of its points, the cusp
+        # marks on it moved along
+        rotations = 0
+        for name in ("oval_contour", "figure_eight_contour"):
+            locus = example_locus(name)
+            want = locus_stratification_to_dict(stratify_singular_locus(locus))
+            for si, strand in enumerate(locus.strands):
+                if not locus.is_closed(si):
+                    continue
+                n = len(strand) - 1
+                for r in range(1, n):
+                    turned = list(locus.strands)
+                    turned[si] = strand[r:-1] + strand[:r + 1]
+                    marks = tuple((i, (v - r) % n if i == si else v)
+                                  for i, v in locus.cusp_marks)
+                    moved = SingularLocus(strands=tuple(turned), cusp_marks=marks)
+                    assert locus_stratification_to_dict(
+                        stratify_singular_locus(moved)) == want, (name, r)
+                    rotations += 1
+        assert rotations == 12
 
     def test_spurious_cut_breaks_coarseness(self):
         # a degree-2 zero-cell of the oval without its tangency mark

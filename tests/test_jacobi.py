@@ -1,10 +1,14 @@
 """Criticality notions, genericity and the critical locus."""
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import plstrat
 from helpers import (closed_surfaces, naive_check_generic,
                      naive_directional_links, naive_domain_stratification,
                      naive_h_side_verdicts, naive_is_d_critical,
@@ -65,6 +69,24 @@ class TestPLMap:
         dom = SimplicialComplex.from_facets([(0,)])
         with pytest.raises(StructuralError):
             PLMap(dom, 2, {0: (F(1),)})
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3"])
+    def test_a_wrong_length_names_the_least_vertex_under_any_hash_seed(self, hash_seed):
+        # the domain's vertices are a frozenset of strs, whose order follows
+        # the string hash seed, so each seed runs in a process of its own
+        src = os.path.dirname(os.path.dirname(os.path.realpath(plstrat.__file__)))
+        code = ("from plstrat import PLMap, SimplicialComplex\n"
+                "dom = SimplicialComplex.from_facets([['a', 'b', 'c'], ['c', 'd']])\n"
+                "try:\n"
+                "    PLMap(dom, 2, {'a': (0, 0), 'b': (1,), 'c': (2,), 'd': (3,)})\n"
+                "except Exception as exc:\n"
+                "    print(type(exc).__name__, exc)\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                                  "PYTHONPATH": src})
+        assert (run.returncode, run.stdout, run.stderr) == (
+            0, "StructuralError value for 'b': a point of R^2 has 2 coordinates, "
+               "got 1: (1)\n", "")
 
     def test_affine_evaluation(self, tetra):
         e = Simplex(("a", "b"))

@@ -81,7 +81,7 @@ class TestFiberComponents:
 
     def test_fine_cells_of_one_parameter_locate_one_coordinate(self, torus):
         fine = reeb.FineCells(torus)
-        assert fine.locate(F(0)) == fine.locate((F(0),)) == ("l", 0)
+        assert fine.locate(F(0)) == fine.locate((F(0),)) == ("v", 0)
         for y in ((F(0), F(5)), (), [F(0), F(0)]):
             with pytest.raises(StructuralError,
                                match=rf"a point of R\^1 has 1 coordinates, got {len(y)}: "):
@@ -126,8 +126,9 @@ class TestReebGraph:
         # is corrupted so the gap id of the first edge also continues into
         # the component of the second
         f = _scalar_map([["a", "b"], ["c", "d"]], {"a": 0, "c": 0, "b": 1, "d": 1})
-        events, holder = f.sweep.events, f.sweep.holder
-        first, second = holder["b"], holder["d"]
+        events, top = f.sweep.events, f.sweep.table[2]
+        first, second = (next(c for c, (_, comp) in top.items() if (v,) in comp)
+                         for v in "bd")
         events[2][second].append(first)
         with pytest.raises(InternalError, match=re.escape(
                 "fiber component through {a, b} between values 0 and 1 does "
@@ -242,14 +243,14 @@ def _merge_a_gap_level(f: PLMap):
     """Merge the components of the first gap level whose components lie in
     two different components of the level below, so the merged one lies in
     no single component there."""
-    f.sweep.components(0)
     table = f.sweep.table
 
     def below(li):
-        return {i for comp in table[li] for i, c in enumerate(table[li - 1])
-                if comp <= c}
+        return {i for _, comp in table[li].values()
+                for i, (_, c) in table[li - 1].items() if comp <= c}
     li = next(li for li in range(1, len(table), 2) if len(below(li)) == 2)
-    table[li] = (frozenset().union(*table[li]),)
+    least, comps = zip(*table[li].values())
+    table[li] = {min(table[li]): (min(least), frozenset().union(*comps))}
 
 
 SWEEP_EXAMPLES = ("torus_grid", "octahedron", "saddle_patch", "double_cone")
@@ -931,19 +932,69 @@ class TestLineCover:
             top = 2 * len(values) - 1
             lo, hi = (values[0], values[-1]) if values else (F(0), F(0))
             for d in (F(1, 3), F(1), F(1000)):
-                for y, level in ((lo - d, -1), (hi + d, top)):
+                for y, level, cell in ((lo - d, -1, ("f", 0)),
+                                       (hi + d, top, ("f", len(values)))):
                     assert f.sweep.level(y) == level
-                    assert fine.locate(y) == ("l", level)
-                    assert fine.components[("l", level)] == ()
+                    assert fine.locate(y) == cell
+                    assert fine.components[cell] == ()
                     assert f.sweep.components(level) == ()
                     assert fiber_components(f, y) == ()
+
+    def test_the_cells_are_the_sweep_levels(self, rng):
+        # the point of the i-th value is level 2i, the interval or ray
+        # below it level 2i - 1
+        for f in self._maps(rng):
+            fine = reeb.FineCells(f)
+            n = len(f.sweep.values)
+            assert set(fine.components) == {*(("v", i) for i in range(n)),
+                                            *(("f", i) for i in range(n + 1))}
+            for (kind, i), comps in fine.components.items():
+                assert comps == f.sweep.components(2 * i - (kind == "f"))
 
     def test_an_empty_domain_is_one_cell(self):
         f = PLMap(SimplicialComplex([]), 1, {})
         fine = reeb.FineCells(f)
-        assert fine.components == {("l", -1): ()}
+        assert fine.components == {("f", 0): ()}
         assert fine.incidences == []
-        assert {fine.locate(y) for y in (F(-5), F(0), F(7, 2))} == {("l", -1)}
+        assert {fine.locate(y) for y in (F(-5), F(0), F(7, 2))} == {("f", 0)}
+
+
+def _functorial_pairs(sc) -> int:
+    """Check that each component over a stratum t lies over exactly one
+    component over each stratum s < t, and count the pairs checked."""
+    order, strata = sc.poset, sc.codomain.space.poset
+    over: dict = {}
+    for s, i in order.elements:
+        over.setdefault(s, []).append((s, i))
+    pairs = 0
+    for t, i in order.elements:
+        for s in strata.elements:
+            if s != t and strata.leq(s, t):
+                below = [e for e in over.get(s, ()) if order.leq(e, (t, i))]
+                assert len(below) == 1, ((t, i), s, below)
+                pairs += 1
+    return pairs
+
+
+class TestScaffoldFunctoriality:
+    """The scaffold is a functor on the strata: each component over t lies
+    over one component over each stratum below t."""
+
+    def test_each_component_lies_over_one_below(self, rng):
+        maps = [f for f in map(example_input, example_names()) if isinstance(f, PLMap)]
+        maps += [torus_projection(random.Random(seed), 3) for seed in (0, 2, 3)]
+        # most random planar maps fail general position, so draw more
+        maps += [random_surface_map(rng) for _ in range(3)]
+        maps += [random_planar_map(rng) for _ in range(8)]
+        built = pairs = 0
+        for f in maps:
+            try:
+                sc = reeb_scaffold(f)
+            except (GenericityError, DegeneracyError):
+                continue
+            pairs += _functorial_pairs(sc)
+            built += 1
+        assert built >= 12 and pairs >= 2000
 
 
 class TestIntervalAudit:
