@@ -16,7 +16,11 @@ queries on the line (`cells`, `incidences`, `locate`, `sample`), keyed
 alike, so the codomain stratification and the fine cells read either one
 the same way.  Every codomain and contour order is graded, so one builder,
 `_plane_space`, reads its up-sets and covers off the incidences unclosed,
-and the label table it reads is the one every stratification keeps.
+and the label table it reads is the one every stratification keeps.  A
+stratification is its cuts and that table, one label per cell: the SVG
+writers here and the JSON writer in `io` read each stratum's geometry off
+the cells of the cuts its label names, and `coarseness_check` counts
+degrees by vertex id, so no stratum keeps a copy of its points.
 
 Every decision runs on Python ints, not on the `Fraction` predicates of
 `geometry`.  Construction multiplies every input coordinate by the common
@@ -587,7 +591,6 @@ class CodomainStratification:
     the refined points for k = 1 and the refined arrangement for k = 2."""
     k: int
     space: StratifiedSpace
-    geometry: dict
     refined: RefinedImage
     labels: dict
     cuts: LineCuts | PlanarArrangement
@@ -627,20 +630,14 @@ def stratification_from_refined(refined: RefinedImage) -> CodomainStratification
         cuts = LineCuts(pts)
         labels = {"v": [f"p{i}" for i in range(len(pts))], "e": [],
                   "f": [f"i{i}" for i in range(len(pts) + 1)]}
-        # interval i runs from point i - 1 to point i, unbounded at the ends
-        bounds = (None,) + pts + (None,)
-        geometry = dict(zip(labels["f"], zip(bounds, bounds[1:])))
     else:
         cuts = refined.arrangement
         labels = {"v": [f"v{i}" for i in range(len(pts))],
                   "e": [f"e{i}" for i in range(len(cuts.edges))],
                   "f": [_face_label(face) for face in cuts.faces]}
-        geometry = {c: (pts[u], pts[v]) for c, (u, v) in zip(labels["e"], cuts.edges)}
-        geometry.update(zip(labels["f"], cuts.faces))
-    geometry.update(zip(labels["v"], pts))
     return CodomainStratification(
         k=refined.k, space=_plane_space(cuts.incidences(), labels),
-        geometry=geometry, refined=refined, labels=labels, cuts=cuts)
+        refined=refined, labels=labels, cuts=cuts)
 
 
 def _plane_space(incidences: list, labels: dict) -> StratifiedSpace:
@@ -682,7 +679,8 @@ class SingularLocus:
     """A drawn apparent contour: polyline strands of points in the plane
     with marked birth/death vertices, each mark a pair of integers (strand
     index, point index).  A strand whose first and last points agree is
-    closed."""
+    closed; no point may follow itself, which would be a zero-length
+    segment."""
     strands: tuple
     cusp_marks: tuple = ()
 
@@ -693,6 +691,11 @@ class SingularLocus:
             if any(len(p) != 2 for p in s):
                 raise InputError("each point of a strand must be a pair of rationals")
         strands = tuple(tuple(as_point(p, 2) for p in s) for s in self.strands)
+        for i, s in enumerate(strands):
+            for a, b in zip(s, s[1:]):
+                if a == b:
+                    raise InputError(f"strand {i} repeats the point {_show(a)} "
+                                     f"back to back")
         marks = tuple((i, v) for i, v in self.cusp_marks)
         for i, v in marks:
             if not all(type(x) is int for x in (i, v)):
@@ -709,11 +712,12 @@ class SingularLocus:
 @dataclass(frozen=True, eq=False)
 class LocusStratification:
     """Stratification of the plane by a singular locus: marked 0-cells,
-    strand chains between them, and complement faces."""
+    strand chains between them, and complement faces; `labels[kind][i]`
+    names the stratum of cell i of kind "v", "e" or "f" of `cuts`, the
+    arrangement of the strands' segments."""
     space: StratifiedSpace
-    geometry: dict
     marks: dict            # zero-cell label -> frozenset of mark kinds
-    arrangement: PlanarArrangement
+    cuts: PlanarArrangement
     labels: dict           # "v", "e", "f" -> the stratum of each cell, None inside a chain
 
 
@@ -775,24 +779,16 @@ def stratify_singular_locus(locus: SingularLocus) -> LocusStratification:
             raise GenericityError(
                 f"unmarked point {_show(arr.vertices[u])} has degree {len(eis)}")
         joins.append(eis)
-    chain_lists = sorted(connected_classes(range(len(arr.edges)), joins))
-    geometry: dict = {z: p for p, z in zid.items()}
     chain_of_edge: list = [None] * len(arr.edges)
-    for n, eis in enumerate(chain_lists):
-        cell = f"c{n}"
-        geometry[cell] = tuple((arr.vertices[arr.edges[i][0]],
-                                arr.vertices[arr.edges[i][1]]) for i in eis)
+    for n, eis in enumerate(sorted(connected_classes(range(len(arr.edges)), joins))):
         for i in eis:
-            chain_of_edge[i] = cell
+            chain_of_edge[i] = f"c{n}"
 
     # a vertex stands for its zero-cell, if marked, and an edge for its chain
-    fcells = [_face_label(face) for face in arr.faces]
     labels = {"v": [zid.get(p) for p in arr.vertices], "e": chain_of_edge,
-              "f": fcells}
-    geometry.update(zip(fcells, arr.faces))
+              "f": [_face_label(face) for face in arr.faces]}
     return LocusStratification(space=_plane_space(arr.incidences(), labels),
-                               geometry=geometry, marks=marks,
-                               arrangement=arr, labels=labels)
+                               marks=marks, cuts=arr, labels=labels)
 
 
 def coarseness_check(ls: LocusStratification) -> tuple[bool, list[str]]:
@@ -800,18 +796,9 @@ def coarseness_check(ls: LocusStratification) -> tuple[bool, list[str]]:
     0-cell either carries a structural mark (crossing, cusp, tangency,
     endpoint) or has degree other than two, so merging its incident 1-cells
     would erase required structure.  Returns (is_coarse, removable cells)."""
-    arr = ls.arrangement
-    degree: dict[Point, int] = {}
-    for u, v in arr.edges:
-        for w in (u, v):
-            p = arr.vertices[w]
-            degree[p] = degree.get(p, 0) + 1
-    removable = []
-    for z in sorted(ls.marks):
-        if ls.marks[z]:
-            continue
-        if degree.get(ls.geometry[z], 0) == 2:
-            removable.append(z)
+    degree = Counter(u for e in ls.cuts.edges for u in e)
+    removable = sorted(z for u, z in enumerate(ls.labels["v"])
+                       if z is not None and not ls.marks[z] and degree[u] == 2)
     return (not removable, removable)
 
 
@@ -827,17 +814,17 @@ def _f(x) -> str:
 
 
 def render_svg(strat) -> str:
-    """Deterministic SVG for a codomain or locus stratification."""
-    if isinstance(strat, CodomainStratification) and strat.k == 1:
-        return _render_line_svg(strat)
-    arr = strat.arrangement if isinstance(strat, LocusStratification) \
-        else strat.refined.arrangement
+    """Deterministic SVG for a codomain or locus stratification, drawn from
+    its cuts and coloured by the stratum each cell's label names."""
+    color = {c: _PALETTE[i % len(_PALETTE)]
+             for i, c in enumerate(sorted(strat.space.cells))}
+    arr = strat.cuts
+    if isinstance(arr, LineCuts):
+        return _render_line_svg(arr.values, strat.labels, color)
     x0, y0, x1, y1 = arr.bounding_box()
     pad = max((x1 - x0), (y1 - y0), Fraction(1)) / 10
     x0, y0, x1, y1 = x0 - pad, y0 - pad, x1 + pad, y1 + pad
     w, h = x1 - x0, y1 - y0
-    color = {c: _PALETTE[i % len(_PALETTE)]
-             for i, c in enumerate(sorted(strat.space.cells))}
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_f(x0)} {_f(-y1)} {_f(w)} {_f(h)}">']
     lines.append(f'  <rect x="{_f(x0)}" y="{_f(-y1)}" width="{_f(w)}" height="{_f(h)}" fill="{color[strat.labels["f"][-1]]}" fill-opacity="0.15"/>')
     # each vertex's coordinates are formatted once, indexed like arr.vertices
@@ -858,18 +845,15 @@ def render_svg(strat) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_line_svg(strat: CodomainStratification) -> str:
-    pts = strat.refined.points
+def _render_line_svg(pts, labels: dict, color: dict) -> str:
     lo, hi = (pts[0], pts[-1]) if pts else (Fraction(0), Fraction(0))
     pad = max(hi - lo, Fraction(1)) / 4
     x0, x1 = lo - pad, hi + pad
-    color = {c: _PALETTE[i % len(_PALETTE)]
-             for i, c in enumerate(sorted(strat.space.cells))}
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_f(x0)} -1 {_f(x1 - x0)} 2">']
     bounds = [x0] + list(pts) + [x1]
-    for a, b, c in zip(bounds, bounds[1:], strat.labels["f"]):
+    for a, b, c in zip(bounds, bounds[1:], labels["f"]):
         lines.append(f'  <line x1="{_f(a)}" y1="0" x2="{_f(b)}" y2="0" stroke="{color[c]}" stroke-width="0.12"/>')
-    for p, c in zip(pts, strat.labels["v"]):
+    for p, c in zip(pts, labels["v"]):
         lines.append(f'  <circle cx="{_f(p)}" cy="0" r="0.18" fill="{color[c]}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -100,11 +100,6 @@ def _locus_doc(ls) -> dict:
     return doc
 
 
-def _stratum_audit_doc(ok, per_stratum) -> dict:
-    return {"passed": ok,
-            "per_stratum": {s: list(c) for s, c in sorted(per_stratum.items())}}
-
-
 def cmd_validate(args) -> int:
     f = _load(args)
     gen = check_generic(f)
@@ -153,7 +148,7 @@ def cmd_reeb(args) -> int:
         audit = stratum_fiber_audit(f, sc, samples=args.samples)
         doc = {"scaffold": fmt.scaffold_to_dict(sc, fmt.codomain_to_dict(sc.codomain)),
                "stein": fmt.stein_to_dict(stein),
-               "fiber_audit": _stratum_audit_doc(*audit)}
+               "fiber_audit": fmt.stratum_audit_to_dict(audit)}
     _emit(fmt.canonical_dumps(doc), args.out)
     return 0
 
@@ -230,7 +225,7 @@ def cmd_pipeline(args) -> int:
         sdoc["stein"] = fmt.stein_to_dict(stein)
         write("scaffold.json", fmt.canonical_dumps(sdoc))
         audit = _stage("audit", lambda: stratum_fiber_audit(f, sc, samples=args.samples))
-        write("audit.json", fmt.canonical_dumps(_stratum_audit_doc(*audit)))
+        write("audit.json", fmt.canonical_dumps(fmt.stratum_audit_to_dict(audit)))
     return 0
 
 

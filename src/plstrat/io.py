@@ -11,6 +11,12 @@ pairs of labels by those ranks; it writes a list of rows of labels from
 the text of each label, made once per document and indent.  It takes str
 keys and str, int, bool and None scalars only, and raises `TypeError` on
 anything else, such as a float, an int key or a set.
+
+Every result has its encoder here, and the CLI assembles its documents
+from them.  A codomain or contour stratification is written from its
+cuts and its label table: each cut point is encoded once, by vertex id,
+and each stratum's geometry is read off the cells its label names, never
+off the label's text.
 """
 from __future__ import annotations
 
@@ -19,8 +25,9 @@ from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 
-from .arrangement import (CodomainStratification, LocusStratification,
-                          SingularLocus, stratum_dimension)
+from .arrangement import (CodomainStratification, LineCuts,
+                          LocusStratification, SingularLocus,
+                          stratum_dimension)
 from .complexes import SimplicialComplex, Simplex
 from .errors import InputError
 from .geometry import canon_sorted, format_frac, frac
@@ -198,6 +205,14 @@ def fiber_audit_to_dict(audit) -> dict:
             "samples": [list(d) for d in audit.detail]}
 
 
+def stratum_audit_to_dict(audit) -> dict:
+    """The (passed, counts per stratum) pair `reeb.stratum_fiber_audit`
+    returns."""
+    ok, per_stratum = audit
+    return {"passed": ok,
+            "per_stratum": {s: list(c) for s, c in sorted(per_stratum.items())}}
+
+
 def stratified_space_to_dict(space: StratifiedSpace) -> dict:
     cells = canon_sorted(space.cells)
     assignment = space.assignment
@@ -207,56 +222,46 @@ def stratified_space_to_dict(space: StratifiedSpace) -> dict:
             "closure": sorted_pairs(space.closure, cells)}
 
 
-def _encode_cell(label: str, g, point=_encode_point):
-    """The geometry of a codomain or contour stratum, by its label's
-    prefix: a value, an interval, a point, a segment, a chain of segments
-    or a face.  `point` encodes one point."""
-    kind = label[0]
-    if kind == "p":
-        return format_frac(g)
-    if kind == "i":
-        return [None if x is None else format_frac(x) for x in g]
-    if kind in "vz":
-        return point(g)
-    if kind == "e":
-        return [point(p) for p in g]
-    if kind == "c":
-        return [[point(a), point(b)] for a, b in g]
-    return {"bounded": g.bounded,
-            "cycles": [[u for u, _ in walk] for walk in g.cycles]}
-
-
-def _plane_dict(space: StratifiedSpace, geometry: dict, arr) -> dict:
-    """A stratification with the geometry of each stratum and, when it
-    comes from a planar arrangement `arr`, the arrangement's Euler count."""
-    point = _encode_point
-    if arr is not None:
-        # the strata hold the `arr.vertices` points themselves, so each
-        # vertex is encoded once and found again by identity
-        encoded = {id(p): _encode_point(p) for p in arr.vertices}
-
-        def point(p):
-            e = encoded.get(id(p))
-            return _encode_point(p) if e is None else e
-    out = {"stratification": stratified_space_to_dict(space),
-           "geometry": {label: _encode_cell(label, geometry[label], point)
-                        for label in sorted(space.cells)}}
-    if arr is not None:
-        out["euler"] = {"vertices": len(arr.vertices), "edges": len(arr.edges),
-                        "faces": len(arr.faces),
-                        "components": arr.component_count()}
+def _plane_dict(space: StratifiedSpace, labels: dict, cuts, chains: bool) -> dict:
+    """A stratification with the geometry of each stratum, read off the
+    cells of `cuts` its `labels` name, and, for a planar arrangement, the
+    arrangement's Euler count.  Each cut point is encoded once, indexed by
+    vertex id: a vertex stratum is its point, a k=1 interval the values on
+    either side of it (None on a ray), an edge stratum its segment, or,
+    when `chains`, the segments of its edges in edge order, and a face its
+    cycles of vertex ids."""
+    geometry: dict = {}
+    out = {"stratification": stratified_space_to_dict(space), "geometry": geometry}
+    if isinstance(cuts, LineCuts):
+        pts = [format_frac(x) for x in cuts.values]
+        ends = [None, *pts, None]
+        geometry.update((c, [lo, hi]) for c, lo, hi in zip(labels["f"], ends, ends[1:]))
+    else:
+        pts = [_encode_point(p) for p in cuts.vertices]
+        for c, (u, v) in zip(labels["e"], cuts.edges):
+            if chains:
+                geometry.setdefault(c, []).append([pts[u], pts[v]])
+            else:
+                geometry[c] = [pts[u], pts[v]]
+        for c, face in zip(labels["f"], cuts.faces):
+            geometry[c] = {"bounded": face.bounded,
+                           "cycles": [[u for u, _ in walk] for walk in face.cycles]}
+        out["euler"] = {"vertices": len(cuts.vertices), "edges": len(cuts.edges),
+                        "faces": len(cuts.faces),
+                        "components": cuts.component_count()}
+    geometry.update((c, p) for c, p in zip(labels["v"], pts) if c is not None)
     return out
 
 
 def codomain_to_dict(cs: CodomainStratification) -> dict:
-    out = _plane_dict(cs.space, cs.geometry, cs.refined.arrangement)
+    out = _plane_dict(cs.space, cs.labels, cs.cuts, chains=False)
     out["k"] = cs.k
     out["multiplicities"] = list(cs.refined.multiplicities)
     return out
 
 
 def locus_stratification_to_dict(ls: LocusStratification) -> dict:
-    out = _plane_dict(ls.space, ls.geometry, ls.arrangement)
+    out = _plane_dict(ls.space, ls.labels, ls.cuts, chains=True)
     out["marks"] = {z: sorted(ls.marks[z]) for z in sorted(ls.marks)}
     return out
 

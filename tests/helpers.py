@@ -1,5 +1,6 @@
-"""Shared random generators and the independent homology, sweep, scaffold,
-audit, multiplicity, arrangement and point-location oracles.
+"""Shared random generators, a torus of revolution with closed-form
+answers, and the independent homology, sweep, scaffold, audit,
+multiplicity, arrangement and point-location oracles.
 
 Everything here is deliberately low-tech: the homology oracle uses dense
 0/1 row matrices and textbook elimination so that it shares no code path
@@ -555,16 +556,21 @@ def _interval_samples(bounds, n: int) -> list:
 def _stratum_samples(cs: CodomainStratification, label: str, n: int) -> list:
     """n points inside the stratum `label` of `cs`, or its one point when
     the stratum is a point."""
-    g = cs.geometry[label]
+    kind, i = cs.cell[label]
     if cs.k == 1:
-        return [(g,)] if label.startswith("p") else _interval_samples(g, n)
-    if label.startswith("v"):
-        return [g]
-    if label.startswith("e"):
-        a, b = g
+        points = cs.refined.points
+        if kind == "v":
+            return [(points[i],)]
+        # interval i runs from point i - 1 to point i, unbounded at the ends
+        return _interval_samples(((None,) + points + (None,))[i:i + 2], n)
+    arr = cs.cuts
+    if kind == "v":
+        return [arr.vertices[i]]
+    if kind == "e":
+        a, b = (arr.vertices[u] for u in arr.edges[i])
         return [vadd(a, vscale(Fraction(j, n + 1), vsub(b, a)))
                 for j in range(1, n + 1)]
-    return cs.refined.arrangement.face_interior_samples(g.index, n)
+    return arr.face_interior_samples(i, n)
 
 
 def sampled_interval_audit(f: PLMap, jset: JacobiSet | None = None,
@@ -1091,6 +1097,31 @@ def grid_torus(n: int) -> SimplicialComplex:
         [tri for i in range(n) for j in range(n)
          for tri in ((label(i, j), label(i + 1, j), label(i + 1, j + 1)),
                      (label(i, j), label(i, j + 1), label(i + 1, j + 1)))])
+
+
+def revolution_torus_map(n: int, forms) -> PLMap:
+    """`grid_torus(n)` on the exact rational torus of revolution with radii
+    3 and 1, under the linear map whose coordinates are the `forms`, each
+    a triple (a, b, c) read as a x + b y + c z.
+
+    Vertex `vi_j` sits at ((3 + c_j) a_i, (3 + c_j) b_i, s_j), where (a_i,
+    b_i) and (c_j, s_j) are the rational points ((1 - t^2)/(1 + t^2),
+    2t/(1 + t^2)) of the unit circle.  Parameter i takes t = 2u/(1 - u^2)
+    with u = (2i + 1 - n)/n, the point at angle 4 atan(u), so the n points
+    go once round the circle in order and none is at angle pi, where t
+    would be infinite."""
+    def circle(i):
+        u = Fraction(2 * i + 1 - n, n)
+        t = 2 * u / (1 - u * u)
+        return ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+    ring = [circle(i) for i in range(n)]
+    values = {}
+    for i, (a, b) in enumerate(ring):
+        for j, (c, s) in enumerate(ring):
+            p = ((3 + c) * a, (3 + c) * b, s)
+            values[f"v{i}_{j}"] = tuple(sum(w * x for w, x in zip(form, p))
+                                        for form in forms)
+    return PLMap(grid_torus(n), len(forms), values)
 
 
 def grid_3torus(n: int) -> SimplicialComplex:

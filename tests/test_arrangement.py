@@ -23,8 +23,9 @@ from plstrat import (DegeneracyError, GenericityError, InputError, JacobiSet,
                      stratum_dimension, validate_poset)
 from plstrat.arrangement import _homogeneous, _on_edge, edge_image_arrangement
 from plstrat.cli import main
-from plstrat.geometry import on_segment, vadd, vsub
-from plstrat.io import (example_input, example_locus, example_map, example_names,
+from plstrat.geometry import on_segment, vadd, vscale, vsub
+from plstrat.io import (canonical_dumps, codomain_to_dict, example_input,
+                        example_locus, example_map, example_names,
                         locus_stratification_to_dict, map_from_dict)
 
 F = Fraction
@@ -633,10 +634,94 @@ class TestCodomainSampleOracle:
         assert built[1] >= 8 and built[2] >= 2
 
 
+def _written_point(p) -> tuple:
+    """A written point: a value of the line or a list of coordinates."""
+    return (F(p),) if isinstance(p, str) else tuple(map(F, p))
+
+
+class TestWrittenGeometryOracle:
+    """The geometry each stratification writes, parsed back from its JSON
+    text and located in the stratification: each point, each segment's
+    midpoint and each interval's interior in the stratum that names it,
+    and each vertex on a face's cycles, and each end of an interval, in a
+    stratum paired with that face or interval in the closure.  The kind of
+    a written entry is read off its shape, not off its label."""
+
+    def _check(self, text: str, k: int, space, locate, vertices) -> int:
+        """Check one written document; the number of faces it holds."""
+        geometry = json.loads(text)["geometry"]
+        assert set(geometry) == set(space.cells)
+        zero, ends, spans, faces = {}, {}, {}, {}
+        for label, g in geometry.items():
+            if isinstance(g, dict):
+                faces[label] = g
+            elif k == 1 and isinstance(g, list):
+                spans[label] = [None if x is None else F(x) for x in g]
+            elif isinstance(g, str) or isinstance(g[0], str):
+                zero[_written_point(g)] = label
+            else:
+                # a segment, or a contour chain of segments
+                for a, b in ([g] if isinstance(g[0][0], str) else g):
+                    a, b = _written_point(a), _written_point(b)
+                    assert locate(vscale(F(1, 2), vadd(a, b))) == label, (label, g)
+                    for p in (a, b):
+                        ends.setdefault(p, set()).add(label)
+        for p, label in zero.items():
+            assert locate(p) == label, (label, p)
+        for label, (lo, hi) in spans.items():
+            if lo is None:
+                t = F(0) if hi is None else hi - 1
+            else:
+                t = lo + 1 if hi is None else (lo + hi) / 2
+            assert locate((t,)) == label, (label, lo, hi)
+            assert all((zero[(x,)], label) in space.closure for x in (lo, hi) if x is not None)
+        for label, g in faces.items():
+            for u in sorted({u for cycle in g["cycles"] for u in cycle}):
+                # the vertex's own stratum, or the one chain it lies inside
+                p = vertices[u]
+                held = [zero[p]] if p in zero else sorted(ends.get(p, ()))
+                assert len(held) == 1 and (held[0], label) in space.closure, (label, u)
+        return len(faces)
+
+    def test_codomains_locate_back(self, rng):
+        built, faces = {1: 0, 2: 0}, 0
+        for cs in _codomains(rng):
+            faces += self._check(canonical_dumps(codomain_to_dict(cs)), cs.k,
+                                 cs.space, cs.locate, cs.cuts.vertices)
+            built[cs.k] += 1
+        assert built[1] >= 8 and built[2] >= 2 and faces >= 2 * built[2]
+
+    def test_contours_locate_back(self):
+        for name in ("oval_contour", "figure_eight_contour"):
+            ls = stratify_singular_locus(example_locus(name))
+
+            def locate(p):
+                kind, i = ls.cuts.locate(p)
+                return ls.labels[kind][i]
+            text = canonical_dumps(locus_stratification_to_dict(ls))
+            assert self._check(text, 2, ls.space, locate, ls.cuts.vertices) \
+                == len(ls.cuts.faces)
+
+
 class TestSingularLocus:
     def test_short_strand_rejected(self):
         with pytest.raises(InputError):
             SingularLocus(strands=(((F(0), F(0)),),))
+
+    def test_a_point_repeated_back_to_back_is_input(self, tmp_path, capsys):
+        # a zero-length segment, opening or closing a strand, and equal only
+        # after parsing; named by its strand and point
+        for repeat in ([["0", "0"], ["0/3", "0"], ["1", "1"]],
+                       [["1", "1"], ["2", "0"], ["0", "0"], ["0", "0"], ["1", "1"]],
+                       [["0", "0"], ["0", "0"]]):
+            path = tmp_path / "contour.json"
+            path.write_text(json.dumps({"strands": [[["-2", "5"], ["2", "6"]], repeat]}))
+            assert main(["morse2-locus", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                "error: strand 1 repeats the point (0, 0) back to back\n")
+        with pytest.raises(InputError, match=re.escape(
+                "strand 0 repeats the point (1/2, -3) back to back")):
+            SingularLocus(strands=(((F(0), F(0)), (F(1, 2), F(-3)), (F(1, 2), F(-3))),))
 
     def test_cusp_mark_out_of_range(self):
         with pytest.raises(InputError):
@@ -719,6 +804,17 @@ class TestLocusStratification:
                         stratify_singular_locus(moved)) == want, (name, r)
                     rotations += 1
         assert rotations == 12
+
+    def test_only_an_unmarked_zero_cell_of_degree_two_is_removable(self):
+        # every mark of the figure eight blanked: its cusps and tangencies
+        # lie inside a strand and could go, its crossing (degree 4) and
+        # strand endpoints (degree 1) could not
+        ls = stratify_singular_locus(example_locus("figure_eight_contour"))
+        fixed = [z for z in sorted(ls.marks) if ls.marks[z] & {"crossing", "endpoint"}]
+        assert len(fixed) == 3
+        bare = dataclasses.replace(ls, marks=dict.fromkeys(ls.marks, frozenset()))
+        assert coarseness_check(bare) == (
+            False, [z for z in sorted(ls.marks) if z not in fixed])
 
     def test_spurious_cut_breaks_coarseness(self):
         # a degree-2 zero-cell of the oval without its tangency mark

@@ -557,16 +557,17 @@ class TestGradedCovers:
 
     def test_line_cuts_against_the_closure_and_reduction(self, reduced, rng):
         # k=1 refined images on random value sets, the empty one first; the
-        # reference pairs come from the geometry: a point lies below each
-        # interval it bounds
+        # reference pairs come from the cut values: a point lies below each
+        # interval it bounds, interval b running from point b - 1 to point b
         for n in [0] + [rng.randint(1, 12) for _ in range(20)]:
             d = rng.randint(1, 3)
             points = tuple(sorted(Fraction(x, d) for x in rng.sample(range(-60, 60), n)))
             cs = stratification_from_refined(RefinedImage(
                 k=1, points=points, multiplicities=(1,) * n, arrangement=None))
             cells = [f"p{a}" for a in range(n)] + [f"i{b}" for b in range(n + 1)]
+            bounds = (None,) + points + (None,)
             pairs = [(f"p{a}", f"i{b}") for a in range(n) for b in range(n + 1)
-                     if points[a] in cs.geometry[f"i{b}"]]
+                     if points[a] in bounds[b:b + 2]]
             up = naive_upsets(cells, pairs)
             assert_matches(cs.space.poset, up)   # the covers too, by naive_covers
             assert cs.space.closure == frozenset(pairs)

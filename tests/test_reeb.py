@@ -9,8 +9,9 @@ import pytest
 
 from helpers import (grid_3torus, naive_fiber_components, naive_reeb_graph,
                      naive_strata, naive_sweep_levels, random_complex,
-                     random_planar_map, random_surface_map, sampled_interval_audit,
-                     sampled_scaffold, sampled_stratum_audit, torus_projection)
+                     random_planar_map, random_surface_map, revolution_torus_map,
+                     sampled_interval_audit, sampled_scaffold,
+                     sampled_stratum_audit, torus_projection)
 from plstrat import (DegeneracyError, GenericityError, InternalError,
                      JacobiSet, NotAMemberError, PlanarArrangement, PLMap,
                      SimplicialComplex, StructuralError,
@@ -880,10 +881,10 @@ def _contract_non_nodes(sc, rg):
     whose component is not a Reeb node contracted: the Reeb nodes it keeps
     (matched by value and support) and the multiset of edges between them."""
     by_key = {(rg.node_value[n], rg.node_members[n]): n for n in rg.nodes}
-    node = {}
+    node, cs = {}, sc.codomain
     for e in sc.poset.elements:
         if e[0].startswith("p"):
-            key = (sc.codomain.geometry[e[0]], sc.supports[e])
+            key = (cs.refined.points[cs.cell[e[0]][1]], sc.supports[e])
             if key in by_key:
                 node[e] = by_key[key]
     adj = {e: [] for e in sc.poset.elements}
@@ -995,6 +996,31 @@ class TestScaffoldFunctoriality:
             pairs += _functorial_pairs(sc)
             built += 1
         assert built >= 12 and pairs >= 2000
+
+
+class TestRevolutionTorus:
+    """A torus of revolution, exact on rational circle points, under a
+    height and a planar projection: the answers of the smooth torus."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_height_has_four_critical_points_and_one_cycle(self, n):
+        f = revolution_torus_map(n, [(1, F(1, 97), F(1, 89))])
+        assert check_generic(f).passed
+        j = jacobi_set(f)
+        assert [s.dim for s in j.complex.simplices] == [0] * 4
+        rg = reeb_graph(f, j)
+        assert (len(rg.nodes), len(rg.edges), rg.cycle_rank()) == (4, 4, 1)
+        assert interval_fiber_audit(f, j).passed
+
+    def test_projection_has_even_counts_over_the_faces(self):
+        # a closed surface mapped to the plane has mod-2 degree 0
+        f = revolution_torus_map(8, [(1, 0, F(1, 97)), (0, 1, F(1, 5))])
+        assert check_generic(f).passed
+        sc = reeb_scaffold(f, build_codomain_stratification(f, jacobi_set(f)))
+        assert check_stein_square(f, sc).passed
+        assert stratum_fiber_audit(f, sc)[0]
+        faces = {s: n for s, n in sc.counts.items() if s.startswith("f")}
+        assert faces["f_out"] == 0 and all(n % 2 == 0 for n in faces.values())
 
 
 class TestIntervalAudit:
