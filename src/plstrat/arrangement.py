@@ -116,9 +116,9 @@ class PlanarArrangement:
                     pc = rx * (cx - ax) + ry * (cy - ay)
                     pd = rx * (dx - ax) + ry * (dy - ay)
                     if max(0, min(pc, pd)) < min(rx * rx + ry * ry, max(pc, pd)):
-                        raise GenericityError(
+                        raise _nongeneric(
                             f"segments {_show_segment(segs[i])} and "
-                            f"{_show_segment(segs[j])} overlap along a line")
+                            f"{_show_segment(segs[j])} overlap along a line", (i, j))
                 elif o1 * o2 < 0 and o3 * o4 < 0:
                     # a + t (b - a) = c + u (d - c), t = o3 / (o3 - o4),
                     # u = o1 / (o1 - o2), and o3 - o4 = o2 - o1
@@ -138,17 +138,17 @@ class PlanarArrangement:
                         e, k, other = segs[i][o3 != 0], i, j
                     else:
                         e, k, other = segs[j][o1 != 0], j, i
-                    raise GenericityError(
+                    raise _nongeneric(
                         f"endpoint {_show(e)} of segment {_show_segment(segs[k])} "
-                        f"lies interior to segment {_show_segment(segs[other])}")
+                        f"lies interior to segment {_show_segment(segs[other])}",
+                        (k, other), e)
         for point, pairs in crossing_pairs.items():
             if len(pairs) > 1:
-                names = [_show_segment(segs[k])
-                         for k in sorted({k for pair in pairs for k in pair})]
-                raise GenericityError(
-                    f"three or more segments meet at "
-                    f"{_show(_rational(point, scale))}: "
-                    f"{', '.join(names[:-1])} and {names[-1]}")
+                met = sorted({k for pair in pairs for k in pair})
+                names = [_show_segment(segs[k]) for k in met]
+                at = _rational(point, scale)
+                raise _nongeneric(f"three or more segments meet at {_show(at)}: "
+                                  f"{', '.join(names[:-1])} and {names[-1]}", tuple(met), at)
 
         hom = sorted({p for seg in cuts for _, _, p in seg}, key=_BY_POSITION)
         self._hom, self._scale = hom, scale     # `locate` reads the same ints
@@ -360,6 +360,15 @@ def _show_segment(seg) -> str:
     return f"{_show(seg[0])}-{_show(seg[1])}"
 
 
+def _nongeneric(message: str, segments: tuple, point=None) -> GenericityError:
+    """A `GenericityError` that keeps the indices of the segments it names
+    and the point where they meet, None for an overlap, so a caller that
+    cut the plane by the images of other things can name those instead."""
+    err = GenericityError(message)
+    err.segments, err.point = segments, point
+    return err
+
+
 def _rational(p: tuple, scale: int) -> Point:
     """The input-unit point of a homogeneous integer point at `scale`."""
     x, y, w = p
@@ -518,12 +527,23 @@ class RefinedImage:
 def edge_image_arrangement(f, k) -> PlanarArrangement:
     """The arrangement of the images under f of the edges of the complex k.
     A vertex of k on no edge is rejected: no cell of the arrangement would
-    hold its image."""
+    hold its image.  Edge images out of general position are named by
+    their edges, in the input's labels."""
     edges = k.simplices_of_dim(1)
     if lone := k.vertices.difference(*edges):
         raise GenericityError(f"vertex {min(lone, key=canon_key)!r} is on no "
                               f"edge, so its image cuts no cell")
-    return PlanarArrangement([(f.value(a), f.value(b)) for a, b in edges])
+    try:
+        return PlanarArrangement([(f.value(a), f.value(b)) for a, b in edges])
+    except GenericityError as err:
+        names = ["{" + ", ".join(map(str, edges[i])) + "}" for i in err.segments]
+        listed = f"edge images {', '.join(names[:-1])} and {names[-1]}"
+        if err.point is None:
+            raise GenericityError(f"{listed} overlap along a line") from None
+        # two meet at an end of the first inside the second, three or more
+        # cross at one point inside all of them
+        inside = f", inside {names[1]}" if len(names) == 2 else ""
+        raise GenericityError(f"{listed} meet at {_show(err.point)}{inside}") from None
 
 
 def refine_image(f, j) -> RefinedImage:

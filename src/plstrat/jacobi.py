@@ -96,8 +96,9 @@ class PLMap:
 
     @cached_property
     def sweep(self):
-        """The sweep levels of a scalar map and its fiber components over
-        each, held by the map and built whole on first use (`reeb.SweepIndex`)."""
+        """The cells of the line cut at a scalar map's vertex values and its
+        fiber components over each, held by the map and built whole on
+        first use (`reeb.SweepIndex`)."""
         from .reeb import SweepIndex
         return SweepIndex(self)
 

@@ -2,32 +2,32 @@
 stratified codomain.
 
 For a single parameter the fiber changes only where a vertex value is
-crossed, so it lives on the sweep levels -1 to 2V-1: level 2i is the i-th
-smallest vertex value and level 2i+1 the open gap or ray above it, and the
-rays -1 and 2V-1 carry the empty fiber.  A closed simplex meets
-the levels of one interval, its span.  Each map builds one `SweepIndex`
-when first asked, and the index fills the fiber components of every level
-in one pass as it is built: a simplex enters the support at the level where
-its span starts and leaves it at the gap after the level where its span
-ends.  The components are carried from level to level, and only those the
-level's vertices touch change: the entering simplices merge the gap
-components they meet, and a component that loses simplices is joined
-again only when the rest of the star of the level's vertices falls apart
-inside it.  Every k=1 fiber query reads that one table.
+crossed, so it lives on the cells of the line cut at the vertex values, a
+`LineCuts`: the point ("v", i) of the i-th smallest value and the open gap
+or ray ("f", i) below it, the rays ("f", 0) and ("f", V) carrying the empty
+fiber.  A closed simplex meets the cells of one interval, its span.  Each
+map builds one `SweepIndex` when first asked, and the index fills the fiber
+components of every cell in one walk along the line as it is built: a
+simplex enters the support at the point where its span starts and leaves
+it at the gap above the point where its span ends.  The components are
+carried from cell to cell, and only those the value's vertices touch
+change: the entering simplices merge the gap components they meet, and a
+component that loses simplices is joined again only when the rest of the
+star of the value's vertices falls apart inside it.  Every k=1 fiber query
+reads that one table.
 
-The same pass records its events: the gap ids each component of a vertex
-level absorbs, and the ids each component it touched becomes in the gap
-above.  The Reeb graph is replayed from that record: a gap id is an arc
-from the component it left to the one that absorbs it, so the graph costs
-the events, not the levels times their width (Pascucci et al., "Robust
-on-line computation of Reeb graphs", 2007; Parsa, "A deterministic
-O(m log m) time algorithm for the Reeb graph", 2012).
+The same walk records its events: the gap ids each component over a value
+absorbs, and the ids each component it touched becomes in the gap above.
+The Reeb graph is replayed from that record: a gap id is an arc from the
+component it left to the one that absorbs it, so the graph costs the
+events, not the cells times their width (Pascucci et al., "Robust on-line
+computation of Reeb graphs", 2007; Parsa, "A deterministic O(m log m) time
+algorithm for the Reeb graph", 2012).
 
 The scaffold, the analogue of the Reeb graph over a stratified codomain, is
 glued from `FineCells`: finitely many cells on which the fiber support is
 constant and which cover all of R^k, read alike for both parameters: the
-line cut at the vertex values, whose points and intervals are the sweep
-levels and the two rays, or the arrangement of the images of all domain
+sweep's cells of the line, or the arrangement of the images of all domain
 edges (Edelsbrunner-Harer-Patel, "Reeb spaces of piecewise linear
 mappings", 2008; Carr-Duke, "Joint contour nets", 2014).  The support over
 a cell contains the support over every cell whose closure holds it, so
@@ -69,147 +69,145 @@ def _scalar(f: PLMap, v) -> Fraction:
     return f.value(v)[0]
 
 
-# the name the sweep's level pieces, its re-splits and the plane fibers
-# call: perfbench's trace wraps it to count the sweep levels
+# the name the sweep's entering pieces, its re-splits and the plane fibers
+# call: perfbench's trace wraps it to count them as `reeb.reeb_graph.levels`
 _components = rank_components
 
 
 class SweepIndex:
-    """The sweep levels of a scalar map with the fiber components over each.
+    """The cells of the line cut at a scalar map's vertex values, `cuts`,
+    with the fiber components over each.
 
-    A closed simplex meets the fiber over level l exactly when l lies in its
-    span [2 rank(min), 2 rank(max)], ranks taken among the distinct vertex
-    values.  Construction fills the table of every level in one pass over
-    the levels that carries the components from level to level, each with
-    an id, and updates only those the level's vertices touch:
+    A closed simplex meets the fibers over the cells from the point of its
+    least vertex value to the point of its greatest.  Construction walks
+    the cells in order: the ray ("f", 0), then for each value i its point
+    ("v", i) and the gap ("f", i + 1) above it, the last gap being the ray
+    above every value.  It carries the components from cell to cell, each
+    with an id, and updates only those the value's vertices touch:
 
-    - at level 2i the simplices whose span starts there enter.  Their own
+    - at ("v", i) the simplices whose span starts there enter.  Their own
       pieces under face incidence are joined to the components of the gap
       below only through their cofaces, since their faces have entered with
       them or not at all; each piece merges the gap components it touches,
       the smaller ones relabelled into the largest.
-    - at gap 2i+1 the simplices whose span ends at 2i leave, and each
-      component that lost some may split.  Every path in the old component
-      between two remaining members leaves the removed simplices into S,
-      the remaining members that hold a vertex of level 2i, so the rest is
-      connected when S is.  S is upward-closed, so its classes are read off
-      its face pairs; only the components over which S falls apart are
-      joined again, in one call.
+    - at ("f", i + 1) the simplices whose span ends at value i leave, and
+      each component that lost some may split.  Every path in the old
+      component between two remaining members leaves the removed simplices
+      into S, the remaining members that hold a vertex of value i, so the
+      rest is connected when S is.  S is upward-closed, so its classes are
+      read off its face pairs; only the components over which S falls apart
+      are joined again, in one call.
 
-    Components no level touches keep their frozenset from level to level:
-    `table[level]` maps the id of each component over the level to its
-    least rank and its frozenset, and `components` orders them by least
-    rank.  The pass also keeps its record, which the Reeb graph replays: in
-    `events`, for each vertex level, the gap ids each touched component
-    absorbed, itself among them when it continues an id of the gap below,
-    and for each gap, the ids each touched component of the level below
-    becomes, none when it ends, itself when it shrinks and fresh ones when
-    it is joined again.  Each vertex's own level is kept in `vlevel`, and
-    `level` locates a value in the line cut at the vertex values, `cuts`."""
+    Untouched components keep their frozenset from cell to cell:
+    `table[cell]` maps the id of each component over the cell to its least
+    rank and its frozenset, and `components` orders them by least rank.
+    Both rays are empty, since every simplex leaves at its greatest value.
+    The walk also keeps its record, which the Reeb graph replays: in
+    `events`, for each point, the gap ids each touched component absorbed,
+    itself among them when it continues an id of the gap below, and for
+    each gap, the ids each touched component of the point below becomes,
+    none when it ends, itself when it shrinks and fresh ones when it is
+    joined again.  Each vertex's value index is kept in `vindex`."""
 
     def __init__(self, f: PLMap):
         if f.k != 1:
             raise StructuralError("a sweep requires a single parameter")
         self.values = sorted({_scalar(f, v) for v in f.domain.vertices})
         self.cuts = LineCuts(self.values)
-        self.vlevel = vlevel = {v: 2 * self.cuts.vertex_id[f.value(v)]
+        self.vindex = vindex = {v: self.cuts.vertex_id[f.value(v)]
                                 for v in f.domain.vertices}
-        n = max(2 * len(self.values) - 1, 0)
-        self.table: list = [None] * n
-        self.events: list = [None] * n
         # the domain's own incidence tables, shared with every other reader
         index = f.domain.index
         ranked, rank, star = index.ranked, index.rank, index.vertex_cofaces
         faces, cofaces = f.domain.face_ranks, f.domain.coface_ranks
-        enter: list = [[] for _ in range(n)]
-        leave: list = [[] for _ in range(n)]
+        enter: list = [[] for _ in self.values]
+        leave: list = [[] for _ in self.values]
         for r, s in enumerate(ranked):
-            enter[min(vlevel[v] for v in s)].append(r)
-            leave[max(vlevel[v] for v in s)].append(r)
+            enter[min(vindex[v] for v in s)].append(r)
+            leave[max(vindex[v] for v in s)].append(r)
 
         owner: list = [None] * len(ranked)    # rank -> id of its component
         members: dict = {}                    # id -> its set of ranks
         published: dict = {}                  # id -> (least rank, frozenset)
         fresh = count()
-        for level in range(n):
-            if level % 2 == 0:
-                # id -> the ids of the gap below that it holds
-                changed = self.events[level] = {}
-                for piece in _components(enter[level], faces):
-                    ids = {owner[t] for r in piece for t in cofaces[r]}
-                    ids.discard(None)
-                    if ids:
-                        c = max(ids, key=lambda i: len(members[i]))
-                        ids.discard(c)
-                        gaps = changed.setdefault(c, [c])
-                        for d in ids:
-                            for r in members[d]:
-                                owner[r] = c
-                            members[c] |= members.pop(d)
-                            del published[d]
-                            gaps += changed.pop(d, [d])
-                    else:
-                        c = next(fresh)
-                        members[c] = set()
-                        changed[c] = []
-                    members[c].update(piece)
-                    for r in piece:
-                        owner[r] = c
-            else:
-                changed = set()
-                for r in leave[level - 1]:
-                    c = owner[r]
-                    owner[r] = None
-                    members[c].discard(r)
-                    changed.add(c)
-                # id at the level below -> its ids here: none when it ends,
-                # itself when it shrinks, fresh ones when it is joined again
-                become = self.events[level] = {c: [c] if members[c] else []
-                                               for c in changed}
-                for c in [c for c in changed if not members[c]]:
-                    del members[c], published[c]
-                    changed.discard(c)
-                if changed:
-                    rim = {t for r in leave[level - 1] if len(ranked[r]) == 1
-                           for t in map(rank.__getitem__, star[ranked[r][0]])
-                           if owner[t] is not None}
-                    # the components holding two or more classes of the rim;
-                    # the rim is no level, so it bypasses the `_components`
-                    # name that level counts are read through
-                    held, suspect = set(), set()
-                    for cls in rank_components(rim, faces):
-                        c = owner[cls[0]]
-                        if c in held:
-                            suspect.add(c)
-                        held.add(c)
-                    if suspect:
-                        rest = [r for c in suspect for r in members.pop(c)]
-                        for c in suspect:
-                            del published[c]
-                            become[c] = []
-                        changed -= suspect
-                        for piece in _components(rest, faces):
-                            c = next(fresh)
-                            become[owner[piece[0]]].append(c)
-                            members[c] = set(piece)
-                            for r in piece:
-                                owner[r] = c
-                            changed.add(c)
+        # nothing has entered on the ray below every value
+        self.table, self.events = {("f", 0): {}}, {("f", 0): {}}
+
+        def publish(cell, changed):
             for c in changed:
                 published[c] = (min(members[c]),
                                 frozenset(map(ranked.__getitem__, members[c])))
-            self.table[level] = dict(published)
+            self.table[cell] = dict(published)
 
-    def level(self, t: Fraction) -> int:
-        """The level of value t: -1 below every vertex value and 2V - 1
-        above them, the two unbounded rays, where the fiber is empty."""
-        kind, i = self.cuts.locate(t)
-        return 2 * i if kind == "v" else 2 * i - 1
+        for i in range(len(self.values)):
+            # id -> the ids of the gap below that it holds
+            changed = self.events["v", i] = {}
+            for piece in _components(enter[i], faces):
+                ids = {owner[t] for r in piece for t in cofaces[r]}
+                ids.discard(None)
+                if ids:
+                    c = max(ids, key=lambda d: len(members[d]))
+                    ids.discard(c)
+                    gaps = changed.setdefault(c, [c])
+                    for d in ids:
+                        for r in members[d]:
+                            owner[r] = c
+                        members[c] |= members.pop(d)
+                        del published[d]
+                        gaps += changed.pop(d, [d])
+                else:
+                    c = next(fresh)
+                    members[c] = set()
+                    changed[c] = []
+                members[c].update(piece)
+                for r in piece:
+                    owner[r] = c
+            publish(("v", i), changed)
 
-    def components(self, level: int) -> tuple[frozenset, ...]:
-        """The fiber components over a level, by least rank, none over a ray."""
-        table = self.table[level] if 0 <= level < len(self.table) else {}
-        return tuple(comp for _, comp in sorted(table.values()))
+            changed = set()
+            for r in leave[i]:
+                c = owner[r]
+                owner[r] = None
+                members[c].discard(r)
+                changed.add(c)
+            # id at the point below -> its ids here: none when it ends,
+            # itself when it shrinks, fresh ones when it is joined again
+            become = self.events["f", i + 1] = {c: [c] if members[c] else []
+                                                for c in changed}
+            for c in [c for c in changed if not members[c]]:
+                del members[c], published[c]
+                changed.discard(c)
+            if changed:
+                rim = {t for r in leave[i] if len(ranked[r]) == 1
+                       for t in map(rank.__getitem__, star[ranked[r][0]])
+                       if owner[t] is not None}
+                # the components holding two or more classes of the rim;
+                # the rim is no cell, so it bypasses the `_components`
+                # name that cell counts are read through
+                held, suspect = set(), set()
+                for cls in rank_components(rim, faces):
+                    c = owner[cls[0]]
+                    if c in held:
+                        suspect.add(c)
+                    held.add(c)
+                if suspect:
+                    rest = [r for c in suspect for r in members.pop(c)]
+                    for c in suspect:
+                        del published[c]
+                        become[c] = []
+                    changed -= suspect
+                    for piece in _components(rest, faces):
+                        c = next(fresh)
+                        become[owner[piece[0]]].append(c)
+                        members[c] = set(piece)
+                        for r in piece:
+                            owner[r] = c
+                        changed.add(c)
+            publish(("f", i + 1), changed)
+
+    def components(self, cell) -> tuple[frozenset, ...]:
+        """The fiber components over a cell of `cuts`, by least rank."""
+        return tuple(comp for _, comp in sorted(self.table[cell].values()))
 
 
 class HullIndex:
@@ -259,14 +257,13 @@ def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
 
     Inside one closed simplex the fiber is convex, so components of the
     support under face incidence are exactly the fiber components.  For
-    one parameter y is a value or a 1-tuple, located among the sweep
-    levels by bisection, and the level's components come from the map's
-    `SweepIndex`; for two it is a pair, and the support is read off the
+    one parameter y is a value or a 1-tuple, located among the cells of the
+    map's `SweepIndex` by bisection, and read off its table; for two it is a pair, and the support is read off the
     map's `HullIndex`.  A point of another length is a `StructuralError`.
     """
     y = as_point(y, f.k)
     if f.k == 1:
-        return f.sweep.components(f.sweep.level(y[0]))
+        return f.sweep.components(f.sweep.cuts.locate(y))
     ranked = f.domain.index.ranked
     return tuple(frozenset(map(ranked.__getitem__, c))
                  for c in _components(f.hulls.support(y), f.domain.face_ranks))
@@ -279,7 +276,7 @@ def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
 class ReebGraph:
     nodes: tuple
     node_value: dict
-    node_critical: dict      # node -> critical vertex labels at its level
+    node_critical: dict      # node -> critical vertex labels at its value
     node_members: dict       # node -> support simplices of the component
     edges: tuple             # pairs (a, b), parallel edges repeated
 
@@ -298,14 +295,15 @@ class ReebGraph:
 def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     """Contract each fiber to its components and record the graph.
 
-    The graph is replayed from the record of the map's `SweepIndex`.  Each
-    component a vertex level touches is a candidate, with the gap ids it
-    absorbed from below and the ids it becomes in the gap above.  A gap id
-    is an arc, open from the candidate it left until the candidate that
-    absorbs it; the components no level touches lie inside arcs.  A
+    The graph is replayed from the record of the map's `SweepIndex`, value
+    by value.  Each component over the point ("v", i) that the value's
+    vertices touch is a candidate (("v", i), id), with the gap ids it
+    absorbed from below and the ids it becomes in the gap ("f", i + 1)
+    above.  A gap id is an arc, open from the candidate it left until the
+    candidate that absorbs it; the untouched components lie inside arcs.  A
     candidate is a node of f's graph unless it has exactly one arc below
     and one above; one containing a vertex of the critical locus `jset`
-    (the H Jacobi set of f when omitted) at its level stays a node too, so
+    (the H Jacobi set of f when omitted) at its value stays a node too, so
     the locus's degree-2 nodes survive.  Every other candidate joins its
     two arcs: the classes of arcs so joined are the chains of regular
     components, and each becomes one edge between the nodes at its ends,
@@ -323,53 +321,54 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         jset = jacobi_set(f)
     sweep = f.sweep
     events, table = sweep.events, sweep.table
-    values, vlevel, ranked = sweep.values, sweep.vlevel, f.domain.index.ranked
+    values, vindex, ranked = sweep.values, sweep.vindex, f.domain.index.ranked
 
     def order(key):
-        """(level, least rank): the order of the level's `components`."""
-        return key[0], table[key[0]][key[1]][0]
+        """(value index, least rank): the order of the point's `components`."""
+        cell, c = key
+        return cell[1], table[cell][c][0]
 
-    def component(level, c) -> str:
-        least = ranked[table[level][c][0]]
-        lo, hi = (format_frac(values[i]) for i in (level // 2, (level + 1) // 2))
-        return ("fiber component through {" + ", ".join(map(str, least)) + "} "
-                + (f"at value {lo}" if level % 2 == 0
-                   else f"between values {lo} and {hi}"))
+    def component(cell, c) -> str:
+        (kind, i), least = cell, ranked[table[cell][c][0]]
+        return ("fiber component through {" + ", ".join(map(str, least)) + "} " + (
+            f"at value {format_frac(values[i])}" if kind == "v" else
+            f"between values {format_frac(values[i - 1])} and {format_frac(values[i])}"))
 
-    # a locus vertex makes a node of its component at its own level
+    # a locus vertex makes a node of its component at its own value
     critical: dict = {}
     for s in jset.complex.simplices_of_dim(0):
         v = s[0]
-        if v not in vlevel:
+        if v not in vindex:
             raise NotAMemberError(f"vertex {v!r} not in the domain")
-        c = next(c for c, (_, comp) in table[vlevel[v]].items() if s in comp)
-        critical.setdefault((vlevel[v], c), []).append(v)
+        cell = ("v", vindex[v])
+        c = next(c for c, (_, comp) in table[cell].items() if s in comp)
+        critical.setdefault((cell, c), []).append(v)
 
     arcs: list = []          # (lower, upper) candidate of each gap id
-    incident: dict = {}      # candidate (level, id) -> its arcs
+    incident: dict = {}      # candidate (cell, id) -> its arcs
     opened: dict = {}        # open gap id -> the candidate it left
     nodes: list = []
-    for level in range(0, len(events), 2):
-        for c, gaps in events[level].items():
-            key = (level, c)
+    for i, value in enumerate(values):
+        for c, gaps in events["v", i].items():
+            key = (("v", i), c)
             incident[key] = []
             for g in gaps:
                 if g not in opened:
                     raise InternalError(
-                        f"{component(level - 1, g)} does not lie in one "
-                        f"component at value {format_frac(values[level // 2])}")
+                        f"{component(('f', i), g)} does not lie in one "
+                        f"component at value {format_frac(value)}")
                 low = opened.pop(g)
                 incident[low].append(len(arcs))
                 incident[key].append(len(arcs))
                 arcs.append((low, key))
-            above = events[level + 1][c] if level + 1 < len(events) else ()
+            above = events["f", i + 1][c]
             opened.update((g, key) for g in above)
             if len(gaps) != 1 or len(above) != 1 or key in critical:
                 nodes.append(key)
 
     kept = sorted(nodes, key=order)
-    levels = {level for level, _ in critical}
-    stray = next((key for key in kept if key[0] not in levels), None)
+    cells = {cell for cell, _ in critical}
+    stray = next((key for key in kept if key[0] not in cells), None)
     if stray is not None:
         raise DegeneracyError(
             f"{component(*stray)} is a node of the Reeb graph over no "
@@ -379,7 +378,7 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
     edges = [tuple(sorted(label[key] for a in chain for key in arcs[a] if key in label))
              for chain in connected_classes(range(len(arcs)), joins)]
     return ReebGraph(nodes=tuple(label[k] for k in kept),
-                     node_value={label[k]: values[k[0] // 2] for k in kept},
+                     node_value={label[k]: values[k[0][1]] for k in kept},
                      node_critical={label[k]: tuple(sorted(critical.get(k, ())))
                                     for k in kept},
                      node_members={label[k]: table[k[0]][k[1]][1] for k in kept},
@@ -400,8 +399,9 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
     interval between consecutive critical values of the locus `jset` (the H
     Jacobi set of f when omitted), and report the counts: the count at the
     interval's sample in the line cut at the critical values, and in
-    `detail` the counts over the sweep levels inside the interval, the
-    empty rays of an unbounded one among them."""
+    `detail` the counts over the sweep's cells inside the interval, the
+    empty rays of an unbounded one among them, each read off the size of
+    the cell's table."""
     if f.k != 1:
         raise StructuralError("interval audit requires a single parameter")
     if samples < 1:
@@ -412,16 +412,21 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
     crit = sorted({_scalar(f, v) for v in locus})
     if not crit:
         raise InternalError("a nonempty compact domain must have critical values")
-    sweep, cuts, counts, detail = f.sweep, LineCuts(crit), [], []
-    # the rays -1 and 2V - 1 are levels too
-    ends = [-2] + sorted({sweep.vlevel[v] for v in locus}) + [2 * len(sweep.values)]
-    for i, (a, b) in enumerate(zip(ends, ends[1:])):
-        found = {len(sweep.components(l)) for l in range(a + 1, b)}
-        counts.append(len(fiber_components(f, cuts.sample(("f", i)))))
-        detail.append(_reported(found, samples))
+    sweep, cut = f.sweep, {f.sweep.vindex[v] for v in locus}
+    # the counts over the sweep's cells strictly between two critical
+    # values, one set per interval, the rays among them
+    found = [{len(sweep.table["f", 0])}]
+    for i in range(len(sweep.values)):
+        if i in cut:
+            found.append(set())
+        else:
+            found[-1].add(len(sweep.table["v", i]))
+        found[-1].add(len(sweep.table["f", i + 1]))
+    cuts = LineCuts(crit)
+    counts = [len(fiber_components(f, cuts.sample(("f", i)))) for i in range(len(found))]
     return FiberAudit(boundaries=tuple(crit), counts=tuple(counts),
-                      passed=all(len(set(d)) == 1 for d in detail),
-                      detail=tuple(detail))
+                      passed=all(len(c) == 1 for c in found),
+                      detail=tuple(_reported(c, samples) for c in found))
 
 
 def _reported(found: set, n: int) -> tuple:
@@ -437,12 +442,11 @@ class FineCells:
     with the fiber components over each and the one rule that glues them.
 
     The cells are those of `arrangement`, chosen once: the sweep's
-    `LineCuts` for one parameter, whose cells are the sweep levels with
-    the two empty rays, and for two the arrangement of the images of all
-    domain edges; a simplex image is the hull of its vertex images, so
-    every open cell lies inside it or outside it.  Both cover R^k, and
-    from there on both are read alike: each cell, keyed as `locate`
-    gives it, carries its `sample` and the fiber components over it, and
+    `LineCuts` for one parameter, and for two the arrangement of the images
+    of all domain edges; a simplex image is the hull of its vertex images,
+    so every open cell lies inside it or outside it.  Both cover R^k, and
+    from there on both are read alike: each cell, keyed as
+    `arrangement.locate` gives it, carries its `sample` and the fiber components over it, and
     `incidences` pairs it with the cells whose closure contains it, lower
     cell first.  The support over the lower cell contains the support over
     the higher one, and `attachments` names the component over the lower
@@ -457,19 +461,14 @@ class FineCells:
         self.incidences = arr.incidences()
         self.components = {c: fiber_components(f, y) for c, y in self.samples.items()}
 
-    def locate(self, y):
-        """The cell containing y; a point of the wrong length is a
-        `StructuralError`."""
-        return self.arrangement.locate(y)
-
     def strata(self, cs: CodomainStratification) -> tuple[dict, dict, dict]:
         """The stratum of `cs` holding each cell, each stratum's sample and
         its cell.  A stratum is a class of incident cells of one codomain
         dimension (0 on a cut point of `cs`, 1 on a locus segment, else 2)
         holding its sample, and `cs` is cut by vertex values and edge images."""
-        reps = {label: cs.sample(label) for label in sorted(cs.space.cells)}
-        rep_cell = {label: self.locate(y) for label, y in reps.items()}
         arr, cuts = self.arrangement, cs.cuts
+        reps = {label: cs.sample(label) for label in sorted(cs.space.cells)}
+        rep_cell = {label: arr.locate(y) for label, y in reps.items()}
         source = {frozenset(seg): i for i, seg in enumerate(arr.segments)}
         if stray := [seg for seg in cuts.segments if frozenset(seg) not in source]:
             raise StructuralError(f"segment {_show_segment(stray[0])} is no edge image")
@@ -638,7 +637,7 @@ def check_stein_square(f: PLMap, scaffold: ReebScaffold | None = None) -> SteinR
     fine = scaffold.fine
     for s in f.domain.sorted_simplices():
         y = f.barycenter_image(s)
-        cell = fine.locate(y)
+        cell = fine.arrangement.locate(y)
         hits = [e for e, comp in zip(scaffold.cell_elements[cell],
                                      fine.components[cell]) if s in comp]
         if len(hits) != 1:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import plstrat
-from helpers import (naive_dumps, naive_witness, random_planar_map,
+from helpers import (naive_dumps, naive_witness, random_complex, random_planar_map,
                      random_surface_map, torus_height_map, torus_projection)
 from plstrat import errors
 from plstrat import (InputError, Simplex, build_codomain_stratification,
@@ -474,6 +474,46 @@ def test_reeb_internal_error_names_value_and_simplex(capsys, example,
     assert key not in err
 
 
+def _two_triangles(b) -> dict:
+    """The planar map of the triangle a0=(0,0), a1=(4,0), a2=(0,4) and a
+    second triangle with vertices b0, b1, b2 at the points b."""
+    values = {"a0": ["0", "0"], "a1": ["4", "0"], "a2": ["0", "4"]}
+    values.update((f"b{i}", [str(x), str(y)]) for i, (x, y) in enumerate(b))
+    return {"kind": "map", "k": 2, "values": values,
+            "facets": [["a0", "a1", "a2"], ["b0", "b1", "b2"]]}
+
+
+_NONGENERIC_EDGE_IMAGES = {
+    "endpoint inside": (
+        _two_triangles([(2, 0), (2, -2), (5, -1)]),
+        "edge images {b0, b1} and {a0, a1} meet at (2, 0), inside {a0, a1}"),
+    "overlap": (
+        _two_triangles([(1, 0), (3, 0), (2, -2)]),
+        "edge images {a0, a1} and {b0, b1} overlap along a line"),
+    "three through a point": (
+        {"kind": "map", "k": 2, "facets": [["a0", "a1"], ["b0", "b1"], ["c0", "c1"]],
+         "values": {"a0": ["-1", "0"], "a1": ["1", "0"], "b0": ["0", "-1"],
+                    "b1": ["0", "1"], "c0": ["-1", "-1"], "c1": ["1", "1"]}},
+        "edge images {a0, a1}, {b0, b1} and {c0, c1} meet at (0, 0)"),
+}
+
+
+@pytest.mark.parametrize("command", ["stratify-codomain", "pipeline"])
+@pytest.mark.parametrize("case", sorted(_NONGENERIC_EDGE_IMAGES))
+def test_nongeneric_edge_images_name_their_edges(tmp_path, capsys, command, case):
+    # the map passes validation, and its edge images cut the plane out of
+    # general position: exit 2, named by the domain edges in input labels
+    document, message = _NONGENERIC_EDGE_IMAGES[case]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(document))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    out = ["--out", str(tmp_path / "out")] if command == "pipeline" else []
+    assert main([command, str(path), *out]) == 2
+    stage = "stage codomain: " if command == "pipeline" else ""
+    assert capsys.readouterr().err == f"error: {stage}{message}\n"
+
+
 @pytest.mark.parametrize("command", ["reeb", "pipeline"])
 @pytest.mark.parametrize("notion", ["H", "D", "L"])
 def test_no_bundled_map_exits_3(tmp_path, capsys, command, notion):
@@ -530,6 +570,66 @@ class TestExitCodeFuzz:
                     if code:
                         assert any(line.startswith("error: ")
                                    for line in err.splitlines()), (argv, notion, err)
+
+    def test_every_command_on_random_complexes(self, rng, tmp_path, capsys):
+        # mixed-dimension complexes with one to three parameters and values
+        # from a small integer range, so ties and collinear images are common
+        for i in range(40):
+            dom, k = random_complex(rng, max_simplices=20), rng.randint(1, 3)
+            def value():
+                point = [str(rng.randint(-2, 2)) for _ in range(k)]
+                return point[0] if k == 1 else point
+            path = tmp_path / f"map{i}.json"
+            path.write_text(json.dumps({
+                "kind": "map", "k": k,
+                "facets": [[f"v{v}" for v in s] for s in dom.facets()],
+                "values": {f"v{v}": value() for v in sorted(dom.vertices)}}))
+            _fuzz(capsys, path, tmp_path / f"bundle{i}", _MAP_COMMANDS)
+
+    def test_every_contour_command_on_random_contours(self, rng, tmp_path, capsys):
+        # strands on a small grid, some closed, some with a point repeated
+        # or a vertical segment, and cusp marks mostly in range
+        for i in range(60):
+            strands = []
+            for _ in range(rng.randint(1, 3)):
+                points = [[rng.randint(-6, 6), rng.randint(-2, 2)]
+                          for _ in range(rng.randint(2, 5))]
+                strands.append(points + points[:1] if rng.random() < 0.5 else points)
+            marked = [rng.randrange(len(strands)) for _ in range(rng.randint(0, 2))]
+            cusps = [[j, rng.randint(0, len(strands[j]))] for j in marked]
+            path = tmp_path / f"contour{i}.json"
+            path.write_text(json.dumps({"kind": "locus", "strands": strands, "cusps": cusps}))
+            _fuzz(capsys, path, tmp_path / f"bundle{i}", _CONTOUR_COMMANDS)
+
+
+# every command a map goes through, under every notion that applies, and
+# every command that reads a contour; those in _JSON_OUT write JSON to stdout
+_MAP_COMMANDS = [["validate"]] + [
+    [command, "--notion", notion]
+    for command in ("jacobi", "stratify-domain", "stratify-codomain",
+                    "export-filtration", "reeb", "pipeline")
+    for notion in ("H", "D", "L")]
+_CONTOUR_COMMANDS = [["morse2-locus"], ["pipeline"], ["export-filtration"]]
+_JSON_OUT = {"validate", "jacobi", "stratify-domain", "stratify-codomain",
+             "reeb", "morse2-locus"}
+
+
+def _fuzz(capsys, path, out, commands):
+    """Run each command on the input at path and check its exit: 0, 1 or
+    2; an error: line and no traceback when it fails, and JSON on stdout
+    when it succeeds and writes JSON there."""
+    for command in commands:
+        argv = [command[0], str(path), *command[1:]]
+        if command[0] == "pipeline":
+            argv += ["--out", str(out)]
+        code = main(argv)
+        stdout, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err, (argv, err)
+        if code:
+            assert any(line.startswith("error: ") for line in err.splitlines()), (argv, err)
+        elif command[0] in _JSON_OUT:
+            json.loads(stdout)
 
 
 @pytest.mark.parametrize("command", ["reeb", "pipeline"])
@@ -700,9 +800,8 @@ def test_sweep_levels_and_h_tests_run_once(monkeypatch, tmp_path, notion):
     made = dict(calls)   # building `f.sweep` below calls the patch too
     # the gaps where the sweep's record turns some component into fresh
     # ids, neither itself nor nothing
-    events = f.sweep.events
-    rejoined = sum(any(ids not in ([], [c]) for c, ids in events[level].items())
-                   for level in range(1, len(events), 2))
+    rejoined = sum(any(ids not in ([], [c]) for c, ids in record.items())
+                   for (kind, _), record in f.sweep.events.items() if kind == "f")
     assert rejoined
     assert made["_components"] == len(f.sweep.values) + rejoined
     assert made["is_h_critical"] == len(f.domain.simplices_of_dim(0))

@@ -82,11 +82,12 @@ class TestFiberComponents:
 
     def test_fine_cells_of_one_parameter_locate_one_coordinate(self, torus):
         fine = reeb.FineCells(torus)
-        assert fine.locate(F(0)) == fine.locate((F(0),)) == ("v", 0)
+        locate = fine.arrangement.locate
+        assert locate(F(0)) == locate((F(0),)) == ("v", 0)
         for y in ((F(0), F(5)), (), [F(0), F(0)]):
             with pytest.raises(StructuralError,
                                match=rf"a point of R\^1 has 1 coordinates, got {len(y)}: "):
-                fine.locate(y)
+                locate(y)
 
 
 class TestReebGraph:
@@ -127,10 +128,10 @@ class TestReebGraph:
         # is corrupted so the gap id of the first edge also continues into
         # the component of the second
         f = _scalar_map([["a", "b"], ["c", "d"]], {"a": 0, "c": 0, "b": 1, "d": 1})
-        events, top = f.sweep.events, f.sweep.table[2]
+        events, top = f.sweep.events, f.sweep.table["v", 1]
         first, second = (next(c for c, (_, comp) in top.items() if (v,) in comp)
                          for v in "bd")
-        events[2][second].append(first)
+        events["v", 1][second].append(first)
         with pytest.raises(InternalError, match=re.escape(
                 "fiber component through {a, b} between values 0 and 1 does "
                 "not lie in one component at value 1") + "$"):
@@ -147,7 +148,7 @@ class TestReebGraph:
             j = jacobi_set(f)
             twin = PLMap(f.domain, 1, f.values)
             del calls[:]
-            twin.sweep.components(0)
+            twin.sweep.components(("v", 0))
             filled = len(calls)
             del calls[:]
             reeb_graph(f, j)
@@ -241,17 +242,17 @@ def _without_subdivisions(rg) -> tuple:
 
 
 def _merge_a_gap_level(f: PLMap):
-    """Merge the components of the first gap level whose components lie in
-    two different components of the level below, so the merged one lies in
-    no single component there."""
+    """Merge the components of the first gap between two values whose
+    components lie in two different components of the value below, so the
+    merged one lies in no single component there."""
     table = f.sweep.table
 
-    def below(li):
-        return {i for _, comp in table[li].values()
-                for i, (_, c) in table[li - 1].items() if comp <= c}
-    li = next(li for li in range(1, len(table), 2) if len(below(li)) == 2)
-    least, comps = zip(*table[li].values())
-    table[li] = {min(table[li]): (min(least), frozenset().union(*comps))}
+    def below(i):
+        return {j for _, comp in table["f", i].values()
+                for j, (_, c) in table["v", i - 1].items() if comp <= c}
+    gap = next(("f", i) for i in range(1, len(f.sweep.values)) if len(below(i)) == 2)
+    least, comps = zip(*table[gap].values())
+    table[gap] = {min(table[gap]): (min(least), frozenset().union(*comps))}
 
 
 SWEEP_EXAMPLES = ("torus_grid", "octahedron", "saddle_patch", "double_cone")
@@ -307,28 +308,43 @@ def _record_sweep(monkeypatch) -> list:
     return calls
 
 
+def _line_probes(f: PLMap) -> list[tuple[tuple, Fraction]]:
+    """Each cell of the line cut at f's vertex values, in order along the
+    line, with a point of it: the ray below every value, then each value
+    and the midpoint of the gap above it, or a point of the ray above all."""
+    values = sorted({f.value(v)[0] for v in f.domain.vertices})
+    probes = [(("f", 0), values[0] - 1)]
+    for i, t in enumerate(values):
+        above = (t + values[i + 1]) / 2 if i + 1 < len(values) else t + 1
+        probes += [(("v", i), t), (("f", i + 1), above)]
+    return probes
+
+
 def _check_every_level(f: PLMap) -> Counter:
-    """Compare every level of the sweep with the rescan oracle, and count
-    what the fill met: the largest number of gap components one component
-    of the level above holds ("merged"), even levels with several vertices
-    in one component ("tie in one") or in different ones ("tie apart")."""
+    """Compare the sweep over every cell of the line, both rays included,
+    with the rescan oracle, and count what the fill met: the largest number
+    of gap components one component of the value above holds ("merged"),
+    values with several vertices in one component ("tie in one") or in
+    different ones ("tie apart")."""
     seen: Counter = Counter()
-    levels = naive_sweep_levels(f)
-    tables = [f.sweep.components(li) for li in range(len(levels))]
-    for li, t in enumerate(levels):
-        assert tables[li] == naive_fiber_components(f, t), (li, t)
-    for li in range(0, len(levels), 2):
-        at = [v for v in f.domain.vertices if f.value(v)[0] == levels[li]]
-        holders = [next(i for i, c in enumerate(tables[li]) if (v,) in c)
+    probes = _line_probes(f)
+    assert [cell for cell, _ in probes] == list(f.sweep.table)
+    tables = {cell: f.sweep.components(cell) for cell, _ in probes}
+    for cell, t in probes:
+        assert tables[cell] == naive_fiber_components(f, t), (cell, t)
+    for (gap, _), (cell, t) in zip(probes, probes[1:]):
+        if cell[0] != "v":
+            continue
+        at = [v for v in f.domain.vertices if f.value(v)[0] == t]
+        holders = [next(i for i, c in enumerate(tables[cell]) if (v,) in c)
                    for v in at]
         if len(set(holders)) < len(holders):
             seen["tie in one"] += 1
         if len(set(holders)) > 1:
             seen["tie apart"] += 1
-        if li:
-            for comp in tables[li]:
-                held = sum(gap <= comp for gap in tables[li - 1])
-                seen["merged"] = max(seen["merged"], held)
+        for comp in tables[cell]:
+            held = sum(below <= comp for below in tables[gap])
+            seen["merged"] = max(seen["merged"], held)
     return seen
 
 
@@ -930,34 +946,31 @@ class TestLineCover:
         for f in self._maps(rng):
             fine = reeb.FineCells(f)
             values = sorted({f.value(v)[0] for v in f.domain.vertices})
-            top = 2 * len(values) - 1
             lo, hi = (values[0], values[-1]) if values else (F(0), F(0))
             for d in (F(1, 3), F(1), F(1000)):
-                for y, level, cell in ((lo - d, -1, ("f", 0)),
-                                       (hi + d, top, ("f", len(values)))):
-                    assert f.sweep.level(y) == level
-                    assert fine.locate(y) == cell
+                for y, cell in ((lo - d, ("f", 0)), (hi + d, ("f", len(values)))):
+                    assert fine.arrangement.locate(y) == cell
                     assert fine.components[cell] == ()
-                    assert f.sweep.components(level) == ()
+                    assert f.sweep.components(cell) == ()
                     assert fiber_components(f, y) == ()
 
     def test_the_cells_are_the_sweep_levels(self, rng):
-        # the point of the i-th value is level 2i, the interval or ray
-        # below it level 2i - 1
+        # the scalar fine cells are the cells the sweep fills, rays included
         for f in self._maps(rng):
             fine = reeb.FineCells(f)
             n = len(f.sweep.values)
-            assert set(fine.components) == {*(("v", i) for i in range(n)),
-                                            *(("f", i) for i in range(n + 1))}
-            for (kind, i), comps in fine.components.items():
-                assert comps == f.sweep.components(2 * i - (kind == "f"))
+            assert fine.arrangement is f.sweep.cuts
+            assert set(fine.components) == set(f.sweep.table) == {
+                *(("v", i) for i in range(n)), *(("f", i) for i in range(n + 1))}
+            for cell, comps in fine.components.items():
+                assert comps == f.sweep.components(cell)
 
     def test_an_empty_domain_is_one_cell(self):
         f = PLMap(SimplicialComplex([]), 1, {})
         fine = reeb.FineCells(f)
         assert fine.components == {("f", 0): ()}
         assert fine.incidences == []
-        assert {fine.locate(y) for y in (F(-5), F(0), F(7, 2))} == {("f", 0)}
+        assert {fine.arrangement.locate(y) for y in (F(-5), F(0), F(7, 2))} == {("f", 0)}
 
 
 def _functorial_pairs(sc) -> int:
@@ -1101,7 +1114,7 @@ class TestSteinSquare:
         sc = reeb_scaffold(tetra)
         s = tetra.domain.sorted_simplices()[0]
         y = tetra.barycenter_image(s)
-        cell, right = sc.fine.locate(y), sc.codomain.locate(y)
+        cell, right = sc.fine.arrangement.locate(y), sc.codomain.locate(y)
         wrong = next(label for label in sorted(sc.codomain.space.cells) if label != right)
         moved = {**sc.cell_elements,
                  cell: tuple((wrong, i) for _, i in sc.cell_elements[cell])}
@@ -1258,7 +1271,7 @@ class TestExactAudit:
             raise AssertionError("the audit made a point query")
         monkeypatch.setattr(reeb, "fiber_components", banned)
         monkeypatch.setattr(reeb.CodomainStratification, "locate", banned)
-        monkeypatch.setattr(reeb.FineCells, "locate", banned)
+        monkeypatch.setattr(reeb.LineCuts, "locate", banned)
         monkeypatch.setattr(PlanarArrangement, "locate", banned)
         monkeypatch.setattr(PlanarArrangement, "face_interior_samples", banned)
         assert [stratum_fiber_audit(f, sc) for f, sc in
