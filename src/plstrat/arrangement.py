@@ -53,8 +53,9 @@ from typing import Sequence
 
 from .errors import (GenericityError, InputError, InternalError,
                      StructuralError)
-from .geometry import (_show, as_point, canon_key, on_segment, proper_crossing,
-                       segments_share_line_overlap, vadd, vscale, vsub)
+from .geometry import (_show, _show_simplex, as_point, canon_key, on_segment,
+                       proper_crossing, segments_share_line_overlap, vadd, vscale,
+                       vsub)
 from .posets import Poset, StratifiedSpace, connected_classes
 
 Point = tuple
@@ -477,7 +478,10 @@ class LineCuts:
 
     def __init__(self, values: Sequence[Fraction]):
         self.values, self.vertices = values, [(x,) for x in values]
-        self.vertex_id = {p: n for n, p in enumerate(self.vertices)}
+
+    @cached_property
+    def vertex_id(self) -> dict[Point, int]:
+        return {p: n for n, p in enumerate(self.vertices)}
 
     def cells(self) -> list[tuple]:
         n = len(self.values)
@@ -536,7 +540,7 @@ def edge_image_arrangement(f, k) -> PlanarArrangement:
     try:
         return PlanarArrangement([(f.value(a), f.value(b)) for a, b in edges])
     except GenericityError as err:
-        names = ["{" + ", ".join(map(str, edges[i])) + "}" for i in err.segments]
+        names = [_show_simplex(edges[i]) for i in err.segments]
         listed = f"edge images {', '.join(names[:-1])} and {names[-1]}"
         if err.point is None:
             raise GenericityError(f"{listed} overlap along a line") from None

@@ -15,6 +15,7 @@ from .arrangement import (SingularLocus, build_codomain_stratification,
                           stratify_singular_locus)
 from .complexes import Simplex, manifold_check
 from .errors import GenericityError, InputError, PLStratError
+from .geometry import _show_simplex
 from .jacobi import PLMap, check_generic, domain_stratification, jacobi_set
 from .posets import _maximal_chains
 from .reeb import (check_stein_square, interval_fiber_audit, reeb_graph,
@@ -85,7 +86,7 @@ def _genericity_error(gen, stage: str = "") -> GenericityError:
     in the input's labels, a simplex in braces, and how many there are."""
     rule, witness, detail = gen.violations[0]
     parts = witness if type(witness) is tuple else (witness,)
-    at = " and ".join("{" + ", ".join(map(str, p)) + "}" if isinstance(p, Simplex)
+    at = " and ".join(_show_simplex(p) if isinstance(p, Simplex)
                       else str(p) for p in parts)
     n = len(gen.violations)
     return GenericityError(f"{stage}{rule} {detail} at {at} "

@@ -50,6 +50,11 @@ def _show(p) -> str:
     return "(" + ", ".join(map(format_frac, p)) + ")"
 
 
+def _show_simplex(s) -> str:
+    """A simplex as errors name it, its labels in braces: {a, b}."""
+    return "{" + ", ".join(map(str, s)) + "}"
+
+
 def as_point(y, k: int) -> Point:
     """y as a point of R^k, a tuple of k `Fraction`s: a tuple or a list of
     coordinates, or a scalar, which stands for a point of the line.  Any

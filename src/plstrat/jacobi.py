@@ -43,8 +43,9 @@ from typing import Mapping, NamedTuple
 
 from .complexes import Simplex, SimplicialComplex, face_poset, link, rank_components
 from .errors import GenericityError, InternalError, NotAMemberError, StructuralError
-from .geometry import (_show, affinely_independent, as_point, barycenter, canon_sorted,
-                       cone_is_full, dot, format_frac, frac, orthogonal_vector, vsub)
+from .geometry import (_show, _show_simplex, affinely_independent, as_point, barycenter,
+                       canon_sorted, cone_is_full, dot, format_frac, frac,
+                       orthogonal_vector, vsub)
 from .homology import is_h_nontrivial
 from .posets import StratifiedSpace, wedge_extend
 
@@ -170,9 +171,13 @@ def _integer_normal(points) -> tuple:
     """The normal n of the hyperplane through k integer points p0..p(k-1)
     of Z^k for which <x - p0, n> = det(p1 - p0, ..., x - p0): (1,) for
     k = 1, (-dy, dx) for an edge of the plane, and zero when the points
-    are affinely dependent.  `orthogonal_vector` expands the determinant
-    with x - p0 in the first row, so moving it last is the sign (-1)^(k-1)."""
+    are affinely dependent.  The edge's normal is read off directly; for
+    any other k `orthogonal_vector` expands the determinant with x - p0 in
+    the first row, so moving it last is the sign (-1)^(k-1)."""
     k = len(points[0])
+    if k == 2:
+        (ax, ay), (bx, by) = points
+        return (ay - by, bx - ax)
     rows = [tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]]
     n = orthogonal_vector(rows, k)
     return n if k % 2 else tuple(-c for c in n)
@@ -240,7 +245,7 @@ def _tie_error(f: PLMap, sigma: Simplex, ties: tuple, u: tuple) -> GenericityErr
     direction u, naming the first of them, the value and u."""
     level = dot(f.barycenter_image(sigma), u)
     return GenericityError(
-        f"vertex {ties[0]!r} ties with {tuple(sigma)!r} "
+        f"vertex {ties[0]!r} ties with {_show_simplex(sigma)} "
         f"at value {format_frac(level)} along direction {_show(u)}")
 
 
@@ -285,7 +290,7 @@ def _h_verdicts(f: PLMap, sigma):
         raise StructuralError(f"criticality tests support k <= 2, got k={f.k}")
     e = f.local[sigma]
     if not any(e.normal):
-        raise GenericityError(f"degenerate image of {tuple(sigma)!r}")
+        raise GenericityError(f"degenerate image of {_show_simplex(sigma)}")
     _untied(f, sigma, e)
     cofaces = f.domain.coface_ranks
     if any(map(cofaces.__getitem__, cofaces[f.domain.index.rank[sigma]])):

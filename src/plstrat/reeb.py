@@ -12,9 +12,11 @@ simplex enters the support at the point where its span starts and leaves
 it at the gap above the point where its span ends.  The components are
 carried from cell to cell, and only those the value's vertices touch
 change: the entering simplices merge the gap components they meet, and a
-component that loses simplices is joined again only when the rest of the
-star of the value's vertices falls apart inside it.  Every k=1 fiber query
-reads that one table.
+component that loses simplices is searched only when the rest of the star
+of the value's vertices falls apart inside it: one search starts from each
+piece of that star and they take turns, so a split costs its smaller side.
+The table keeps each component as a set of simplex ranks, and every k=1
+fiber query reads that one table.
 
 The same walk records its events: the gap ids each component over a value
 absorbs, and the ids each component it touched becomes in the gap above.
@@ -47,8 +49,9 @@ position of the images.
 """
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 
 from .arrangement import (CodomainStratification, LineCuts, _homogeneous,
@@ -57,7 +60,7 @@ from .arrangement import (CodomainStratification, LineCuts, _homogeneous,
 from .complexes import rank_components
 from .errors import (DegeneracyError, EmptyComplexError, InternalError,
                      NotAMemberError, StructuralError)
-from .geometry import _show, as_point, convex_hull_2d, format_frac
+from .geometry import _show, _show_simplex, as_point, convex_hull_2d, format_frac
 from .jacobi import JacobiSet, PLMap, jacobi_set
 from .posets import MonotoneMap, Poset, connected_classes
 
@@ -65,11 +68,7 @@ from .posets import MonotoneMap, Poset, connected_classes
 # ---------------------------------------------------------------------------
 # fibers
 
-def _scalar(f: PLMap, v) -> Fraction:
-    return f.value(v)[0]
-
-
-# the name the sweep's entering pieces, its re-splits and the plane fibers
+# the name the sweep's entering pieces and the plane fibers
 # call: perfbench's trace wraps it to count them as `reeb.reeb_graph.levels`
 _components = rank_components
 
@@ -93,50 +92,62 @@ class SweepIndex:
     - at ("f", i + 1) the simplices whose span ends at value i leave, and
       each component that lost some may split.  Every path in the old
       component between two remaining members leaves the removed simplices
-      into S, the remaining members that hold a vertex of value i, so the
-      rest is connected when S is.  S is upward-closed, so its classes are
-      read off its face pairs; only the components over which S falls apart
-      are joined again, in one call.
+      into S, the remaining members that hold a vertex of value i, so each
+      piece of the rest holds a class of S.  S is upward-closed, so its
+      classes are read off its face pairs.  A component holding two or
+      more of them is searched from each at once (`_split_off`), which
+      costs the pieces that split off, not the rest.  When every search
+      meets another the component keeps its id and shrinks; otherwise each
+      piece, the rest too, takes a fresh id, in the order of their least
+      ranks.
 
-    Untouched components keep their frozenset from cell to cell:
+    Untouched components keep their frozenset of ranks from cell to cell:
     `table[cell]` maps the id of each component over the cell to its least
-    rank and its frozenset, and `components` orders them by least rank.
-    Both rays are empty, since every simplex leaves at its greatest value.
-    The walk also keeps its record, which the Reeb graph replays: in
-    `events`, for each point, the gap ids each touched component absorbed,
-    itself among them when it continues an id of the gap below, and for
-    each gap, the ids each touched component of the point below becomes,
-    none when it ends, itself when it shrinks and fresh ones when it is
-    joined again.  Each vertex's value index is kept in `vindex`."""
+    rank and its frozenset of ranks, and `components` orders them by least
+    rank and names their simplices when read.  Both rays are empty, since
+    every simplex leaves at its greatest value.  The walk also keeps its
+    record, which the Reeb graph replays: in `events`, for each point, the
+    gap ids each touched component absorbed, itself among them when it
+    continues an id of the gap below, and for each gap, the ids each
+    touched component of the point below becomes, none when it ends,
+    itself when it shrinks and fresh ones when it splits.  Each vertex's
+    value index is kept in `vindex`."""
 
     def __init__(self, f: PLMap):
         if f.k != 1:
             raise StructuralError("a sweep requires a single parameter")
-        self.values = sorted({_scalar(f, v) for v in f.domain.vertices})
+        # the values are ordered and told apart on the map's integer image,
+        # which keeps their order, with no `Fraction` compared or hashed
+        image = f.integer_image[1]
+        value = {image[v][0]: x for v, (x,) in f.values.items()}
+        heights = sorted(value)
+        self.values = [value[h] for h in heights]
         self.cuts = LineCuts(self.values)
-        self.vindex = vindex = {v: self.cuts.vertex_id[f.value(v)]
-                                for v in f.domain.vertices}
+        at = {h: i for i, h in enumerate(heights)}
+        self.vindex = vindex = {v: at[p[0]] for v, p in image.items()}
         # the domain's own incidence tables, shared with every other reader
         index = f.domain.index
-        ranked, rank, star = index.ranked, index.rank, index.vertex_cofaces
+        self.ranked = ranked = index.ranked
+        rank, star = index.rank, index.vertex_cofaces
         faces, cofaces = f.domain.face_ranks, f.domain.coface_ranks
         enter: list = [[] for _ in self.values]
         leave: list = [[] for _ in self.values]
+        level = vindex.__getitem__
         for r, s in enumerate(ranked):
-            enter[min(vindex[v] for v in s)].append(r)
-            leave[max(vindex[v] for v in s)].append(r)
+            enter[min(map(level, s))].append(r)
+            leave[max(map(level, s))].append(r)
 
         owner: list = [None] * len(ranked)    # rank -> id of its component
         members: dict = {}                    # id -> its set of ranks
-        published: dict = {}                  # id -> (least rank, frozenset)
+        published: dict = {}                  # id -> (least rank, frozenset of ranks)
         fresh = count()
         # nothing has entered on the ray below every value
         self.table, self.events = {("f", 0): {}}, {("f", 0): {}}
+        self.named: dict = {}    # frozenset of ranks -> of its simplices
 
         def publish(cell, changed):
             for c in changed:
-                published[c] = (min(members[c]),
-                                frozenset(map(ranked.__getitem__, members[c])))
+                published[c] = (min(members[c]), frozenset(members[c]))
             self.table[cell] = dict(published)
 
         for i in range(len(self.values)):
@@ -171,7 +182,7 @@ class SweepIndex:
                 members[c].discard(r)
                 changed.add(c)
             # id at the point below -> its ids here: none when it ends,
-            # itself when it shrinks, fresh ones when it is joined again
+            # itself when it shrinks, fresh ones when it splits
             become = self.events["f", i + 1] = {c: [c] if members[c] else []
                                                 for c in changed}
             for c in [c for c in changed if not members[c]]:
@@ -181,33 +192,107 @@ class SweepIndex:
                 rim = {t for r in leave[i] if len(ranked[r]) == 1
                        for t in map(rank.__getitem__, star[ranked[r][0]])
                        if owner[t] is not None}
-                # the components holding two or more classes of the rim;
-                # the rim is no cell, so it bypasses the `_components`
-                # name that cell counts are read through
-                held, suspect = set(), set()
+                # the rim's classes inside each component; the rim is no
+                # cell, so it bypasses the `_components` name that cell
+                # counts are read through
+                seeds: dict = {}
                 for cls in rank_components(rim, faces):
-                    c = owner[cls[0]]
-                    if c in held:
-                        suspect.add(c)
-                    held.add(c)
-                if suspect:
-                    rest = [r for c in suspect for r in members.pop(c)]
-                    for c in suspect:
+                    seeds.setdefault(owner[cls[0]], []).append(cls)
+                pieces = []
+                for c, classes in seeds.items():
+                    if len(classes) < 2:
+                        continue
+                    split = _split_off(classes, c, owner, faces, cofaces)
+                    if split:
+                        rest = members.pop(c)
+                        for piece in split:
+                            rest -= piece
                         del published[c]
                         become[c] = []
-                    changed -= suspect
-                    for piece in _components(rest, faces):
-                        c = next(fresh)
-                        become[owner[piece[0]]].append(c)
-                        members[c] = set(piece)
-                        for r in piece:
-                            owner[r] = c
-                        changed.add(c)
+                        changed.discard(c)
+                        pieces += [(min(p), c, p) for p in (*split, rest)]
+                # fresh ids in the order of the pieces' least ranks
+                for _, c, piece in sorted(pieces, key=lambda p: p[0]):
+                    d = next(fresh)
+                    become[c].append(d)
+                    members[d] = piece
+                    for r in piece:
+                        owner[r] = d
+                    changed.add(d)
             publish(("f", i + 1), changed)
 
     def components(self, cell) -> tuple[frozenset, ...]:
-        """The fiber components over a cell of `cuts`, by least rank."""
-        return tuple(comp for _, comp in sorted(self.table[cell].values()))
+        """The fiber components over a cell of `cuts`, by least rank, each
+        as its set of simplices.  A component is named when first read: one
+        that no value touches keeps its frozenset of ranks from cell to
+        cell, and so its name."""
+        named, ranked, comps = self.named, self.ranked, []
+        for _, ranks in sorted(self.table[cell].values()):
+            if (simplices := named.get(ranks)) is None:
+                simplices = named[ranks] = frozenset(map(ranked.__getitem__, ranks))
+            comps.append(simplices)
+        return tuple(comps)
+
+
+def _split_off(seeds, c, owner, faces, cofaces) -> list[set]:
+    """The pieces that split off component c when it loses simplices, as
+    sets of ranks; none when the rest is still connected.
+
+    `seeds` are the classes of the rim inside c, two or more, and every
+    piece of the rest holds one.  One depth-first search starts from each
+    class and walks the faces and cofaces that c still owns; the searches
+    take turns, one rank each, and two that meet merge, the smaller into
+    the larger.  A search that runs out has walked a whole piece.  They
+    stop when one search is left, so a split costs about the number of
+    seeds times its smallest piece, not the rest, and a component that
+    stays connected costs the walk until its searches meet (Even and
+    Shiloach, "An on-line edge-deletion problem", 1981).
+
+    A search marks the ranks it reaches in `owner` with -1 - its index, so
+    the mark is no component id.  The last search gives its ranks back to
+    c before returning; the pieces' ranks stay marked until the caller
+    gives them their ids."""
+    stacks, found = [], []  # each search's ranks to walk and ranks reached
+    for j, cls in enumerate(seeds):
+        for r in cls:
+            owner[r] = -1 - j
+        stacks.append(list(cls))
+        found.append(list(cls))
+    split, live = [], len(seeds)
+    turns = deque(range(len(seeds)))
+    while live > 1:
+        j = turns.popleft()
+        stack = stacks[j]
+        if stack is None:
+            continue            # run out, or merged into another search
+        if not stack:
+            split.append(set(found[j]))
+            stacks[j] = None
+            live -= 1
+            continue
+        turns.append(j)
+        r, mark = stack.pop(), -1 - j
+        for t in (*faces[r], *cofaces[r]):
+            o = owner[t]
+            if o == c:
+                owner[t] = mark
+                stack.append(t)
+                found[j].append(t)
+            elif o is not None and o != mark:
+                # met search -1 - o: the smaller one joins the larger
+                k = -1 - o
+                small, j = sorted((j, k), key=lambda x: len(found[x]))
+                mark = -1 - j
+                for q in found[small]:
+                    owner[q] = mark
+                stacks[j] += stacks[small]
+                found[j] += found[small]
+                stacks[small] = None
+                stack = stacks[j]
+                live -= 1
+    for q in found[next(j for j, stack in enumerate(stacks) if stack is not None)]:
+        owner[q] = c
+    return split
 
 
 class HullIndex:
@@ -272,12 +357,29 @@ def fiber_components(f: PLMap, y) -> tuple[frozenset, ...]:
 # ---------------------------------------------------------------------------
 # Reeb graph for one parameter
 
+class _Named(Mapping):
+    """A dict of sets of simplex ranks, each read as the frozenset of its
+    simplices, named only when it is read."""
+
+    def __init__(self, ranks: dict, ranked):
+        self._ranks, self._ranked = ranks, ranked
+
+    def __getitem__(self, key) -> frozenset:
+        return frozenset(map(self._ranked.__getitem__, self._ranks[key]))
+
+    def __iter__(self):
+        return iter(self._ranks)
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+
 @dataclass(frozen=True, eq=False)
 class ReebGraph:
     nodes: tuple
     node_value: dict
     node_critical: dict      # node -> critical vertex labels at its value
-    node_members: dict       # node -> support simplices of the component
+    node_members: Mapping    # node -> support simplices of the component
     edges: tuple             # pairs (a, b), parallel edges repeated
 
     def component_count(self) -> int:
@@ -321,7 +423,8 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         jset = jacobi_set(f)
     sweep = f.sweep
     events, table = sweep.events, sweep.table
-    values, vindex, ranked = sweep.values, sweep.vindex, f.domain.index.ranked
+    values, vindex = sweep.values, sweep.vindex
+    ranked, rank = f.domain.index.ranked, f.domain.index.rank
 
     def order(key):
         """(value index, least rank): the order of the point's `components`."""
@@ -330,7 +433,7 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
 
     def component(cell, c) -> str:
         (kind, i), least = cell, ranked[table[cell][c][0]]
-        return ("fiber component through {" + ", ".join(map(str, least)) + "} " + (
+        return (f"fiber component through {_show_simplex(least)} " + (
             f"at value {format_frac(values[i])}" if kind == "v" else
             f"between values {format_frac(values[i - 1])} and {format_frac(values[i])}"))
 
@@ -340,8 +443,8 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         v = s[0]
         if v not in vindex:
             raise NotAMemberError(f"vertex {v!r} not in the domain")
-        cell = ("v", vindex[v])
-        c = next(c for c, (_, comp) in table[cell].items() if s in comp)
+        cell, r = ("v", vindex[v]), rank[s]
+        c = next(c for c, (_, comp) in table[cell].items() if r in comp)
         critical.setdefault((cell, c), []).append(v)
 
     arcs: list = []          # (lower, upper) candidate of each gap id
@@ -381,7 +484,8 @@ def reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
                      node_value={label[k]: values[k[0][1]] for k in kept},
                      node_critical={label[k]: tuple(sorted(critical.get(k, ())))
                                     for k in kept},
-                     node_members={label[k]: table[k[0]][k[1]][1] for k in kept},
+                     node_members=_Named({label[k]: table[k[0]][k[1]][1] for k in kept},
+                                         ranked),
                      edges=tuple(sorted(edges)))
 
 
@@ -408,11 +512,15 @@ def interval_fiber_audit(f: PLMap, jset: JacobiSet | None = None,
         raise StructuralError(f"the audit needs at least one sample, got {samples}")
     if jset is None:
         jset = jacobi_set(f)
-    locus = [s[0] for s in jset.complex.simplices_of_dim(0)]
-    crit = sorted({_scalar(f, v) for v in locus})
+    sweep = f.sweep
+    # the critical values in order, read off their indices among the values
+    try:
+        cut = {sweep.vindex[s[0]] for s in jset.complex.simplices_of_dim(0)}
+    except KeyError as missing:
+        raise NotAMemberError(f"vertex {missing.args[0]!r} not in the domain") from None
+    crit = [sweep.values[i] for i in sorted(cut)]
     if not crit:
         raise InternalError("a nonempty compact domain must have critical values")
-    sweep, cut = f.sweep, {f.sweep.vindex[v] for v in locus}
     # the counts over the sweep's cells strictly between two critical
     # values, one set per interval, the rays among them
     found = [{len(sweep.table["f", 0])}]
@@ -508,8 +616,7 @@ class FineCells:
                     if j is None or not comp <= below[j]:
                         least = min(comp, key=self.rank.__getitem__)
                         raise InternalError(
-                            "fiber component through {"
-                            + ", ".join(map(str, least)) + "} over "
+                            f"fiber component through {_show_simplex(least)} over "
                             f"{_show(self.samples[high])} does not lie in one "
                             f"component over {_show(self.samples[low])}")
                     yield (low, j), (high, i)

@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import combinations
+from itertools import combinations, count
 
 from plstrat import (CodomainStratification, DegeneracyError,
                      EmptyComplexError, FiberAudit, GenericityError,
@@ -53,6 +54,7 @@ from plstrat import (CodomainStratification, DegeneracyError,
                      build_codomain_stratification, check_generic, face_poset,
                      fiber_components, jacobi_set, wedge_extend)
 from plstrat.arrangement import Face
+from plstrat.complexes import rank_components
 from plstrat.geometry import (canon_key, canon_sorted, cone_is_full, cross2, det,
                               dot, format_frac, frac, matrix_rank, on_segment,
                               proper_crossing, segments_share_line_overlap, vadd,
@@ -155,13 +157,18 @@ def naive_normal_direction(f: PLMap, sigma) -> tuple:
         a, b = f.image(sigma)
         d = vsub(b, a)
         if d == (0, 0):
-            raise GenericityError(f"degenerate image of {tuple(sigma)!r}")
+            raise GenericityError(f"degenerate image of {_naive_braces(sigma)}")
         return (-d[1], d[0])
     raise StructuralError(f"criticality tests support k <= 2, got k={f.k}")
 
 
 def _naive_vector(u) -> str:
     return "(" + ", ".join(format_frac(x) for x in u) + ")"
+
+
+def _naive_braces(sigma) -> str:
+    """A simplex in the input's labels, in braces, as errors name it."""
+    return "{%s}" % ", ".join(str(v) for v in sigma)
 
 
 def _naive_split(f: PLMap, sigma, lk: SimplicialComplex, u):
@@ -179,7 +186,7 @@ def _naive_split(f: PLMap, sigma, lk: SimplicialComplex, u):
             ties.append(v)
     if ties:
         raise GenericityError(
-            f"vertex {min(ties, key=canon_key)!r} ties with {tuple(sigma)!r} "
+            f"vertex {min(ties, key=canon_key)!r} ties with {_naive_braces(sigma)} "
             f"at value {format_frac(level)} along direction {_naive_vector(u)}")
     return tuple(SimplicialComplex([s for s in lk.simplices if set(s) <= side],
                                    check=False) for side in (upper, lower))
@@ -535,6 +542,84 @@ def naive_reeb_graph(f: PLMap, jset: JacobiSet | None = None) -> ReebGraph:
         node_members={label[k]: layer[k[0]][k[1]] for k in kept},
         edges=tuple(sorted(tuple(sorted((label[a], label[b])))
                            for a, b in edges.values())))
+
+
+def full_resplit_sweep(f: PLMap) -> tuple[dict, dict]:
+    """The table and record of a scalar map's `SweepIndex`, filled with the
+    full re-split the sweep's search replaces.  At a gap, every component
+    whose rim has two or more classes inside it is split again by
+    `rank_components` over all of its remaining ranks.  One that stays in
+    one piece keeps its id, and its record says it shrank; the pieces of
+    those that fall apart take fresh ids, in the order of their least ranks
+    over the gap.  Everything else is the sweep's own rule."""
+    index = f.domain.index
+    ranked, rank, star = index.ranked, index.rank, index.vertex_cofaces
+    faces, cofaces = f.domain.face_ranks, f.domain.coface_ranks
+    values = sorted({f.value(v)[0] for v in f.domain.vertices})
+    vindex = {v: values.index(f.value(v)[0]) for v in f.domain.vertices}
+    enter: list = [[] for _ in values]
+    leave: list = [[] for _ in values]
+    for r, s in enumerate(ranked):
+        enter[min(vindex[v] for v in s)].append(r)
+        leave[max(vindex[v] for v in s)].append(r)
+    owner: list = [None] * len(ranked)
+    members: dict = {}
+    fresh = count()
+    table, events = {("f", 0): {}}, {("f", 0): {}}
+
+    def publish(cell):
+        table[cell] = {c: (min(m), frozenset(m)) for c, m in members.items()}
+
+    for i in range(len(values)):
+        changed = events["v", i] = {}
+        for piece in rank_components(enter[i], faces):
+            ids = {owner[t] for r in piece for t in cofaces[r]}
+            ids.discard(None)
+            if ids:
+                c = max(ids, key=lambda d: len(members[d]))
+                ids.discard(c)
+                gaps = changed.setdefault(c, [c])
+                for d in ids:
+                    for r in members[d]:
+                        owner[r] = c
+                    members[c] |= members.pop(d)
+                    gaps += changed.pop(d, [d])
+            else:
+                c = next(fresh)
+                members[c] = set()
+                changed[c] = []
+            members[c].update(piece)
+            for r in piece:
+                owner[r] = c
+        publish(("v", i))
+
+        lost = set()
+        for r in leave[i]:
+            lost.add(owner[r])
+            members[owner[r]].discard(r)
+            owner[r] = None
+        become = events["f", i + 1] = {c: [c] if members[c] else [] for c in lost}
+        for c in lost:
+            if not members[c]:
+                del members[c]
+        rim = {rank[t] for r in leave[i] if len(ranked[r]) == 1
+               for t in star[ranked[r][0]] if owner[rank[t]] is not None}
+        held = Counter(owner[cls[0]] for cls in rank_components(rim, faces))
+        pieces = []
+        for c in [c for c, n in held.items() if n > 1]:
+            split = rank_components(sorted(members[c]), faces)
+            if len(split) > 1:
+                del members[c]
+                become[c] = []
+                pieces += [(min(p), c, set(p)) for p in split]
+        for _, c, piece in sorted(pieces, key=lambda p: p[0]):
+            d = next(fresh)
+            become[c].append(d)
+            members[d] = piece
+            for r in piece:
+                owner[r] = d
+        publish(("f", i + 1))
+    return table, events
 
 
 # ---------------------------------------------------------------------------

@@ -453,8 +453,20 @@ def test_tie_names_the_value_and_direction(tmp_path, capsys, notion):
         "values": {"a": 0, "b": "1/2", "c": "1/2", "d": 1}}))
     assert main(["jacobi", str(path), "--notion", notion]) == 2
     err = capsys.readouterr().err
-    assert ("error: vertex 'c' ties with ('b',) at value 1/2 along direction (1)\n"
+    assert ("error: vertex 'c' ties with {b} at value 1/2 along direction (1)\n"
             in err), err
+
+
+@pytest.mark.parametrize("command", ["stratify-codomain", "reeb"])
+def test_degenerate_image_names_the_edge_in_braces(tmp_path, capsys, command):
+    # c and d share an image, so the edge cd has a point for its image;
+    # the error names it as `validate` does, in the input's labels
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps({
+        "kind": "map", "k": 2, "facets": [["a", "b", "c"], ["c", "d"]],
+        "values": {"a": [0, 0], "b": [2, 0], "c": [0, 1], "d": [0, 1]}}))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: degenerate image of {c, d}\n"
 
 
 @pytest.mark.parametrize("example, component, key", [
@@ -781,13 +793,16 @@ def test_each_artifact_is_computed_once(monkeypatch, tmp_path, command, example,
 
 @pytest.mark.parametrize("notion", ["H", "L"])
 def test_sweep_levels_and_h_tests_run_once(monkeypatch, tmp_path, notion):
-    """A k=1 pipeline splits into components once per vertex value and
-    once per gap where the sweep joins a component again, for the Reeb
-    graph and the interval audit together, and runs the H test once per
+    """A k=1 pipeline splits into components once per vertex value, for
+    the Reeb graph and the interval audit together, and never at a gap,
+    even where the sweep joins a component again.  It searches the two
+    components whose rim falls apart, the first saddle's, which splits, and
+    the second's, which stays connected, and runs the H test once per
     candidate."""
     import importlib
-    calls = {"_components": 0, "is_h_critical": 0}
-    for mod, name in (("reeb", "_components"), ("jacobi", "is_h_critical")):
+    calls = {"_components": 0, "_split_off": 0, "is_h_critical": 0}
+    for mod, name in (("reeb", "_components"), ("reeb", "_split_off"),
+                      ("jacobi", "is_h_critical")):
         module = importlib.import_module(f"plstrat.{mod}")
 
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
@@ -802,8 +817,9 @@ def test_sweep_levels_and_h_tests_run_once(monkeypatch, tmp_path, notion):
     # ids, neither itself nor nothing
     rejoined = sum(any(ids not in ([], [c]) for c, ids in record.items())
                    for (kind, _), record in f.sweep.events.items() if kind == "f")
-    assert rejoined
-    assert made["_components"] == len(f.sweep.values) + rejoined
+    assert rejoined == 1
+    assert made["_components"] == len(f.sweep.values)
+    assert made["_split_off"] == 2
     assert made["is_h_critical"] == len(f.domain.simplices_of_dim(0))
 
 

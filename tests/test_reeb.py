@@ -1,17 +1,20 @@
 """Fibers, Reeb graphs, the component scaffold and the Stein-square check."""
 import dataclasses
+import os
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import (grid_3torus, naive_fiber_components, naive_reeb_graph,
-                     naive_strata, naive_sweep_levels, random_complex,
-                     random_planar_map, random_surface_map, revolution_torus_map,
-                     sampled_interval_audit, sampled_scaffold,
-                     sampled_stratum_audit, torus_projection)
+from helpers import (full_resplit_sweep, grid_3torus, naive_fiber_components,
+                     naive_reeb_graph, naive_strata, naive_sweep_levels,
+                     random_complex, random_planar_map, random_surface_map,
+                     revolution_torus_map, sampled_interval_audit,
+                     sampled_scaffold, sampled_stratum_audit,
+                     torus_height_map, torus_projection)
 from plstrat import (DegeneracyError, GenericityError, InternalError,
                      JacobiSet, NotAMemberError, PlanarArrangement, PLMap,
                      SimplicialComplex, StructuralError,
@@ -129,7 +132,8 @@ class TestReebGraph:
         # the component of the second
         f = _scalar_map([["a", "b"], ["c", "d"]], {"a": 0, "c": 0, "b": 1, "d": 1})
         events, top = f.sweep.events, f.sweep.table["v", 1]
-        first, second = (next(c for c, (_, comp) in top.items() if (v,) in comp)
+        rank = f.domain.index.rank
+        first, second = (next(c for c, (_, comp) in top.items() if rank[(v,)] in comp)
                          for v in "bd")
         events["v", 1][second].append(first)
         with pytest.raises(InternalError, match=re.escape(
@@ -244,7 +248,8 @@ def _without_subdivisions(rg) -> tuple:
 def _merge_a_gap_level(f: PLMap):
     """Merge the components of the first gap between two values whose
     components lie in two different components of the value below, so the
-    merged one lies in no single component there."""
+    merged one lies in no single component there.  The table holds each
+    component as its least rank and its set of ranks."""
     table = f.sweep.table
 
     def below(i):
@@ -292,19 +297,24 @@ def _scalar_map(facets, values) -> PLMap:
 
 
 def _record_sweep(monkeypatch) -> list:
-    """Record each call of the sweep's `_components` as ("enter", classes)
-    for the simplices entering at a vertex value, whose support holds a
-    vertex, or ("split", classes) for a re-split of gap components, which
-    hold none."""
+    """Record each call of the sweep's `_components` as ("enter", classes),
+    and each split search of a component that lost simplices at a gap as
+    ("split", pieces), the pieces of what it keeps: 1 when it stays
+    connected."""
     calls = []
-    original = reeb._components
+    components, split_off = reeb._components, reeb._split_off
 
-    def recorded(support, faces):
-        classes = original(support, faces)
-        kind = "enter" if any(not faces[r] for r in support) else "split"
-        calls.append((kind, len(classes)))
+    def entered(support, faces):
+        classes = components(support, faces)
+        calls.append(("enter", len(classes)))
         return classes
-    monkeypatch.setattr(reeb, "_components", recorded)
+
+    def searched(*args):
+        split = split_off(*args)
+        calls.append(("split", len(split) + 1))
+        return split
+    monkeypatch.setattr(reeb, "_components", entered)
+    monkeypatch.setattr(reeb, "_split_off", searched)
     return calls
 
 
@@ -402,14 +412,14 @@ class TestSweepOracle:
         assert (missed > 0) == (notion == "D")
 
     def test_one_query_fills_every_level_once(self, rng, monkeypatch):
-        # one call at each vertex value and at most one at each gap
+        # one `_components` call at each vertex value and none at a gap,
+        # where only the split searches run
         calls = _record_sweep(monkeypatch)
         for f in _sweep_maps(rng)[:8]:
             del calls[:]
             n_values = len({f.value(v) for v in f.domain.vertices})
             fiber_components(f, naive_sweep_levels(f)[-1])
             filled = len(calls)
-            assert 1 <= filled <= 2 * n_values - 1
             assert [k for k, _ in calls].count("enter") == n_values
             reeb_graph(f)
             fiber_components(f, naive_sweep_levels(f)[1])
@@ -417,20 +427,28 @@ class TestSweepOracle:
 
     def test_torus_saddle_with_two_upper_pieces_stays_connected(self, monkeypatch):
         # the torus loop: after the second saddle the two pieces of its
-        # upper star are joined around the torus, so the re-split finds one
-        # class; the first saddle splits the circle in two
+        # upper star are joined around the torus, so its searches meet and
+        # the component keeps its id; the first saddle splits the circle in
+        # two, and both halves take fresh ids
         calls = _record_sweep(monkeypatch)
-        _check_every_level(example_map("torus_grid"))
-        assert ("split", 1) in calls
-        assert ("split", 2) in calls
+        f = example_map("torus_grid")
+        _check_every_level(f)
+        assert sorted(calls.count(("split", n)) for n in (1, 2)) == [1, 1]
+        assert calls.count(("enter", 1)) == len(f.sweep.values)
+        # no gap gives one component a single fresh id
+        become = [(c, ids) for (kind, _), record in f.sweep.events.items()
+                  if kind == "f" for c, ids in record.items()]
+        assert sum(len(ids) == 2 for _, ids in become) == 1
+        assert all(ids in ([], [c]) for c, ids in become if len(ids) < 2)
 
     def test_true_split(self, monkeypatch):
         calls = _record_sweep(monkeypatch)
         f = _scalar_map([["a", "b"], ["a", "c"], ["c", "d"]],
                         {"a": 0, "b": 1, "c": 2, "d": 3})
         _check_every_level(f)
-        assert calls.count(("split", 2)) == 1
-        assert [k for k, _ in calls].count("split") == 1
+        # above a the edges ab and ac fall apart: two fresh ids
+        assert calls == [("enter", 1), ("split", 2)] + [("enter", 1)] * 3
+        assert f.sweep.events["f", 1] == {0: [1, 2]}
 
     def test_three_gap_components_merge_at_one_vertex(self, monkeypatch):
         # a monkey saddle on a disk: the lower star of the centre meets
@@ -460,11 +478,10 @@ class TestSweepOracle:
         # two triangles sharing only v: v merges the two lower edges, and
         # above v the two upper pieces of its star are apart again
         calls = _record_sweep(monkeypatch)
-        f = _scalar_map([["v", "a", "b"], ["v", "c", "d"]],
-                        {"a": -1, "c": -1, "v": 0, "b": 1, "d": 1})
-        seen = _check_every_level(f)
+        seen = _check_every_level(_bowtie())
         assert seen["merged"] == 2 and seen["tie apart"] == 2
-        assert ("split", 2) in calls
+        # a and c enter apart, v joins them, and above v one search runs out
+        assert calls == [("enter", 2), ("enter", 1), ("split", 2), ("enter", 2)]
 
     def test_solid_tetrahedron(self, rng, monkeypatch):
         calls = _record_sweep(monkeypatch)
@@ -537,6 +554,98 @@ class TestSweepOracle:
         for graph in (reeb_graph, naive_reeb_graph):
             with pytest.raises(DegeneracyError, match=message):
                 graph(f, ends)
+
+
+class _CountedFaces:
+    """A face table that counts its lookups: a search reads the faces of
+    each rank it walks once."""
+
+    def __init__(self, faces):
+        self.faces, self.reads = faces, 0
+
+    def __getitem__(self, r):
+        self.reads += 1
+        return self.faces[r]
+
+
+def _count_searches(monkeypatch) -> Counter:
+    """Count the sweep's split searches that split a component
+    ("split") or found it connected ("connected"), the ranks they walk
+    ("walked") and the ranks a full re-split of the same components scans
+    ("scanned"), every rank each component still owns."""
+    seen: Counter = Counter()
+    split_off = reeb._split_off
+
+    def counted(seeds, c, owner, faces, cofaces):
+        walked = _CountedFaces(faces)
+        seen["scanned"] += owner.count(c)
+        split = split_off(seeds, c, owner, walked, cofaces)
+        seen["split" if split else "connected"] += 1
+        seen["walked"] += walked.reads
+        return split
+    monkeypatch.setattr(reeb, "_split_off", counted)
+    return seen
+
+
+def _bowtie() -> PLMap:
+    """Two triangles sharing only their middle vertex v."""
+    return _scalar_map([["v", "a", "b"], ["v", "c", "d"]],
+                       {"a": -1, "c": -1, "v": 0, "b": 1, "d": 1})
+
+
+class TestSplitSearch:
+    """The sweep's interleaved split search against the full re-split of
+    `helpers.full_resplit_sweep`: the same table, component ids and record
+    on every cell of the line."""
+
+    @staticmethod
+    def _assert_matches_oracle(f: PLMap):
+        table, events = full_resplit_sweep(f)
+        assert f.sweep.table == table
+        assert f.sweep.events == events
+        ranked = f.domain.index.ranked
+        for cell, comps in table.items():
+            assert f.sweep.components(cell) == tuple(
+                frozenset(map(ranked.__getitem__, ranks))
+                for _, ranks in sorted(comps.values())), cell
+
+    def test_random_complexes_with_ties(self, rng, monkeypatch):
+        seen = _count_searches(monkeypatch)
+        for f in _scalar_maps_beyond_surfaces(rng) + _scalar_maps_beyond_surfaces(rng):
+            self._assert_matches_oracle(f)
+        assert seen["split"] >= 1
+
+    def test_random_surfaces(self, rng, monkeypatch):
+        seen = _count_searches(monkeypatch)
+        for _ in range(30):
+            self._assert_matches_oracle(random_surface_map(rng))
+        assert seen["split"] >= 1 and seen["connected"] >= 1
+
+    def test_bowtie(self, monkeypatch):
+        seen = _count_searches(monkeypatch)
+        self._assert_matches_oracle(_bowtie())
+        assert (seen["split"], seen["connected"]) == (1, 0)
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_torus_height_map(self, rng, monkeypatch, n):
+        seen = _count_searches(monkeypatch)
+        self._assert_matches_oracle(torus_height_map(rng, n))
+        assert seen["split"] >= 1 and seen["connected"] >= 1
+        assert seen["walked"] < seen["scanned"]
+
+    def test_searches_walk_fewer_ranks_than_the_re_split_scans(self, monkeypatch):
+        # input 0 of the torus_k1 benchmark workload at seed 1, from its
+        # own generator: 23 times a component holds two or more classes of
+        # its rim at a gap, and a full re-split of those scans 3,232 ranks
+        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench"))
+        import gen
+        seen = _count_searches(monkeypatch)
+        f = map_from_dict(gen.torus_height_map(
+            gen.TORUS_K1_SIZE, gen.map_rng(1, "torus_k1", 0)))
+        self._assert_matches_oracle(f)
+        assert (seen["split"] + seen["connected"], seen["scanned"]) == (23, 3232)
+        assert seen["walked"] < seen["scanned"]
 
 
 def _graph(rg) -> tuple:
